@@ -22,7 +22,8 @@ from .bounds import (
 from .cvar import RiskLevel, SampleBatch, empirical_cvar, empirical_cvar_lp
 from .harness import (
     ExperimentResult,
-    RepRecord,
+    _fmt,
+    _read_results_csv,
     build_configured_game,
     compare_bounds,
     default_config_text,
@@ -34,10 +35,6 @@ from .harness import (
 from .routing import path_cost_field, sample_path_kappa, solve_cwe, true_path_kappa
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _default_output_dir() -> str:
@@ -181,17 +178,6 @@ def _cmd_experiment(args) -> int:
         print(f"{n},{_fmt(float(devs.mean()))},{_fmt(float(np.percentile(devs, 90)))},{fails}")
     print(f"wrote {result.results_path}", file=sys.stderr)
     return 0
-
-
-def _read_results_csv(path: Path) -> list[RepRecord]:
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != "n_samples,rep,deviation,residual,status":
-        raise RuntimeError(f"{path} is not a results table")
-    records = []
-    for line in lines[1:]:
-        n, rep, dev, res, status = line.split(",", 4)
-        records.append(RepRecord(int(n), int(rep), float(dev), float(res), status))
-    return records
 
 
 def _cmd_compare(args) -> int:

@@ -36,7 +36,6 @@ _PROB_TOL = 1e-12
 
 class CvarMethod(enum.Enum):
     ORDER_STATISTIC = "order_statistic"
-    SCALAR_MINIMIZATION = "scalar_minimization"
     LINEAR_PROGRAM = "linear_program"
 
 

@@ -222,6 +222,17 @@ def _write_results_csv(path: Path, records: Sequence[RepRecord]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _read_results_csv(path: Path) -> list[RepRecord]:
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != "n_samples,rep,deviation,residual,status":
+        raise RuntimeError(f"{path} is not a results table")
+    records = []
+    for line in lines[1:]:
+        n, rep, dev, res, status = line.split(",", 4)
+        records.append(RepRecord(int(n), int(rep), float(dev), float(res), status))
+    return records
+
+
 def _write_cdf_csv(path: Path, deviations: np.ndarray) -> None:
     devs = np.sort(np.asarray(deviations, dtype=float))
     n = len(devs)
@@ -300,18 +311,13 @@ def routing_bound_inputs(
     flows; the cost range [l, L] combines free-flow times, the congestion
     term at maximal per-OD loading, and the top of the noise support.
     """
-    q_inc = game.path_set.edge_incidence
-    a_mat = q_inc.T @ (game.congestion_diag[:, None] * q_inc)
+    a_mat = game.cost_matrix
     m_lip = float(np.max(np.linalg.norm(a_mat, axis=1)))
-    base = q_inc.T @ game.network.free_flow_time
+    base = game.free_flow_costs
     demand_of_path = game.demands[game.path_set.od_of_path]
-    noise_top = q_inc.T @ game.noise_hi
+    noise_top = game.path_set.edge_incidence.T @ game.noise_hi
     ell = float(base.min())
     big_l = float((base + a_mat @ demand_of_path + noise_top).max())
-    ods = [
-        (int(game.path_set.od_incidence[w].sum()), float(od.demand))
-        for w, od in enumerate(game.od_spec.pairs)
-    ]
     return BoundInputs(
         n=game.path_set.n_paths,
         alpha=game.alpha,
@@ -320,7 +326,7 @@ def routing_bound_inputs(
         m_lip=m_lip,
         epsilon=epsilon,
         delta_eps=delta_eps if delta_eps is not None else epsilon,
-        ods=ods,
+        ods=game.feasible_flows().blocks,
     )
 
 

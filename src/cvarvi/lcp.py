@@ -5,9 +5,9 @@ x >= 0, M x + q >= 0 and x^T (M x + q) = 0, where M has the block form
 [[Q^T R Q, -B^T], [B, 0]] and q = (Q^T t + kappa_hat; -d). M is
 copositive-plus (the top-left block is PSD and the rest is skew), so
 Lemke's complementary pivoting terminates with a solution whenever the
-demands are satisfiable. A second route minimizes the complementarity gap
-via extragradient iteration on the nonnegative orthant and serves as a
-cross-check.
+demands are satisfiable. M is the game's own (`RoutingGame.lcp_matrix`);
+only q depends on kappa_hat. A second route minimizes the complementarity
+gap by extragradient iteration on the nonnegative orthant, a cross-check.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class AffineLcp:
     def residual_vector(self, x: np.ndarray) -> np.ndarray:
         return self.m_mat @ x + self.q_vec
 
-    def gap(self, x: np.ndarray) -> float:
-        return float(np.dot(x, self.residual_vector(x)))
-
     def dump(self) -> str:
         """Plain-text dump: a coordinate-format listing of M then q.
 
@@ -89,23 +86,15 @@ class LcpSolution:
 
 
 def assemble_lcp(game, kappa_hat: np.ndarray) -> AffineLcp:
-    """Build the block LCP of the routing game for a given per-path CVaR
-    offset vector kappa_hat (empirical or exact)."""
+    """The block LCP of the routing game for a given per-path CVaR offset
+    vector kappa_hat (empirical or exact): the game's cached M and
+    q = (Q^T t + kappa_hat; -d)."""
     kappa_hat = np.asarray(kappa_hat, dtype=float)
-    q_inc = game.path_set.edge_incidence
-    b_inc = game.path_set.od_incidence
-    n_paths = q_inc.shape[1]
-    n_ods = b_inc.shape[0]
+    n_paths = game.path_set.n_paths
     if len(kappa_hat) != n_paths:
         raise ValueError(f"kappa has length {len(kappa_hat)}, expected {n_paths}")
-
-    a_block = q_inc.T @ (game.congestion_diag[:, None] * q_inc)
-    m_mat = np.zeros((n_paths + n_ods, n_paths + n_ods))
-    m_mat[:n_paths, :n_paths] = a_block
-    m_mat[:n_paths, n_paths:] = -b_inc.T
-    m_mat[n_paths:, :n_paths] = b_inc
-    q_vec = np.concatenate([q_inc.T @ game.network.free_flow_time + kappa_hat, -game.demands])
-    return AffineLcp(m_mat=m_mat, q_vec=q_vec, n_paths=n_paths, n_ods=n_ods)
+    q_vec = np.concatenate([game.free_flow_costs + kappa_hat, -game.demands])
+    return AffineLcp(m_mat=game.lcp_matrix, q_vec=q_vec, n_paths=n_paths, n_ods=len(game.demands))
 
 
 def _make_solution(lcp: AffineLcp, x: np.ndarray) -> LcpSolution:

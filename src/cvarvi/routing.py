@@ -7,9 +7,9 @@ Path costs are edge sums, so the per-path cost field is the affine map
 h -> Q^T R Q h + Q^T t + kappa where kappa collects per-path CVaR offsets
 of the noise. The risk-averse Wardrop equilibrium is the solution of the
 VI over the flow polytope, solvable by extragradient, Lemke pivoting, or
-the complementarity-gap program. Equilibrium edge loads are unique but path
-flows are not (paths share edges), so every solve returns the
-minimum-norm point of the equilibrium set.
+the complementarity-gap program; only kappa changes between solves.
+Equilibrium edge loads are unique but path flows are not (paths share
+edges), so every solve returns the minimum-norm point of the equilibrium set.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import re
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -102,14 +104,7 @@ class Network:
         return len(self.tail)
 
     def with_congestion(self, b_e: float) -> "Network":
-        return Network(
-            n_nodes=self.n_nodes,
-            tail=self.tail,
-            head=self.head,
-            free_flow_time=self.free_flow_time,
-            capacity=self.capacity,
-            congestion_coeff=np.full(self.n_edges, float(b_e)),
-        )
+        return replace(self, congestion_coeff=np.full(self.n_edges, float(b_e)))
 
     def out_edges(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n_nodes + 1)}
@@ -338,10 +333,16 @@ def edge_flows(path_set: PathSet, h: np.ndarray) -> np.ndarray:
     return path_set.edge_incidence @ h
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass
 class RoutingGame:
     """Immutable bundle: network, OD demands, enumerated paths, per-edge
-    noise supports, and the common risk level."""
+    noise supports, and the common risk level. The kappa-free part of the
+    cost map, below, is built on first use, cached read-only, and pickled."""
 
     network: Network
     od_spec: OdSpec
@@ -374,6 +375,29 @@ class RoutingGame:
     @property
     def uncertain_edges(self) -> np.ndarray:
         return np.nonzero(self.noise_hi > self.noise_lo)[0]
+
+    @cached_property
+    def cost_matrix(self) -> np.ndarray:
+        """A = Q^T R Q, the Jacobian of the path-cost map."""
+        q_inc = self.path_set.edge_incidence
+        return _read_only(q_inc.T @ (self.congestion_diag[:, None] * q_inc))
+
+    @cached_property
+    def free_flow_costs(self) -> np.ndarray:
+        """Q^T t: per-path travel time at zero flow."""
+        return _read_only(self.path_set.edge_incidence.T @ self.network.free_flow_time)
+
+    @cached_property
+    def lipschitz(self) -> float:
+        """Spectral norm of A, the Lipschitz constant of the cost map."""
+        return spectral_norm(self.cost_matrix)
+
+    @cached_property
+    def lcp_matrix(self) -> np.ndarray:
+        """M = [[A, -B^T], [B, 0]] of the equilibrium LCP."""
+        b_inc = self.path_set.od_incidence
+        zeros = np.zeros((len(b_inc), len(b_inc)))
+        return _read_only(np.block([[self.cost_matrix, -b_inc.T], [b_inc, zeros]]))
 
     def feasible_flows(self) -> SimplexProduct:
         blocks = []
@@ -414,12 +438,11 @@ def build_game(
 def path_cost_field(game: RoutingGame, kappa: np.ndarray) -> VectorField:
     """Affine CVaR path-cost map h -> Q^T R Q h + Q^T t + kappa."""
     kappa = np.asarray(kappa, dtype=float)
-    q_inc = game.path_set.edge_incidence
     if len(kappa) != game.path_set.n_paths:
         raise ValueError(f"kappa must have length {game.path_set.n_paths}")
-    a_mat = q_inc.T @ (game.congestion_diag[:, None] * q_inc)
-    const = q_inc.T @ game.network.free_flow_time + kappa
-    return VectorField(evaluator=lambda h: a_mat @ h + const, lipschitz_hint=spectral_norm(a_mat))
+    a_mat = game.cost_matrix
+    const = game.free_flow_costs + kappa
+    return VectorField(evaluator=lambda h: a_mat @ h + const, lipschitz_hint=game.lipschitz)
 
 
 def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
@@ -473,7 +496,9 @@ def true_path_kappa(
 
     The tail of a sum of independent uniforms has no closed form, so the
     reference is Monte Carlo at n_ref draws, cached to disk with its
-    parameters when a cache directory is given.
+    parameters when a cache directory is given. The file is renamed into
+    place once written, so overlapping runs never read a partial one; one
+    stored for other parameters raises ValueError.
     """
     if n_ref < 10**5:
         raise ValueError("reference batch must use at least 1e5 samples")
@@ -488,10 +513,17 @@ def true_path_kappa(
         digest.update(game.path_set.edge_incidence.tobytes())
         key = cache_dir / f"kappa_ref_{digest.hexdigest()[:16]}.npz"
         if key.exists():
-            return np.load(key)["kappa"]
+            with np.load(key) as stored:
+                found = (int(stored["n_ref"]), int(stored["seed_ref"]), float(stored["alpha"]))
+                if found != (n_ref, seed_ref, game.alpha.alpha):
+                    raise ValueError(f"{key} was stored for (n_ref, seed_ref, alpha) = {found}")
+                return stored["kappa"]
     kappa = sample_path_kappa(game, n_ref, seed_ref)
     if key is not None:
-        np.savez(key, kappa=kappa, n_ref=n_ref, seed_ref=seed_ref, alpha=game.alpha.alpha)
+        with tempfile.TemporaryDirectory(dir=cache_dir) as tmp_dir:
+            tmp = Path(tmp_dir) / key.name
+            np.savez(tmp, kappa=kappa, n_ref=n_ref, seed_ref=seed_ref, alpha=game.alpha.alpha)
+            tmp.replace(key)
     return kappa
 
 

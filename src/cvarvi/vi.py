@@ -25,7 +25,6 @@ __all__ = [
     "affine_field",
     "spectral_norm",
     "project_simplex",
-    "project",
     "natural_residual",
     "extragradient_solve",
     "check_monotone",
@@ -190,29 +189,16 @@ class MonotonicityReport:
     worst_value: float
 
 
-def spectral_norm(a: np.ndarray, iterations: int = 100) -> float:
-    """Spectral norm estimate by power iteration on A^T A, fixed start."""
-    a = np.asarray(a, dtype=float)
-    v = np.ones(a.shape[1]) / np.sqrt(a.shape[1])
-    for _ in range(iterations):
-        w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(a @ v))
+def spectral_norm(a: np.ndarray) -> float:
+    """Spectral norm ||A||_2, the largest singular value of A."""
+    return float(np.linalg.norm(np.asarray(a, dtype=float), 2))
 
 
 def affine_field(a: np.ndarray, b: np.ndarray) -> VectorField:
-    """Field x -> A x + b with a power-iteration Lipschitz hint."""
+    """Field x -> A x + b with its spectral norm as Lipschitz hint."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return VectorField(evaluator=lambda x: a @ x + b, lipschitz_hint=spectral_norm(a))
-
-
-def project(feasible: FeasibleSet, y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the feasible set."""
-    return feasible.project(y)
 
 
 def natural_residual(feasible: FeasibleSet, field: VectorField, x: np.ndarray) -> float:

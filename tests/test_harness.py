@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,9 @@ import cvarvi
 from cvarvi.harness import (
     ConfigError,
     ExperimentConfig,
+    RepRecord,
+    _read_results_csv,
+    _write_results_csv,
     build_configured_game,
     compare_bounds,
     default_config_text,
@@ -116,6 +120,31 @@ class TestExperiment:
             assert again.cdf_paths[n].read_bytes() == small_result.cdf_paths[n].read_bytes()
 
 
+class TestResultsCsv:
+    def test_write_read_round_trip(self, tmp_path):
+        records = [
+            RepRecord(50, 0, 2.5403140903409512, 1.2e-13, "ok"),
+            RepRecord(50, 1, math.nan, math.nan, "fail:LcpRayTermination"),
+            RepRecord(5000, 7, 0.1, 0.0, "ok"),
+        ]
+        path = tmp_path / "results.csv"
+        _write_results_csv(path, records)
+        back = _read_results_csv(path)
+        assert [(r.n_samples, r.rep, r.status) for r in back] == [
+            (r.n_samples, r.rep, r.status) for r in records
+        ]
+        assert back[0].deviation == records[0].deviation and back[2].residual == 0.0
+        assert math.isnan(back[1].deviation) and math.isnan(back[1].residual)
+        _write_results_csv(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_rejects_other_tables(self, tmp_path):
+        path = tmp_path / "cdf_50.csv"
+        path.write_text("deviation,probability\n0.5,1\n")
+        with pytest.raises(RuntimeError, match="not a results table"):
+            _read_results_csv(path)
+
+
 class TestBoundComparison:
     def test_inputs_are_sane(self, small_config):
         game = build_configured_game(small_config)
@@ -134,11 +163,20 @@ class TestBoundComparison:
             assert row.consistent
 
 
+def child_env(**extra):
+    """This process's environment with the directory it imported cvarvi
+    from first on PYTHONPATH, so a child runs the package under test from
+    any cwd, installed or not."""
+    src_dir = str(Path(cvarvi.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
+
+
 class TestCli:
     def run_cli(self, *args, stdin=None):
         return subprocess.run(
             [sys.executable, "-m", "cvarvi.cli", *args],
-            capture_output=True, text=True, input=stdin,
+            capture_output=True, text=True, input=stdin, env=child_env(),
         )
 
     def test_estimate_stdin(self):
@@ -170,16 +208,12 @@ class TestCli:
     def test_output_dir_env(self, small_config, small_result, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMALL_CONFIG)
-        # The child imports the package under test, wherever this process
-        # found it; its cwd holds no ./cvarvi_out, so only the variable
-        # can point it at the results.
-        src_dir = str(Path(cvarvi.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        # The child's cwd holds no ./cvarvi_out, so only the variable can
+        # point it at the results.
         proc = subprocess.run(
             [sys.executable, "-m", "cvarvi.cli", "compare", "--config", str(cfg)],
             capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": pythonpath,
-                 "CVARVI_OUTPUT_DIR": str(small_result.results_path.parent)},
+            env=child_env(CVARVI_OUTPUT_DIR=str(small_result.results_path.parent)),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n_samples,empirical_freq,bound,consistent"

@@ -52,7 +52,15 @@ class TestAssembly:
         lcp = assemble_lcp(game, np.zeros(2))
         expected_m = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, -1.0], [1.0, 1.0, 0.0]])
         assert lcp.m_mat == pytest.approx(expected_m)
+        q_inc, b_inc = path_set.edge_incidence, path_set.od_incidence
+        a_block = q_inc.T @ np.diag(game.congestion_diag) @ q_inc
+        block = np.block([[a_block, -b_inc.T], [b_inc, np.zeros((1, 1))]])
+        assert np.array_equal(lcp.m_mat, block)
         assert lcp.q_vec == pytest.approx([1.0, 2.0, -1.0])
+        # kappa_hat enters only q: every assembly shares the game's M.
+        again = assemble_lcp(game, np.ones(2))
+        assert again.m_mat is lcp.m_mat is game.lcp_matrix
+        assert again.q_vec == pytest.approx([2.0, 3.0, -1.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

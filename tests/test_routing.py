@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cvarvi import lcp, routing
 from cvarvi.cvar import RiskLevel, cvar_uniform_interval
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
 from cvarvi.routing import (
@@ -17,6 +20,7 @@ from cvarvi.routing import (
     path_cost_field,
     sample_path_kappa,
     solve_cwe,
+    true_path_kappa,
     wardrop_gap,
 )
 
@@ -175,6 +179,86 @@ class TestGameAssembly:
         )
         with pytest.raises(ValueError):
             edge_flows(sioux_game.path_set, -h - 1.0)
+
+
+class TestCostModel:
+    @staticmethod
+    def fresh_game():
+        od = OdSpec(pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10)])
+        return build_game(builtin_network(), od, RiskLevel(0.05))
+
+    def test_built_once_and_shared(self):
+        game = self.fresh_game()
+        q_inc = game.path_set.edge_incidence
+        assert game.cost_matrix is game.cost_matrix
+        assert game.cost_matrix == pytest.approx(q_inc.T @ np.diag(game.congestion_diag) @ q_inc)
+        assert game.free_flow_costs is game.free_flow_costs
+        assert game.lcp_matrix is game.lcp_matrix
+        assert game.lipschitz == pytest.approx(np.linalg.norm(game.cost_matrix, 2), rel=1e-12)
+        field = path_cost_field(game, np.zeros(20))
+        assert field.lipschitz_hint == game.lipschitz
+        assert np.array_equal(field(np.zeros(20)), game.free_flow_costs)
+
+    def test_cached_arrays_are_read_only(self):
+        game = self.fresh_game()
+        for arr in (game.cost_matrix, game.free_flow_costs, game.lcp_matrix,
+                    assemble_lcp(game, np.zeros(20)).m_mat):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_repeat_solve_skips_spectral_norm(self, monkeypatch):
+        game = self.fresh_game()
+        kappa = sample_path_kappa(game, 200, 1)
+        solve_cwe(game, kappa, method="lemke")
+        calls = []
+        for module in (routing, lcp):
+            monkeypatch.setattr(module, "spectral_norm", lambda a: calls.append(a))
+        solve_cwe(game, kappa, method="lemke")
+        assert calls == []
+
+    @pytest.mark.parametrize("method", ["extragradient", "lemke", "qp"])
+    def test_pickled_game_solves_to_the_same_bits(self, method):
+        game = self.fresh_game()
+        kappa = sample_path_kappa(game, 200, 2)
+        sol = solve_cwe(game, kappa, method=method)
+        # As in a worker process: the cost model travels with the game.
+        clone = pickle.loads(pickle.dumps(game))
+        assert np.array_equal(vars(clone)["cost_matrix"], game.cost_matrix)
+        again = solve_cwe(clone, kappa, method=method)
+        assert np.array_equal(again.x_star, sol.x_star)
+        assert again.residual == sol.residual and again.iterations == sol.iterations
+
+
+class TestReferenceCache:
+    @staticmethod
+    def small_game():
+        od = OdSpec(pairs=[OdPair(16, 17, 1.0, 1)])
+        return build_game(builtin_network(), od, RiskLevel(0.05))
+
+    def test_writes_one_file_and_reads_it_back(self, tmp_path):
+        game = self.small_game()
+        kappa = true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
+        (key,) = tmp_path.iterdir()
+        assert key.suffix == ".npz"
+        assert np.array_equal(true_path_kappa(game, 10**5, 42, cache_dir=tmp_path), kappa)
+        assert list(tmp_path.iterdir()) == [key]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def broken_savez(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            true_path_kappa(self.small_game(), 10**5, 42, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mismatched_file_under_the_key_raises(self, tmp_path):
+        game = self.small_game()
+        kappa = true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
+        (key,) = tmp_path.iterdir()
+        np.savez(key, kappa=kappa, n_ref=10**5 + 1, seed_ref=42, alpha=0.05)
+        with pytest.raises(ValueError, match="stored for"):
+            true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
 
 
 class TestKappaSampling:
