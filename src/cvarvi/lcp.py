@@ -8,12 +8,17 @@ Lemke's complementary pivoting terminates with a solution whenever the
 demands are satisfiable. M is the game's own (`RoutingGame.lcp_matrix`);
 only q depends on kappa_hat. A second route minimizes the complementarity
 gap by extragradient iteration on the nonnegative orthant, a cross-check.
+
+Lemke picks every pivot row, the first included, by one lexicographic
+scan (`_lex_argmin`) that treats entries within 1e-14 as equal and keeps
+the earlier row on a tie. That is not a total order, so `np.lexsort`
+would pick other rows on the near ties the degenerate routing LCPs are
+made of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +34,12 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-11
+_LEX_TOL = 1e-14
+# Row blocks of the rank-1 tableau update: cache-sized temporaries; one
+# tableau-sized temporary per pivot was 2-3x slower at 404 rows.
+_UPDATE_BLOCK_BYTES = 1 << 18
+_QP_TOL = 1e-8  # gap-minimization route: gap tolerance and iteration cap
+_QP_MAX_ITER = 1000000
 
 
 class LcpRayTermination(RuntimeError):
@@ -41,8 +52,6 @@ class AffineLcp:
 
     m_mat: np.ndarray
     q_vec: np.ndarray
-    n_paths: Optional[int] = None
-    n_ods: Optional[int] = None
 
     def __post_init__(self):
         self.m_mat = np.asarray(self.m_mat, dtype=float)
@@ -55,31 +64,27 @@ class AffineLcp:
     def size(self) -> int:
         return len(self.q_vec)
 
-    def residual_vector(self, x: np.ndarray) -> np.ndarray:
-        return self.m_mat @ x + self.q_vec
-
     def dump(self) -> str:
         """Plain-text dump: a coordinate-format listing of M then q.
 
         Line 1: `lcp <n> <nnz>`; then one `i j value` line per nonzero of M
         (1-based); then `q` on its own line followed by the n entries of q.
         """
-        n = self.size
         rows, cols = np.nonzero(self.m_mat)
-        lines = [f"lcp {n} {len(rows)}"]
-        for i, j in zip(rows, cols):
-            lines.append(f"{i + 1} {j + 1} {self.m_mat[i, j]:.17g}")
-        lines.append("q")
-        for i in range(n):
-            lines.append(f"{self.q_vec[i]:.17g}")
+        lines = [f"lcp {self.size} {len(rows)}"]
+        lines += [f"{i + 1} {j + 1} {self.m_mat[i, j]:.17g}" for i, j in zip(rows, cols)]
+        lines += ["q"] + [f"{v:.17g}" for v in self.q_vec]
         return "\n".join(lines) + "\n"
 
 
 @dataclass
 class LcpSolution:
+    """Solution, certificate and solver work (Lemke pivots or qp steps)."""
+
     x: np.ndarray
     complementarity_gap: float
     feasible: bool
+    iterations: int
 
     def split(self, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
         return self.x[:n_paths], self.x[n_paths:]
@@ -94,133 +99,111 @@ def assemble_lcp(game, kappa_hat: np.ndarray) -> AffineLcp:
     if len(kappa_hat) != n_paths:
         raise ValueError(f"kappa has length {len(kappa_hat)}, expected {n_paths}")
     q_vec = np.concatenate([game.free_flow_costs + kappa_hat, -game.demands])
-    return AffineLcp(m_mat=game.lcp_matrix, q_vec=q_vec, n_paths=n_paths, n_ods=len(game.demands))
+    return AffineLcp(m_mat=game.lcp_matrix, q_vec=q_vec)
 
 
-def _make_solution(lcp: AffineLcp, x: np.ndarray) -> LcpSolution:
-    w = lcp.residual_vector(x)
+def _make_solution(lcp: AffineLcp, x: np.ndarray, iterations: int) -> LcpSolution:
+    w = lcp.m_mat @ x + lcp.q_vec
     gap = float(np.dot(x, w))
-    feasible = bool(
-        np.all(x >= -1e-9)
-        and np.all(w >= -1e-7)
-        and abs(gap) <= 1e-6 * (1.0 + np.linalg.norm(lcp.q_vec))
-    )
-    return LcpSolution(x=x, complementarity_gap=gap, feasible=feasible)
+    scale = 1.0 + np.linalg.norm(lcp.q_vec)
+    feasible = bool(np.all(x >= -1e-9) and np.all(w >= -1e-7) and abs(gap) <= 1e-6 * scale)
+    return LcpSolution(x=x, complementarity_gap=gap, feasible=feasible, iterations=iterations)
 
 
 def solve_lcp_lemke(lcp: AffineLcp, max_pivots: int = 10000) -> LcpSolution:
     """Lemke's method with the all-ones covering vector and lexicographic
-    anti-cycling."""
-    n = lcp.size
-    m_mat, q = lcp.m_mat, lcp.q_vec
+    anti-cycling.
+
+    z0 enters at the lexicographically smallest (q_i, e_i) among rows with
+    q_i < 0; each later pivot row is the smallest (rhs, w-columns) / entering
+    entry among rows whose entry exceeds the pivot tolerance. At most one
+    initial plus `max_pivots` further pivots, else RuntimeError;
+    LcpRayTermination if a pivot in the budget finds no row. `iterations`
+    counts all pivots made (0 when q >= 0).
+    """
+    n, q = lcp.size, lcp.q_vec
     if np.all(q >= 0):
-        return _make_solution(lcp, np.zeros(n))
+        return _make_solution(lcp, np.zeros(n), 0)
 
     # Tableau for I w - M z - e z0 = q. Columns: w (0..n-1), z (n..2n-1),
     # z0 (2n), rhs (2n+1). The w-columns double as the basis inverse used
     # by the lexicographic ratio test.
-    tab = np.zeros((n, 2 * n + 2))
-    tab[:, :n] = np.eye(n)
-    tab[:, n : 2 * n] = -m_mat
-    tab[:, 2 * n] = -1.0
-    tab[:, 2 * n + 1] = q
-    basis = list(range(n))  # w_i basic in row i
-    z0_col = 2 * n
+    z0_col, rhs = 2 * n, 2 * n + 1
+    tab = np.hstack([np.eye(n), -lcp.m_mat, np.full((n, 1), -1.0), q[:, None]])
+    basis = np.arange(n)  # w_i basic in row i
+    key_cols = np.r_[rhs, 0:n]
+    block = max(1, _UPDATE_BLOCK_BYTES // tab[0].nbytes)
 
-    def pivot(row: int, col: int):
+    def pivot(row: int, col: int) -> int:
+        """Make `col` basic in `row`; return the variable that leaves."""
         tab[row] /= tab[row, col]
-        for i in range(n):
-            if i != row and abs(tab[i, col]) > 0.0:
-                tab[i] -= tab[i, col] * tab[row]
-        basis[row] = col
+        hit = np.flatnonzero(np.abs(tab[:, col]) > 0.0)
+        hit = hit[hit != row]
+        for rows in np.split(hit, range(block, len(hit), block)):
+            tab[rows] -= np.outer(tab[rows, col], tab[row])
+        leaving, basis[row] = basis[row], col
+        return leaving
 
-    def lex_ratio_row(col: int) -> Optional[int]:
-        candidates = [i for i in range(n) if tab[i, col] > _PIVOT_TOL]
-        if not candidates:
-            return None
-        best = None
-        best_vec = None
-        for i in candidates:
-            vec = np.concatenate(([tab[i, 2 * n + 1]], tab[i, :n])) / tab[i, col]
-            if best is None or _lex_less(vec, best_vec):
-                best, best_vec = i, vec
-        return best
-
-    # Initial pivot: bring z0 into the basis at the most negative rhs row
-    # (lexicographic tie-break on the identity part).
-    start = None
-    start_vec = None
-    for i in range(n):
-        if q[i] < 0:
-            vec = np.concatenate(([q[i]], tab[i, :n])) / 1.0
-            if start is None or _lex_less(vec, start_vec):
-                start, start_vec = i, vec
-    leaving = basis[start]
-    pivot(start, z0_col)
-    entering = _complement(leaving, n)
-
-    for _ in range(max_pivots):
-        row = lex_ratio_row(entering)
-        if row is None:
+    rows = np.flatnonzero(q < 0)
+    leaving = pivot(rows[_lex_argmin(tab[np.ix_(rows, key_cols)])], z0_col)
+    pivots = 1
+    while leaving != z0_col:
+        if pivots > max_pivots:
+            raise RuntimeError(f"pivot budget of {max_pivots} exceeded")
+        entering = leaving + n if leaving < n else leaving - n
+        rows = np.flatnonzero(tab[:, entering] > _PIVOT_TOL)
+        if not len(rows):
             raise LcpRayTermination("no complementary solution found along path (ray termination)")
-        leaving = basis[row]
-        pivot(row, entering)
-        if leaving == z0_col:
-            break
-        entering = _complement(leaving, n)
-    else:
-        raise RuntimeError(f"pivot budget of {max_pivots} exceeded")
+        keys = tab[np.ix_(rows, key_cols)] / tab[rows, entering][:, None]
+        leaving = pivot(rows[_lex_argmin(keys)], entering)
+        pivots += 1
 
     x = np.zeros(n)
-    for i, b in enumerate(basis):
-        if n <= b < 2 * n:
-            x[b - n] = max(tab[i, 2 * n + 1], 0.0)
-    return _make_solution(lcp, x)
+    in_z = (basis >= n) & (basis < 2 * n)
+    values = tab[in_z, rhs]
+    x[basis[in_z] - n] = np.where(values < 0.0, 0.0, values)
+    return _make_solution(lcp, x, pivots)
 
 
-def _complement(var: int, n: int) -> int:
-    return var + n if var < n else var - n
+def _lex_argmin(keys: np.ndarray) -> int:
+    """Row of `keys` a sequential scan keeps: a row replaces the incumbent
+    only if it is smaller at the first column where the two differ by more
+    than _LEX_TOL. The rule is not transitive, so scan order matters."""
+    best = 0
+    while best + 1 < len(keys):
+        rest, ref = keys[best + 1 :], keys[best]
+        lower = rest < ref - _LEX_TOL
+        first = (lower | (rest > ref + _LEX_TOL)).argmax(axis=1)
+        wins = np.flatnonzero(lower[np.arange(len(rest)), first])
+        if not len(wins):
+            break
+        best += 1 + int(wins[0])
+    return best
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for ai, bi in zip(a, b):
-        if ai < bi - 1e-14:
-            return True
-        if ai > bi + 1e-14:
-            return False
-    return False
-
-
-def solve_lcp_qp(
-    lcp: AffineLcp,
-    tol: float = 1e-8,
-    max_iter: int = 1000000,
-    x0: Optional[np.ndarray] = None,
-) -> LcpSolution:
+def solve_lcp_qp(lcp: AffineLcp) -> LcpSolution:
     """Minimize the complementarity gap x^T(Mx + q) over the feasible cone
-    by extragradient iteration on the equivalent orthant VI.
+    by extragradient iteration on the equivalent orthant VI, from x = 0.
 
     For monotone M the iteration converges to an LCP solution, at which the
     gap objective attains its minimum of zero.
     """
-    n = lcp.size
     m_mat, q = lcp.m_mat, lcp.q_vec
     lip = spectral_norm(m_mat)
     step = 0.9 / lip if lip > 0 else 1.0
 
-    x = np.maximum(np.asarray(x0, dtype=float), 0.0) if x0 is not None else np.zeros(n)
-    # Natural-residual tolerance driving the gap below `tol` at problem scale.
-    res_tol = min(1e-10, np.sqrt(tol) * 1e-3)
-    for _ in range(max_iter):
+    x = np.zeros(lcp.size)
+    # Natural-residual tolerance driving the gap below _QP_TOL at problem scale.
+    res_tol = min(1e-10, np.sqrt(_QP_TOL) * 1e-3)
+    for it in range(_QP_MAX_ITER + 1):
         fx = m_mat @ x + q
-        residual = float(np.linalg.norm(np.minimum(x, fx)))
-        if residual <= res_tol:
+        if it == _QP_MAX_ITER or np.linalg.norm(np.minimum(x, fx)) <= res_tol:
             break
         y = np.maximum(x - step * fx, 0.0)
         fy = m_mat @ y + q
         x = np.maximum(x - step * fy, 0.0)
-    sol = _make_solution(lcp, x)
-    gap_tol = tol * (1.0 + float(np.linalg.norm(q)))
+    sol = _make_solution(lcp, x, it)
+    gap_tol = _QP_TOL * (1.0 + float(np.linalg.norm(q)))
     if sol.complementarity_gap > gap_tol:
         raise RuntimeError(
             f"gap minimization stalled at {sol.complementarity_gap:.3e} (tolerance {gap_tol:.1e})"

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _USED_FLOW_TOL = 1e-6
+# Largest Wardrop gap `solve_cwe` accepts in the flow it returns.
+_WARDROP_TOL = 1e-5
 # Paths whose cost is within this relative distance of their OD minimum
 # count as minimum-cost. On Sioux Falls tied costs agree to 1e-11 relative
 # across solvers and distinct costs differ by at least 4e-3.
@@ -581,15 +583,7 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray, h0: np.ndarray) 
     return h
 
 
-def solve_cwe(
-    game: RoutingGame,
-    kappa: np.ndarray,
-    method: str = "extragradient",
-    tol: float = 1e-9,
-    max_iter: int = 200000,
-    x0: Optional[np.ndarray] = None,
-    wardrop_tol: float = 1e-5,
-) -> ViSolution:
+def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str = "extragradient") -> ViSolution:
     """The minimum-norm equilibrium flow under a fixed per-path CVaR offset.
 
     Methods: `extragradient` on the flow polytope VI, `lemke`
@@ -599,7 +593,8 @@ def solve_cwe(
     set; the returned flow is the unique minimum-norm point of that set,
     so all methods return the same flow up to solver accuracy. Its natural
     residual and its certificate against the equilibrium complementarity
-    condition at wardrop_tol describe the returned flow; `iterations` and
+    condition at _WARDROP_TOL describe the returned flow; `iterations`
+    (extragradient steps, Lemke pivots or gap-minimization steps) and
     `converged` describe the solver run.
     """
     kappa = np.asarray(kappa, dtype=float)
@@ -607,16 +602,13 @@ def solve_cwe(
     field = path_cost_field(game, kappa)
 
     if method == "extragradient":
-        raw = extragradient_solve(feasible, field, tol=tol, max_iter=max_iter, x0=x0)
+        raw = extragradient_solve(feasible, field)
         h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
     elif method in ("lemke", "qp"):
-        problem = lcp_mod.assemble_lcp(game, kappa)
-        if method == "lemke":
-            lcp_sol = lcp_mod.solve_lcp_lemke(problem)
-        else:
-            lcp_sol = lcp_mod.solve_lcp_qp(problem)
+        solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp
+        lcp_sol = solver(lcp_mod.assemble_lcp(game, kappa))
         h0 = feasible.project(lcp_sol.x[: game.path_set.n_paths])
-        iterations, converged = 0, lcp_sol.feasible
+        iterations, converged = lcp_sol.iterations, lcp_sol.feasible
     else:
         raise ValueError(f"unknown method {method!r}; choose extragradient, lemke, or qp")
 
@@ -628,9 +620,9 @@ def solve_cwe(
         converged=converged,
     )
     gap = wardrop_gap(game, kappa, h)
-    if gap > wardrop_tol:
+    if gap > _WARDROP_TOL:
         raise RuntimeError(
             f"solver returned a flow violating the equilibrium condition "
-            f"(gap {gap:.3e} > {wardrop_tol:.1e}, method {method})"
+            f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})"
         )
     return sol

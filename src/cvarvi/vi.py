@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 _FEASIBILITY_TOL = 1e-9
+# Extragradient: step as a fraction of 1/L, residual tolerance, step cap.
+_EG_STEP_SCALE = 0.9
+_EG_TOL = 1e-9
+_EG_MAX_ITER = 200000
 
 
 def project_simplex(y: np.ndarray, demand: float) -> np.ndarray:
@@ -213,31 +217,28 @@ def natural_residual(feasible: FeasibleSet, field: VectorField, x: np.ndarray) -
 def extragradient_solve(
     feasible: FeasibleSet,
     field: VectorField,
-    step: Optional[float] = None,
-    tol: float = 1e-9,
-    max_iter: int = 200000,
     x0: Optional[np.ndarray] = None,
 ) -> ViSolution:
     """Extragradient iteration y = proj(x - s F(x)), x+ = proj(x - s F(y)).
 
-    Converges for monotone Lipschitz fields with s < 1/L; the default step
-    is 0.9 / lipschitz_hint.
+    Converges for monotone Lipschitz fields with s < 1/L; the step is
+    s = 0.9 / lipschitz_hint. Stops once the natural residual is at most
+    _EG_TOL or after _EG_MAX_ITER steps.
     """
-    if step is None:
-        if not field.lipschitz_hint:
-            raise ValueError("no step supplied and the field carries no Lipschitz hint")
-        step = 0.9 / field.lipschitz_hint
+    if not field.lipschitz_hint:
+        raise ValueError("the field carries no Lipschitz hint to set the step")
+    step = _EG_STEP_SCALE / field.lipschitz_hint
     if step <= 0:
         raise ValueError("step must be positive")
 
     x = feasible.project(np.asarray(x0, dtype=float)) if x0 is not None else feasible.default_start()
     residual = np.inf
-    for it in range(max_iter):
+    for it in range(_EG_MAX_ITER):
         fx = field(x)
         if not np.all(np.isfinite(fx)):
             raise FloatingPointError(f"field returned non-finite values at iteration {it}: x={x}")
         residual = float(np.linalg.norm(x - feasible.project(x - fx)))
-        if residual <= tol:
+        if residual <= _EG_TOL:
             return ViSolution(x_star=x, residual=residual, iterations=it, converged=True)
         y = feasible.project(x - step * fx)
         fy = field(y)
@@ -245,7 +246,7 @@ def extragradient_solve(
             raise FloatingPointError(f"field returned non-finite values at iteration {it}: y={y}")
         x = feasible.project(x - step * fy)
     residual = float(np.linalg.norm(x - feasible.project(x - field(x))))
-    return ViSolution(x_star=x, residual=residual, iterations=max_iter, converged=residual <= tol)
+    return ViSolution(x_star=x, residual=residual, iterations=_EG_MAX_ITER, converged=residual <= _EG_TOL)
 
 
 def check_monotone(

@@ -5,11 +5,14 @@ from cvarvi.cvar import RiskLevel
 from cvarvi.lcp import (
     AffineLcp,
     LcpRayTermination,
+    _lex_argmin,
     assemble_lcp,
     solve_lcp_lemke,
     solve_lcp_qp,
 )
-from cvarvi.routing import Network, OdPair, OdSpec, build_game
+from cvarvi.routing import Network, OdPair, OdSpec, build_game, builtin_network, sample_path_kappa, solve_cwe
+
+SIOUX_ODS = OdSpec(pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10), OdPair(12, 18, 200, 10)])
 
 
 def two_path_toy(demand=1.0):
@@ -17,7 +20,7 @@ def two_path_toy(demand=1.0):
     and zero free-flow time contribution to the cost differences."""
     m = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, -1.0], [1.0, 1.0, 0.0]])
     q = np.array([0.0, 0.0, -demand])
-    return AffineLcp(m_mat=m, q_vec=q, n_paths=2, n_ods=1)
+    return AffineLcp(m_mat=m, q_vec=q)
 
 
 class TestAssembly:
@@ -76,6 +79,15 @@ class TestLemke:
     def test_trivial_nonnegative_q(self):
         sol = solve_lcp_lemke(AffineLcp(m_mat=np.eye(2), q_vec=np.array([1.0, 0.0])))
         assert sol.x == pytest.approx([0.0, 0.0])
+        assert sol.iterations == 0
+
+    def test_tied_most_negative_q(self):
+        # Both rows tie on q; the identity part ranks (-1, 0, 1) before
+        # (-1, 1, 0), so z0 enters in the second row. Both z end up basic.
+        sol = solve_lcp_lemke(AffineLcp(m_mat=np.eye(2), q_vec=np.array([-1.0, -1.0])))
+        assert sol.x == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert sol.feasible
+        assert sol.iterations == 3
 
     def test_two_path_toy(self):
         sol = solve_lcp_lemke(two_path_toy())
@@ -106,12 +118,54 @@ class TestLemke:
             assert abs(sol.complementarity_gap) < 1e-6
 
 
+class TestLexArgmin:
+    def test_exact_tie_on_first_key_broken_by_second(self):
+        keys = np.array([[1.0, 0.5], [1.0, 0.25], [1.0, 0.75]])
+        assert _lex_argmin(keys) == 1
+
+    def test_tolerance_decides_what_is_a_tie(self):
+        # 5e-15 lies inside the 1e-14 tolerance: a tie, settled by the
+        # second key. 2e-14 lies outside it: the first key decides.
+        assert _lex_argmin(np.array([[0.0, 0.0], [-5e-15, 1.0]])) == 0
+        assert _lex_argmin(np.array([[0.0, 1.0], [-5e-15, 0.0]])) == 1
+        assert _lex_argmin(np.array([[0.0, 0.0], [-2e-14, 1.0]])) == 1
+
+    def test_full_equality_keeps_first_row(self):
+        keys = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 3.0], [1.0, 3.0 + 5e-15]])
+        assert _lex_argmin(keys) == 1
+        assert _lex_argmin(np.zeros((1, 3))) == 0
+
+
+class TestPivotBudget:
+    @pytest.fixture(scope="class")
+    def sioux(self):
+        game = build_game(builtin_network(), SIOUX_ODS, RiskLevel(0.05))
+        return game, sample_path_kappa(game, 500, 123)
+
+    def test_budget_counts_pivots_after_the_initial_one(self, sioux):
+        lcp = assemble_lcp(*sioux)
+        full = solve_lcp_lemke(lcp)
+        pivots = full.iterations
+        assert pivots > 2
+        # One initial pivot plus max_pivots further ones.
+        tight = solve_lcp_lemke(lcp, max_pivots=pivots - 1)
+        assert np.array_equal(tight.x.view(np.uint64), full.x.view(np.uint64))
+        assert tight.iterations == pivots
+        with pytest.raises(RuntimeError, match="pivot budget"):
+            solve_lcp_lemke(lcp, max_pivots=pivots - 2)
+
+    def test_solve_cwe_reports_pivots(self, sioux):
+        pivots = solve_lcp_lemke(assemble_lcp(*sioux)).iterations
+        assert solve_cwe(*sioux, method="lemke").iterations == pivots
+
+
 class TestQpRoute:
     def test_two_path_toy(self):
         sol = solve_lcp_qp(two_path_toy())
         h, _ = sol.split(2)
         assert abs(sol.complementarity_gap) <= 1e-8
         assert h == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-6)
+        assert sol.iterations > 0
 
     def test_agrees_with_lemke_on_random_monotone(self):
         rng = np.random.default_rng(12)
@@ -141,11 +195,7 @@ class TestDumpFormat:
 
 class TestSiouxFallsCross:
     def test_lemke_matches_extragradient(self):
-        from cvarvi.routing import builtin_network, sample_path_kappa, solve_cwe
-
-        net = builtin_network()
-        od = OdSpec(pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10), OdPair(12, 18, 200, 10)])
-        game = build_game(net, od, RiskLevel(0.05))
+        game = build_game(builtin_network(), SIOUX_ODS, RiskLevel(0.05))
         kappa = sample_path_kappa(game, 500, 123)
         h_lemke = solve_cwe(game, kappa, method="lemke").x_star
         h_eg = solve_cwe(game, kappa, method="extragradient").x_star

@@ -163,6 +163,12 @@ class TestExtragradient:
         with pytest.raises(ValueError):
             extragradient_solve(box, field)
 
+    def test_negative_hint_gives_no_step(self):
+        box = Box(lo=[0.0], hi=[1.0])
+        field = VectorField(evaluator=lambda x: x, lipschitz_hint=-1.0)
+        with pytest.raises(ValueError, match="positive"):
+            extragradient_solve(box, field)
+
 
 class TestSpectralNorm:
     def test_against_numpy(self):
