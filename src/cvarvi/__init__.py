@@ -15,13 +15,11 @@ from .bounds import (
     exponential_bound_separable,
     flow_polytope_cover,
     pointwise_deviation_bound,
-    sample_size,
     set_deviation,
     simplex_lattice_cover,
 )
 from .cvar import (
     CvarEstimate,
-    CvarMethod,
     DiscreteDistribution,
     RiskLevel,
     SampleBatch,
@@ -71,7 +69,6 @@ from .routing import (
 from .vi import (
     Box,
     MonotonicityReport,
-    Polytope,
     SimplexProduct,
     VectorField,
     ViSolution,

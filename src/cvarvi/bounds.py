@@ -32,7 +32,6 @@ __all__ = [
     "exponential_bound_general",
     "exponential_bound_separable",
     "exponential_bound_routing",
-    "sample_size",
     "delta_strongly_monotone",
     "set_deviation",
 ]
@@ -259,20 +258,6 @@ def exponential_bound_routing(inputs: BoundInputs, zeta: Optional[float] = None)
     beta = a * delta**2 / (44.0 * p_total * (inputs.big_l - inputs.ell) ** 2)
     ln_gamma = float(math.log(gamma_exact))
     return _finalize(ln_gamma, beta, "routing", zeta, gamma_exact=gamma_exact)
-
-
-_FORMULAS = {
-    "general": exponential_bound_general,
-    "separable": exponential_bound_separable,
-    "routing": exponential_bound_routing,
-}
-
-
-def sample_size(inputs: BoundInputs, zeta: float, formula: str = "general") -> int:
-    """N(zeta, eps) = ceil((1/beta) ln(gamma/zeta)), floored at one."""
-    if formula not in _FORMULAS:
-        raise ValueError(f"unknown formula {formula!r}; choose from {sorted(_FORMULAS)}")
-    return _FORMULAS[formula](inputs, zeta=zeta).n_samples
 
 
 def delta_strongly_monotone(sigma: float, sup_dev: float) -> float:

@@ -7,6 +7,7 @@ stderr. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -187,15 +188,24 @@ def _cmd_compare(args) -> int:
         raise RuntimeError(f"no results at {results_path}; run `cvarvi experiment` first")
     records = _read_results_csv(results_path)
     result = ExperimentResult(config=config, h_ref=np.zeros(0), records=records)
+    rows = compare_bounds(result)
     print("n_samples,empirical_freq,bound,consistent")
-    ok = True
-    for row in compare_bounds(result):
+    for row in rows:
         print(
             f"{row.n_samples},{_fmt(row.empirical_freq)},{_fmt(row.bound_value)},"
             f"{str(row.consistent).lower()}"
         )
-        ok = ok and row.consistent
-    return 0 if ok else 1
+    vacuous = [str(row.n_samples) for row in rows if row.bound_value == 1.0]
+    if vacuous:
+        print(f"the bound is vacuous (1) at N = {', '.join(vacuous)}", file=sys.stderr)
+    report = rows[0].report
+    # ln gamma - beta N < 0 exactly when N > ln gamma / beta.
+    print(
+        f"the bound is below 1 from N = {math.floor(report.ln_gamma / report.beta) + 1} "
+        f"(ln gamma = {report.ln_gamma:.4g}, beta = {report.beta:.4g})",
+        file=sys.stderr,
+    )
+    return 0 if all(row.consistent for row in rows) else 1
 
 
 _COMMANDS = {

@@ -10,7 +10,6 @@ minimization. A linear-programming route is provided for cross-checking.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ __all__ = [
     "RiskLevel",
     "SampleBatch",
     "CvarEstimate",
-    "CvarMethod",
     "DiscreteDistribution",
     "empirical_cvar",
     "empirical_cvar_lp",
@@ -32,11 +30,6 @@ __all__ = [
 
 # Probability-accumulation slack when locating quantile/tail indices.
 _PROB_TOL = 1e-12
-
-
-class CvarMethod(enum.Enum):
-    ORDER_STATISTIC = "order_statistic"
-    LINEAR_PROGRAM = "linear_program"
 
 
 @dataclass(frozen=True)
@@ -50,53 +43,37 @@ class RiskLevel:
             raise ValueError(f"risk level must lie strictly inside (0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Ordered i.i.d. scalar draws together with the seed that produced them."""
+    """I.i.d. scalar draws, held as a read-only 1-D float array."""
 
-    values: tuple[float, ...]
-    seed: int = 0
-    source_tag: str = ""
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError(f"sample batch must be one-dimensional, got shape {arr.shape}")
+        if len(arr) == 0:
             raise ValueError("sample batch must contain at least one draw")
-        arr = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample batch contains non-finite values")
-        object.__setattr__(self, "values", tuple(float(v) for v in arr))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    def to_csv(self) -> str:
-        """One value per line under a `value` header."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["value"])
-        for v in self.values:
-            writer.writerow([f"{v:.17g}"])
-        return buf.getvalue()
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
-    def from_csv(cls, text: str, seed: int = 0, source_tag: str = "") -> "SampleBatch":
+    def from_csv(cls, text: str) -> "SampleBatch":
+        """Draws from one value per line under a `value` header."""
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["value"]:
             raise ValueError("sample CSV must start with a `value` header row")
-        values = []
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            values.append(float(row[0]))
-        return cls(values=tuple(values), seed=seed, source_tag=source_tag)
+        return cls(values=[float(row[0]) for row in reader if row and row[0].strip()])
 
 
 @dataclass(frozen=True)
 class CvarEstimate:
     value: float
     t_star: float
-    method: CvarMethod
 
 
 @dataclass(frozen=True)
@@ -113,12 +90,6 @@ class DiscreteDistribution:
             raise ValueError("atom probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > _PROB_TOL:
             raise ValueError(f"atom probabilities sum to {probs.sum()}, expected 1")
-
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.atoms], dtype=float)
-
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms], dtype=float)
 
     @classmethod
     def uniform_over(cls, values) -> "DiscreteDistribution":
@@ -168,14 +139,15 @@ def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
     Computed by the order-statistic closed form; t* is reported as the left
     endpoint of the optimizer interval (the value-at-risk).
     """
-    value, t_star = cvar_from_values(samples.as_array(), alpha.alpha)
-    return CvarEstimate(value=value, t_star=t_star, method=CvarMethod.ORDER_STATISTIC)
+    value, t_star = cvar_from_values(samples.values, alpha.alpha)
+    return CvarEstimate(value=value, t_star=t_star)
 
 
 def cvar_discrete(dist: DiscreteDistribution, alpha: RiskLevel) -> CvarEstimate:
     """Exact CVaR of a finite-support random variable."""
-    value, t_star = _weighted_cvar(dist.values(), dist.probabilities(), alpha.alpha)
-    return CvarEstimate(value=value, t_star=t_star, method=CvarMethod.ORDER_STATISTIC)
+    values, probs = np.array(dist.atoms, dtype=float).T
+    value, t_star = _weighted_cvar(values, probs, alpha.alpha)
+    return CvarEstimate(value=value, t_star=t_star)
 
 
 def cvar_uniform_interval(lo: float, hi: float, alpha: RiskLevel) -> float:
@@ -193,7 +165,7 @@ def empirical_cvar_lp(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
 
     Independent of the order-statistic route; agrees with it to 1e-10.
     """
-    v = samples.as_array()
+    v = samples.values
     n = len(v)
     a = alpha.alpha
     # Variables: (t, y_1..y_N).
@@ -204,7 +176,7 @@ def empirical_cvar_lp(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"CVaR linear program failed: {res.message}")
-    return CvarEstimate(value=float(res.fun), t_star=float(res.x[0]), method=CvarMethod.LINEAR_PROGRAM)
+    return CvarEstimate(value=float(res.fun), t_star=float(res.x[0]))
 
 
 def optimizer_bounds(

@@ -13,6 +13,7 @@ affect the files).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundInputs, exponential_bound_routing
+from .bounds import BoundInputs, BoundReport, exponential_bound_routing
 from .cvar import RiskLevel
 from .routing import (
     OdPair,
@@ -258,7 +259,9 @@ def run_experiment(
     reference game (kappa from config.ref_samples draws).
 
     Output bytes depend only on the configuration, never on `workers`.
-    Raises RuntimeError when more than 1% of replications fail.
+    `progress(done, total)`, if given, is called after each replication at
+    any worker count. Raises RuntimeError when more than 1% of
+    replications fail.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -275,13 +278,15 @@ def run_experiment(
         for n_index, n in enumerate(config.sample_sizes)
         for rep in range(config.replications)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_rep, *zip(*tasks), chunksize=16))
-    else:
-        records = []
-        for task in tasks:
-            records.append(_run_rep(*task))
+    records = []
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            outcomes = pool.map(_run_rep, *zip(*tasks), chunksize=16)
+        else:
+            outcomes = map(_run_rep, *zip(*tasks))
+        for record in outcomes:
+            records.append(record)
             if progress is not None:
                 progress(len(records), len(tasks))
     records.sort(key=lambda r: (r.n_samples, r.rep))
@@ -336,6 +341,7 @@ class BoundComparison:
     empirical_freq: float
     bound_value: float
     consistent: bool
+    report: BoundReport  # the routing bound every row was computed from
 
 
 def compare_bounds(result: ExperimentResult, game: Optional[RoutingGame] = None) -> list[BoundComparison]:
@@ -364,6 +370,7 @@ def compare_bounds(result: ExperimentResult, game: Optional[RoutingGame] = None)
                 empirical_freq=freq,
                 bound_value=bound,
                 consistent=freq <= bound + 3.0 * se,
+                report=report,
             )
         )
     return comparisons

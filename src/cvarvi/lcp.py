@@ -86,9 +86,6 @@ class LcpSolution:
     feasible: bool
     iterations: int
 
-    def split(self, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.x[:n_paths], self.x[n_paths:]
-
 
 def assemble_lcp(game, kappa_hat: np.ndarray) -> AffineLcp:
     """The block LCP of the routing game for a given per-path CVaR offset

@@ -1,15 +1,14 @@
 """Finite-dimensional variational inequalities over compact convex sets.
 
-Feasible sets are boxes, products of scaled simplices (the flow polytope of
-the routing game), or described polytopes (membership checks only). The
-solver is the projection-based extragradient method; solution quality is
-measured by the natural residual ||x - proj(x - F(x))||, which vanishes
-exactly at solutions.
+Feasible sets are boxes or products of scaled simplices (the flow polytope
+of the routing game). The solver is the projection-based extragradient
+method; solution quality is measured by the natural residual
+||x - proj(x - F(x))||, which vanishes exactly at solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ __all__ = [
     "FeasibleSet",
     "Box",
     "SimplexProduct",
-    "Polytope",
     "VectorField",
     "ViSolution",
     "MonotonicityReport",
@@ -144,28 +142,6 @@ class SimplexProduct(FeasibleSet):
         # Demand spread uniformly over each block: interior start.
         parts = [np.full(n, d / n) for n, d in self.blocks]
         return np.concatenate(parts)
-
-
-@dataclass
-class Polytope(FeasibleSet):
-    """{x : A x <= b}; descriptive only, supports membership checks."""
-
-    a_mat: np.ndarray
-    b_vec: np.ndarray
-
-    def __post_init__(self):
-        self.a_mat = np.asarray(self.a_mat, dtype=float)
-        self.b_vec = np.asarray(self.b_vec, dtype=float)
-        if self.a_mat.ndim != 2 or self.a_mat.shape[0] != len(self.b_vec):
-            raise ValueError("inconsistent polytope description")
-        self.dimension = self.a_mat.shape[1]
-
-    def project(self, y):
-        raise NotImplementedError("polytope sets support validation only")
-
-    def contains(self, x, tol=_FEASIBILITY_TOL):
-        x = self._check_dimension(x)
-        return bool(np.all(self.a_mat @ x - self.b_vec <= tol))
 
 
 @dataclass

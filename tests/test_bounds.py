@@ -15,7 +15,6 @@ from cvarvi.bounds import (
     exponential_bound_separable,
     flow_polytope_cover,
     pointwise_deviation_bound,
-    sample_size,
     set_deviation,
     simplex_lattice_cover,
 )
@@ -204,14 +203,6 @@ class TestSampleSize:
         )
         report = exponential_bound_separable(inputs, zeta=6.0 / 6.0001)
         assert report.n_samples >= 1
-
-    def test_dispatch(self):
-        inputs = BoundInputs(
-            n=1, alpha=RiskLevel(0.05), ell=0.0, big_l=1.0, f_max=1.0, g_rge=1.0, delta_eps=1.0
-        )
-        assert sample_size(inputs, 0.05, formula="separable") >= 1
-        with pytest.raises(ValueError):
-            sample_size(inputs, 0.05, formula="nope")
 
 
 class TestDeltaAndDeviation:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import cvarvi
+from cvarvi.bounds import exponential_bound_routing
+from cvarvi.cvar import RiskLevel, SampleBatch, empirical_cvar_lp
 from cvarvi.harness import (
     ConfigError,
     ExperimentConfig,
@@ -111,10 +113,14 @@ class TestExperiment:
         assert np.median(small_result.deviations(200)) < np.median(small_result.deviations(50))
 
     def test_byte_identical_rerun(self, small_config, small_result, tmp_path):
+        calls = []
         again = run_experiment(
             small_config, tmp_path, workers=2,
             cache_dir=small_result.results_path.parent / "cache",
+            progress=lambda done, total: calls.append((done, total)),
         )
+        total = len(small_config.sample_sizes) * small_config.replications
+        assert calls == [(done, total) for done in range(1, total + 1)]
         assert again.results_path.read_bytes() == small_result.results_path.read_bytes()
         for n in small_config.sample_sizes:
             assert again.cdf_paths[n].read_bytes() == small_result.cdf_paths[n].read_bytes()
@@ -185,6 +191,16 @@ class TestCli:
         assert proc.stdout.splitlines()[0] == "cvar,t_star"
         assert proc.stdout.splitlines()[1].startswith("3.5,")
 
+    def test_estimate_lp(self):
+        text = "value\n1\n2\n3\n4\n"
+        proc = self.run_cli("estimate", "-", "--alpha", "0.5", "--method", "lp", stdin=text)
+        assert proc.returncode == 0
+        # The LP's t* is a vertex of the optimizer interval [2, 3], where
+        # the order-statistic route reports its left end, 2.
+        est = empirical_cvar_lp(SampleBatch.from_csv(text), RiskLevel(0.5))
+        assert proc.stdout.splitlines()[1] == f"{est.value:.17g},{est.t_star:.17g}"
+        assert est.value == pytest.approx(3.5, abs=1e-10)
+
     def test_estimate_bad_alpha(self):
         proc = self.run_cli("estimate", "-", "--alpha", "1.5", stdin="value\n1\n")
         assert proc.returncode == 1
@@ -217,3 +233,22 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n_samples,empirical_freq,bound,consistent"
+
+    def test_compare_reports_vacuous_bound(self, small_config, small_result, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        proc = self.run_cli("compare", "--config", str(cfg),
+                            "--output-dir", str(small_result.results_path.parent))
+        assert proc.returncode == 0
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert [row[2] for row in rows] == ["1", "1"]
+        report = exponential_bound_routing(
+            routing_bound_inputs(build_configured_game(small_config), small_config.epsilon)
+        )
+        n_min = math.floor(report.ln_gamma / report.beta) + 1
+        assert report.ln_gamma - report.beta * n_min < 0 <= report.ln_gamma - report.beta * (n_min - 1)
+        assert proc.stderr.splitlines() == [
+            "the bound is vacuous (1) at N = 50, 200",
+            f"the bound is below 1 from N = {n_min} "
+            f"(ln gamma = {report.ln_gamma:.4g}, beta = {report.beta:.4g})",
+        ]

@@ -91,7 +91,7 @@ class TestLemke:
 
     def test_two_path_toy(self):
         sol = solve_lcp_lemke(two_path_toy())
-        h, v = sol.split(2)
+        h, v = sol.x[:2], sol.x[2:]
         assert h == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-10)
         assert v == pytest.approx([2.0 / 3.0], abs=1e-10)
         assert abs(sol.complementarity_gap) < 1e-12
@@ -162,7 +162,7 @@ class TestPivotBudget:
 class TestQpRoute:
     def test_two_path_toy(self):
         sol = solve_lcp_qp(two_path_toy())
-        h, _ = sol.split(2)
+        h = sol.x[:2]
         assert abs(sol.complementarity_gap) <= 1e-8
         assert h == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-6)
         assert sol.iterations > 0

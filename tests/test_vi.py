@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cvarvi.vi import (
     Box,
-    Polytope,
     SimplexProduct,
     VectorField,
     affine_field,
@@ -103,13 +102,6 @@ class TestFeasibleSets:
             x = sp.sample(rng)
             assert np.all(x >= 0)
             assert x.sum() == pytest.approx(3.0)
-
-    def test_polytope_membership(self):
-        poly = Polytope(a_mat=[[1.0, 1.0]], b_vec=[1.0])
-        assert poly.contains(np.array([0.25, 0.25]))
-        assert not poly.contains(np.array([1.0, 1.0]))
-        with pytest.raises(NotImplementedError):
-            poly.project(np.array([0.0, 0.0]))
 
 
 class TestNaturalResidual:
