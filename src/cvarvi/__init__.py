@@ -3,7 +3,6 @@ CVaR estimation, variational-inequality and complementarity solvers,
 sample-complexity constants, and Monte Carlo convergence experiments."""
 
 from .bounds import (
-    BoundInputs,
     BoundReport,
     covering_number_compact,
     covering_number_convex,
@@ -36,7 +35,7 @@ from .harness import (
     compare_bounds,
     load_config,
     parse_config,
-    routing_bound_inputs,
+    routing_bound,
     run_experiment,
 )
 from .lcp import (

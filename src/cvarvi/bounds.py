@@ -20,7 +20,6 @@ import numpy as np
 from .cvar import RiskLevel
 
 __all__ = [
-    "BoundInputs",
     "BoundReport",
     "pointwise_deviation_bound",
     "covering_number_convex",
@@ -35,45 +34,6 @@ __all__ = [
     "delta_strongly_monotone",
     "set_deviation",
 ]
-
-
-@dataclass
-class BoundInputs:
-    """Constants feeding the gamma/beta calculators.
-
-    `delta_eps` is the field-accuracy level at which the bound constants
-    are evaluated; it must be supplied except in the strongly monotone
-    separable case, where delta(eps) = sigma * eps is derived.
-    """
-
-    n: int
-    alpha: RiskLevel
-    ell: float
-    big_l: float
-    m_lip: Optional[float] = None
-    diam_x: Optional[float] = None
-    epsilon: Optional[float] = None
-    delta_eps: Optional[float] = None
-    sigma: Optional[float] = None
-    f_max: Optional[float] = None
-    g_rge: Optional[float] = None
-    ods: Optional[Sequence[tuple[int, float]]] = None  # (path_count, demand) per OD
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("decision dimension must be positive")
-        if self.ell > self.big_l:
-            raise ValueError("cost range is inverted")
-
-    def resolved_delta(self) -> float:
-        if self.delta_eps is not None:
-            if self.delta_eps <= 0:
-                raise ValueError("delta must be positive")
-            return self.delta_eps
-        if self.sigma is not None and self.epsilon is not None:
-            # Strongly monotone separable case: delta(eps) = sigma * eps.
-            return self.sigma * self.epsilon
-        raise ValueError("delta_eps missing and not derivable (need sigma and epsilon)")
 
 
 @dataclass
@@ -212,50 +172,72 @@ def _finalize(ln_gamma: float, beta: float, formula_id: str, zeta: Optional[floa
     return report
 
 
-def exponential_bound_general(inputs: BoundInputs, zeta: Optional[float] = None) -> BoundReport:
-    """gamma = 6 n (12 M diam / (delta alpha))^n ceil(n/2)!/(2 pi^(n/2)),
-    beta = alpha delta^2 / (44 n (L - l)^2), evaluated at delta_eps."""
-    if inputs.m_lip is None or inputs.diam_x is None:
-        raise ValueError("general bound needs the Lipschitz constant and diam(X)")
-    delta = inputs.resolved_delta()
-    if not delta < inputs.diam_x / 2:
+def _check_bound_inputs(n: int, delta: float, ell: float = 0.0, big_l: float = 0.0,
+                        diam_x: float = math.inf, f_max: float = 1.0, g_rge: float = 1.0) -> None:
+    """The checks shared by the three formulas; each passes what it reads."""
+    if n < 1:
+        raise ValueError("decision dimension must be positive")
+    if ell > big_l:
+        raise ValueError("cost range is inverted")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if not delta < diam_x / 2:
         raise ValueError("accuracy level must be below diam(X)/2")
-    a = inputs.alpha.alpha
-    n = inputs.n
+    if not (f_max > 0 and g_rge > 0):
+        raise ValueError("separable bound needs positive f_max and g_rge")
+
+
+def exponential_bound_general(
+    n: int, alpha: RiskLevel, ell: float, big_l: float, m_lip: float, diam_x: float,
+    delta: float, zeta: Optional[float] = None,
+) -> BoundReport:
+    """gamma = 6 n (12 M diam / (delta alpha))^n ceil(n/2)!/(2 pi^(n/2)),
+    beta = alpha delta^2 / (44 n (L - l)^2), for decision dimension n, cost
+    range [ell, big_l], Lipschitz constant m_lip and field accuracy
+    0 < delta < diam_x/2. Given zeta, n_samples is the N with
+    gamma exp(-beta N) <= zeta."""
+    _check_bound_inputs(n, delta, ell=ell, big_l=big_l, diam_x=diam_x)
+    a = alpha.alpha
     ln_gamma = (
         math.log(6 * n)
-        + n * math.log(12.0 * inputs.m_lip * inputs.diam_x / (delta * a))
+        + n * math.log(12.0 * m_lip * diam_x / (delta * a))
         + _log_inv_ball_volume(n)
     )
-    beta = a * delta**2 / (44.0 * n * (inputs.big_l - inputs.ell) ** 2)
+    beta = a * delta**2 / (44.0 * n * (big_l - ell) ** 2)
     return _finalize(ln_gamma, beta, "general", zeta)
 
 
-def exponential_bound_separable(inputs: BoundInputs, zeta: Optional[float] = None) -> BoundReport:
-    """gamma = 6 n, beta = alpha delta^2 / (11 n (f_max g_rge)^2); no
-    dependence on the size of the decision set."""
-    if not inputs.f_max or not inputs.g_rge:
-        raise ValueError("separable bound needs positive f_max and g_rge")
-    delta = inputs.resolved_delta()
-    a = inputs.alpha.alpha
-    ln_gamma = math.log(6 * inputs.n)
-    beta = a * delta**2 / (11.0 * inputs.n * (inputs.f_max * inputs.g_rge) ** 2)
+def exponential_bound_separable(
+    n: int, alpha: RiskLevel, f_max: float, g_rge: float, delta: float,
+    zeta: Optional[float] = None,
+) -> BoundReport:
+    """gamma = 6 n, beta = alpha delta^2 / (11 n (f_max g_rge)^2): for a
+    decision factor bounded by f_max times an uncertainty factor of range
+    g_rge, f_max g_rge replaces the cost range L - l, and nothing depends
+    on the size of the decision set."""
+    _check_bound_inputs(n, delta, f_max=f_max, g_rge=g_rge)
+    a = alpha.alpha
+    ln_gamma = math.log(6 * n)
+    beta = a * delta**2 / (11.0 * n * (f_max * g_rge) ** 2)
     return _finalize(ln_gamma, beta, "separable", zeta)
 
 
-def exponential_bound_routing(inputs: BoundInputs, zeta: Optional[float] = None) -> BoundReport:
+def exponential_bound_routing(
+    ods: Sequence[tuple[int, float]], alpha: RiskLevel, ell: float, big_l: float,
+    m_lip: float, delta: float, zeta: Optional[float] = None,
+) -> BoundReport:
     """gamma = 6 |P| prod_w ceil(4 M |W| sqrt(|P_w|) / (delta alpha)),
-    beta = alpha delta^2 / (44 |P| (L - l)^2)."""
-    if inputs.ods is None or inputs.m_lip is None:
-        raise ValueError("routing bound needs the OD table and the Lipschitz constant")
-    delta = inputs.resolved_delta()
-    a = inputs.alpha.alpha
-    w_count = len(inputs.ods)
-    p_total = sum(pc for pc, _ in inputs.ods)
+    beta = alpha delta^2 / (44 |P| (L - l)^2), with one (|P_w|, demand)
+    pair per OD pair w in ods and |P| the sum of the path counts. gamma is
+    also reported exactly, as the integer gamma_exact."""
+    w_count = len(ods)
+    p_total = sum(pc for pc, _ in ods)
+    _check_bound_inputs(p_total, delta, ell=ell, big_l=big_l)
+    a = alpha.alpha
     gamma_exact = 6 * p_total
-    for path_count, _ in inputs.ods:
-        gamma_exact *= math.ceil(4.0 * inputs.m_lip * w_count * math.sqrt(path_count) / (delta * a))
-    beta = a * delta**2 / (44.0 * p_total * (inputs.big_l - inputs.ell) ** 2)
+    for path_count, _ in ods:
+        gamma_exact *= math.ceil(4.0 * m_lip * w_count * math.sqrt(path_count) / (delta * a))
+    beta = a * delta**2 / (44.0 * p_total * (big_l - ell) ** 2)
     ln_gamma = float(math.log(gamma_exact))
     return _finalize(ln_gamma, beta, "routing", zeta, gamma_exact=gamma_exact)
 

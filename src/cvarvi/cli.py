@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    BoundInputs,
-    exponential_bound_general,
-    exponential_bound_routing,
-    exponential_bound_separable,
-)
+from .bounds import exponential_bound_general, exponential_bound_separable
 from .cvar import RiskLevel, SampleBatch, empirical_cvar, empirical_cvar_lp
 from .harness import (
     ExperimentResult,
@@ -30,10 +25,10 @@ from .harness import (
     default_config_text,
     load_config,
     parse_config,
-    routing_bound_inputs,
+    routing_bound,
     run_experiment,
 )
-from .routing import path_cost_field, sample_path_kappa, solve_cwe, true_path_kappa
+from .routing import SOLVE_METHODS, path_cost_field, sample_path_kappa, solve_cwe, true_path_kappa
 
 __all__ = ["main", "build_parser"]
 
@@ -63,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="equilibrium flow for a configured game")
     p_solve.add_argument("--config", default=None, help="experiment config (default: builtin)")
-    p_solve.add_argument("--method", choices=["extragradient", "lemke", "qp"], default="lemke")
+    p_solve.add_argument("--method", choices=SOLVE_METHODS, default="lemke")
     p_solve.add_argument("--kappa", choices=["empirical", "reference"], default="empirical")
     p_solve.add_argument("--n-samples", type=int, default=5000)
     p_solve.add_argument("--seed", type=int, default=0)
@@ -129,33 +124,56 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    pass
+
+
+# The flags each bound formula requires, then those it may also read; all
+# three read --zeta. delta is --delta, else sigma * epsilon for general and
+# separable (the strongly monotone case), else epsilon for routing.
+_BOUND_FLAGS = {
+    "general": (("n", "alpha", "ell", "big_l", "m", "diam"), ("delta", "sigma", "epsilon")),
+    "separable": (("n", "alpha", "f_max", "g_rge"), ("delta", "sigma", "epsilon")),
+    "routing": ((), ("config", "epsilon", "delta")),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_bounds(args) -> int:
-    zeta = args.zeta
+    required, optional = _BOUND_FLAGS[args.formula]
+    every = {name for req, opt in _BOUND_FLAGS.values() for name in req + opt}
+    given = {name for name in every if getattr(args, name) is not None}
+    unread = sorted(given - set(required + optional))
+    if unread:
+        raise _UsageError(f"--formula {args.formula} does not read {', '.join(map(_flag, unread))}")
+    replaced = sorted(given & {"sigma", "epsilon"}) if args.delta is not None else []
+    if replaced:
+        raise _UsageError(f"--delta replaces {', '.join(map(_flag, replaced))}; give one of them")
+    missing = [_flag(name) for name in required if name not in given]
+    if args.formula != "routing" and args.delta is None and not {"sigma", "epsilon"} <= given:
+        missing.append("--delta (or --sigma and --epsilon)")
+    if missing:
+        raise _UsageError(f"--formula {args.formula} requires {', '.join(missing)}")
+
     if args.formula == "routing":
         config = _load_experiment_config(args)
         epsilon = args.epsilon if args.epsilon is not None else config.epsilon
-        inputs = routing_bound_inputs(build_configured_game(config), epsilon, delta_eps=args.delta)
-        report = exponential_bound_routing(inputs, zeta=zeta)
+        delta = args.delta if args.delta is not None else epsilon
+        report = routing_bound(build_configured_game(config), delta, zeta=args.zeta)
     else:
-        required = {"n": args.n, "alpha": args.alpha, "ell": args.ell, "big_l": args.big_l}
-        missing = [k for k, v in required.items() if v is None]
-        if missing:
-            raise SystemExit(f"--formula {args.formula} requires --{', --'.join(missing)}")
-        inputs = BoundInputs(
-            n=args.n,
-            alpha=RiskLevel(args.alpha),
-            ell=args.ell,
-            big_l=args.big_l,
-            m_lip=args.m,
-            diam_x=args.diam,
-            epsilon=args.epsilon,
-            delta_eps=args.delta,
-            sigma=args.sigma,
-            f_max=args.f_max,
-            g_rge=args.g_rge,
-        )
-        fn = exponential_bound_general if args.formula == "general" else exponential_bound_separable
-        report = fn(inputs, zeta=zeta)
+        delta = args.delta if args.delta is not None else args.sigma * args.epsilon
+        if args.formula == "general":
+            report = exponential_bound_general(
+                args.n, RiskLevel(args.alpha), args.ell, args.big_l, args.m, args.diam, delta,
+                zeta=args.zeta,
+            )
+        else:
+            report = exponential_bound_separable(
+                args.n, RiskLevel(args.alpha), args.f_max, args.g_rge, delta, zeta=args.zeta
+            )
     print("formula,gamma,ln_gamma,beta,n_samples")
     print(
         f"{report.formula_id},{_fmt(report.gamma)},{_fmt(report.ln_gamma)},"
@@ -222,8 +240,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
+    except _UsageError as exc:
+        parser.error(f"{args.command}: {exc}")
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,9 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundInputs, BoundReport, exponential_bound_routing
+from .bounds import BoundReport, exponential_bound_routing
 from .cvar import RiskLevel
 from .routing import (
+    SOLVE_METHODS,
     OdPair,
     OdSpec,
     RoutingGame,
@@ -46,7 +47,7 @@ __all__ = [
     "default_config_text",
     "build_configured_game",
     "run_experiment",
-    "routing_bound_inputs",
+    "routing_bound",
     "compare_bounds",
 ]
 
@@ -91,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError("need epsilon > 0 and zeta in (0, 1)")
         if not self.ods:
             raise ConfigError("need at least one od line")
+        if self.solver not in SOLVE_METHODS:
+            raise ConfigError(
+                f"unknown solver {self.solver!r}; choose one of {', '.join(SOLVE_METHODS)}"
+            )
 
 
 _LIST_KEYS = {"sample_sizes", "uncertain_nodes"}
@@ -307,14 +312,13 @@ def run_experiment(
     return result
 
 
-def routing_bound_inputs(
-    game: RoutingGame, epsilon: float, delta_eps: Optional[float] = None
-) -> BoundInputs:
-    """Conservative constants for the routing-specific exponential bound.
+def routing_bound(game: RoutingGame, delta: float, zeta: Optional[float] = None) -> BoundReport:
+    """The routing-specific exponential bound of the game at accuracy delta.
 
-    M is the largest per-path Lipschitz constant of the cost map over
-    flows; the cost range [l, L] combines free-flow times, the congestion
-    term at maximal per-OD loading, and the top of the noise support.
+    Its constants are conservative: M is the largest per-path Lipschitz
+    constant of the cost map over flows; the cost range [l, L] combines
+    free-flow times, the congestion term at maximal per-OD loading, and the
+    top of the noise support.
     """
     a_mat = game.cost_matrix
     m_lip = float(np.max(np.linalg.norm(a_mat, axis=1)))
@@ -323,15 +327,8 @@ def routing_bound_inputs(
     noise_top = game.path_set.edge_incidence.T @ game.noise_hi
     ell = float(base.min())
     big_l = float((base + a_mat @ demand_of_path + noise_top).max())
-    return BoundInputs(
-        n=game.path_set.n_paths,
-        alpha=game.alpha,
-        ell=ell,
-        big_l=big_l,
-        m_lip=m_lip,
-        epsilon=epsilon,
-        delta_eps=delta_eps if delta_eps is not None else epsilon,
-        ods=game.feasible_flows().blocks,
+    return exponential_bound_routing(
+        game.feasible_flows().blocks, game.alpha, ell, big_l, m_lip, delta, zeta=zeta
     )
 
 
@@ -346,15 +343,15 @@ class BoundComparison:
 
 def compare_bounds(result: ExperimentResult, game: Optional[RoutingGame] = None) -> list[BoundComparison]:
     """Per sample size, the empirical frequency of deviations of at least
-    epsilon against the theoretical tail bound min(1, gamma exp(-beta N)).
+    epsilon against the theoretical tail bound min(1, gamma exp(-beta N)),
+    the game's routing bound at delta = epsilon.
 
     Consistency allows three binomial standard errors of slack: the bound
     is an upper tail estimate, never an equality.
     """
     if game is None:
         game = build_configured_game(result.config)
-    inputs = routing_bound_inputs(game, result.config.epsilon)
-    report = exponential_bound_routing(inputs)
+    report = routing_bound(game, result.config.epsilon)
     comparisons = []
     for n in result.config.sample_sizes:
         devs = result.deviations(n)

@@ -64,18 +64,6 @@ class AffineLcp:
     def size(self) -> int:
         return len(self.q_vec)
 
-    def dump(self) -> str:
-        """Plain-text dump: a coordinate-format listing of M then q.
-
-        Line 1: `lcp <n> <nnz>`; then one `i j value` line per nonzero of M
-        (1-based); then `q` on its own line followed by the n entries of q.
-        """
-        rows, cols = np.nonzero(self.m_mat)
-        lines = [f"lcp {self.size} {len(rows)}"]
-        lines += [f"{i + 1} {j + 1} {self.m_mat[i, j]:.17g}" for i, j in zip(rows, cols)]
-        lines += ["q"] + [f"{v:.17g}" for v in self.q_vec]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class LcpSolution:

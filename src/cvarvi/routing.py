@@ -47,9 +47,12 @@ __all__ = [
     "sample_path_kappa",
     "true_path_kappa",
     "solve_cwe",
+    "SOLVE_METHODS",
     "wardrop_gap",
     "replication_rng",
 ]
+
+SOLVE_METHODS = ("extragradient", "lemke", "qp")
 
 _USED_FLOW_TOL = 1e-6
 # Largest Wardrop gap `solve_cwe` accepts in the flow it returns.
@@ -149,6 +152,15 @@ class PathSet:
     od_of_path: np.ndarray  # OD index per path, nondecreasing
     edge_incidence: np.ndarray  # Q: |E| x |P|, 0/1
     od_incidence: np.ndarray  # B: |W| x |P|, 0/1
+
+    def __post_init__(self):
+        # The flow polytope takes each OD's paths as one contiguous block.
+        self.od_of_path = np.asarray(self.od_of_path, dtype=int)
+        if len(self.od_of_path) != len(self.paths) or np.any(np.diff(self.od_of_path) < 0):
+            raise ValueError("od_of_path must give one OD index per path, nondecreasing")
+        one_hot = np.arange(len(self.od_incidence))[:, None] == self.od_of_path
+        if not np.array_equal(self.od_incidence, one_hot):
+            raise ValueError("od_incidence must be the one-hot matrix of od_of_path")
 
     @property
     def n_paths(self) -> int:
@@ -421,8 +433,11 @@ def build_game(
     noise_scale * t_e] for every edge whose tail or head lies in
     uncertain_nodes."""
     net = network.with_congestion(b_e)
-    path_set = enumerate_paths(net, od_spec)
     node_set = set(int(v) for v in uncertain_nodes)
+    outside = sorted(v for v in node_set if not 1 <= v <= net.n_nodes)
+    if outside:
+        raise ValueError(f"uncertain nodes {outside} lie outside the node range 1..{net.n_nodes}")
+    path_set = enumerate_paths(net, od_spec)
     uncertain = np.array(
         [int(t) in node_set or int(h) in node_set for t, h in zip(net.tail, net.head)]
     )
@@ -610,7 +625,7 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str = "extragradient
         h0 = feasible.project(lcp_sol.x[: game.path_set.n_paths])
         iterations, converged = lcp_sol.iterations, lcp_sol.feasible
     else:
-        raise ValueError(f"unknown method {method!r}; choose extragradient, lemke, or qp")
+        raise ValueError(f"unknown method {method!r}; choose one of {', '.join(SOLVE_METHODS)}")
 
     h = feasible.project(_min_norm_equilibrium(game, field(h0), h0))
     sol = ViSolution(

@@ -23,7 +23,7 @@ from cvarvi.bounds import (
     pointwise_deviation_bound,
     simplex_lattice_cover,
 )
-from cvarvi.bounds import BoundInputs, exponential_bound_general, exponential_bound_routing, exponential_bound_separable
+from cvarvi.bounds import exponential_bound_general, exponential_bound_routing, exponential_bound_separable
 from cvarvi.cvar import (
     RiskLevel,
     SampleBatch,
@@ -258,7 +258,7 @@ def test_criterion_07_bound_calculators():
     checks = []
     # Uniform bound constants, dimension-one instance, independent arithmetic.
     rep = exponential_bound_general(
-        BoundInputs(n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta_eps=0.1)
+        n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta=0.1
     )
     gamma_ref = 6.0 * 1.0 * (12.0 * 1.0 * 1.0 / (0.1 * 0.5)) ** 1 * math.gamma(2.0) / (
         2.0 * math.pi**0.5
@@ -266,15 +266,13 @@ def test_criterion_07_bound_calculators():
     checks.append(abs(rep.ln_gamma - math.log(gamma_ref)) <= 1e-12 * abs(math.log(gamma_ref)))
     checks.append(abs(rep.beta - 0.5 * 0.1**2 / (44.0 * 1.0 * 1.0)) <= 1e-12 * rep.beta)
     # Separable constants.
-    rep = exponential_bound_separable(
-        BoundInputs(n=1, alpha=RiskLevel(0.05), ell=0.0, big_l=1.0, f_max=1.0, g_rge=1.0, delta_eps=0.1)
-    )
+    rep = exponential_bound_separable(n=1, alpha=RiskLevel(0.05), f_max=1.0, g_rge=1.0, delta=0.1)
     checks.append(abs(rep.gamma - 6.0) <= 1e-12 * 6.0)
     checks.append(abs(rep.beta - 0.05 * 0.01 / 11.0) <= 1e-12 * rep.beta)
     # Routing constants on the experiment's shape.
     ods = [(10, 300.0), (10, 600.0), (10, 200.0)]
     rep = exponential_bound_routing(
-        BoundInputs(n=30, alpha=RiskLevel(0.05), ell=0.0, big_l=7.0, m_lip=2.5, delta_eps=1.0, ods=ods)
+        ods=ods, alpha=RiskLevel(0.05), ell=0.0, big_l=7.0, m_lip=2.5, delta=1.0
     )
     factor = math.ceil(4.0 * 2.5 * 3.0 * math.sqrt(10.0) / (1.0 * 0.05))
     checks.append(rep.gamma_exact == 6 * 30 * factor**3)
@@ -283,8 +281,7 @@ def test_criterion_07_bound_calculators():
     n_need = math.ceil((math.log(6.0) - math.log(0.05)) / 1e-4)
     checks.append(n_need == 47875)
     rep = exponential_bound_separable(
-        BoundInputs(n=1, alpha=RiskLevel(0.05), ell=0.0, big_l=1.0, f_max=1.0, g_rge=1.0, delta_eps=0.1),
-        zeta=0.05,
+        n=1, alpha=RiskLevel(0.05), f_max=1.0, g_rge=1.0, delta=0.1, zeta=0.05
     )
     checks.append(rep.n_samples == math.ceil((math.log(6.0 / 0.05)) / rep.beta))
     # Hand binomials for the simplex covering number.

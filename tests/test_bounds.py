@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvarvi.bounds import (
-    BoundInputs,
     covering_number_compact,
     covering_number_convex,
     covering_number_flow_polytope,
@@ -117,54 +116,47 @@ class TestLatticeCovers:
 
 class TestExponentialBounds:
     def test_general_pinned(self):
-        inputs = BoundInputs(
-            n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta_eps=0.1
+        report = exponential_bound_general(
+            n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta=0.1
         )
-        report = exponential_bound_general(inputs)
         expected_gamma = 6.0 * 240.0 / (2.0 * math.sqrt(math.pi))
         assert report.gamma == pytest.approx(expected_gamma, rel=1e-12)
         assert report.ln_gamma == pytest.approx(math.log(expected_gamma), rel=1e-12)
         assert report.beta == pytest.approx(0.5 * 0.01 / 44.0, rel=1e-12)
 
     def test_general_alpha_scaling(self):
-        base = dict(n=2, ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta_eps=0.1)
-        g1 = exponential_bound_general(BoundInputs(alpha=RiskLevel(0.5), **base))
-        g2 = exponential_bound_general(BoundInputs(alpha=RiskLevel(0.25), **base))
+        base = dict(n=2, ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta=0.1)
+        g1 = exponential_bound_general(alpha=RiskLevel(0.5), **base)
+        g2 = exponential_bound_general(alpha=RiskLevel(0.25), **base)
         # Halving alpha doubles the gamma base per dimension and halves beta.
         assert math.exp(g2.ln_gamma - g1.ln_gamma) == pytest.approx(4.0, rel=1e-9)
         assert g2.beta == pytest.approx(g1.beta / 2.0, rel=1e-12)
 
     def test_separable_pinned(self):
-        inputs = BoundInputs(
-            n=1, alpha=RiskLevel(0.05), ell=0.0, big_l=1.0, f_max=1.0, g_rge=1.0, delta_eps=0.1
+        report = exponential_bound_separable(
+            n=1, alpha=RiskLevel(0.05), f_max=1.0, g_rge=1.0, delta=0.1
         )
-        report = exponential_bound_separable(inputs)
         assert report.gamma == pytest.approx(6.0)
         assert report.beta == pytest.approx(0.05 * 0.01 / 11.0, rel=1e-12)
 
     def test_separable_sigma_derives_delta(self):
-        inputs = BoundInputs(
-            n=1, alpha=RiskLevel(0.05), ell=0.0, big_l=1.0,
-            f_max=1.0, g_rge=1.0, sigma=2.0, epsilon=0.05,
+        report = exponential_bound_separable(
+            n=1, alpha=RiskLevel(0.05), f_max=1.0, g_rge=1.0, delta=2.0 * 0.05
         )
-        report = exponential_bound_separable(inputs)
         assert report.beta == pytest.approx(0.05 * 0.01 / 11.0, rel=1e-12)
 
     def test_routing_pinned(self):
-        inputs = BoundInputs(
-            n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0,
-            delta_eps=8.0, ods=[(1, 1.0)],
+        report = exponential_bound_routing(
+            ods=[(1, 1.0)], alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, delta=8.0
         )
-        report = exponential_bound_routing(inputs)
         assert report.gamma_exact == 6
         assert report.beta == pytest.approx(0.5 * 64.0 / 44.0, rel=1e-12)
 
     def test_routing_sioux_shape(self):
         ods = [(10, 300.0), (10, 600.0), (10, 200.0)]
-        inputs = BoundInputs(
-            n=30, alpha=RiskLevel(0.05), ell=0.0, big_l=10.0, m_lip=5.0, delta_eps=1.0, ods=ods
+        report = exponential_bound_routing(
+            ods=ods, alpha=RiskLevel(0.05), ell=0.0, big_l=10.0, m_lip=5.0, delta=1.0
         )
-        report = exponential_bound_routing(inputs)
         factor = math.ceil(4.0 * 5.0 * 3.0 * math.sqrt(10.0) / (1.0 * 0.05))
         assert report.gamma_exact == 6 * 30 * factor**3
         assert report.beta == pytest.approx(0.05 / (44.0 * 30.0 * 100.0), rel=1e-12)
@@ -173,20 +165,61 @@ class TestExponentialBounds:
         ods = [(4, 1.0)]
         gammas = []
         for delta in (0.1, 0.2, 0.4):
-            inputs = BoundInputs(
-                n=4, alpha=RiskLevel(0.1), ell=0.0, big_l=1.0, m_lip=1.0, delta_eps=delta, ods=ods
+            report = exponential_bound_routing(
+                ods=ods, alpha=RiskLevel(0.1), ell=0.0, big_l=1.0, m_lip=1.0, delta=delta
             )
-            gammas.append(exponential_bound_routing(inputs).gamma_exact)
+            gammas.append(report.gamma_exact)
         assert gammas[0] >= gammas[1] >= gammas[2]
+
+
+def _general(**change):
+    kwargs = dict(n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta=0.1)
+    return exponential_bound_general(**{**kwargs, **change})
+
+
+def _separable(**change):
+    kwargs = dict(n=1, alpha=RiskLevel(0.05), f_max=1.0, g_rge=1.0, delta=0.1)
+    return exponential_bound_separable(**{**kwargs, **change})
+
+
+def _routing(**change):
+    kwargs = dict(ods=[(2, 1.0)], alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, delta=0.1)
+    return exponential_bound_routing(**{**kwargs, **change})
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("formula, change, message", [
+        (_general, dict(n=0), "dimension"),
+        (_separable, dict(n=0), "dimension"),
+        (_routing, dict(ods=[]), "dimension"),
+        (_general, dict(ell=2.0), "inverted"),
+        (_routing, dict(ell=2.0), "inverted"),
+        (_general, dict(delta=0.0), "delta must be positive"),
+        (_separable, dict(delta=-0.1), "delta must be positive"),
+        (_routing, dict(delta=0.0), "delta must be positive"),
+        (_general, dict(delta=0.5), "diam"),
+        (_separable, dict(f_max=0.0), "f_max and g_rge"),
+        (_separable, dict(f_max=-1.0), "f_max and g_rge"),
+        (_separable, dict(g_rge=0.0), "f_max and g_rge"),
+        (_separable, dict(g_rge=-1.0), "f_max and g_rge"),
+    ])
+    def test_rejects(self, formula, change, message):
+        with pytest.raises(ValueError, match=message):
+            formula(**change)
+
+    def test_accepts_the_edges(self):
+        # n = 1, delta just below diam/2 and tiny positive scales are valid.
+        assert _general(n=1, delta=0.4999).ln_gamma > 0
+        assert _routing(ods=[(1, 1.0)], delta=1e-9).gamma_exact > 0
+        assert _separable(f_max=1e-9, g_rge=1e-9).beta > 0
 
 
 class TestSampleSize:
     def test_pinned_value(self):
         # gamma = 6, beta = 1e-4, zeta = 0.05 -> ceil(1e4 ln 120) = 47875.
-        inputs = BoundInputs(
-            n=1, alpha=RiskLevel(0.05), ell=0.0, big_l=1.0, f_max=1.0, g_rge=1.0, delta_eps=1.0
+        report = exponential_bound_separable(
+            n=1, alpha=RiskLevel(0.05), f_max=1.0, g_rge=1.0, delta=1.0, zeta=0.05
         )
-        report = exponential_bound_separable(inputs, zeta=0.05)
         # Independent re-evaluation with the report's own constants.
         expected = math.ceil((report.ln_gamma - math.log(0.05)) / report.beta)
         assert report.n_samples == expected
@@ -198,10 +231,9 @@ class TestSampleSize:
         assert math.ceil(1e4 * math.log(6.0 / 0.05)) == 47875
 
     def test_floor_at_one(self):
-        inputs = BoundInputs(
-            n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, f_max=1.0, g_rge=1.0, delta_eps=1.0
+        report = exponential_bound_separable(
+            n=1, alpha=RiskLevel(0.5), f_max=1.0, g_rge=1.0, delta=1.0, zeta=6.0 / 6.0001
         )
-        report = exponential_bound_separable(inputs, zeta=6.0 / 6.0001)
         assert report.n_samples >= 1
 
 

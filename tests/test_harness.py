@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import cvarvi
+from cvarvi import cli, harness
 from cvarvi.bounds import exponential_bound_routing
 from cvarvi.cvar import RiskLevel, SampleBatch, empirical_cvar_lp
 from cvarvi.harness import (
@@ -20,7 +22,7 @@ from cvarvi.harness import (
     compare_bounds,
     default_config_text,
     parse_config,
-    routing_bound_inputs,
+    routing_bound,
     run_experiment,
 )
 
@@ -79,6 +81,13 @@ class TestConfigParsing:
     def test_duplicate_sample_sizes(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(sample_sizes=(50, 50))
+
+    def test_unknown_solver(self):
+        with pytest.raises(ConfigError, match="'foo'.*extragradient, lemke, qp"):
+            parse_config("solver = foo\nod = 1 2 5 1\n")
+
+    def test_default_file_is_the_dataclass_default(self):
+        assert parse_config(default_config_text()) == ExperimentConfig()
 
 
 class TestExperiment:
@@ -152,13 +161,20 @@ class TestResultsCsv:
 
 
 class TestBoundComparison:
-    def test_inputs_are_sane(self, small_config):
-        game = build_configured_game(small_config)
-        inputs = routing_bound_inputs(game, 1.0)
-        assert inputs.n == 30
-        assert inputs.ell < inputs.big_l
-        assert inputs.m_lip > 0
-        assert [pc for pc, _ in inputs.ods] == [10, 10, 10]
+    def test_inputs_are_sane(self, small_config, monkeypatch):
+        seen = []
+
+        def capture(ods, alpha, ell, big_l, m_lip, delta, zeta=None):
+            seen.append(dict(ods=ods, ell=ell, big_l=big_l, m_lip=m_lip))
+            return exponential_bound_routing(ods, alpha, ell, big_l, m_lip, delta, zeta)
+
+        monkeypatch.setattr(harness, "exponential_bound_routing", capture)
+        routing_bound(build_configured_game(small_config), 1.0)
+        (inputs,) = seen
+        assert sum(pc for pc, _ in inputs["ods"]) == 30
+        assert inputs["ell"] < inputs["big_l"]
+        assert inputs["m_lip"] > 0
+        assert [pc for pc, _ in inputs["ods"]] == [10, 10, 10]
 
     def test_compare_consistent(self, small_config, small_result):
         rows = compare_bounds(small_result)
@@ -213,13 +229,38 @@ class TestCli:
     def test_bounds_separable(self):
         proc = self.run_cli(
             "bounds", "--formula", "separable", "--n", "1", "--alpha", "0.05",
-            "--ell", "0", "--big-l", "1", "--f-max", "1", "--g-rge", "1", "--delta", "1",
+            "--f-max", "1", "--g-rge", "1", "--delta", "1",
         )
         assert proc.returncode == 0
         header, row = proc.stdout.splitlines()
         assert header == "formula,gamma,ln_gamma,beta,n_samples"
         assert row.split(",")[0] == "separable"
         assert float(row.split(",")[1]) == pytest.approx(6.0)
+
+    def test_bounds_sigma_epsilon_gives_delta(self, capsys):
+        flags = ["bounds", "--formula", "separable", "--n", "1", "--alpha", "0.05",
+                 "--f-max", "1", "--g-rge", "1"]
+        assert cli.main(flags + ["--sigma", "2", "--epsilon", "0.05"]) == 0
+        derived = capsys.readouterr().out
+        assert cli.main(flags + ["--delta", "0.1"]) == 0
+        assert derived == capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--formula", "separable", "--n", "1", "--alpha", "0.05", "--f-max", "1", "--delta", "1"],
+         "requires --g-rge"),
+        (["--formula", "general", "--n", "1", "--alpha", "0.5", "--ell", "0", "--big-l", "1",
+          "--m", "1", "--diam", "1", "--sigma", "2"], r"requires --delta \(or --sigma and --epsilon\)"),
+        (["--formula", "separable", "--n", "1", "--alpha", "0.05", "--f-max", "1", "--g-rge", "1",
+          "--delta", "1", "--ell", "0", "--big-l", "1"], "does not read --big-l, --ell"),
+        (["--formula", "routing", "--n", "5"], "does not read --n"),
+        (["--formula", "routing", "--sigma", "2"], "does not read --sigma"),
+        (["--formula", "routing", "--delta", "0.5", "--epsilon", "1"], "--delta replaces --epsilon"),
+    ])
+    def test_bounds_usage_errors(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bounds", *flags])
+        assert exit_info.value.code == 2
+        assert re.search(message, capsys.readouterr().err)
 
     def test_output_dir_env(self, small_config, small_result, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"
@@ -242,9 +283,7 @@ class TestCli:
         assert proc.returncode == 0
         rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
         assert [row[2] for row in rows] == ["1", "1"]
-        report = exponential_bound_routing(
-            routing_bound_inputs(build_configured_game(small_config), small_config.epsilon)
-        )
+        report = routing_bound(build_configured_game(small_config), small_config.epsilon)
         n_min = math.floor(report.ln_gamma / report.beta) + 1
         assert report.ln_gamma - report.beta * n_min < 0 <= report.ln_gamma - report.beta * (n_min - 1)
         assert proc.stderr.splitlines() == [

@@ -180,19 +180,6 @@ class TestQpRoute:
             assert a.x == pytest.approx(c.x, abs=1e-5)
 
 
-class TestDumpFormat:
-    def test_round_trip_by_eye(self):
-        lcp = two_path_toy()
-        text = lcp.dump()
-        lines = text.strip().splitlines()
-        assert lines[0] == "lcp 3 6"
-        assert "q" in lines
-        q_at = lines.index("q")
-        assert len(lines[q_at + 1 :]) == 3
-        first = lines[1].split()
-        assert first[:2] == ["1", "1"] and float(first[2]) == 1.0
-
-
 class TestSiouxFallsCross:
     def test_lemke_matches_extragradient(self):
         game = build_game(builtin_network(), SIOUX_ODS, RiskLevel(0.05))

@@ -11,6 +11,7 @@ from cvarvi.routing import (
     Network,
     OdPair,
     OdSpec,
+    PathSet,
     TntpParseError,
     build_game,
     builtin_network,
@@ -132,6 +133,25 @@ class TestPathEnumeration:
         assert ps.od_incidence.sum(axis=0) == pytest.approx(np.ones(4))
         assert ps.od_incidence[0].sum() == 2 and ps.od_incidence[1].sum() == 2
 
+    def test_interleaved_ods_rejected(self):
+        # A path set whose OD blocks interleave, with a consistent incidence.
+        net = diamond_network()
+        ps = enumerate_paths(net, OdSpec(pairs=[OdPair(1, 4, 1.0, 2), OdPair(2, 4, 1.0, 2)]))
+        order = [0, 2, 1, 3]
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PathSet(
+                paths=[ps.paths[p] for p in order],
+                od_of_path=ps.od_of_path[order],
+                edge_incidence=ps.edge_incidence[:, order],
+                od_incidence=ps.od_incidence[:, order],
+            )
+
+    def test_od_incidence_must_match_od_of_path(self):
+        net = diamond_network()
+        ps = enumerate_paths(net, OdSpec(pairs=[OdPair(1, 4, 1.0, 2), OdPair(2, 4, 1.0, 2)]))
+        with pytest.raises(ValueError, match="one-hot"):
+            PathSet(ps.paths, ps.od_of_path, ps.edge_incidence, ps.od_incidence[::-1])
+
     def test_deterministic_repeat(self):
         net = builtin_network()
         od = OdSpec(pairs=[OdPair(1, 19, 300, 10)])
@@ -161,6 +181,12 @@ class TestGameAssembly:
             assert (sioux_game.noise_hi[e] > 0) == touches
             if touches:
                 assert sioux_game.noise_hi[e] == pytest.approx(0.5 * net.free_flow_time[e])
+
+    def test_uncertain_nodes_outside_the_network_rejected(self):
+        od = OdSpec(pairs=[OdPair(1, 19, 300, 1)])
+        for nodes in [(99, 250), (0,), (10, 25)]:
+            with pytest.raises(ValueError, match="outside the node range 1..24"):
+                build_game(builtin_network(), od, RiskLevel(0.05), uncertain_nodes=nodes)
 
     def test_congestion_diag(self, sioux_game):
         net = sioux_game.network
