@@ -172,13 +172,13 @@ def _finalize(ln_gamma: float, beta: float, formula_id: str, zeta: Optional[floa
     return report
 
 
-def _check_bound_inputs(n: int, delta: float, ell: float = 0.0, big_l: float = 0.0,
+def _check_bound_inputs(n: int, delta: float, ell: float = 0.0, big_l: float = math.inf,
                         diam_x: float = math.inf, f_max: float = 1.0, g_rge: float = 1.0) -> None:
     """The checks shared by the three formulas; each passes what it reads."""
     if n < 1:
         raise ValueError("decision dimension must be positive")
-    if ell > big_l:
-        raise ValueError("cost range is inverted")
+    if not ell < big_l:
+        raise ValueError(f"cost range [{ell}, {big_l}] is inverted or empty: need ell < L")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if not delta < diam_x / 2:

@@ -2,9 +2,10 @@
 
 The empirical CVaR is the minimum over t of the piecewise-linear convex
 objective t + (1/(N*alpha)) * sum([v_j - t]_+). We solve it exactly by the
-order-statistic closed form (mean of the worst alpha-fraction, with an
-interpolated term when N*alpha is fractional) rather than by iterative
-minimization. A linear-programming route is provided for cross-checking.
+order-statistic closed form: the mean of the worst alpha-fraction, with an
+interpolated term when N*alpha is fractional. Per-path offsets select that
+top-ceil(alpha N) tail in O(N) per path, bitwise equal to sorting all N
+draws. A linear-programming route is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import linprog
@@ -98,6 +100,13 @@ class DiscreteDistribution:
         return cls(atoms=tuple((float(v), p) for v in values))
 
 
+def _tail_index(probs: np.ndarray, alpha: float) -> tuple[int, float]:
+    """First index k at which the descending tail mass reaches alpha, and the mass before k."""
+    cum = np.cumsum(probs)
+    k = min(int(np.searchsorted(cum, alpha - _PROB_TOL, side="left")), len(probs) - 1)
+    return k, float(cum[k - 1]) if k > 0 else 0.0
+
+
 def _weighted_cvar(values: np.ndarray, probs: np.ndarray, alpha: float) -> tuple[float, float]:
     """CVaR and left-quantile t* of a finite-support random variable.
 
@@ -109,13 +118,8 @@ def _weighted_cvar(values: np.ndarray, probs: np.ndarray, alpha: float) -> tuple
     order = np.argsort(-values, kind="stable")
     v = values[order]
     p = probs[order]
-    cum = np.cumsum(p)
-    # First atom index at which the accumulated tail mass reaches alpha.
-    k = int(np.searchsorted(cum, alpha - _PROB_TOL, side="left"))
-    k = min(k, len(v) - 1)
-    head = float(np.dot(p[:k], v[:k]))
-    mass_before = float(cum[k - 1]) if k > 0 else 0.0
-    value = (head + (alpha - mass_before) * v[k]) / alpha
+    k, mass_before = _tail_index(p, alpha)
+    value = (float(np.dot(p[:k], v[:k])) + (alpha - mass_before) * v[k]) / alpha
 
     # Left-side (1 - alpha)-quantile from the ascending CDF.
     va = v[::-1]
@@ -133,21 +137,32 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
     return _weighted_cvar(values, np.full(n, 1.0 / n), alpha)
 
 
+def equal_weight_cvar(n: int, alpha: float) -> Callable[[np.ndarray], float]:
+    """cvar_from_values' value for n raw draws, bit for bit, without t*: the
+    tail index is fixed once; each call selects the top k + 1 draws in O(n)
+    and sorts only the k tail values, descending, as the sort route does."""
+    k, mass_before = _tail_index(np.full(n, 1.0 / n), alpha)
+    weights = np.full(k, 1.0 / n)
+
+    def reduce(values: np.ndarray) -> float:
+        neg = np.partition(-values, k)
+        return float((np.dot(weights, -np.sort(neg[:k])) + (alpha - mass_before) * -neg[k]) / alpha)
+    return reduce
+
+
 def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
     """Exact minimum of t + (1/(N*alpha)) * sum([v_j - t]_+) over t.
 
     Computed by the order-statistic closed form; t* is reported as the left
     endpoint of the optimizer interval (the value-at-risk).
     """
-    value, t_star = cvar_from_values(samples.values, alpha.alpha)
-    return CvarEstimate(value=value, t_star=t_star)
+    return CvarEstimate(*cvar_from_values(samples.values, alpha.alpha))
 
 
 def cvar_discrete(dist: DiscreteDistribution, alpha: RiskLevel) -> CvarEstimate:
     """Exact CVaR of a finite-support random variable."""
     values, probs = np.array(dist.atoms, dtype=float).T
-    value, t_star = _weighted_cvar(values, probs, alpha.alpha)
-    return CvarEstimate(value=value, t_star=t_star)
+    return CvarEstimate(*_weighted_cvar(values, probs, alpha.alpha))
 
 
 def cvar_uniform_interval(lo: float, hi: float, alpha: RiskLevel) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from . import lcp as lcp_mod
-from .cvar import RiskLevel, cvar_from_values
+from .cvar import RiskLevel, equal_weight_cvar
 from .vi import SimplexProduct, VectorField, ViSolution, extragradient_solve, natural_residual, spectral_norm
 
 __all__ = [
@@ -471,16 +471,15 @@ def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
 
 def _kappa_from_noise(game: RoutingGame, draws: np.ndarray, uncertain: np.ndarray) -> np.ndarray:
     """Per-path empirical CVaR of path noise sums for draws of shape
-    (N, len(uncertain))."""
-    alpha = game.alpha.alpha
+    (N, len(uncertain)): each path selects its top-ceil(alpha N) tail."""
+    cvar_of = equal_weight_cvar(len(draws), game.alpha.alpha)
     q_unc = game.path_set.edge_incidence[uncertain]
     kappa = np.zeros(game.path_set.n_paths)
     for p in range(game.path_set.n_paths):
         cols = np.nonzero(q_unc[:, p])[0]
         if len(cols) == 0:
             continue
-        sums = draws[:, cols].sum(axis=1)
-        kappa[p], _ = cvar_from_values(sums, alpha)
+        kappa[p] = cvar_of(draws[:, cols].sum(axis=1))
     return kappa
 
 
@@ -511,7 +510,8 @@ def true_path_kappa(
 ) -> np.ndarray:
     """Reference per-path CVaR offsets from one huge fixed-seed batch.
 
-    The tail of a sum of independent uniforms has no closed form, so the
+    The tail of a sum of independent uniforms has a piecewise-polynomial
+    closed form (Bradley & Gupta 2002) that this does not use yet: the
     reference is Monte Carlo at n_ref draws, cached to disk with its
     parameters when a cache directory is given. The file is renamed into
     place once written, so overlapping runs never read a partial one; one

@@ -202,6 +202,9 @@ class TestInputChecks:
         (_separable, dict(f_max=-1.0), "f_max and g_rge"),
         (_separable, dict(g_rge=0.0), "f_max and g_rge"),
         (_separable, dict(g_rge=-1.0), "f_max and g_rge"),
+        # ell = L would divide beta by zero; separable reads no cost range.
+        (_general, dict(ell=1.0), "need ell < L"),
+        (_routing, dict(ell=1.0), "need ell < L"),
     ])
     def test_rejects(self, formula, change, message):
         with pytest.raises(ValueError, match=message):

@@ -8,9 +8,11 @@ from cvarvi.cvar import (
     RiskLevel,
     SampleBatch,
     cvar_discrete,
+    cvar_from_values,
     cvar_uniform_interval,
     empirical_cvar,
     empirical_cvar_lp,
+    equal_weight_cvar,
     optimizer_bounds,
 )
 
@@ -160,6 +162,44 @@ class TestProperties:
         arr = np.asarray(values, dtype=float)
         t_int, _ = optimizer_bounds(float(arr.min()), float(arr.max()), RiskLevel(alpha))
         assert t_int[0] <= est.t_star <= t_int[1]
+
+
+class TestEqualWeightCvar:
+    """The selection route must reproduce the sort route bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(values, alpha):
+        values = np.asarray(values, dtype=float)
+        got = equal_weight_cvar(len(values), alpha)(values)
+        want = cvar_from_values(values, alpha)[0]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(finite_floats | st.integers(-3, 3).map(float), min_size=1, max_size=300),
+        alpha=st.floats(min_value=0.001, max_value=0.999),
+    )
+    def test_matches_sort_route(self, values, alpha):
+        self.assert_bitwise(values, alpha)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 2000), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans())
+    def test_matches_sort_route_at_integral_alpha_n(self, n, share, seed, ties):
+        # alpha = m/n rounds, so the accumulated 1/n masses may land a hair
+        # on either side of it: the shared tail rule decides.
+        m = min(n - 1, max(1, round(share * n)))
+        values = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+        self.assert_bitwise(np.round(values) if ties else values, m / n)
+
+    # alpha N < 1 selects one draw (k = 0); at N = 257 that needs the exact
+    # maximum, which a selection one place short does not deliver.
+    @pytest.mark.parametrize("n", [1, 2, 3, 19, 20, 21, 100, 257, 12345])
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.07, 0.1, 1 / 3, 0.5, 0.95])
+    def test_matches_sort_route_pinned(self, n, alpha):
+        rng = np.random.default_rng(n)
+        self.assert_bitwise(rng.uniform(0.0, 4.0, n), alpha)
+        self.assert_bitwise(np.round(rng.uniform(0.0, 4.0, n)), alpha)
 
 
 class TestValidation:

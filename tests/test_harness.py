@@ -237,6 +237,15 @@ class TestCli:
         assert row.split(",")[0] == "separable"
         assert float(row.split(",")[1]) == pytest.approx(6.0)
 
+    def test_bounds_empty_cost_range_is_an_error(self):
+        proc = self.run_cli(
+            "bounds", "--formula", "general", "--n", "1", "--alpha", "0.5", "--ell", "1",
+            "--big-l", "1", "--m", "1", "--diam", "1", "--delta", "0.1",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cost range [1.0, 1.0] is inverted or empty: need ell < L\n"
+
     def test_bounds_sigma_epsilon_gives_delta(self, capsys):
         flags = ["bounds", "--formula", "separable", "--n", "1", "--alpha", "0.05",
                  "--f-max", "1", "--g-rge", "1"]

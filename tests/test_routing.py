@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cvarvi import lcp, routing
-from cvarvi.cvar import RiskLevel, cvar_uniform_interval
+from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
 from cvarvi.routing import (
     Network,
@@ -322,6 +322,42 @@ class TestKappaSampling:
         kappa = sample_path_kappa(game, 100000, 3)
         exact = cvar_uniform_interval(0.0, hi, RiskLevel(0.05))
         assert kappa[0] == pytest.approx(exact, rel=5e-3)
+
+
+def sort_route_kappa(game, draws):
+    """Oracle: every path sum through cvar_from_values, the full sort."""
+    q_unc = game.path_set.edge_incidence[game.uncertain_edges]
+    kappa = np.zeros(game.path_set.n_paths)
+    for p in range(game.path_set.n_paths):
+        cols = np.nonzero(q_unc[:, p])[0]
+        if len(cols):
+            kappa[p] = cvar_from_values(draws[:, cols].sum(axis=1), game.alpha.alpha)[0]
+    return kappa
+
+
+def same_draws(game, n, seed, *stream_key):
+    rng = routing.replication_rng(seed, *stream_key)
+    unc = game.uncertain_edges
+    return rng.uniform(game.noise_lo[unc], game.noise_hi[unc], size=(n, len(unc)))
+
+
+class TestKappaSelectionMatchesSort:
+    # alpha = 0.05: alpha N is integral at N = 20 and fractional at 19 and 21.
+    @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 50, 500, 5000])
+    def test_sample_path_kappa_bitwise(self, sioux_game, n):
+        kappa = sample_path_kappa(sioux_game, n, 8, 3, n)
+        assert kappa.tobytes() == sort_route_kappa(sioux_game, same_draws(sioux_game, n, 8, 3, n)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 50, 500, 5000])
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_tied_draws_bitwise(self, sioux_game, n, decimals):
+        draws = np.round(same_draws(sioux_game, n, 9, n), decimals)
+        kappa = routing._kappa_from_noise(sioux_game, draws, sioux_game.uncertain_edges)
+        assert kappa.tobytes() == sort_route_kappa(sioux_game, draws).tobytes()
+
+    def test_reference_bitwise(self, sioux_game):
+        kappa = true_path_kappa(sioux_game, 10**5, 42)
+        assert kappa.tobytes() == sort_route_kappa(sioux_game, same_draws(sioux_game, 10**5, 42)).tobytes()
 
 
 class TestSolveAndCertificate:
