@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 __all__ = [
@@ -185,7 +186,8 @@ def empirical_cvar_lp(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
     a = alpha.alpha
     # Variables: (t, y_1..y_N).
     c = np.concatenate([[1.0], np.full(n, 1.0 / (n * a))])
-    a_ub = np.hstack([-np.ones((n, 1)), -np.eye(n)])
+    # Sparse, so memory grows as N rather than N^2.
+    a_ub = sparse.hstack([-np.ones((n, 1)), -sparse.identity(n)], format="csr")
     b_ub = -v
     bounds = [(None, None)] + [(0.0, None)] * n
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -74,7 +74,6 @@ class ExperimentConfig:
     replications: int = 500
     master_seed: int = 20240817
     epsilon: float = 1.0
-    zeta: float = 0.05
     ref_samples: int = 10**6
     ref_seed: int = 42
     solver: str = "lemke"
@@ -88,8 +87,8 @@ class ExperimentConfig:
             raise ConfigError("duplicate sample sizes")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0 or not 0 < self.zeta < 1:
-            raise ConfigError("need epsilon > 0 and zeta in (0, 1)")
+        if self.epsilon <= 0:
+            raise ConfigError("need epsilon > 0")
         if not self.ods:
             raise ConfigError("need at least one od line")
         if self.solver not in SOLVE_METHODS:
@@ -98,18 +97,15 @@ class ExperimentConfig:
             )
 
 
-_LIST_KEYS = {"sample_sizes", "uncertain_nodes"}
-_INT_KEYS = {"replications", "master_seed", "ref_samples", "ref_seed"}
-_FLOAT_KEYS = {"alpha", "b_e", "noise_scale", "epsilon", "zeta"}
-_STR_KEYS = {"network", "solver"}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat `key = value` experiment format.
 
     `#` starts a comment; the `od` key repeats, one `origin destination
-    demand paths` quadruple per line; list values are comma-separated.
+    demand paths` quadruple per line; every other key is an
+    `ExperimentConfig` field, given at most once and read as the type of
+    its default; list values are comma-separated integers.
     """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "ods"}
     kwargs: dict = {}
     ods: list[tuple[int, int, float, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -127,16 +123,14 @@ def parse_config(text: str) -> ExperimentConfig:
                 if len(parts) != 4:
                     raise ValueError("od takes: origin destination demand paths")
                 ods.append((int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])))
-            elif key in _LIST_KEYS:
-                kwargs[key] = tuple(int(v) for v in value.replace(",", " ").split())
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _STR_KEYS:
-                kwargs[key] = value
-            else:
+            elif key not in defaults:
                 raise ValueError(f"unknown key {key!r}")
+            elif key in kwargs:
+                raise ValueError(f"key {key!r} given twice")
+            elif isinstance(defaults[key], tuple):
+                kwargs[key] = tuple(int(v) for v in value.replace(",", " ").split())
+            else:
+                kwargs[key] = type(defaults[key])(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     if ods:
@@ -263,11 +257,13 @@ def run_experiment(
     minimum-norm equilibrium flow of its sampled game and that of the
     reference game (kappa from config.ref_samples draws).
 
-    Output bytes depend only on the configuration, never on `workers`.
-    `progress(done, total)`, if given, is called after each replication at
-    any worker count. Raises RuntimeError when more than 1% of
-    replications fail.
+    Output bytes depend only on the configuration, never on `workers`
+    (at least 1; 1 runs the grid in this process). `progress(done,
+    total)`, if given, is called after each replication at any worker
+    count. Raises RuntimeError when more than 1% of replications fail.
     """
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     if cache_dir is None:

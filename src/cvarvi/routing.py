@@ -144,27 +144,36 @@ class OdSpec:
             raise ValueError("need at least one OD pair")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass
 class PathSet:
-    """Simple paths grouped by OD pair with edge and OD incidence."""
+    """Simple paths grouped by OD pair with their edge incidence; the OD
+    incidence B is derived from od_of_path."""
 
     paths: list[tuple[int, ...]]
-    od_of_path: np.ndarray  # OD index per path, nondecreasing
+    od_of_path: np.ndarray  # OD index per path: 0, ..., W-1 in contiguous blocks
     edge_incidence: np.ndarray  # Q: |E| x |P|, 0/1
-    od_incidence: np.ndarray  # B: |W| x |P|, 0/1
 
     def __post_init__(self):
         # The flow polytope takes each OD's paths as one contiguous block.
-        self.od_of_path = np.asarray(self.od_of_path, dtype=int)
-        if len(self.od_of_path) != len(self.paths) or np.any(np.diff(self.od_of_path) < 0):
-            raise ValueError("od_of_path must give one OD index per path, nondecreasing")
-        one_hot = np.arange(len(self.od_incidence))[:, None] == self.od_of_path
-        if not np.array_equal(self.od_incidence, one_hot):
-            raise ValueError("od_incidence must be the one-hot matrix of od_of_path")
+        od = self.od_of_path = np.asarray(self.od_of_path, dtype=int)
+        steps = np.diff(od)
+        if len(od) != len(self.paths) or not len(od) or od[0] != 0 or np.any((steps != 0) & (steps != 1)):
+            raise ValueError("od_of_path must give one OD index per path, "
+                             "nondecreasing from 0 in steps of 0 or 1")
 
     @property
     def n_paths(self) -> int:
         return len(self.paths)
+
+    @cached_property
+    def od_incidence(self) -> np.ndarray:
+        """B: |W| x |P|, the one-hot matrix of od_of_path."""
+        return _read_only((np.arange(self.od_of_path[-1] + 1)[:, None] == self.od_of_path).astype(float))
 
 
 _META_RE = re.compile(r"<([^>]+)>\s*(\S*)")
@@ -265,12 +274,11 @@ def _dijkstra_lex(adj, network: Network, source: int, target: int,
     return None
 
 
-def _k_shortest_paths(network: Network, source: int, target: int, k: int) -> list[tuple[int, ...]]:
+def _k_shortest_paths(network: Network, adj: dict[int, list[int]], edge_of: dict[tuple[int, int], int],
+                      source: int, target: int, k: int) -> list[tuple[int, ...]]:
     """Yen-style loopless k-shortest paths by free-flow travel time with
-    deterministic (cost, node-sequence) tie-breaking."""
-    adj = network.out_edges()
-    edge_of = {(int(network.tail[e]), int(network.head[e])): e for e in range(network.n_edges)}
-
+    deterministic (cost, node-sequence) tie-breaking; adj and edge_of are
+    the network's out-edges and (tail, head) -> edge map."""
     first = _dijkstra_lex(adj, network, source, target, frozenset(), frozenset())
     if first is None:
         return []
@@ -308,12 +316,18 @@ def _k_shortest_paths(network: Network, source: int, target: int, k: int) -> lis
 
 def enumerate_paths(network: Network, od_spec: OdSpec) -> PathSet:
     """For each OD pair, the k simple paths with smallest free-flow travel
-    time; builds the edge and OD incidence matrices."""
-    edge_of = {(int(network.tail[e]), int(network.head[e])): e for e in range(network.n_edges)}
+    time; builds the edge incidence matrix. Paths are node sequences, so a
+    network with parallel edges is rejected."""
+    edge_of: dict[tuple[int, int], int] = {}
+    for e, pair in enumerate(zip(network.tail.tolist(), network.head.tolist())):
+        if pair in edge_of:
+            raise ValueError(f"parallel edges {edge_of[pair]} and {e} join node pair {pair}")
+        edge_of[pair] = e
+    adj = network.out_edges()
     paths: list[tuple[int, ...]] = []
     od_of_path: list[int] = []
     for w, od in enumerate(od_spec.pairs):
-        found = _k_shortest_paths(network, od.origin, od.destination, od.paths_per_od)
+        found = _k_shortest_paths(network, adj, edge_of, od.origin, od.destination, od.paths_per_od)
         if len(found) < od.paths_per_od:
             raise ValueError(
                 f"OD pair ({od.origin}, {od.destination}) has only {len(found)} simple paths, "
@@ -322,19 +336,11 @@ def enumerate_paths(network: Network, od_spec: OdSpec) -> PathSet:
         paths.extend(found)
         od_of_path.extend([w] * len(found))
 
-    n_paths = len(paths)
-    q_inc = np.zeros((network.n_edges, n_paths))
-    b_inc = np.zeros((len(od_spec.pairs), n_paths))
+    q_inc = np.zeros((network.n_edges, len(paths)))
     for p, nodes in enumerate(paths):
         for j in range(len(nodes) - 1):
             q_inc[edge_of[(nodes[j], nodes[j + 1])], p] = 1.0
-        b_inc[od_of_path[p], p] = 1.0
-    return PathSet(
-        paths=paths,
-        od_of_path=np.asarray(od_of_path, dtype=int),
-        edge_incidence=q_inc,
-        od_incidence=b_inc,
-    )
+    return PathSet(paths=paths, od_of_path=np.asarray(od_of_path, dtype=int), edge_incidence=q_inc)
 
 
 def edge_flows(path_set: PathSet, h: np.ndarray) -> np.ndarray:
@@ -345,11 +351,6 @@ def edge_flows(path_set: PathSet, h: np.ndarray) -> np.ndarray:
     if np.any(h < -1e-12):
         raise ValueError("path flows must be nonnegative")
     return path_set.edge_incidence @ h
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass
@@ -375,6 +376,9 @@ class RoutingGame:
             raise ValueError("need 0 <= lo <= hi per edge")
         if self.path_set.edge_incidence.shape != (n_edges, self.path_set.n_paths):
             raise ValueError("edge incidence inconsistent with the network")
+        n_ods = len(self.path_set.od_incidence)
+        if n_ods != len(self.od_spec.pairs):
+            raise ValueError(f"path set covers {n_ods} OD pairs, the OD spec has {len(self.od_spec.pairs)}")
 
     @property
     def congestion_diag(self) -> np.ndarray:
@@ -414,10 +418,7 @@ class RoutingGame:
         return _read_only(np.block([[self.cost_matrix, -b_inc.T], [b_inc, zeros]]))
 
     def feasible_flows(self) -> SimplexProduct:
-        blocks = []
-        for w, od in enumerate(self.od_spec.pairs):
-            blocks.append((int(self.path_set.od_incidence[w].sum()), od.demand))
-        return SimplexProduct(blocks=blocks)
+        return SimplexProduct(blocks=zip(np.bincount(self.path_set.od_of_path), self.demands))
 
 
 def build_game(
@@ -544,21 +545,22 @@ def true_path_kappa(
     return kappa
 
 
+def _od_min_cost(path_set: PathSet, costs: np.ndarray) -> np.ndarray:
+    """Each path's OD minimum of costs."""
+    starts = np.flatnonzero(np.diff(path_set.od_of_path, prepend=-1))
+    return np.minimum.reduceat(costs, starts)[path_set.od_of_path]
+
+
 def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
     """Largest excess of a used path's CVaR cost over its OD minimum.
 
     Zero (within solver tolerance) exactly when flow is placed only on
     minimum-CVaR paths.
     """
-    costs = path_cost_field(game, kappa)(np.asarray(h, dtype=float))
-    gap = 0.0
-    for w in range(len(game.od_spec.pairs)):
-        members = np.nonzero(game.path_set.od_incidence[w])[0]
-        min_cost = costs[members].min()
-        used = members[h[members] > _USED_FLOW_TOL]
-        if len(used):
-            gap = max(gap, float(costs[used].max() - min_cost))
-    return gap
+    h = np.asarray(h, dtype=float)
+    costs = path_cost_field(game, kappa)(h)
+    excess = costs - _od_min_cost(game.path_set, costs)
+    return float(excess[h > _USED_FLOW_TOL].max(initial=0.0))
 
 
 def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray, h0: np.ndarray) -> np.ndarray:
@@ -574,11 +576,8 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray, h0: np.ndarray) 
     minimum-cost paths is feasible for it, so the program is never empty.
     """
     ps = game.path_set
-    active = np.zeros(ps.n_paths, dtype=bool)
-    for w in range(len(game.od_spec.pairs)):
-        members = ps.od_of_path == w
-        floor = costs[members].min()
-        active[members] = costs[members] <= floor + _TIE_TOL * (1.0 + abs(floor))
+    floor = _od_min_cost(ps, costs)
+    active = costs <= floor + _TIE_TOL * (1.0 + np.abs(floor))
     a_mat = np.vstack([ps.edge_incidence, ps.od_incidence])[:, active]
     a_mat = a_mat[a_mat.any(axis=1)]
     u, sv, vt = np.linalg.svd(a_mat)
@@ -635,7 +634,7 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str = "extragradient
         converged=converged,
     )
     gap = wardrop_gap(game, kappa, h)
-    if gap > _WARDROP_TOL:
+    if not gap <= _WARDROP_TOL:  # a NaN gap fails too
         raise RuntimeError(
             f"solver returned a flow violating the equilibrium condition "
             f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})"

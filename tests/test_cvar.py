@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,20 @@ class TestEqualWeightCvar:
         rng = np.random.default_rng(n)
         self.assert_bitwise(rng.uniform(0.0, 4.0, n), alpha)
         self.assert_bitwise(np.round(rng.uniform(0.0, 4.0, n)), alpha)
+
+
+class TestLpMemory:
+    def test_constraint_matrix_is_sparse(self):
+        # A dense N x (N + 1) constraint matrix alone is 128 MB at N = 4000.
+        samples = batch(np.random.default_rng(0).uniform(size=4000))
+        tracemalloc.start()
+        try:
+            est = empirical_cvar_lp(samples, RiskLevel(0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert est.value == pytest.approx(empirical_cvar(samples, RiskLevel(0.1)).value, abs=1e-10)
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -36,7 +37,6 @@ sample_sizes = 50, 200
 replications = 200
 master_seed = 99
 epsilon = 1.0
-zeta = 0.05
 ref_samples = 100000
 ref_seed = 42
 """
@@ -87,7 +87,19 @@ class TestConfigParsing:
             parse_config("solver = foo\nod = 1 2 5 1\n")
 
     def test_default_file_is_the_dataclass_default(self):
-        assert parse_config(default_config_text()) == ExperimentConfig()
+        cfg = parse_config(default_config_text())
+        assert cfg == ExperimentConfig()
+        for f in dataclasses.fields(ExperimentConfig):
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: key 'alpha' given twice"):
+            parse_config("alpha = 0.1\nod = 1 2 5 1\nalpha = 0.2\n")
+
+    @pytest.mark.parametrize("key", ["zeta", "ods"])
+    def test_key_without_a_config_field_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+            parse_config(f"{key} = 0.05\nod = 1 2 5 1\n")
 
 
 class TestExperiment:
@@ -133,6 +145,13 @@ class TestExperiment:
         assert again.results_path.read_bytes() == small_result.results_path.read_bytes()
         for n in small_config.sample_sizes:
             assert again.cdf_paths[n].read_bytes() == small_result.cdf_paths[n].read_bytes()
+
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, small_config, tmp_path, workers):
+        with pytest.raises(ValueError, match=f"need at least one worker, got {workers}"):
+            run_experiment(small_config, tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
 
 
 class TestResultsCsv:

@@ -35,15 +35,10 @@ class TestAssembly:
         )
         # R = diag(b t / c) = diag(1, 2).
         od = OdSpec(pairs=[OdPair(1, 2, 1.0, 1)])
-        # Parallel edges collapse in path enumeration, so build incidence by hand.
+        # Path enumeration rejects parallel edges, so build incidence by hand.
         from cvarvi.routing import PathSet, RoutingGame
 
-        path_set = PathSet(
-            paths=[(1, 2), (1, 2)],
-            od_of_path=np.array([0, 0]),
-            edge_incidence=np.eye(2),
-            od_incidence=np.ones((1, 2)),
-        )
+        path_set = PathSet(paths=[(1, 2), (1, 2)], od_of_path=np.array([0, 0]), edge_incidence=np.eye(2))
         game = RoutingGame(
             network=net,
             od_spec=od,

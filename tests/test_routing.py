@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -130,8 +131,37 @@ class TestPathEnumeration:
         net = diamond_network()
         ps = enumerate_paths(net, OdSpec(pairs=[OdPair(1, 4, 1.0, 2), OdPair(2, 4, 1.0, 2)]))
         assert ps.edge_incidence.shape == (6, 4)
-        assert ps.od_incidence.sum(axis=0) == pytest.approx(np.ones(4))
-        assert ps.od_incidence[0].sum() == 2 and ps.od_incidence[1].sum() == 2
+        # B is the one-hot matrix of od_of_path, derived and read-only.
+        assert ps.od_of_path.tolist() == [0, 0, 1, 1]
+        assert ps.od_incidence.dtype == float
+        assert np.array_equal(ps.od_incidence, [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        assert ps.od_incidence is ps.od_incidence
+        with pytest.raises(ValueError, match="read-only"):
+            ps.od_incidence[0, 0] = 0.0
+
+    @pytest.mark.parametrize("od_of_path", [[1, 1, 2, 2], [0, 0, 2, 2], [-1, 0, 1, 1], [0, 1, 1, 0]])
+    def test_od_blocks_must_count_up_from_zero(self, od_of_path):
+        net = diamond_network()
+        ps = enumerate_paths(net, OdSpec(pairs=[OdPair(1, 4, 1.0, 2), OdPair(2, 4, 1.0, 2)]))
+        with pytest.raises(ValueError, match="from 0 in steps of 0 or 1"):
+            PathSet(ps.paths, od_of_path, ps.edge_incidence)
+
+    def test_empty_path_set_rejected(self):
+        with pytest.raises(ValueError, match="one OD index per path"):
+            PathSet([], [], np.zeros((3, 0)))
+
+    def test_parallel_edges_rejected(self):
+        # Node sequences cannot say which of two 1->2 edges a path uses.
+        net = Network(
+            n_nodes=3,
+            tail=[1, 1, 2],
+            head=[2, 2, 3],
+            free_flow_time=[1.0, 5.0, 1.0],
+            capacity=np.ones(3),
+            congestion_coeff=np.zeros(3),
+        )
+        with pytest.raises(ValueError, match=r"parallel edges 0 and 1 join node pair \(1, 2\)"):
+            enumerate_paths(net, OdSpec(pairs=[OdPair(1, 3, 1.0, 1)]))
 
     def test_interleaved_ods_rejected(self):
         # A path set whose OD blocks interleave, with a consistent incidence.
@@ -143,14 +173,7 @@ class TestPathEnumeration:
                 paths=[ps.paths[p] for p in order],
                 od_of_path=ps.od_of_path[order],
                 edge_incidence=ps.edge_incidence[:, order],
-                od_incidence=ps.od_incidence[:, order],
             )
-
-    def test_od_incidence_must_match_od_of_path(self):
-        net = diamond_network()
-        ps = enumerate_paths(net, OdSpec(pairs=[OdPair(1, 4, 1.0, 2), OdPair(2, 4, 1.0, 2)]))
-        with pytest.raises(ValueError, match="one-hot"):
-            PathSet(ps.paths, ps.od_of_path, ps.edge_incidence, ps.od_incidence[::-1])
 
     def test_deterministic_repeat(self):
         net = builtin_network()
@@ -165,6 +188,13 @@ def sioux_game():
     od = OdSpec(
         pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10), OdPair(12, 18, 200, 10)]
     )
+    return build_game(builtin_network(), od, RiskLevel(0.05))
+
+
+@pytest.fixture(scope="module")
+def uneven_game():
+    """OD blocks of 4, 10 and 1 paths."""
+    od = OdSpec(pairs=[OdPair(1, 19, 300, 4), OdPair(13, 8, 600, 10), OdPair(12, 18, 200, 1)])
     return build_game(builtin_network(), od, RiskLevel(0.05))
 
 
@@ -195,6 +225,15 @@ class TestGameAssembly:
 
     def test_demands_vector(self, sioux_game):
         assert sioux_game.demands == pytest.approx([300.0, 600.0, 200.0])
+
+    def test_feasible_flows_one_block_per_od(self, uneven_game):
+        assert uneven_game.feasible_flows().blocks == [(4, 300.0), (10, 600.0), (1, 200.0)]
+
+    @pytest.mark.parametrize("n_pairs", [2, 4])
+    def test_od_count_mismatch_rejected(self, sioux_game, n_pairs):
+        pairs = [OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10), OdPair(12, 18, 200, 10), OdPair(2, 3, 1, 1)]
+        with pytest.raises(ValueError, match=f"path set covers 3 OD pairs, the OD spec has {n_pairs}"):
+            dataclasses.replace(sioux_game, od_spec=OdSpec(pairs=pairs[:n_pairs]))
 
     def test_edge_flows(self, sioux_game):
         h = sioux_game.feasible_flows().default_start()
@@ -385,6 +424,15 @@ class TestSolveAndCertificate:
         uniform = game.feasible_flows().default_start()
         assert wardrop_gap(game, kappa, uniform) > 1e-3
 
+    def test_nan_cost_fails_the_certificate(self):
+        od = OdSpec(pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10)])
+        game = build_game(builtin_network(), od, RiskLevel(0.05))
+        kappa = np.zeros(20)
+        kappa[3] = np.nan
+        assert np.isnan(wardrop_gap(game, kappa, game.feasible_flows().default_start()))
+        with pytest.raises(RuntimeError, match="gap nan"):
+            solve_cwe(game, kappa, method="lemke")
+
     def test_unknown_method(self):
         od = OdSpec(pairs=[OdPair(1, 19, 300, 3)])
         game = build_game(builtin_network(), od, RiskLevel(0.05))
@@ -424,3 +472,51 @@ class TestSolveAndCertificate:
         field = path_cost_field(game, np.zeros(30))
         report = check_monotone(field, game.feasible_flows(), trials=300)
         assert report.violations == 0
+
+
+def loop_wardrop_gap(game, kappa, h):
+    """Oracle: the largest used-path excess, OD by OD over the rows of B."""
+    costs = path_cost_field(game, kappa)(h)
+    gap = 0.0
+    for w in range(len(game.od_spec.pairs)):
+        members = np.nonzero(game.path_set.od_incidence[w])[0]
+        min_cost = costs[members].min()
+        used = members[h[members] > 1e-6]
+        if len(used):
+            gap = max(gap, float(costs[used].max() - min_cost))
+    return gap
+
+
+def loop_od_min_cost(path_set, costs):
+    """Oracle: each path's OD minimum, OD by OD."""
+    floor = np.empty_like(costs)
+    for w in range(len(path_set.od_incidence)):
+        members = path_set.od_of_path == w
+        floor[members] = costs[members].min()
+    return floor
+
+
+class TestPerOdMinimumMatchesLoop:
+    @pytest.mark.parametrize("game_name", ["sioux_game", "uneven_game"])
+    def test_wardrop_gap_bitwise(self, request, game_name):
+        game = request.getfixturevalue(game_name)
+        feasible = game.feasible_flows()
+        rng = np.random.default_rng(3)
+        for rep in range(5):
+            kappa = sample_path_kappa(game, 50, 4, rep)
+            flows = [feasible.default_start(), feasible.sample(rng), solve_cwe(game, kappa, "lemke").x_star]
+            for h in flows:
+                assert wardrop_gap(game, kappa, h) == loop_wardrop_gap(game, kappa, h)
+        assert wardrop_gap(game, kappa, flows[0]) > 0.0
+
+    @pytest.mark.parametrize("method", ["lemke", "qp", "extragradient"])
+    @pytest.mark.parametrize("game_name", ["sioux_game", "uneven_game"])
+    def test_solve_cwe_bitwise(self, request, monkeypatch, game_name, method):
+        game = request.getfixturevalue(game_name)
+        kappas = [sample_path_kappa(game, n, 6, n) for n in (50, 500)]
+        sols = [solve_cwe(game, kappa, method) for kappa in kappas]
+        monkeypatch.setattr(routing, "_od_min_cost", loop_od_min_cost)
+        for kappa, sol in zip(kappas, sols):
+            oracle = solve_cwe(game, kappa, method)
+            assert sol.x_star.tobytes() == oracle.x_star.tobytes()
+            assert sol.residual == oracle.residual and sol.iterations == oracle.iterations
