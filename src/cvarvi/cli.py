@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Machine-readable CSV goes to stdout; progress and human commentary go to
-stderr. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Each command prints one CSV table to stdout, in the syntax of
+`cvarvi.tables` (as is the `value` sample file `estimate` reads); progress
+and human commentary go to stderr. Exit codes: 0 success, 1 runtime
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,17 +20,17 @@ from .bounds import exponential_bound_general, exponential_bound_separable
 from .cvar import RiskLevel, SampleBatch, empirical_cvar, empirical_cvar_lp
 from .harness import (
     ExperimentResult,
-    _fmt,
-    _read_results_csv,
     build_configured_game,
     compare_bounds,
     default_config_text,
     load_config,
     parse_config,
+    read_results_csv,
     routing_bound,
     run_experiment,
 )
 from .routing import SOLVE_METHODS, path_cost_field, sample_path_kappa, solve_cwe, true_path_kappa
+from .tables import format_table, read_table
 
 __all__ = ["main", "build_parser"]
 
@@ -92,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_estimate(args) -> int:
     text = sys.stdin.read() if args.samples == "-" else Path(args.samples).read_text()
-    batch = SampleBatch.from_csv(text)
+    rows = read_table(text, ("value",), "stdin" if args.samples == "-" else args.samples)
+    batch = SampleBatch(values=[float(value) for (value,) in rows])
     alpha = RiskLevel(args.alpha)
     est = empirical_cvar_lp(batch, alpha) if args.method == "lp" else empirical_cvar(batch, alpha)
-    print("cvar,t_star")
-    print(f"{_fmt(est.value)},{_fmt(est.t_star)}")
+    sys.stdout.write(format_table(("cvar", "t_star"), [(est.value, est.t_star)]))
     print(f"empirical CVaR of {len(batch.values)} draws at alpha={args.alpha}", file=sys.stderr)
     return 0
 
@@ -110,13 +112,9 @@ def _cmd_solve(args) -> int:
         kappa = sample_path_kappa(game, args.n_samples, args.seed)
     sol = solve_cwe(game, kappa, method=args.method)
     costs = path_cost_field(game, kappa)(sol.x_star)
-    print("path,od,flow,cost")
-    for p, nodes in enumerate(game.path_set.paths):
-        w = int(game.path_set.od_of_path[p])
-        print(
-            f"{'-'.join(str(v) for v in nodes)},{w},"
-            f"{_fmt(float(sol.x_star[p]))},{_fmt(float(costs[p]))}"
-        )
+    names = ["-".join(map(str, nodes)) for nodes in game.path_set.paths]
+    rows = zip(names, game.path_set.od_of_path, sol.x_star, costs)
+    sys.stdout.write(format_table(("path", "od", "flow", "cost"), rows))
     print(
         f"method={args.method} residual={sol.residual:.3e} iterations={sol.iterations}",
         file=sys.stderr,
@@ -174,11 +172,8 @@ def _cmd_bounds(args) -> int:
             report = exponential_bound_separable(
                 args.n, RiskLevel(args.alpha), args.f_max, args.g_rge, delta, zeta=args.zeta
             )
-    print("formula,gamma,ln_gamma,beta,n_samples")
-    print(
-        f"{report.formula_id},{_fmt(report.gamma)},{_fmt(report.ln_gamma)},"
-        f"{_fmt(report.beta)},{report.n_samples}"
-    )
+    row = (report.formula_id, report.gamma, report.ln_gamma, report.beta, report.n_samples)
+    sys.stdout.write(format_table(("formula", "gamma", "ln_gamma", "beta", "n_samples"), [row]))
     return 0
 
 
@@ -190,11 +185,9 @@ def _cmd_experiment(args) -> int:
             print(f"replications {done}/{total}", file=sys.stderr)
 
     result = run_experiment(config, args.output_dir, workers=args.jobs, progress=progress)
-    print("n_samples,mean_deviation,p90_deviation,failures")
-    for n in config.sample_sizes:
-        devs = result.deviations(n)
-        fails = sum(1 for r in result.records if r.n_samples == n and r.status != "ok")
-        print(f"{n},{_fmt(float(devs.mean()))},{_fmt(float(np.percentile(devs, 90)))},{fails}")
+    devs = {n: result.deviations(n) for n in config.sample_sizes}
+    rows = [(n, d.mean(), np.percentile(d, 90), config.replications - len(d)) for n, d in devs.items()]
+    sys.stdout.write(format_table(("n_samples", "mean_deviation", "p90_deviation", "failures"), rows))
     print(f"wrote {result.results_path}", file=sys.stderr)
     return 0
 
@@ -204,15 +197,11 @@ def _cmd_compare(args) -> int:
     results_path = Path(args.output_dir) / "results.csv"
     if not results_path.exists():
         raise RuntimeError(f"no results at {results_path}; run `cvarvi experiment` first")
-    records = _read_results_csv(results_path)
+    records = read_results_csv(results_path)
     result = ExperimentResult(config=config, h_ref=np.zeros(0), records=records)
     rows = compare_bounds(result)
-    print("n_samples,empirical_freq,bound,consistent")
-    for row in rows:
-        print(
-            f"{row.n_samples},{_fmt(row.empirical_freq)},{_fmt(row.bound_value)},"
-            f"{str(row.consistent).lower()}"
-        )
+    table = [(row.n_samples, row.empirical_freq, row.bound_value, row.consistent) for row in rows]
+    sys.stdout.write(format_table(("n_samples", "empirical_freq", "bound", "consistent"), table))
     vacuous = [str(row.n_samples) for row in rows if row.bound_value == 1.0]
     if vacuous:
         print(f"the bound is vacuous (1) at N = {', '.join(vacuous)}", file=sys.stderr)

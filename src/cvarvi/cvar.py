@@ -10,8 +10,6 @@ draws. A linear-programming route is provided for cross-checking.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,15 +60,6 @@ class SampleBatch:
             raise ValueError("sample batch contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SampleBatch":
-        """Draws from one value per line under a `value` header."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["value"]:
-            raise ValueError("sample CSV must start with a `value` header row")
-        return cls(values=[float(row[0]) for row in reader if row and row[0].strip()])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .routing import (
     solve_cwe,
     true_path_kappa,
 )
+from .tables import format_table, read_table
 
 __all__ = [
     "ExperimentConfig",
@@ -47,6 +48,7 @@ __all__ = [
     "default_config_text",
     "build_configured_game",
     "run_experiment",
+    "read_results_csv",
     "routing_bound",
     "compare_bounds",
 ]
@@ -211,35 +213,14 @@ def _run_rep(game: RoutingGame, n_samples: int, master_seed: int, n_index: int, 
         return RepRecord(n_samples, rep, math.nan, math.nan, f"fail:{type(exc).__name__}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_RESULTS_HEADER = ("n_samples", "rep", "deviation", "residual", "status")
 
 
-def _write_results_csv(path: Path, records: Sequence[RepRecord]) -> None:
-    lines = ["n_samples,rep,deviation,residual,status"]
-    for r in records:
-        lines.append(f"{r.n_samples},{r.rep},{_fmt(r.deviation)},{_fmt(r.residual)},{r.status}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _read_results_csv(path: Path) -> list[RepRecord]:
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != "n_samples,rep,deviation,residual,status":
-        raise RuntimeError(f"{path} is not a results table")
-    records = []
-    for line in lines[1:]:
-        n, rep, dev, res, status = line.split(",", 4)
-        records.append(RepRecord(int(n), int(rep), float(dev), float(res), status))
-    return records
-
-
-def _write_cdf_csv(path: Path, deviations: np.ndarray) -> None:
-    devs = np.sort(np.asarray(deviations, dtype=float))
-    n = len(devs)
-    lines = ["deviation,probability"]
-    for k, d in enumerate(devs, start=1):
-        lines.append(f"{_fmt(float(d))},{_fmt(k / n)}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def read_results_csv(path) -> list[RepRecord]:
+    """The replication records of a results.csv that `run_experiment` wrote."""
+    rows = read_table(Path(path).read_text(), _RESULTS_HEADER, str(path))
+    return [RepRecord(int(n), int(rep), float(dev), float(res), status)
+            for n, rep, dev, res, status in rows]
 
 
 def run_experiment(
@@ -294,11 +275,13 @@ def run_experiment(
 
     result = ExperimentResult(config=config, h_ref=h_ref, records=records)
     result.results_path = output_dir / "results.csv"
-    _write_results_csv(result.results_path, records)
+    rows = [(r.n_samples, r.rep, r.deviation, r.residual, r.status) for r in records]
+    result.results_path.write_text(format_table(_RESULTS_HEADER, rows), newline="\n")
     for n in config.sample_sizes:
-        path = output_dir / f"cdf_{n}.csv"
-        _write_cdf_csv(path, result.deviations(n))
-        result.cdf_paths[n] = path
+        devs = np.sort(result.deviations(n))
+        rows = [(d, k / len(devs)) for k, d in enumerate(devs, start=1)]
+        result.cdf_paths[n] = output_dir / f"cdf_{n}.csv"
+        result.cdf_paths[n].write_text(format_table(("deviation", "probability"), rows), newline="\n")
 
     if not result.healthy:
         raise RuntimeError(

@@ -454,10 +454,13 @@ def build_game(
 
 
 def path_cost_field(game: RoutingGame, kappa: np.ndarray) -> VectorField:
-    """Affine CVaR path-cost map h -> Q^T R Q h + Q^T t + kappa."""
+    """Affine CVaR path-cost map h -> Q^T R Q h + Q^T t + kappa. Every solve
+    and certificate starts here, so a non-finite kappa fails here, once."""
     kappa = np.asarray(kappa, dtype=float)
     if len(kappa) != game.path_set.n_paths:
         raise ValueError(f"kappa must have length {game.path_set.n_paths}")
+    if not np.isfinite(kappa).all():
+        raise ValueError(f"kappa is not finite at path {int(np.argmin(np.isfinite(kappa)))}")
     a_mat = game.cost_matrix
     const = game.free_flow_costs + kappa
     return VectorField(evaluator=lambda h: a_mat @ h + const, lipschitz_hint=game.lipschitz)
@@ -503,12 +506,8 @@ def sample_path_kappa(game: RoutingGame, n_samples: int, seed: int, *stream_key:
     return _kappa_from_noise(game, draws, uncertain)
 
 
-def true_path_kappa(
-    game: RoutingGame,
-    n_ref: int = 10**6,
-    seed_ref: int = 42,
-    cache_dir: Optional[Path] = None,
-) -> np.ndarray:
+def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,
+                    cache_dir: Optional[Path] = None) -> np.ndarray:
     """Reference per-path CVaR offsets from one huge fixed-seed batch.
 
     The tail of a sum of independent uniforms has a piecewise-polynomial
@@ -597,7 +596,7 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray, h0: np.ndarray) 
     return h
 
 
-def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str = "extragradient") -> ViSolution:
+def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str) -> ViSolution:
     """The minimum-norm equilibrium flow under a fixed per-path CVaR offset.
 
     Methods: `extragradient` on the flow polytope VI, `lemke`
@@ -611,7 +610,6 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str = "extragradient
     (extragradient steps, Lemke pivots or gap-minimization steps) and
     `converged` describe the solver run.
     """
-    kappa = np.asarray(kappa, dtype=float)
     feasible = game.feasible_flows()
     field = path_cost_field(game, kappa)
 

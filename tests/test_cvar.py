@@ -17,6 +17,7 @@ from cvarvi.cvar import (
     equal_weight_cvar,
     optimizer_bounds,
 )
+from cvarvi.tables import fmt, format_table, read_table
 
 
 def tgrid_cvar(values, alpha, refinements=3, grid=1000):
@@ -263,10 +264,44 @@ class TestSampleBatchStorage:
 
 
 class TestCsvRoundTrip:
+    """The one table syntax of `cvarvi.tables`, on a `value` sample file
+    as `cvarvi estimate` reads it."""
+
     def test_round_trip(self):
-        b = SampleBatch.from_csv("value\n1.5\n\n-2.25\n3.125\n")
+        rows = read_table("value\n1.5\n\n-2.25\n  \n3.125\n", ("value",), "samples.csv")
+        b = SampleBatch(values=[float(v) for (v,) in rows])
         assert b.values.tolist() == [1.5, -2.25, 3.125]
+        assert format_table(("value",), [(v,) for v in b.values]) == "value\n1.5\n-2.25\n3.125\n"
 
     def test_header_required(self):
-        with pytest.raises(ValueError):
-            SampleBatch.from_csv("1\n2\n")
+        with pytest.raises(ValueError, match="^samples.csv, line 1: expected the header 'value', got '1'$"):
+            read_table("1\n2\n", ("value",), "samples.csv")
+
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_text_has_no_header(self, text):
+        with pytest.raises(ValueError, match="^stdin, line 1: expected the header 'value', got ''$"):
+            read_table(text, ("value",), "stdin")
+
+    @pytest.mark.parametrize("row, count", [("1.5,2", 2), ("", None), (",", 2)])
+    def test_wrong_cell_count_names_the_line(self, row, count):
+        text = f"value\n1\n\n{row}\n"
+        if count is None:  # a blank line is skipped, not a row
+            assert read_table(text, ("value",), "s.csv") == [["1"]]
+        else:
+            with pytest.raises(ValueError, match=f"^s.csv, line 4: expected 1 cells, got {count}$"):
+                read_table(text, ("value",), "s.csv")
+
+    def test_blank_lines_and_crlf_skipped(self):
+        text = "\r\n a , b \r\n1,2\r\n\r\n\t\r\n3, 4\r\n"
+        assert read_table(text, ("a", "b"), "t.csv") == [["1", "2"], ["3", "4"]]
+
+    def test_cell_format(self):
+        assert [fmt(v) for v in (0.1, 2.0, np.float64(1 / 3), float("nan"), True, False, 7, "ok")] == [
+            "0.10000000000000001", "2", "0.33333333333333331", "nan", "true", "false", "7", "ok"
+        ]
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_floats_read_back_bit_for_bit(self, values):
+        rows = read_table(format_table(("x", "y"), [(v, -v) for v in values]), ("x", "y"), "t")
+        assert [(float(x), float(y)) for x, y in rows] == [(v, -v) for v in values]

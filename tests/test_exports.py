@@ -6,7 +6,7 @@ import pytest
 
 import cvarvi
 
-MODULES = ["bounds", "cli", "cvar", "harness", "lcp", "routing", "vi"]
+MODULES = ["bounds", "cli", "cvar", "harness", "lcp", "routing", "tables", "vi"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -25,3 +25,10 @@ def test_package_imports_only_public_names():
         assert node.level == 1
         module = importlib.import_module(f"cvarvi.{node.module}")
         assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_name_imported_from_another_module(name):
+    path = Path(cvarvi.__file__).with_name(f"{name}.py")
+    imports = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ImportFrom)]
+    assert [a.name for node in imports for a in node.names if a.name.startswith("_")] == []

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import os
 import re
@@ -17,15 +18,17 @@ from cvarvi.harness import (
     ConfigError,
     ExperimentConfig,
     RepRecord,
-    _read_results_csv,
-    _write_results_csv,
     build_configured_game,
     compare_bounds,
     default_config_text,
     parse_config,
+    read_results_csv,
     routing_bound,
     run_experiment,
 )
+from cvarvi.tables import format_table, read_table
+
+RESULTS_HEADER = ("n_samples", "rep", "deviation", "residual", "status")
 
 SMALL_CONFIG = """
 network = builtin:siouxfalls
@@ -161,22 +164,61 @@ class TestResultsCsv:
             RepRecord(50, 1, math.nan, math.nan, "fail:LcpRayTermination"),
             RepRecord(5000, 7, 0.1, 0.0, "ok"),
         ]
+        def write(path, records):
+            rows = [dataclasses.astuple(r) for r in records]
+            path.write_text(format_table(RESULTS_HEADER, rows), newline="\n")
+
         path = tmp_path / "results.csv"
-        _write_results_csv(path, records)
-        back = _read_results_csv(path)
+        write(path, records)
+        back = read_results_csv(path)
         assert [(r.n_samples, r.rep, r.status) for r in back] == [
             (r.n_samples, r.rep, r.status) for r in records
         ]
         assert back[0].deviation == records[0].deviation and back[2].residual == 0.0
         assert math.isnan(back[1].deviation) and math.isnan(back[1].residual)
-        _write_results_csv(tmp_path / "again.csv", back)
+        write(tmp_path / "again.csv", back)
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_rejects_other_tables(self, tmp_path):
         path = tmp_path / "cdf_50.csv"
         path.write_text("deviation,probability\n0.5,1\n")
-        with pytest.raises(RuntimeError, match="not a results table"):
-            _read_results_csv(path)
+        expected = f"{path}, line 1: expected the header 'n_samples,rep,deviation,residual,status', "
+        with pytest.raises(ValueError, match=re.escape(expected + "got 'deviation,probability'")):
+            read_results_csv(path)
+
+    def test_rejects_a_short_row(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("n_samples,rep,deviation,residual,status\n50,0,0.5,0,ok\n\n50,1,0.5,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: expected 5 cells, got 4")):
+            read_results_csv(path)
+
+    def test_experiment_tables_read_back(self, small_config, small_result):
+        assert read_results_csv(small_result.results_path) == small_result.records
+        for n in small_config.sample_sizes:
+            path = small_result.cdf_paths[n]
+            rows = read_table(path.read_text(), ("deviation", "probability"), str(path))
+            devs = np.sort(small_result.deviations(n))
+            assert [float(d) for d, _ in rows] == devs.tolist()
+            assert [float(p) for _, p in rows] == [k / len(devs) for k in range(1, len(devs) + 1)]
+
+    def test_stdout_tables_read_back(self, small_result, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        out_dir = str(small_result.results_path.parent)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("value\n1\n\n2\n3\n4\n"))
+        commands = [
+            (["estimate", "-", "--alpha", "0.5"], ("cvar", "t_star"), 1),
+            (["solve", "--config", str(cfg), "--n-samples", "200"], ("path", "od", "flow", "cost"), 30),
+            (["bounds", "--formula", "routing", "--config", str(cfg)],
+             ("formula", "gamma", "ln_gamma", "beta", "n_samples"), 1),
+            (["compare", "--config", str(cfg), "--output-dir", out_dir],
+             ("n_samples", "empirical_freq", "bound", "consistent"), 2),
+        ]
+        for argv, header, n_rows in commands:
+            assert cli.main(argv) == 0
+            rows = read_table(capsys.readouterr().out, header, argv[0])
+            assert len(rows) == n_rows
+        assert [row[3] for row in rows] == ["true", "true"]
 
 
 class TestBoundComparison:
@@ -232,7 +274,7 @@ class TestCli:
         assert proc.returncode == 0
         # The LP's t* is a vertex of the optimizer interval [2, 3], where
         # the order-statistic route reports its left end, 2.
-        est = empirical_cvar_lp(SampleBatch.from_csv(text), RiskLevel(0.5))
+        est = empirical_cvar_lp(SampleBatch(values=[1, 2, 3, 4]), RiskLevel(0.5))
         assert proc.stdout.splitlines()[1] == f"{est.value:.17g},{est.t_star:.17g}"
         assert est.value == pytest.approx(3.5, abs=1e-10)
 

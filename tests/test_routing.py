@@ -425,13 +425,19 @@ class TestSolveAndCertificate:
         assert wardrop_gap(game, kappa, uniform) > 1e-3
 
     def test_nan_cost_fails_the_certificate(self):
+        # A non-finite kappa is rejected where it enters the cost model, so
+        # the certificate and every method fail with the same error.
         od = OdSpec(pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10)])
         game = build_game(builtin_network(), od, RiskLevel(0.05))
-        kappa = np.zeros(20)
-        kappa[3] = np.nan
-        assert np.isnan(wardrop_gap(game, kappa, game.feasible_flows().default_start()))
-        with pytest.raises(RuntimeError, match="gap nan"):
-            solve_cwe(game, kappa, method="lemke")
+        for bad in (np.nan, np.inf, -np.inf):
+            kappa = np.zeros(20)
+            kappa[[3, 7]] = bad
+            message = "^kappa is not finite at path 3$"
+            with pytest.raises(ValueError, match=message):
+                wardrop_gap(game, kappa, game.feasible_flows().default_start())
+            for method in ("extragradient", "lemke", "qp"):
+                with pytest.raises(ValueError, match=message):
+                    solve_cwe(game, kappa, method=method)
 
     def test_unknown_method(self):
         od = OdSpec(pairs=[OdPair(1, 19, 300, 3)])
