@@ -9,11 +9,11 @@ demands are satisfiable. M is the game's own (`RoutingGame.lcp_matrix`);
 only q depends on kappa_hat. A second route minimizes the complementarity
 gap by extragradient iteration on the nonnegative orthant, a cross-check.
 
-Lemke picks every pivot row, the first included, by one lexicographic
-scan (`_lex_argmin`) that treats entries within 1e-14 as equal and keeps
-the earlier row on a tie. That is not a total order, so `np.lexsort`
-would pick other rows on the near ties the degenerate routing LCPs are
-made of.
+Lemke picks every pivot row, the first included, by one sequential
+lexicographic scan (`_lex_argmin`) at tolerance 1e-14 that keeps the
+earlier row on a tie: one pass over the ratio column, reading the later
+key columns only on a tie. That is not a total order, so `np.lexsort`
+would pick other rows on the near ties of the degenerate routing LCPs.
 """
 
 from __future__ import annotations
@@ -78,12 +78,9 @@ class LcpSolution:
 def assemble_lcp(game, kappa_hat: np.ndarray) -> AffineLcp:
     """The block LCP of the routing game for a given per-path CVaR offset
     vector kappa_hat (empirical or exact): the game's cached M and
-    q = (Q^T t + kappa_hat; -d)."""
-    kappa_hat = np.asarray(kappa_hat, dtype=float)
-    n_paths = game.path_set.n_paths
-    if len(kappa_hat) != n_paths:
-        raise ValueError(f"kappa has length {len(kappa_hat)}, expected {n_paths}")
-    q_vec = np.concatenate([game.free_flow_costs + kappa_hat, -game.demands])
+    q = (Q^T t + kappa_hat; -d). A kappa_hat that is not one finite value
+    per path is a ValueError (`RoutingGame.check_kappa`)."""
+    q_vec = np.concatenate([game.free_flow_costs + game.check_kappa(kappa_hat), -game.demands])
     return AffineLcp(m_mat=game.lcp_matrix, q_vec=q_vec)
 
 
@@ -101,10 +98,10 @@ def solve_lcp_lemke(lcp: AffineLcp, max_pivots: int = 10000) -> LcpSolution:
 
     z0 enters at the lexicographically smallest (q_i, e_i) among rows with
     q_i < 0; each later pivot row is the smallest (rhs, w-columns) / entering
-    entry among rows whose entry exceeds the pivot tolerance. At most one
-    initial plus `max_pivots` further pivots, else RuntimeError;
-    LcpRayTermination if a pivot in the budget finds no row. `iterations`
-    counts all pivots made (0 when q >= 0).
+    entry among rows whose entry exceeds the pivot tolerance, its w-columns
+    read only on a ratio tie. At most one initial plus `max_pivots` further
+    pivots, else RuntimeError; LcpRayTermination if a pivot in the budget
+    finds no row. `iterations` counts all pivots made (0 when q >= 0).
     """
     n, q = lcp.size, lcp.q_vec
     if np.all(q >= 0):
@@ -116,31 +113,32 @@ def solve_lcp_lemke(lcp: AffineLcp, max_pivots: int = 10000) -> LcpSolution:
     z0_col, rhs = 2 * n, 2 * n + 1
     tab = np.hstack([np.eye(n), -lcp.m_mat, np.full((n, 1), -1.0), q[:, None]])
     basis = np.arange(n)  # w_i basic in row i
-    key_cols = np.r_[rhs, 0:n]
     block = max(1, _UPDATE_BLOCK_BYTES // tab[0].nbytes)
 
     def pivot(row: int, col: int) -> int:
         """Make `col` basic in `row`; return the variable that leaves."""
         tab[row] /= tab[row, col]
-        hit = np.flatnonzero(np.abs(tab[:, col]) > 0.0)
+        hit = np.nonzero(np.abs(tab[:, col]) > 0.0)[0]
         hit = hit[hit != row]
-        for rows in np.split(hit, range(block, len(hit), block)):
+        for start in range(0, len(hit), block):
+            rows = hit[start : start + block]
             tab[rows] -= np.outer(tab[rows, col], tab[row])
         leaving, basis[row] = basis[row], col
         return leaving
 
-    rows = np.flatnonzero(q < 0)
-    leaving = pivot(rows[_lex_argmin(tab[np.ix_(rows, key_cols)])], z0_col)
+    rows = np.nonzero(q < 0)[0]
+    leaving = pivot(rows[_lex_argmin(q[rows].tolist(), lambda i: tab[rows[i], :n])], z0_col)
     pivots = 1
     while leaving != z0_col:
         if pivots > max_pivots:
             raise RuntimeError(f"pivot budget of {max_pivots} exceeded")
         entering = leaving + n if leaving < n else leaving - n
-        rows = np.flatnonzero(tab[:, entering] > _PIVOT_TOL)
+        entries = tab[:, entering]
+        rows = np.nonzero(entries > _PIVOT_TOL)[0]
         if not len(rows):
             raise LcpRayTermination("no complementary solution found along path (ray termination)")
-        keys = tab[np.ix_(rows, key_cols)] / tab[rows, entering][:, None]
-        leaving = pivot(rows[_lex_argmin(keys)], entering)
+        ratios = (tab[rows, rhs] / entries[rows]).tolist()
+        leaving = pivot(rows[_lex_argmin(ratios, lambda i: tab[rows[i], :n] / entries[rows[i]])], entering)
         pivots += 1
 
     x = np.zeros(n)
@@ -150,19 +148,21 @@ def solve_lcp_lemke(lcp: AffineLcp, max_pivots: int = 10000) -> LcpSolution:
     return _make_solution(lcp, x, pivots)
 
 
-def _lex_argmin(keys: np.ndarray) -> int:
-    """Row of `keys` a sequential scan keeps: a row replaces the incumbent
-    only if it is smaller at the first column where the two differ by more
-    than _LEX_TOL. The rule is not transitive, so scan order matters."""
+def _lex_argmin(first: list[float], rest) -> int:
+    """Candidate a sequential scan keeps: one replaces the incumbent only
+    if smaller at the first key column where the two differ by more than
+    _LEX_TOL. `first` holds the first keys as floats; `rest(i)`, candidate
+    i's later keys, is read only on a tie. Not transitive: order matters."""
     best = 0
-    while best + 1 < len(keys):
-        rest, ref = keys[best + 1 :], keys[best]
-        lower = rest < ref - _LEX_TOL
-        first = (lower | (rest > ref + _LEX_TOL)).argmax(axis=1)
-        wins = np.flatnonzero(lower[np.arange(len(rest)), first])
-        if not len(wins):
-            break
-        best += 1 + int(wins[0])
+    for i in range(1, len(first)):
+        key, ref = first[i], first[best]
+        if key < ref - _LEX_TOL:
+            best = i
+        elif not key > ref + _LEX_TOL:
+            keys, refs = rest(i), rest(best)
+            lower = keys < refs - _LEX_TOL
+            if lower[(lower | (keys > refs + _LEX_TOL)).argmax()]:
+                best = i
     return best
 
 

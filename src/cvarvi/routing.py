@@ -417,6 +417,16 @@ class RoutingGame:
         zeros = np.zeros((len(b_inc), len(b_inc)))
         return _read_only(np.block([[self.cost_matrix, -b_inc.T], [b_inc, zeros]]))
 
+    def check_kappa(self, kappa) -> np.ndarray:
+        """kappa as a float array; ValueError unless it holds one finite
+        offset per path. Every route from kappa to a cost or an LCP calls it."""
+        kappa = np.asarray(kappa, dtype=float)
+        if len(kappa) != self.path_set.n_paths:
+            raise ValueError(f"kappa has length {len(kappa)}, expected {self.path_set.n_paths}")
+        if not np.isfinite(kappa).all():
+            raise ValueError(f"kappa is not finite at path {int(np.argmin(np.isfinite(kappa)))}")
+        return kappa
+
     def feasible_flows(self) -> SimplexProduct:
         return SimplexProduct(blocks=zip(np.bincount(self.path_set.od_of_path), self.demands))
 
@@ -455,12 +465,8 @@ def build_game(
 
 def path_cost_field(game: RoutingGame, kappa: np.ndarray) -> VectorField:
     """Affine CVaR path-cost map h -> Q^T R Q h + Q^T t + kappa. Every solve
-    and certificate starts here, so a non-finite kappa fails here, once."""
-    kappa = np.asarray(kappa, dtype=float)
-    if len(kappa) != game.path_set.n_paths:
-        raise ValueError(f"kappa must have length {game.path_set.n_paths}")
-    if not np.isfinite(kappa).all():
-        raise ValueError(f"kappa is not finite at path {int(np.argmin(np.isfinite(kappa)))}")
+    and certificate starts here, so a non-finite kappa fails here."""
+    kappa = game.check_kappa(kappa)
     a_mat = game.cost_matrix
     const = game.free_flow_costs + kappa
     return VectorField(evaluator=lambda h: a_mat @ h + const, lipschitz_hint=game.lipschitz)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cvarvi import lcp as lcp_mod
 from cvarvi.cvar import RiskLevel
+from cvarvi.harness import build_configured_game, default_config_text, parse_config
 from cvarvi.lcp import (
     AffineLcp,
     LcpRayTermination,
@@ -64,6 +66,21 @@ class TestAssembly:
         with pytest.raises(ValueError):
             AffineLcp(m_mat=np.eye(2), q_vec=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kappa_rejected(self, bad):
+        # The direct route (bench and tests call assemble_lcp) fails with
+        # the error solve_cwe gives, not in the solvers.
+        game = build_game(builtin_network(), OdSpec(pairs=SIOUX_ODS.pairs[:2]), RiskLevel(0.05))
+        kappa = np.zeros(20)
+        kappa[[3, 7]] = bad
+        with pytest.raises(ValueError, match="^kappa is not finite at path 3$"):
+            assemble_lcp(game, kappa)
+
+    def test_kappa_length_checked(self):
+        game = build_game(builtin_network(), OdSpec(pairs=SIOUX_ODS.pairs[:2]), RiskLevel(0.05))
+        with pytest.raises(ValueError, match="^kappa has length 19, expected 20$"):
+            assemble_lcp(game, np.zeros(19))
+
 
 class TestLemke:
     def test_scalar_by_hand(self):
@@ -113,22 +130,158 @@ class TestLemke:
             assert abs(sol.complementarity_gap) < 1e-6
 
 
+def lex(keys):
+    """_lex_argmin over the rows of a key matrix: first column, then the rest."""
+    keys = np.asarray(keys, dtype=float)
+    return _lex_argmin(keys[:, 0].tolist(), lambda i: keys[i, 1:])
+
+
 class TestLexArgmin:
     def test_exact_tie_on_first_key_broken_by_second(self):
         keys = np.array([[1.0, 0.5], [1.0, 0.25], [1.0, 0.75]])
-        assert _lex_argmin(keys) == 1
+        assert lex(keys) == 1
 
     def test_tolerance_decides_what_is_a_tie(self):
         # 5e-15 lies inside the 1e-14 tolerance: a tie, settled by the
         # second key. 2e-14 lies outside it: the first key decides.
-        assert _lex_argmin(np.array([[0.0, 0.0], [-5e-15, 1.0]])) == 0
-        assert _lex_argmin(np.array([[0.0, 1.0], [-5e-15, 0.0]])) == 1
-        assert _lex_argmin(np.array([[0.0, 0.0], [-2e-14, 1.0]])) == 1
+        assert lex(np.array([[0.0, 0.0], [-5e-15, 1.0]])) == 0
+        assert lex(np.array([[0.0, 1.0], [-5e-15, 0.0]])) == 1
+        assert lex(np.array([[0.0, 0.0], [-2e-14, 1.0]])) == 1
 
     def test_full_equality_keeps_first_row(self):
         keys = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 3.0], [1.0, 3.0 + 5e-15]])
-        assert _lex_argmin(keys) == 1
-        assert _lex_argmin(np.zeros((1, 3))) == 0
+        assert lex(keys) == 1
+        assert lex(np.zeros((1, 3))) == 0
+
+    def test_scan_order_decides_a_chain_of_ties(self):
+        # Row 0 ties row 1 and row 1 ties row 2 within 1e-14, but rows 0
+        # and 2 differ by 1.6e-14. The scan moves 0 -> 1 on the second key,
+        # then 1 -> 2 on the second key. A sort by the first key would keep
+        # row 0; taking the smallest second key among the rows tied with
+        # the smallest first key would pick row 1.
+        keys = np.array([[0.0, 2.0], [8e-15, 1.0], [1.6e-14, 0.0]])
+        assert lex(keys) == 2
+        # Reversed, the scan keeps the row that came first, (0, 2): the
+        # winner depends on the order, which no sort can reproduce.
+        assert lex(keys[::-1]) == 2
+
+    def test_later_keys_read_only_on_a_tie(self):
+        read = []
+        first = [3.0, 1.0, 2.0, 1.0 + 5e-15, 0.5]
+        assert _lex_argmin(first, lambda i: read.append(i) or np.array([float(i)])) == 4
+        assert read == [3, 1]
+
+
+def _vectorised_lex_argmin(keys):
+    """The earlier row selection, kept as the oracle: every round compares
+    all later rows with the incumbent over the whole key row."""
+    best = 0
+    while best + 1 < len(keys):
+        rest, ref = keys[best + 1 :], keys[best]
+        lower = rest < ref - lcp_mod._LEX_TOL
+        first = (lower | (rest > ref + lcp_mod._LEX_TOL)).argmax(axis=1)
+        wins = np.flatnonzero(lower[np.arange(len(rest)), first])
+        if not len(wins):
+            break
+        best += 1 + int(wins[0])
+    return best
+
+
+def _reference_lemke(lcp):
+    """Lemke with the full (rows x n+1) key matrix built at every pivot and
+    the row picked by _vectorised_lex_argmin; returns (x, pivots)."""
+    n, q = lcp.size, lcp.q_vec
+    if np.all(q >= 0):
+        return np.zeros(n), 0
+    z0_col, rhs = 2 * n, 2 * n + 1
+    tab = np.hstack([np.eye(n), -lcp.m_mat, np.full((n, 1), -1.0), q[:, None]])
+    basis = np.arange(n)
+    key_cols = np.r_[rhs, 0:n]
+
+    def pivot(row, col):
+        tab[row] /= tab[row, col]
+        hit = np.flatnonzero(np.abs(tab[:, col]) > 0.0)
+        hit = hit[hit != row]
+        tab[hit] -= np.outer(tab[hit, col], tab[row])
+        leaving, basis[row] = basis[row], col
+        return leaving
+
+    rows = np.flatnonzero(q < 0)
+    leaving = pivot(rows[_vectorised_lex_argmin(tab[np.ix_(rows, key_cols)])], z0_col)
+    pivots = 1
+    while leaving != z0_col:
+        entering = leaving + n if leaving < n else leaving - n
+        rows = np.flatnonzero(tab[:, entering] > lcp_mod._PIVOT_TOL)
+        if not len(rows):
+            raise LcpRayTermination("ray")
+        keys = tab[np.ix_(rows, key_cols)] / tab[rows, entering][:, None]
+        leaving = pivot(rows[_vectorised_lex_argmin(keys)], entering)
+        pivots += 1
+    x = np.zeros(n)
+    in_z = (basis >= n) & (basis < 2 * n)
+    values = tab[in_z, rhs]
+    x[basis[in_z] - n] = np.where(values < 0.0, 0.0, values)
+    return x, pivots
+
+
+def _outcome(solve, lcp):
+    try:
+        x, pivots = solve(lcp)
+    except LcpRayTermination:
+        return "ray termination"
+    return x.tobytes(), pivots
+
+
+def _lemke(lcp):
+    sol = solve_lcp_lemke(lcp)
+    return sol.x, sol.iterations
+
+
+def _tied_lcps(count=60, seed=7):
+    """Small routing-shaped copositive-plus LCPs built to tie: one path
+    duplicated (equal rows of M), zero and 5e-15-apart right-hand sides,
+    and equal demands, so that ratios tie exactly or within 1e-14."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_edges, n_paths = int(rng.integers(3, 6)), int(rng.integers(3, 6))
+        q_inc = (rng.random((n_edges, n_paths)) < 0.5).astype(float)
+        q_inc[rng.integers(n_edges, size=n_paths), np.arange(n_paths)] = 1.0
+        q_inc = np.hstack([q_inc, q_inc[:, [int(rng.integers(n_paths))]]])
+        n_ods = int(rng.integers(1, 3))
+        od_of_path = np.sort(np.r_[np.arange(n_ods), rng.integers(n_ods, size=n_paths + 1 - n_ods)])
+        b_inc = (od_of_path == np.arange(n_ods)[:, None]).astype(float)
+        a_mat = q_inc.T @ (rng.uniform(0.5, 2.0, n_edges)[:, None] * q_inc)
+        m_mat = np.block([[a_mat, -b_inc.T], [b_inc, np.zeros((n_ods, n_ods))]])
+        costs = q_inc.T @ rng.choice([0.0, 1.0, 2.0], n_edges)
+        costs[-1] = costs[-1] + rng.choice([0.0, 5e-15, -5e-15])
+        costs[rng.random(n_paths + 1) < 0.3] = 0.0
+        demands = np.full(n_ods, 1.0) if rng.random() < 0.5 else rng.choice([1.0, 2.0], n_ods)
+        yield AffineLcp(m_mat=m_mat, q_vec=np.r_[costs, -demands])
+
+
+class TestLemkeMatchesVectorisedSelection:
+    """The ratio-column scan must pick every pivot row the full key matrix
+    picked: the same x bytes and pivot counts."""
+
+    def test_sioux_falls_kappa_hat(self):
+        config = parse_config(default_config_text())
+        game = build_configured_game(config)
+        for n_index, n in enumerate((50, 500, 5000)):
+            for rep in range(20):
+                kappa = sample_path_kappa(game, n, config.master_seed, n_index, rep)
+                lcp = assemble_lcp(game, kappa)
+                assert _outcome(_lemke, lcp) == _outcome(_reference_lemke, lcp), (n, rep)
+
+    def test_tied_lcps_run_the_tie_branch(self, monkeypatch):
+        ties = []
+
+        def counting(first, rest):
+            return _lex_argmin(first, lambda i: ties.append(i) or rest(i))
+
+        monkeypatch.setattr(lcp_mod, "_lex_argmin", counting)
+        for k, lcp in enumerate(_tied_lcps()):
+            assert _outcome(_lemke, lcp) == _outcome(_reference_lemke, lcp), k
+        assert len(ties) > 50
 
 
 class TestPivotBudget:
