@@ -59,6 +59,11 @@ class AffineLcp:
         n = len(self.q_vec)
         if self.m_mat.shape != (n, n):
             raise ValueError(f"M must be {n}x{n}, got {self.m_mat.shape}")
+        for name, arr in (("M", self.m_mat), ("q", self.q_vec)):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                at = ", ".join(str(int(i)) for i in np.unravel_index(np.argmin(finite), arr.shape))
+                raise ValueError(f"{name} is not finite at {name}[{at}]")
 
     @property
     def size(self) -> int:

@@ -357,7 +357,8 @@ def edge_flows(path_set: PathSet, h: np.ndarray) -> np.ndarray:
 class RoutingGame:
     """Immutable bundle: network, OD demands, enumerated paths, per-edge
     noise supports, and the common risk level. The kappa-free part of the
-    cost map, below, is built on first use, cached read-only, and pickled."""
+    cost map and the layout of a noise draw, below, are built on first use,
+    cached read-only, and pickled."""
 
     network: Network
     od_spec: OdSpec
@@ -393,6 +394,19 @@ class RoutingGame:
     @property
     def uncertain_edges(self) -> np.ndarray:
         return np.nonzero(self.noise_hi > self.noise_lo)[0]
+
+    @cached_property
+    def noise_edges(self) -> np.ndarray:
+        """The uncertain edges that some path crosses, increasing: the rows
+        of an edge-major noise draw. Noise elsewhere reaches no path cost."""
+        crossed = self.path_set.edge_incidence.any(axis=1)
+        return _read_only(np.nonzero((self.noise_hi > self.noise_lo) & crossed)[0])
+
+    @cached_property
+    def path_noise_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each path's rows of noise_edges, increasing."""
+        q_noisy = self.path_set.edge_incidence[self.noise_edges]
+        return tuple(tuple(np.nonzero(col)[0].tolist()) for col in q_noisy.T)
 
     @cached_property
     def cost_matrix(self) -> np.ndarray:
@@ -473,43 +487,55 @@ def path_cost_field(game: RoutingGame, kappa: np.ndarray) -> VectorField:
 
 
 def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
-    """Counter-based Philox generator on a substream derived from the
-    master seed and a replication key; independent across keys."""
+    """SFC64 generator on the SeedSequence substream of the master seed and
+    a replication key. SeedSequence hashes each spawn key into its own
+    initial state, so distinct keys give independent streams."""
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in stream_key))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
-def _kappa_from_noise(game: RoutingGame, draws: np.ndarray, uncertain: np.ndarray) -> np.ndarray:
-    """Per-path empirical CVaR of path noise sums for draws of shape
-    (N, len(uncertain)): each path selects its top-ceil(alpha N) tail."""
-    cvar_of = equal_weight_cvar(len(draws), game.alpha.alpha)
-    q_unc = game.path_set.edge_incidence[uncertain]
+# Names the stream the reference batch is drawn from; part of its cache key.
+_DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
+
+
+def _kappa_from_noise(game: RoutingGame, draws: np.ndarray) -> np.ndarray:
+    """Per-path empirical CVaR of path noise sums for edge-major draws of
+    shape (len(game.noise_edges), N). A path's sum adds its rows in
+    increasing edge order; each path then selects its top-ceil(alpha N) tail."""
+    n_samples = draws.shape[1]
+    cvar_of = equal_weight_cvar(n_samples, game.alpha.alpha)
+    sums = np.empty(n_samples)
     kappa = np.zeros(game.path_set.n_paths)
-    for p in range(game.path_set.n_paths):
-        cols = np.nonzero(q_unc[:, p])[0]
-        if len(cols) == 0:
-            continue
-        kappa[p] = cvar_of(draws[:, cols].sum(axis=1))
+    for p, rows in enumerate(game.path_noise_rows):
+        if len(rows) == 1:
+            kappa[p] = cvar_of(draws[rows[0]])
+        elif rows:
+            np.add(draws[rows[0]], draws[rows[1]], out=sums)
+            for r in rows[2:]:
+                sums += draws[r]
+            kappa[p] = cvar_of(sums)
     return kappa
 
 
 def sample_path_kappa(game: RoutingGame, n_samples: int, seed: int, *stream_key: int) -> np.ndarray:
     """Empirical per-path CVaR offsets from N i.i.d. edge-noise vectors.
 
+    Only the uncertain edges some path crosses are drawn (game.noise_edges),
+    edge by edge: N uniforms per edge from the replication's SFC64 stream.
     Paths without uncertain edges get exactly zero. Bitwise reproducible
     for equal (n_samples, seed, stream_key); distinct stream keys give
     statistically independent replications under one master seed.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    uncertain = game.uncertain_edges
-    if len(uncertain) == 0:
+    edges = game.noise_edges
+    if len(edges) == 0:
         return np.zeros(game.path_set.n_paths)
-    rng = replication_rng(seed, *stream_key)
-    lo = game.noise_lo[uncertain]
-    hi = game.noise_hi[uncertain]
-    draws = rng.uniform(lo, hi, size=(n_samples, len(uncertain)))
-    return _kappa_from_noise(game, draws, uncertain)
+    lo = game.noise_lo[edges][:, None]
+    draws = replication_rng(seed, *stream_key).random((len(edges), n_samples))
+    draws *= game.noise_hi[edges][:, None] - lo
+    draws += lo
+    return _kappa_from_noise(game, draws)
 
 
 def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,
@@ -518,10 +544,12 @@ def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,
 
     The tail of a sum of independent uniforms has a piecewise-polynomial
     closed form (Bradley & Gupta 2002) that this does not use yet: the
-    reference is Monte Carlo at n_ref draws, cached to disk with its
-    parameters when a cache directory is given. The file is renamed into
-    place once written, so overlapping runs never read a partial one; one
-    stored for other parameters raises ValueError.
+    reference is sample_path_kappa at n_ref draws on the unkeyed stream of
+    seed_ref, cached to disk when a cache directory is given. The cache key
+    covers the game, (n_ref, seed_ref, alpha) and the draw layout (bit
+    generator, drawn edges, edge-major rows); the file stores all but the
+    game. It is renamed into place once written, so overlapping runs never
+    read a partial one; one stored for other parameters raises ValueError.
     """
     if n_ref < 10**5:
         raise ValueError("reference batch must use at least 1e5 samples")
@@ -531,21 +559,24 @@ def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,
         cache_dir.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha256()
         digest.update(np.asarray([n_ref, seed_ref, game.alpha.alpha]).tobytes())
+        digest.update(_DRAW_LAYOUT.encode())
         digest.update(game.noise_lo.tobytes())
         digest.update(game.noise_hi.tobytes())
         digest.update(game.path_set.edge_incidence.tobytes())
         key = cache_dir / f"kappa_ref_{digest.hexdigest()[:16]}.npz"
         if key.exists():
             with np.load(key) as stored:
-                found = (int(stored["n_ref"]), int(stored["seed_ref"]), float(stored["alpha"]))
-                if found != (n_ref, seed_ref, game.alpha.alpha):
-                    raise ValueError(f"{key} was stored for (n_ref, seed_ref, alpha) = {found}")
+                found = (int(stored["n_ref"]), int(stored["seed_ref"]), float(stored["alpha"]),
+                         str(stored.get("layout")))
+                if found != (n_ref, seed_ref, game.alpha.alpha, _DRAW_LAYOUT):
+                    raise ValueError(f"{key} was stored for (n_ref, seed_ref, alpha, layout) = {found}")
                 return stored["kappa"]
     kappa = sample_path_kappa(game, n_ref, seed_ref)
     if key is not None:
         with tempfile.TemporaryDirectory(dir=cache_dir) as tmp_dir:
             tmp = Path(tmp_dir) / key.name
-            np.savez(tmp, kappa=kappa, n_ref=n_ref, seed_ref=seed_ref, alpha=game.alpha.alpha)
+            np.savez(tmp, kappa=kappa, n_ref=n_ref, seed_ref=seed_ref, alpha=game.alpha.alpha,
+                     layout=_DRAW_LAYOUT)
             tmp.replace(key)
     return kappa
 

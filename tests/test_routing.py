@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -259,6 +260,8 @@ class TestCostModel:
         assert game.cost_matrix == pytest.approx(q_inc.T @ np.diag(game.congestion_diag) @ q_inc)
         assert game.free_flow_costs is game.free_flow_costs
         assert game.lcp_matrix is game.lcp_matrix
+        assert game.noise_edges is game.noise_edges
+        assert game.path_noise_rows is game.path_noise_rows
         assert game.lipschitz == pytest.approx(np.linalg.norm(game.cost_matrix, 2), rel=1e-12)
         field = path_cost_field(game, np.zeros(20))
         assert field.lipschitz_hint == game.lipschitz
@@ -266,7 +269,7 @@ class TestCostModel:
 
     def test_cached_arrays_are_read_only(self):
         game = self.fresh_game()
-        for arr in (game.cost_matrix, game.free_flow_costs, game.lcp_matrix,
+        for arr in (game.cost_matrix, game.free_flow_costs, game.lcp_matrix, game.noise_edges,
                     assemble_lcp(game, np.zeros(20)).m_mat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
@@ -289,6 +292,7 @@ class TestCostModel:
         # As in a worker process: the cost model travels with the game.
         clone = pickle.loads(pickle.dumps(game))
         assert np.array_equal(vars(clone)["cost_matrix"], game.cost_matrix)
+        assert vars(clone)["path_noise_rows"] == game.path_noise_rows
         again = solve_cwe(clone, kappa, method=method)
         assert np.array_equal(again.x_star, sol.x_star)
         assert again.residual == sol.residual and again.iterations == sol.iterations
@@ -325,6 +329,31 @@ class TestReferenceCache:
         with pytest.raises(ValueError, match="stored for"):
             true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
 
+    def test_layout_is_stored_and_checked(self, tmp_path):
+        game = self.small_game()
+        kappa = true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
+        (key,) = tmp_path.iterdir()
+        with np.load(key) as stored:
+            assert str(stored["layout"]) == routing._DRAW_LAYOUT
+        np.savez(key, kappa=kappa, n_ref=10**5, seed_ref=42, alpha=0.05, layout="Philox")
+        with pytest.raises(ValueError, match="stored for"):
+            true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
+
+    def test_file_under_the_philox_key_is_never_read(self, tmp_path):
+        # The key before the draw layout was part of it: Philox, every
+        # uncertain edge, sample-major draws.
+        game = self.small_game()
+        digest = hashlib.sha256()
+        digest.update(np.asarray([10**5, 42, 0.05]).tobytes())
+        for arr in (game.noise_lo, game.noise_hi, game.path_set.edge_incidence):
+            digest.update(arr.tobytes())
+        old_key = tmp_path / f"kappa_ref_{digest.hexdigest()[:16]}.npz"
+        poison = np.full(game.path_set.n_paths, 123.0)
+        np.savez(old_key, kappa=poison, n_ref=10**5, seed_ref=42, alpha=0.05)
+        kappa = true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
+        assert kappa.tobytes() == true_path_kappa(game, 10**5, 42).tobytes()
+        assert len(list(tmp_path.iterdir())) == 2
+
 
 class TestKappaSampling:
     def test_deterministic_paths_exactly_zero(self):
@@ -349,6 +378,26 @@ class TestKappaSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_noise_no_path_crosses_changes_nothing(self, sioux_game):
+        (idle,) = np.nonzero(~sioux_game.path_set.edge_incidence.any(axis=1))[0][:1]
+        assert sioux_game.noise_hi[idle] == 0.0
+        noise_hi = sioux_game.noise_hi.copy()
+        noise_hi[idle] = 5.0
+        noisier = dataclasses.replace(sioux_game, noise_hi=noise_hi)
+        assert idle in noisier.uncertain_edges
+        assert np.array_equal(noisier.noise_edges, sioux_game.noise_edges)
+        for n in (1, 50, 5000):
+            a = sample_path_kappa(sioux_game, n, 4, 2, n)
+            assert sample_path_kappa(noisier, n, 4, 2, n).tobytes() == a.tobytes()
+
+    def test_draws_only_edges_some_path_crosses(self, sioux_game):
+        q_inc = sioux_game.path_set.edge_incidence
+        edges = sioux_game.noise_edges
+        assert np.all(np.diff(edges) > 0)
+        assert set(edges.tolist()) == {e for e in sioux_game.uncertain_edges.tolist() if q_inc[e].any()}
+        for p, rows in enumerate(sioux_game.path_noise_rows):
+            assert edges[list(rows)].tolist() == [e for e in edges.tolist() if q_inc[e, p]]
+
     def test_single_edge_matches_uniform_cvar(self):
         # A path whose only uncertain edge carries U(0, hi) noise must have
         # kappa close to the analytic uniform CVaR for large N.
@@ -364,20 +413,21 @@ class TestKappaSampling:
 
 
 def sort_route_kappa(game, draws):
-    """Oracle: every path sum through cvar_from_values, the full sort."""
-    q_unc = game.path_set.edge_incidence[game.uncertain_edges]
+    """Oracle: every path sum of the edge-major draws, summed sample-major
+    over the path's columns, through cvar_from_values, the full sort."""
+    q_noisy = game.path_set.edge_incidence[game.noise_edges]
     kappa = np.zeros(game.path_set.n_paths)
     for p in range(game.path_set.n_paths):
-        cols = np.nonzero(q_unc[:, p])[0]
+        cols = np.nonzero(q_noisy[:, p])[0]
         if len(cols):
-            kappa[p] = cvar_from_values(draws[:, cols].sum(axis=1), game.alpha.alpha)[0]
+            kappa[p] = cvar_from_values(draws.T[:, cols].sum(axis=1), game.alpha.alpha)[0]
     return kappa
 
 
 def same_draws(game, n, seed, *stream_key):
     rng = routing.replication_rng(seed, *stream_key)
-    unc = game.uncertain_edges
-    return rng.uniform(game.noise_lo[unc], game.noise_hi[unc], size=(n, len(unc)))
+    lo, hi = game.noise_lo[game.noise_edges], game.noise_hi[game.noise_edges]
+    return rng.uniform(lo[:, None], hi[:, None], size=(len(lo), n))
 
 
 class TestKappaSelectionMatchesSort:
@@ -391,7 +441,7 @@ class TestKappaSelectionMatchesSort:
     @pytest.mark.parametrize("decimals", [0, 1])
     def test_tied_draws_bitwise(self, sioux_game, n, decimals):
         draws = np.round(same_draws(sioux_game, n, 9, n), decimals)
-        kappa = routing._kappa_from_noise(sioux_game, draws, sioux_game.uncertain_edges)
+        kappa = routing._kappa_from_noise(sioux_game, draws)
         assert kappa.tobytes() == sort_route_kappa(sioux_game, draws).tobytes()
 
     def test_reference_bitwise(self, sioux_game):
