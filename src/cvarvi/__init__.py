@@ -55,7 +55,6 @@ from .routing import (
     TntpParseError,
     build_game,
     builtin_network,
-    edge_flows,
     enumerate_paths,
     load_tntp,
     parse_tntp,

@@ -5,10 +5,11 @@ empirical per-path CVaR offsets, solves each replication's equilibrium,
 and records the distance to a high-accuracy reference equilibrium. Both
 flows are the minimum-norm points of their equilibrium sets, as
 `solve_cwe` returns them, so the distance does not depend on which
-equilibrium a solver happens to reach. Output is a flat results table plus
-one empirical-CDF table per sample size, all byte-identical across repeated
-runs with the same configuration (worker count and scheduling order do not
-affect the files).
+equilibrium a solver happens to reach. Replications run in blocks, each
+solved from a table of certified equilibrium regions (`run_experiment`).
+Output is a flat results table plus one empirical-CDF table per sample
+size, all byte-identical across repeated runs with the same configuration
+(worker count, block size and scheduling order do not affect the files).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .bounds import BoundReport, exponential_bound_routing
 from .cvar import RiskLevel
 from .routing import (
     SOLVE_METHODS,
+    EquilibriumRegion,
     OdPair,
     OdSpec,
     RoutingGame,
@@ -89,6 +91,9 @@ class ExperimentConfig:
             raise ConfigError("duplicate sample sizes")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for name in ("b_e", "noise_scale", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
             raise ConfigError("need epsilon > 0")
         if not self.ods:
@@ -168,7 +173,7 @@ def build_configured_game(config: ExperimentConfig) -> RoutingGame:
     )
 
 
-@dataclass
+@dataclass(slots=True)  # one per replication, held for the whole run
 class RepRecord:
     n_samples: int
     rep: int
@@ -199,18 +204,27 @@ class ExperimentResult:
         return self.failure_fraction() <= 0.01
 
 
-def _run_rep(game: RoutingGame, n_samples: int, master_seed: int, n_index: int, rep: int,
-             h_ref: np.ndarray, solver: str) -> RepRecord:
-    """One replication: kappa_hat from its own substream, the minimum-norm
-    equilibrium flow h_N under it, and ||h_N - h_ref|| against the
-    minimum-norm reference flow."""
-    try:
-        kappa_hat = sample_path_kappa(game, n_samples, master_seed, n_index, rep)
-        sol = solve_cwe(game, kappa_hat, method=solver)
-        deviation = float(np.linalg.norm(sol.x_star - h_ref))
-        return RepRecord(n_samples, rep, deviation, sol.residual, "ok")
-    except Exception as exc:  # recorded per replication, judged in bulk
-        return RepRecord(n_samples, rep, math.nan, math.nan, f"fail:{type(exc).__name__}")
+# Replications per task, all at one sample size: a task pickles the game
+# and its region table once.
+_BLOCK_REPS = 25
+
+
+def _run_block(game: RoutingGame, n_samples: int, master_seed: int, n_index: int, reps: range,
+               h_ref: np.ndarray, solver: str, regions: list[EquilibriumRegion]) -> list[RepRecord]:
+    """Replications `reps` at one sample size. Each: kappa_hat from its own
+    substream, the minimum-norm equilibrium flow h_N under it (from the
+    region table `regions`, which grows on each miss), and ||h_N - h_ref||
+    against the minimum-norm reference flow."""
+    records = []
+    for rep in reps:
+        try:
+            kappa_hat = sample_path_kappa(game, n_samples, master_seed, n_index, rep)
+            sol = solve_cwe(game, kappa_hat, method=solver, regions=regions)
+            deviation = float(np.linalg.norm(sol.x_star - h_ref))
+            records.append(RepRecord(n_samples, rep, deviation, sol.residual, "ok"))
+        except Exception as exc:  # recorded per replication, judged in bulk
+            records.append(RepRecord(n_samples, rep, math.nan, math.nan, f"fail:{type(exc).__name__}"))
+    return records
 
 
 _RESULTS_HEADER = ("n_samples", "rep", "deviation", "residual", "status")
@@ -238,10 +252,17 @@ def run_experiment(
     minimum-norm equilibrium flow of its sampled game and that of the
     reference game (kappa from config.ref_samples draws).
 
-    Output bytes depend only on the configuration, never on `workers`
-    (at least 1; 1 runs the grid in this process). `progress(done,
-    total)`, if given, is called after each replication at any worker
-    count. Raises RuntimeError when more than 1% of replications fail.
+    Replications run in blocks of _BLOCK_REPS at one sample size. Each
+    block takes the region table of the reference solve and solves from
+    it (`solve_cwe` with `regions`), running config.solver only where no
+    region certifies the flow; such a miss adds its region to the table.
+    At workers=1 the blocks share one table; in a process pool each task
+    grows its own copy. A table never changes a flow's bits, so output
+    bytes depend only on the configuration, never on `workers` (at least
+    1; 1 runs the grid in this process). `progress(done, total)`, if
+    given, is called once per replication, as its block's records
+    arrive, at any worker count. Raises RuntimeError when more than 1% of
+    replications fail.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -253,24 +274,29 @@ def run_experiment(
         game = build_configured_game(config)
 
     kappa_ref = true_path_kappa(game, config.ref_samples, config.ref_seed, cache_dir=cache_dir)
-    h_ref = solve_cwe(game, kappa_ref, method=config.solver).x_star
+    regions: list[EquilibriumRegion] = []
+    h_ref = solve_cwe(game, kappa_ref, method=config.solver, regions=regions).x_star
 
+    reps = config.replications
     tasks = [
-        (game, n, config.master_seed, n_index, rep, h_ref, config.solver)
+        (game, n, config.master_seed, n_index, range(start, min(start + _BLOCK_REPS, reps)), h_ref,
+         config.solver, regions)
         for n_index, n in enumerate(config.sample_sizes)
-        for rep in range(config.replications)
+        for start in range(0, reps, _BLOCK_REPS)
     ]
+    total = len(config.sample_sizes) * reps
     records = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            outcomes = pool.map(_run_rep, *zip(*tasks), chunksize=16)
+            outcomes = pool.map(_run_block, *zip(*tasks))
         else:
-            outcomes = map(_run_rep, *zip(*tasks))
-        for record in outcomes:
-            records.append(record)
-            if progress is not None:
-                progress(len(records), len(tasks))
+            outcomes = map(_run_block, *zip(*tasks))
+        for block in outcomes:
+            for record in block:
+                records.append(record)
+                if progress is not None:
+                    progress(len(records), total)
     records.sort(key=lambda r: (r.n_samples, r.rep))
 
     result = ExperimentResult(config=config, h_ref=h_ref, records=records)

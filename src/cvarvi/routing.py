@@ -10,6 +10,9 @@ VI over the flow polytope, solvable by extragradient, Lemke pivoting, or
 the complementarity-gap program; only kappa changes between solves.
 Equilibrium edge loads are unique but path flows are not (paths share
 edges), so every solve returns the minimum-norm point of the equilibrium set.
+That flow is piecewise affine in kappa: each piece, an `EquilibriumRegion`,
+is fixed by the minimum-cost paths S and the used paths T, and gives the
+flow in closed form (Cottle, Pang & Stone 1992, sections 4.5-4.6).
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ __all__ = [
     "load_tntp",
     "builtin_network",
     "enumerate_paths",
-    "edge_flows",
     "build_game",
     "path_cost_field",
     "sample_path_kappa",
     "true_path_kappa",
     "solve_cwe",
+    "EquilibriumRegion",
     "SOLVE_METHODS",
     "wardrop_gap",
     "replication_rng",
@@ -61,6 +64,14 @@ _WARDROP_TOL = 1e-5
 # count as minimum-cost. On Sioux Falls tied costs agree to 1e-11 relative
 # across solvers and distinct costs differ by at least 4e-3.
 _TIE_TOL = 1e-7
+# An equilibrium region's flow is accepted only with margins wider than the
+# thresholds above, so that a cold solve at the same kappa would find the
+# same region: its used paths and the multipliers holding its tied unused
+# paths at zero are at least _REGION_MARGIN, its tied costs agree to
+# _TIE_TOL / _REGION_TIE_FACTOR and its other costs exceed the minimum by
+# _TIE_TOL * _REGION_TIE_FACTOR, all relative as for _TIE_TOL.
+_REGION_MARGIN = 1e-4
+_REGION_TIE_FACTOR = 100.0
 
 
 class TntpParseError(ValueError):
@@ -99,6 +110,10 @@ class Network:
         for nodes in (self.tail, self.head):
             if np.any((nodes < 1) | (nodes > self.n_nodes)):
                 raise ValueError("edge endpoint outside the node range")
+        for name, arr in (("free_flow_time", self.free_flow_time), ("capacity", self.capacity),
+                          ("congestion_coeff", self.congestion_coeff)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} is not finite at edge {int(np.argmin(np.isfinite(arr)))}")
         if np.any(self.free_flow_time <= 0) or np.any(self.capacity <= 0):
             raise ValueError("free-flow times and capacities must be positive")
         if np.any(self.congestion_coeff < 0):
@@ -343,16 +358,6 @@ def enumerate_paths(network: Network, od_spec: OdSpec) -> PathSet:
     return PathSet(paths=paths, od_of_path=np.asarray(od_of_path, dtype=int), edge_incidence=q_inc)
 
 
-def edge_flows(path_set: PathSet, h: np.ndarray) -> np.ndarray:
-    """Edge loads Q h induced by path flows h."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (path_set.n_paths,):
-        raise ValueError(f"flow vector must have length {path_set.n_paths}")
-    if np.any(h < -1e-12):
-        raise ValueError("path flows must be nonnegative")
-    return path_set.edge_incidence @ h
-
-
 @dataclass
 class RoutingGame:
     """Immutable bundle: network, OD demands, enumerated paths, per-edge
@@ -373,6 +378,8 @@ class RoutingGame:
         n_edges = self.network.n_edges
         if self.noise_lo.shape != (n_edges,) or self.noise_hi.shape != (n_edges,):
             raise ValueError("noise supports must be per-edge")
+        if not (np.isfinite(self.noise_lo).all() and np.isfinite(self.noise_hi).all()):
+            raise ValueError("noise supports must be finite")
         if np.any(self.noise_lo < 0) or np.any(self.noise_hi < self.noise_lo):
             raise ValueError("need 0 <= lo <= hi per edge")
         if self.path_set.edge_incidence.shape != (n_edges, self.path_set.n_paths):
@@ -599,8 +606,10 @@ def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
     return float(excess[h > _USED_FLOW_TOL].max(initial=0.0))
 
 
-def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """Minimum-norm path flow among the equilibria that share h0's loads.
+def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
+                          h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm path flow among the equilibria that share h0's loads,
+    and the mask of the minimum-cost paths it was found among.
 
     All equilibria induce the same edge loads l* = Q h0 and so the same
     path costs; the equilibrium set is the polytope {h >= 0, B h = d,
@@ -630,48 +639,145 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray, h0: np.ndarray) 
         h_act = h_act - null.T @ (r[:-1] / r[-1])
     h = np.zeros(ps.n_paths)
     h[active] = np.maximum(h_act, 0.0)
+    return h, active
+
+
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse at the rank tolerance of `_min_norm_equilibrium`."""
+    return np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(float).eps)
+
+
+@dataclass(frozen=True, eq=False)
+class EquilibriumRegion:
+    """One piece of the map kappa -> minimum-norm equilibrium flow.
+
+    On the piece the minimum-cost paths S (`active`) and the used paths
+    T (`support`, a subset of S) are fixed. With q = Q^T t + kappa, the
+    flow on T solves K [h_T; mu] = [-q_T; d], K = [[A_TT, -B_T^T],
+    [B_T, 0]]. A null vector of K has mu-part 0 and Q-image 0 when every
+    edge that S crosses is congested, so the minimum-norm solution K^+ [..]
+    is the minimum-norm flow with T's edge loads: h_T = H q_T + g, with
+    H and g read off one pseudo-inverse of K. It is the minimum-norm
+    equilibrium when the multipliers pi = P h_T of the bounds h >= 0 on
+    S minus T are nonnegative: by the Karush-Kuhn-Tucker conditions of
+    min ||h|| over {h >= 0 on S, 0 off S, [Q; B] h fixed}, h_T = G_T^T lam
+    and pi = -G_{S-T}^T lam, G = [Q; B], with lam the minimum-norm
+    multipliers. All arrays are read-only.
+    """
+
+    active: np.ndarray  # S, a mask over paths
+    support: np.ndarray  # T, path indices, increasing
+    flow_map: np.ndarray  # H, |T| x |T|
+    flow_offset: np.ndarray  # g, |T|
+    slack_map: np.ndarray  # P, |S minus T| x |T|
+
+
+def _equilibrium_region(game: RoutingGame, active: np.ndarray,
+                        used: np.ndarray) -> Optional[EquilibriumRegion]:
+    """The region of minimum-cost paths `active` and used paths `used`
+    (masks, used within active), or None where its formula does not give
+    the minimum-norm flow: no path used, or an uncongested edge under S."""
+    ps = game.path_set
+    crossed = ps.edge_incidence[:, active].any(axis=1)
+    if not used.any() or np.any(game.congestion_diag[crossed] <= 0.0):
+        return None
+    support = np.flatnonzero(used)
+    n_used, n_ods = len(support), len(ps.od_incidence)
+    b_used = ps.od_incidence[:, support]
+    k_inv = _pinv(np.block([[game.cost_matrix[np.ix_(support, support)], -b_used.T],
+                            [b_used, np.zeros((n_ods, n_ods))]]))
+    eq = np.vstack([ps.edge_incidence[crossed], ps.od_incidence])
+    return EquilibriumRegion(
+        active=_read_only(active.copy()),
+        support=_read_only(support),
+        flow_map=_read_only(-k_inv[:n_used, :n_used]),
+        flow_offset=_read_only(k_inv[:n_used, n_used:] @ game.demands),
+        slack_map=_read_only(-eq[:, active & ~used].T @ _pinv(eq[:, support].T)),
+    )
+
+
+def _region_flow(game: RoutingGame, feasible: SimplexProduct, field: VectorField, kappa: np.ndarray,
+                 region: EquilibriumRegion) -> Optional[np.ndarray]:
+    """The region's flow at kappa, projected onto the flow polytope, if its
+    certificate holds, else None. The certificate: every used path carries
+    at least _REGION_MARGIN and so does every multiplier on S minus T; the
+    paths within _TIE_TOL / _REGION_TIE_FACTOR of their OD minimum cost are
+    exactly S, and all others lie beyond _TIE_TOL * _REGION_TIE_FACTOR;
+    the Wardrop gap is at most _WARDROP_TOL. Comparisons fail on NaN."""
+    support = region.support
+    h_used = region.flow_map @ (game.free_flow_costs + kappa)[support] + region.flow_offset
+    if not (np.all(h_used >= _REGION_MARGIN) and np.all(region.slack_map @ h_used >= _REGION_MARGIN)):
+        return None
+    h = np.zeros(game.path_set.n_paths)
+    h[support] = h_used
+    h = feasible.project(h)
+    costs = field(h)
+    floor = _od_min_cost(game.path_set, costs)
+    relative = (costs - floor) / (1.0 + np.abs(floor))
+    if not (np.all(relative[region.active] <= _TIE_TOL / _REGION_TIE_FACTOR)
+            and np.all(relative[~region.active] > _TIE_TOL * _REGION_TIE_FACTOR)
+            and wardrop_gap(game, kappa, h) <= _WARDROP_TOL):
+        return None
     return h
 
 
-def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str) -> ViSolution:
+def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
+              regions: Optional[list[EquilibriumRegion]] = None) -> ViSolution:
     """The minimum-norm equilibrium flow under a fixed per-path CVaR offset.
 
     Methods: `extragradient` on the flow polytope VI, `lemke`
     complementary pivoting on the LCP, or `qp` complementarity-gap
     minimization. Path flows at equilibrium are not unique when paths
     share edges, and each method reaches its own point of the equilibrium
-    set; the returned flow is the unique minimum-norm point of that set,
-    so all methods return the same flow up to solver accuracy. Its natural
-    residual and its certificate against the equilibrium complementarity
-    condition at _WARDROP_TOL describe the returned flow; `iterations`
-    (extragradient steps, Lemke pivots or gap-minimization steps) and
-    `converged` describe the solver run.
+    set; the returned flow is the unique minimum-norm point of that set.
+
+    The flow comes from an `EquilibriumRegion` whenever one certifies it
+    (see `_region_flow`). The regions of the table `regions` are tried in
+    order; a hit runs no solver and reports `iterations` 0. On a miss, or
+    with no table, the method runs, its flow gives the minimum-cost and
+    used paths of the minimum-norm equilibrium (`_min_norm_equilibrium`),
+    and the flow of that region is returned if it certifies; the region
+    is then appended to `regions`. The margins of the certificate make a
+    hit's region the one a cold solve finds, so a table never changes the
+    returned bits. Only where no region certifies is the least-distance
+    flow itself returned, checked against the equilibrium condition at
+    _WARDROP_TOL (RuntimeError if violated). The natural residual
+    describes the returned flow; `iterations` (extragradient steps, Lemke
+    pivots or gap-minimization steps) and `converged` the solver run.
     """
     feasible = game.feasible_flows()
     field = path_cost_field(game, kappa)
+    kappa = np.asarray(kappa, dtype=float)  # checked by path_cost_field
+    if method not in SOLVE_METHODS:
+        raise ValueError(f"unknown method {method!r}; choose one of {', '.join(SOLVE_METHODS)}")
+    for region in regions or ():
+        h = _region_flow(game, feasible, field, kappa, region)
+        if h is not None:
+            return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=0,
+                              converged=True)
 
     if method == "extragradient":
         raw = extragradient_solve(feasible, field)
         h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
-    elif method in ("lemke", "qp"):
+    else:
         solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp
         lcp_sol = solver(lcp_mod.assemble_lcp(game, kappa))
-        h0 = feasible.project(lcp_sol.x[: game.path_set.n_paths])
+        h0 = lcp_sol.x[: game.path_set.n_paths]
         iterations, converged = lcp_sol.iterations, lcp_sol.feasible
-    else:
-        raise ValueError(f"unknown method {method!r}; choose one of {', '.join(SOLVE_METHODS)}")
 
-    h = feasible.project(_min_norm_equilibrium(game, field(h0), h0))
-    sol = ViSolution(
-        x_star=h,
-        residual=natural_residual(feasible, field, h),
-        iterations=iterations,
-        converged=converged,
-    )
-    gap = wardrop_gap(game, kappa, h)
-    if not gap <= _WARDROP_TOL:  # a NaN gap fails too
-        raise RuntimeError(
-            f"solver returned a flow violating the equilibrium condition "
-            f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})"
-        )
-    return sol
+    canonical, active = _min_norm_equilibrium(game, field(h0), h0)
+    region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
+    h = None if region is None else _region_flow(game, feasible, field, kappa, region)
+    if h is not None:
+        if regions is not None:
+            regions.append(region)
+    else:
+        h = feasible.project(canonical)
+        gap = wardrop_gap(game, kappa, h)
+        if not gap <= _WARDROP_TOL:  # a NaN gap fails too
+            raise RuntimeError(
+                f"solver returned a flow violating the equilibrium condition "
+                f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})"
+            )
+    return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=iterations,
+                      converged=converged)

@@ -26,7 +26,8 @@ from cvarvi.harness import (
     routing_bound,
     run_experiment,
 )
-from cvarvi.tables import format_table, read_table
+from cvarvi.routing import sample_path_kappa, solve_cwe, true_path_kappa
+from cvarvi.tables import fmt, format_table, read_table
 
 RESULTS_HEADER = ("n_samples", "rep", "deviation", "residual", "status")
 
@@ -54,6 +55,25 @@ def small_config():
 def small_result(small_config, tmp_path_factory):
     out = tmp_path_factory.mktemp("exp")
     return run_experiment(small_config, out)
+
+
+@pytest.fixture(scope="module")
+def in_process_rows(small_config, small_result):
+    """The results.csv rows of the small run, each replication solved
+    here by sample_path_kappa and a cold solve_cwe."""
+    config = small_config
+    game = build_configured_game(config)
+    kappa_ref = true_path_kappa(game, config.ref_samples, config.ref_seed,
+                                cache_dir=small_result.results_path.parent / "cache")
+    h_ref = solve_cwe(game, kappa_ref, config.solver).x_star
+    rows = []
+    for n_index, n in enumerate(config.sample_sizes):
+        for rep in range(config.replications):
+            kappa_hat = sample_path_kappa(game, n, config.master_seed, n_index, rep)
+            sol = solve_cwe(game, kappa_hat, config.solver)
+            deviation = float(np.linalg.norm(sol.x_star - h_ref))
+            rows.append([str(n), str(rep), fmt(deviation), fmt(sol.residual), "ok"])
+    return rows
 
 
 class TestConfigParsing:
@@ -98,6 +118,12 @@ class TestConfigParsing:
     def test_repeated_key_rejected(self):
         with pytest.raises(ConfigError, match="line 3: key 'alpha' given twice"):
             parse_config("alpha = 0.1\nod = 1 2 5 1\nalpha = 0.2\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["epsilon", "b_e", "noise_scale"])
+    def test_non_finite_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            parse_config(f"{key} = {value}\nod = 1 2 5 1\n")
 
     @pytest.mark.parametrize("key", ["zeta", "ods"])
     def test_key_without_a_config_field_rejected(self, key):
@@ -149,6 +175,23 @@ class TestExperiment:
         for n in small_config.sample_sizes:
             assert again.cdf_paths[n].read_bytes() == small_result.cdf_paths[n].read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_in_process_solves(self, small_config, small_result, in_process_rows, tmp_path,
+                                          workers):
+        # A replication's row is the same whether its flow came from a
+        # region of the table or from a cold solve_cwe.
+        result = small_result
+        if workers > 1:
+            result = run_experiment(small_config, tmp_path, workers=workers,
+                                    cache_dir=small_result.results_path.parent / "cache")
+        assert read_table(result.results_path.read_text(), RESULTS_HEADER, "results.csv") == in_process_rows
+
+    def test_block_size_leaves_the_bytes(self, small_config, small_result, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_REPS", 7)
+        again = run_experiment(small_config, tmp_path, cache_dir=small_result.results_path.parent / "cache")
+        assert again.results_path.read_bytes() == small_result.results_path.read_bytes()
+        for n in small_config.sample_sizes:
+            assert again.cdf_paths[n].read_bytes() == small_result.cdf_paths[n].read_bytes()
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_rejected(self, small_config, tmp_path, workers):

@@ -10,6 +10,7 @@ from cvarvi import lcp, routing
 from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
 from cvarvi.routing import (
+    SOLVE_METHODS,
     Network,
     OdPair,
     OdSpec,
@@ -17,7 +18,6 @@ from cvarvi.routing import (
     TntpParseError,
     build_game,
     builtin_network,
-    edge_flows,
     enumerate_paths,
     parse_tntp,
     path_cost_field,
@@ -236,15 +236,22 @@ class TestGameAssembly:
         with pytest.raises(ValueError, match=f"path set covers 3 OD pairs, the OD spec has {n_pairs}"):
             dataclasses.replace(sioux_game, od_spec=OdSpec(pairs=pairs[:n_pairs]))
 
-    def test_edge_flows(self, sioux_game):
-        h = sioux_game.feasible_flows().default_start()
-        loads = edge_flows(sioux_game.path_set, h)
-        assert loads.shape == (76,)
-        assert loads.sum() == pytest.approx(
-            float((sioux_game.path_set.edge_incidence @ h).sum())
-        )
-        with pytest.raises(ValueError):
-            edge_flows(sioux_game.path_set, -h - 1.0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["free_flow_time", "capacity", "congestion_coeff"])
+    def test_non_finite_edge_parameter_rejected(self, name, bad):
+        net = diamond_network()
+        values = getattr(net, name).copy()
+        values[2] = bad
+        with pytest.raises(ValueError, match=f"^{name} is not finite at edge 2$"):
+            dataclasses.replace(net, **{name: values})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["noise_lo", "noise_hi"])
+    def test_non_finite_noise_support_rejected(self, sioux_game, name, bad):
+        values = sioux_game.noise_hi.copy()
+        values[5] = bad
+        with pytest.raises(ValueError, match="noise supports must be finite"):
+            dataclasses.replace(sioux_game, **{name: values})
 
 
 class TestCostModel:
@@ -447,6 +454,121 @@ class TestKappaSelectionMatchesSort:
     def test_reference_bitwise(self, sioux_game):
         kappa = true_path_kappa(sioux_game, 10**5, 42)
         assert kappa.tobytes() == sort_route_kappa(sioux_game, same_draws(sioux_game, 10**5, 42)).tobytes()
+
+
+class TestEquilibriumRegions:
+    """A region table changes how a flow is found, never its bits."""
+
+    @pytest.fixture(scope="class")
+    def kappas(self, sioux_game):
+        return [sample_path_kappa(sioux_game, 500, 11, rep) for rep in range(4)]
+
+    def test_hit_runs_no_solver_and_gives_the_cold_bits(self, sioux_game, kappas):
+        table = []
+        cold = solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        assert len(table) == 1 and cold.iterations > 0
+        for kappa in kappas:
+            plain = solve_cwe(sioux_game, kappa, "lemke")
+            hit = solve_cwe(sioux_game, kappa, "lemke", regions=table)
+            assert (hit.iterations, hit.converged) == (0, True)
+            assert hit.x_star.tobytes() == plain.x_star.tobytes()
+            assert hit.residual == plain.residual
+        assert len(table) == 1
+
+    def test_every_method_returns_the_region_flow(self, sioux_game, kappas):
+        flows = {solve_cwe(sioux_game, kappas[1], method).x_star.tobytes() for method in SOLVE_METHODS}
+        assert len(flows) == 1
+
+    def test_region_arrays_are_read_only(self, sioux_game, kappas):
+        table = []
+        solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        region = table[0]
+        assert set(region.support) < set(np.flatnonzero(region.active))  # a tied path is idle
+        for f in dataclasses.fields(region):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(region, f.name)[0] = 0
+
+    @pytest.mark.parametrize("change", ["drop a used path", "use a tied idle path"])
+    def test_wrong_support_misses(self, sioux_game, kappas, change):
+        table = []
+        solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        right = table[0]
+        used = np.zeros(30, dtype=bool)
+        used[right.support] = True
+        if change == "drop a used path":
+            used[right.support[0]] = False
+        else:
+            used[np.flatnonzero(right.active & ~used)[0]] = True
+        wrong = routing._equilibrium_region(sioux_game, right.active, used)
+        table = [wrong]
+        sol = solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        plain = solve_cwe(sioux_game, kappas[0], "lemke")
+        assert sol.x_star.tobytes() == plain.x_star.tobytes() and sol.residual == plain.residual
+        assert sol.iterations == plain.iterations > 0
+        assert len(table) == 2 and table[1].support.tolist() == right.support.tolist()
+
+    def test_kappa_that_moves_the_active_set_misses(self, sioux_game, kappas):
+        table = []
+        solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        moved = kappas[0].copy()
+        moved[table[0].support[0]] += 100.0  # the path is no longer among the cheapest
+        sol = solve_cwe(sioux_game, moved, "lemke", regions=table)
+        plain = solve_cwe(sioux_game, moved, "lemke")
+        assert sol.x_star.tobytes() == plain.x_star.tobytes() and sol.iterations == plain.iterations > 0
+        assert len(table) == 2 and not np.array_equal(table[0].active, table[1].active)
+
+    def test_region_whose_idle_path_should_carry_flow_misses(self, sioux_game):
+        # Two replications whose minimum-norm flows share S but not T: path
+        # 24 carries flow in the first and is tied but idle in the second.
+        uses, idles = (sample_path_kappa(sioux_game, 50, 11, rep) for rep in (0, 2))
+        table = []
+        solve_cwe(sioux_game, idles, "lemke", regions=table)
+        assert 24 not in table[0].support and table[0].active[24]
+        sol = solve_cwe(sioux_game, uses, "lemke", regions=table)
+        assert sol.x_star.tobytes() == solve_cwe(sioux_game, uses, "lemke").x_star.tobytes()
+        assert sol.iterations > 0 and 24 in table[1].support
+
+    def test_flow_below_the_margin_misses(self, sioux_game):
+        # Between those two replications path 24's flow falls to zero;
+        # where it is 5e-5 the region is right but uncertified.
+        uses, idles = (sample_path_kappa(sioux_game, 50, 11, rep) for rep in (0, 2))
+        table = []
+        solve_cwe(sioux_game, uses, "lemke", regions=table)
+        region = table[0]
+        i = int(np.flatnonzero(region.support == 24)[0])
+        # The region's map is affine in kappa: its path-24 flow at each end.
+        q = [(sioux_game.free_flow_costs + kappa)[region.support] for kappa in (uses, idles)]
+        ends = [region.flow_map[i] @ q_used + region.flow_offset[i] for q_used in q]
+        t = (ends[0] - 5e-5) / (ends[0] - ends[1])
+        kappa = (1.0 - t) * uses + t * idles
+        sol = solve_cwe(sioux_game, kappa, "lemke", regions=table)
+        plain = solve_cwe(sioux_game, kappa, "lemke")
+        assert sol.x_star[24] == pytest.approx(5e-5, rel=1e-3)
+        assert sol.x_star.tobytes() == plain.x_star.tobytes() and sol.iterations == plain.iterations > 0
+        assert len(table) == 1
+
+    def test_near_tie_outside_the_active_set_misses(self, sioux_game, kappas):
+        # A path 1e-6 (relative) above its OD minimum is outside S for the
+        # cold route but within the certificate's margin: no region holds.
+        table = []
+        hit = solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        costs = path_cost_field(sioux_game, kappas[0])(hit.x_star)
+        floor = np.array([costs[sioux_game.path_set.od_of_path == w].min()
+                          for w in sioux_game.path_set.od_of_path])
+        p = int(np.flatnonzero(~table[0].active)[0])
+        near = kappas[0].copy()
+        near[p] -= costs[p] - floor[p] - 1e-6 * (1.0 + floor[p])
+        sol = solve_cwe(sioux_game, near, "lemke", regions=table)
+        plain = solve_cwe(sioux_game, near, "lemke")
+        assert sol.x_star.tobytes() == plain.x_star.tobytes() and sol.iterations == plain.iterations > 0
+        assert len(table) == 1
+
+    def test_uncongested_edges_give_no_region(self, sioux_game, kappas):
+        game = build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), b_e=0.0)
+        table = []
+        sol = solve_cwe(game, kappas[0], "lemke", regions=table)
+        assert table == []
+        assert wardrop_gap(game, kappas[0], sol.x_star) <= 1e-5
 
 
 class TestSolveAndCertificate:
