@@ -66,12 +66,9 @@ from .routing import (
 )
 from .vi import (
     Box,
-    MonotonicityReport,
     SimplexProduct,
     VectorField,
     ViSolution,
-    affine_field,
-    check_monotone,
     extragradient_solve,
     natural_residual,
     project_simplex,

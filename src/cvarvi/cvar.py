@@ -130,13 +130,20 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
 def equal_weight_cvar(n: int, alpha: float) -> Callable[[np.ndarray], float]:
     """cvar_from_values' value for n raw draws, bit for bit, without t*: the
     tail index is fixed once; each call selects the top k + 1 draws in O(n)
-    and sorts only the k tail values, descending, as the sort route does."""
+    and sorts only the k tail values, descending, as the sort route does.
+    The reducer negates into one scratch buffer of its own and selects in
+    place, so a call allocates nothing of length n; it leaves its argument
+    unchanged and is not reentrant."""
     k, mass_before = _tail_index(np.full(n, 1.0 / n), alpha)
     weights = np.full(k, 1.0 / n)
+    neg = np.empty(n)
+    tail = neg[:k]
 
     def reduce(values: np.ndarray) -> float:
-        neg = np.partition(-values, k)
-        return float((np.dot(weights, -np.sort(neg[:k])) + (alpha - mass_before) * -neg[k]) / alpha)
+        np.negative(values, out=neg)
+        neg.partition(k)
+        tail.sort()
+        return float((np.dot(weights, np.negative(tail, out=tail)) + (alpha - mass_before) * -neg[k]) / alpha)
     return reduce
 
 

@@ -333,7 +333,7 @@ def routing_bound(game: RoutingGame, delta: float, zeta: Optional[float] = None)
     ell = float(base.min())
     big_l = float((base + a_mat @ demand_of_path + noise_top).max())
     return exponential_bound_routing(
-        game.feasible_flows().blocks, game.alpha, ell, big_l, m_lip, delta, zeta=zeta
+        game.feasible_flows.blocks, game.alpha, ell, big_l, m_lip, delta, zeta=zeta
     )
 
 

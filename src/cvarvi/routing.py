@@ -190,6 +190,11 @@ class PathSet:
         """B: |W| x |P|, the one-hot matrix of od_of_path."""
         return _read_only((np.arange(self.od_of_path[-1] + 1)[:, None] == self.od_of_path).astype(float))
 
+    @cached_property
+    def od_starts(self) -> np.ndarray:
+        """The index of each OD's first path."""
+        return _read_only(np.flatnonzero(np.diff(self.od_of_path, prepend=-1)))
+
 
 _META_RE = re.compile(r"<([^>]+)>\s*(\S*)")
 
@@ -362,8 +367,8 @@ def enumerate_paths(network: Network, od_spec: OdSpec) -> PathSet:
 class RoutingGame:
     """Immutable bundle: network, OD demands, enumerated paths, per-edge
     noise supports, and the common risk level. The kappa-free part of the
-    cost map and the layout of a noise draw, below, are built on first use,
-    cached read-only, and pickled."""
+    cost map, the flow polytope and the layout of a noise draw, below, are
+    built on first use, cached, and pickled; the arrays are read-only."""
 
     network: Network
     od_spec: OdSpec
@@ -448,7 +453,9 @@ class RoutingGame:
             raise ValueError(f"kappa is not finite at path {int(np.argmin(np.isfinite(kappa)))}")
         return kappa
 
+    @cached_property
     def feasible_flows(self) -> SimplexProduct:
+        """The flow polytope: one simplex block of each OD's paths and demand."""
         return SimplexProduct(blocks=zip(np.bincount(self.path_set.od_of_path), self.demands))
 
 
@@ -590,20 +597,20 @@ def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,
 
 def _od_min_cost(path_set: PathSet, costs: np.ndarray) -> np.ndarray:
     """Each path's OD minimum of costs."""
-    starts = np.flatnonzero(np.diff(path_set.od_of_path, prepend=-1))
-    return np.minimum.reduceat(costs, starts)[path_set.od_of_path]
+    return np.minimum.reduceat(costs, path_set.od_starts)[path_set.od_of_path]
 
 
 def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
     """Largest excess of a used path's CVaR cost over its OD minimum.
 
     Zero (within solver tolerance) exactly when flow is placed only on
-    minimum-CVaR paths.
+    minimum-CVaR paths; NaN when h is not finite.
     """
     h = np.asarray(h, dtype=float)
     costs = path_cost_field(game, kappa)(h)
     excess = costs - _od_min_cost(game.path_set, costs)
-    return float(excess[h > _USED_FLOW_TOL].max(initial=0.0))
+    # A non-finite flow counts as used, so its gap is NaN and fails every check.
+    return float(excess[~(h <= _USED_FLOW_TOL)].max(initial=0.0))
 
 
 def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
@@ -617,17 +624,22 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
     the minimum-norm solution of the equalities and N an orthonormal basis
     of their null space, min ||h|| becomes the least-distance program
     min ||z|| s.t. N z >= -h_p, solved by one nonnegative least-squares
-    problem (Lawson & Hanson 1974, ch. 23). h0 restricted to the
-    minimum-cost paths is feasible for it, so the program is never empty.
+    problem (Lawson & Hanson 1974, ch. 23). The paths of a zero-demand OD
+    are held at exactly 0, as B h = 0 with h >= 0 forces; h0 restricted to
+    the other minimum-cost paths is then feasible for the program, so it is
+    never empty.
     """
     ps = game.path_set
     floor = _od_min_cost(ps, costs)
     active = costs <= floor + _TIE_TOL * (1.0 + np.abs(floor))
-    a_mat = np.vstack([ps.edge_incidence, ps.od_incidence])[:, active]
+    free = active & (game.demands[ps.od_of_path] > 0.0)
+    if not free.any():
+        return np.zeros(ps.n_paths), active
+    a_mat = np.vstack([ps.edge_incidence, ps.od_incidence])[:, free]
     a_mat = a_mat[a_mat.any(axis=1)]
     u, sv, vt = np.linalg.svd(a_mat)
     rank = int(np.sum(sv > sv[0] * max(a_mat.shape) * np.finfo(float).eps))
-    h_act = vt[:rank].T @ (u[:, :rank].T @ (a_mat @ h0[active]) / sv[:rank])
+    h_act = vt[:rank].T @ (u[:, :rank].T @ (a_mat @ h0[free]) / sv[:rank])
     null = vt[rank:]
     if len(null):
         # LDP min ||z|| s.t. G z >= g as NNLS on [G^T; g^T] u ~ e_last.
@@ -638,7 +650,7 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
         r = e_mat @ u_ldp - target
         h_act = h_act - null.T @ (r[:-1] / r[-1])
     h = np.zeros(ps.n_paths)
-    h[active] = np.maximum(h_act, 0.0)
+    h[free] = np.maximum(h_act, 0.0)
     return h, active
 
 
@@ -662,14 +674,15 @@ class EquilibriumRegion:
     S minus T are nonnegative: by the Karush-Kuhn-Tucker conditions of
     min ||h|| over {h >= 0 on S, 0 off S, [Q; B] h fixed}, h_T = G_T^T lam
     and pi = -G_{S-T}^T lam, G = [Q; B], with lam the minimum-norm
-    multipliers. All arrays are read-only.
+    multipliers. A zero-demand OD's paths are held at 0 by B h = 0 alone,
+    so P has no rows for them. All arrays are read-only.
     """
 
     active: np.ndarray  # S, a mask over paths
     support: np.ndarray  # T, path indices, increasing
     flow_map: np.ndarray  # H, |T| x |T|
     flow_offset: np.ndarray  # g, |T|
-    slack_map: np.ndarray  # P, |S minus T| x |T|
+    slack_map: np.ndarray  # P, |S minus T, less zero-demand ODs| x |T|
 
 
 def _equilibrium_region(game: RoutingGame, active: np.ndarray,
@@ -687,12 +700,13 @@ def _equilibrium_region(game: RoutingGame, active: np.ndarray,
     k_inv = _pinv(np.block([[game.cost_matrix[np.ix_(support, support)], -b_used.T],
                             [b_used, np.zeros((n_ods, n_ods))]]))
     eq = np.vstack([ps.edge_incidence[crossed], ps.od_incidence])
+    bounded = active & ~used & (game.demands[ps.od_of_path] > 0.0)  # the rows of P
     return EquilibriumRegion(
         active=_read_only(active.copy()),
         support=_read_only(support),
         flow_map=_read_only(-k_inv[:n_used, :n_used]),
         flow_offset=_read_only(k_inv[:n_used, n_used:] @ game.demands),
-        slack_map=_read_only(-eq[:, active & ~used].T @ _pinv(eq[:, support].T)),
+        slack_map=_read_only(-eq[:, bounded].T @ _pinv(eq[:, support].T)),
     )
 
 
@@ -745,7 +759,7 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
     describes the returned flow; `iterations` (extragradient steps, Lemke
     pivots or gap-minimization steps) and `converged` the solver run.
     """
-    feasible = game.feasible_flows()
+    feasible = game.feasible_flows
     field = path_cost_field(game, kappa)
     kappa = np.asarray(kappa, dtype=float)  # checked by path_cost_field
     if method not in SOLVE_METHODS:

@@ -19,13 +19,10 @@ __all__ = [
     "SimplexProduct",
     "VectorField",
     "ViSolution",
-    "MonotonicityReport",
-    "affine_field",
     "spectral_norm",
     "project_simplex",
     "natural_residual",
     "extragradient_solve",
-    "check_monotone",
 ]
 
 _FEASIBILITY_TOL = 1e-9
@@ -35,23 +32,29 @@ _EG_TOL = 1e-9
 _EG_MAX_ITER = 200000
 
 
-def project_simplex(y: np.ndarray, demand: float) -> np.ndarray:
-    """Euclidean projection of y onto {h >= 0, sum(h) = demand}.
+def project_simplex(y: np.ndarray, demand: float | np.ndarray) -> np.ndarray:
+    """Euclidean projection of y onto {h >= 0, sum(h) = demand}, row by row
+    for a stack of equal-length blocks with one demand each.
 
-    Sort-threshold algorithm; ties are resolved by the stable descending
-    sort, so the output is deterministic.
+    Sort-threshold algorithm: stable descending sort, cumulative sums, the
+    last index k that passes the threshold test (the block length if none
+    does), the shift tau from the top k, then clip. Ties are resolved by the
+    stable sort, so the output is deterministic; zero demand gives exactly 0.
     """
     y = np.asarray(y, dtype=float)
-    if demand == 0.0:
-        return np.zeros_like(y)
-    n = len(y)
-    u = -np.sort(-y, kind="stable")
-    css = np.cumsum(u)
-    ks = np.arange(1, n + 1)
-    cond = u - (css - demand) / ks > 0
-    k = int(ks[cond][-1]) if cond.any() else n
-    tau = (css[k - 1] - demand) / k
-    return np.maximum(y - tau, 0.0)
+    rows = y.reshape(-1, y.shape[-1])
+    demand = np.asarray(demand, dtype=float).reshape(-1, 1)
+    n = rows.shape[1]
+    u = np.sort(-rows, axis=1, kind="stable")
+    np.negative(u, out=u)
+    css = np.cumsum(u, axis=1)
+    cond = u - (css - demand) / np.arange(1, n + 1) > 0
+    # argmax finds the first True of the reversed rows, and 0 when none is.
+    k = n - np.argmax(cond[:, ::-1], axis=1, keepdims=True)
+    tau = (css[np.arange(len(rows))[:, None], k - 1] - demand) / k
+    out = np.maximum(rows - tau, 0.0)
+    np.copyto(out, 0.0, where=demand == 0.0)
+    return out.reshape(y.shape)
 
 
 class FeasibleSet:
@@ -89,6 +92,10 @@ class Box(FeasibleSet):
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if self.lo.shape != self.hi.shape:
             raise ValueError("box bounds must have matching shapes")
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if not np.isfinite(bound).all():
+                raise ValueError(f"box bound {name} is not finite at coordinate "
+                                 f"{int(np.argmin(np.isfinite(bound)))}")
         if np.any(self.lo > self.hi):
             raise ValueError("box has empty coordinate range")
         self.dimension = len(self.lo)
@@ -106,30 +113,35 @@ class Box(FeasibleSet):
 
 @dataclass
 class SimplexProduct(FeasibleSet):
-    """Product of scaled simplices {h >= 0, sum(h_block) = demand}."""
+    """Product of scaled simplices {h >= 0, sum(h_block) = demand}.
+
+    Blocks of equal length are grouped once, at construction; `project`
+    makes one `project_simplex` call per group."""
 
     blocks: Sequence[tuple[int, float]]
 
     def __post_init__(self):
         self.blocks = [(int(n), float(d)) for n, d in self.blocks]
-        for n, d in self.blocks:
+        for i, (n, d) in enumerate(self.blocks):
             if n < 1:
                 raise ValueError("simplex block needs positive dimension")
+            if not np.isfinite(d):
+                raise ValueError(f"simplex block {i} has non-finite demand {d}")
             if d < 0:
                 raise ValueError("simplex block demand must be nonnegative")
         self.dimension = sum(n for n, _ in self.blocks)
-
-    def _block_slices(self):
-        start = 0
-        for n, d in self.blocks:
-            yield slice(start, start + n), d
-            start += n
+        lengths = np.array([n for n, _ in self.blocks], dtype=int)
+        demands = np.array([d for _, d in self.blocks])
+        starts = np.cumsum(lengths) - lengths
+        # Per block length: the coordinates of its blocks, one row each, and their demands.
+        self._groups = [(starts[lengths == n, None] + np.arange(n), demands[lengths == n])
+                        for n in np.unique(lengths)]
 
     def project(self, y):
         y = self._check_dimension(y)
         out = np.empty_like(y)
-        for sl, d in self._block_slices():
-            out[sl] = project_simplex(y[sl], d)
+        for coords, demands in self._groups:
+            out[coords] = project_simplex(y[coords], demands)
         return out
 
     def sample(self, rng):
@@ -163,29 +175,16 @@ class ViSolution:
     converged: bool
 
 
-@dataclass
-class MonotonicityReport:
-    violations: int
-    worst_value: float
-
-
 def spectral_norm(a: np.ndarray) -> float:
     """Spectral norm ||A||_2, the largest singular value of A."""
     return float(np.linalg.norm(np.asarray(a, dtype=float), 2))
-
-
-def affine_field(a: np.ndarray, b: np.ndarray) -> VectorField:
-    """Field x -> A x + b with its spectral norm as Lipschitz hint."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return VectorField(evaluator=lambda x: a @ x + b, lipschitz_hint=spectral_norm(a))
 
 
 def natural_residual(feasible: FeasibleSet, field: VectorField, x: np.ndarray) -> float:
     """||x - proj(x - F(x))||; zero exactly at VI solutions."""
     x = np.asarray(x, dtype=float)
     infeas = float(np.linalg.norm(x - feasible.project(x)))
-    if infeas > _FEASIBILITY_TOL:
+    if not infeas <= _FEASIBILITY_TOL:  # a NaN distance fails too
         raise ValueError(f"point is infeasible (distance {infeas:.3e} to the set)")
     return float(np.linalg.norm(x - feasible.project(x - field(x))))
 
@@ -223,23 +222,3 @@ def extragradient_solve(
         x = feasible.project(x - step * fy)
     residual = float(np.linalg.norm(x - feasible.project(x - field(x))))
     return ViSolution(x_star=x, residual=residual, iterations=_EG_MAX_ITER, converged=residual <= _EG_TOL)
-
-
-def check_monotone(
-    field: VectorField, feasible: FeasibleSet, trials: int = 1000, rng_seed: int = 0
-) -> MonotonicityReport:
-    """Sample point pairs and report violations of
-    (F(x) - F(x'))^T (x - x') >= 0 below -1e-10."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(rng_seed)
-    violations = 0
-    worst = np.inf
-    for _ in range(trials):
-        x = feasible.sample(rng)
-        xp = feasible.sample(rng)
-        inner = float(np.dot(field(x) - field(xp), x - xp))
-        worst = min(worst, inner)
-        if inner < -1e-10:
-            violations += 1
-    return MonotonicityReport(violations=violations, worst_value=worst)

@@ -205,6 +205,28 @@ class TestEqualWeightCvar:
         self.assert_bitwise(np.round(rng.uniform(0.0, 4.0, n)), alpha)
 
 
+class TestReducerScratchBuffer:
+    """The reducer selects in its own buffer: each call sees only its argument."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_matches_sort_route_bytewise(self, n, alpha):
+        values = np.random.default_rng(n).uniform(0.0, 4.0, n)
+        got = equal_weight_cvar(n, alpha)(values)
+        assert np.float64(got).tobytes() == np.float64(cvar_from_values(values, alpha)[0]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_one_reducer_on_two_arrays(self, n):
+        rng = np.random.default_rng(n + 1)
+        first, second = rng.uniform(0.0, 4.0, n), np.round(rng.uniform(-2.0, 2.0, n))
+        kept = first.copy(), second.copy()
+        reduce = equal_weight_cvar(n, 0.05)
+        results = [reduce(first), reduce(second), reduce(first)]
+        want = [cvar_from_values(v, 0.05)[0] for v in (first, second, first)]
+        assert np.array(results).tobytes() == np.array(want).tobytes()
+        assert first.tobytes() == kept[0].tobytes() and second.tobytes() == kept[1].tobytes()
+
+
 class TestLpMemory:
     def test_constraint_matrix_is_sparse(self):
         # A dense N x (N + 1) constraint matrix alone is 128 MB at N = 4000.

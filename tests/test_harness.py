@@ -193,6 +193,14 @@ class TestExperiment:
         for n in small_config.sample_sizes:
             assert again.cdf_paths[n].read_bytes() == small_result.cdf_paths[n].read_bytes()
 
+    def test_zero_demand_od_gives_finite_deviations(self, tmp_path):
+        # ODs (1, 19) at demand 0 and (13, 8) at 600; N = 50 only.
+        config = parse_config(SMALL_CONFIG.replace("od = 1 19 300 10", "od = 1 19 0 10")
+                              .replace("od = 12 18 200 10\n", "").replace("50, 200", "50"))
+        result = run_experiment(config, tmp_path)
+        assert [r.status for r in result.records] == ["ok"] * config.replications
+        assert np.isfinite(result.deviations(50)).all() and result.healthy
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_rejected(self, small_config, tmp_path, workers):
         with pytest.raises(ValueError, match=f"need at least one worker, got {workers}"):

@@ -26,6 +26,7 @@ from cvarvi.routing import (
     true_path_kappa,
     wardrop_gap,
 )
+from cvarvi.vi import natural_residual
 
 MINIMAL_TNTP = """
 <NUMBER OF NODES> 3
@@ -228,7 +229,7 @@ class TestGameAssembly:
         assert sioux_game.demands == pytest.approx([300.0, 600.0, 200.0])
 
     def test_feasible_flows_one_block_per_od(self, uneven_game):
-        assert uneven_game.feasible_flows().blocks == [(4, 300.0), (10, 600.0), (1, 200.0)]
+        assert uneven_game.feasible_flows.blocks == [(4, 300.0), (10, 600.0), (1, 200.0)]
 
     @pytest.mark.parametrize("n_pairs", [2, 4])
     def test_od_count_mismatch_rejected(self, sioux_game, n_pairs):
@@ -269,6 +270,9 @@ class TestCostModel:
         assert game.lcp_matrix is game.lcp_matrix
         assert game.noise_edges is game.noise_edges
         assert game.path_noise_rows is game.path_noise_rows
+        assert game.feasible_flows is game.feasible_flows
+        assert game.path_set.od_starts is game.path_set.od_starts
+        assert game.path_set.od_starts.tolist() == [0, 10]
         assert game.lipschitz == pytest.approx(np.linalg.norm(game.cost_matrix, 2), rel=1e-12)
         field = path_cost_field(game, np.zeros(20))
         assert field.lipschitz_hint == game.lipschitz
@@ -277,7 +281,7 @@ class TestCostModel:
     def test_cached_arrays_are_read_only(self):
         game = self.fresh_game()
         for arr in (game.cost_matrix, game.free_flow_costs, game.lcp_matrix, game.noise_edges,
-                    assemble_lcp(game, np.zeros(20)).m_mat):
+                    game.path_set.od_starts, assemble_lcp(game, np.zeros(20)).m_mat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -571,6 +575,50 @@ class TestEquilibriumRegions:
         assert wardrop_gap(game, kappas[0], sol.x_star) <= 1e-5
 
 
+class TestZeroDemandOd:
+    """B h = 0 with h >= 0 holds a zero-demand OD's paths at exactly 0."""
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        od = OdSpec(pairs=[OdPair(1, 19, 0, 10), OdPair(13, 8, 600, 10)])
+        return build_game(builtin_network(), od, RiskLevel(0.05))
+
+    def test_every_method_gives_finite_flows_with_equal_loads(self, game):
+        kappa = sample_path_kappa(game, 50, 3)
+        flows = {method: solve_cwe(game, kappa, method).x_star for method in SOLVE_METHODS}
+        loads = game.path_set.edge_incidence @ flows["lemke"]
+        for h in flows.values():
+            assert np.isfinite(h).all() and not h[:10].any()
+            assert game.path_set.edge_incidence @ h == pytest.approx(loads, rel=1e-9, abs=1e-9)
+
+    def test_lemke_builds_a_region_whose_hits_give_the_cold_bits(self, game):
+        kappas = [sample_path_kappa(game, 50, 3, rep) for rep in range(4)]
+        table = []
+        solve_cwe(game, kappas[0], "lemke", regions=table)
+        assert len(table) == 1
+        assert solve_cwe(game, kappas[0], "lemke", regions=table).iterations == 0
+        for kappa in kappas:
+            plain = solve_cwe(game, kappa, "lemke")
+            hit = solve_cwe(game, kappa, "lemke", regions=table)
+            assert hit.x_star.tobytes() == plain.x_star.tobytes() and hit.residual == plain.residual
+
+    def test_all_demands_zero_give_the_zero_flow(self):
+        od = OdSpec(pairs=[OdPair(1, 19, 0, 10), OdPair(13, 8, 0, 10)])
+        game = build_game(builtin_network(), od, RiskLevel(0.05))
+        for method in SOLVE_METHODS:
+            assert solve_cwe(game, sample_path_kappa(game, 50, 3), method).x_star.tobytes() == bytes(8 * 20)
+
+    def test_non_finite_flow_fails_both_checks(self, sioux_game):
+        # A NaN path flow counts as used, also where no other path is.
+        h = np.zeros(30)
+        h[4] = np.nan
+        assert np.isnan(wardrop_gap(sioux_game, np.zeros(30), h))
+        h = sioux_game.feasible_flows.default_start()
+        h[4] = np.nan
+        with pytest.raises(ValueError, match="infeasible"):
+            natural_residual(sioux_game.feasible_flows, path_cost_field(sioux_game, np.zeros(30)), h)
+
+
 class TestSolveAndCertificate:
     def test_two_path_toy_analytic(self):
         # One OD, two disjoint routes with distinct congestion: interior split.
@@ -593,7 +641,7 @@ class TestSolveAndCertificate:
         od = OdSpec(pairs=[OdPair(1, 19, 300, 10)])
         game = build_game(builtin_network(), od, RiskLevel(0.05))
         kappa = sample_path_kappa(game, 100, 0)
-        uniform = game.feasible_flows().default_start()
+        uniform = game.feasible_flows.default_start()
         assert wardrop_gap(game, kappa, uniform) > 1e-3
 
     def test_nan_cost_fails_the_certificate(self):
@@ -606,7 +654,7 @@ class TestSolveAndCertificate:
             kappa[[3, 7]] = bad
             message = "^kappa is not finite at path 3$"
             with pytest.raises(ValueError, match=message):
-                wardrop_gap(game, kappa, game.feasible_flows().default_start())
+                wardrop_gap(game, kappa, game.feasible_flows.default_start())
             for method in ("extragradient", "lemke", "qp"):
                 with pytest.raises(ValueError, match=message):
                     solve_cwe(game, kappa, method=method)
@@ -640,16 +688,16 @@ class TestSolveAndCertificate:
         assert lp.status == 0
         assert lp.fun >= (h @ h) * (1.0 - 1e-7)
 
-    def test_field_monotone_on_sioux(self):
-        from cvarvi.vi import check_monotone
+    def test_field_monotone_on_sioux(self, sioux_game):
+        field = path_cost_field(sioux_game, np.zeros(30))
+        assert monotone_violations(field, sioux_game.feasible_flows, trials=300) == 0
 
-        od = OdSpec(
-            pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10), OdPair(12, 18, 200, 10)]
-        )
-        game = build_game(builtin_network(), od, RiskLevel(0.05))
-        field = path_cost_field(game, np.zeros(30))
-        report = check_monotone(field, game.feasible_flows(), trials=300)
-        assert report.violations == 0
+
+def monotone_violations(field, feasible, trials, seed=0):
+    """Sampled pairs of feasible points with (F(x) - F(x'))^T (x - x') < -1e-10."""
+    rng = np.random.default_rng(seed)
+    pairs = [(feasible.sample(rng), feasible.sample(rng)) for _ in range(trials)]
+    return sum(float(np.dot(field(x) - field(xp), x - xp)) < -1e-10 for x, xp in pairs)
 
 
 def loop_wardrop_gap(game, kappa, h):
@@ -678,7 +726,7 @@ class TestPerOdMinimumMatchesLoop:
     @pytest.mark.parametrize("game_name", ["sioux_game", "uneven_game"])
     def test_wardrop_gap_bitwise(self, request, game_name):
         game = request.getfixturevalue(game_name)
-        feasible = game.feasible_flows()
+        feasible = game.feasible_flows
         rng = np.random.default_rng(3)
         for rep in range(5):
             kappa = sample_path_kappa(game, 50, 4, rep)

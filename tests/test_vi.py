@@ -7,8 +7,6 @@ from cvarvi.vi import (
     Box,
     SimplexProduct,
     VectorField,
-    affine_field,
-    check_monotone,
     extragradient_solve,
     natural_residual,
     project_simplex,
@@ -74,6 +72,68 @@ class TestSimplexProjection:
         assert project_simplex(x, 1.0) == pytest.approx(x, abs=1e-14)
 
 
+def loop_project_simplex(y, demand):
+    """Oracle: the one-block sort-threshold projection, scalar control flow."""
+    if demand == 0.0:
+        return np.zeros_like(y)
+    n = len(y)
+    u = -np.sort(-y, kind="stable")
+    css = np.cumsum(u)
+    ks = np.arange(1, n + 1)
+    cond = u - (css - demand) / ks > 0
+    k = int(ks[cond][-1]) if cond.any() else n
+    return np.maximum(y - (css[k - 1] - demand) / k, 0.0)
+
+
+def block_values(n):
+    """n block coordinates: spread values, small integers (ties) and a huge
+    value, which leaves no index passing the threshold test."""
+    value = st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float) | st.just(1e20)
+    return st.lists(value, min_size=n, max_size=n)
+
+
+class TestBatchedProjection:
+    """SimplexProduct groups equal-length blocks into one project_simplex
+    call; every block must come out as its own projection, byte for byte."""
+
+    @staticmethod
+    def assert_per_block(blocks, y):
+        sp = SimplexProduct(blocks=blocks)
+        got = sp.project(y)
+        start = 0
+        for n, d in blocks:
+            want = loop_project_simplex(y[start:start + n], d)
+            assert got[start:start + n].tobytes() == want.tobytes(), (n, d, y[start:start + n])
+            assert project_simplex(y[start:start + n], d).tobytes() == want.tobytes()
+            start += n
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           blocks=st.lists(st.tuples(st.integers(1, 10), st.just(0.0) | st.floats(1e-3, 1e3)),
+                           min_size=1, max_size=6))
+    def test_matches_per_block_projection(self, data, blocks):
+        y = np.array(data.draw(block_values(sum(n for n, _ in blocks))))
+        self.assert_per_block(blocks, y)
+
+    @pytest.mark.parametrize("blocks", [[(4, 300.0), (10, 600.0), (1, 200.0)],
+                                        [(10, 300.0), (10, 0.0), (10, 200.0)],
+                                        [(4, 1.0), (1, 0.0), (4, 2.0), (10, 3.0), (4, 0.0)]])
+    def test_pinned_layouts(self, blocks):
+        rng = np.random.default_rng(7)
+        dim = sum(n for n, _ in blocks)
+        huge = rng.normal(size=dim)
+        huge[::3] = 1e20
+        for y in (rng.normal(size=dim) * 100, np.round(rng.normal(size=dim)), np.full(dim, 2.0), huge):
+            self.assert_per_block(blocks, y)
+
+    def test_stack_of_rows(self):
+        rows = np.array([[1.0, 1.0, -2.0], [1e20, 0.0, 1.0], [3.0, -1.0, 5.0]])
+        got = project_simplex(rows, np.array([1.0, 1.0, 0.0]))
+        for row, d, out in zip(rows, [1.0, 1.0, 0.0], got):
+            assert out.tobytes() == loop_project_simplex(row, d).tobytes()
+        assert not got[2].any()
+
+
 class TestFeasibleSets:
     def test_box_project_and_contains(self):
         box = Box(lo=[0.0, 0.0], hi=[1.0, 2.0])
@@ -84,6 +144,19 @@ class TestFeasibleSets:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             Box(lo=[1.0], hi=[0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["lo", "hi"])
+    def test_box_non_finite_bound_rejected(self, name, bad):
+        bounds = {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
+        bounds[name][1] = bad
+        with pytest.raises(ValueError, match=f"^box bound {name} is not finite at coordinate 1$"):
+            Box(**bounds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_simplex_product_non_finite_demand_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^simplex block 1 has non-finite demand {bad}$"):
+            SimplexProduct(blocks=[(3, 1.0), (2, bad)])
 
     def test_simplex_product_blocks(self):
         sp = SimplexProduct(blocks=[(2, 1.0), (3, 2.0)])
@@ -122,14 +195,14 @@ class TestExtragradient:
     def test_two_path_toy_interior(self):
         # Costs c1 = h1, c2 = 2 h2 over the unit simplex: equalize at (2/3, 1/3).
         sp = SimplexProduct(blocks=[(2, 1.0)])
-        field = affine_field(np.diag([1.0, 2.0]), np.zeros(2))
+        field = VectorField(evaluator=lambda x: np.array([1.0, 2.0]) * x, lipschitz_hint=2.0)
         sol = extragradient_solve(sp, field)
         assert sol.converged
         assert sol.x_star == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-7)
 
     def test_two_path_toy_corner(self):
         sp = SimplexProduct(blocks=[(2, 1.0)])
-        field = affine_field(np.diag([1.0, 2.0]), np.array([0.0, 10.0]))
+        field = VectorField(evaluator=lambda x: np.array([1.0, 2.0]) * x + [0.0, 10.0], lipschitz_hint=2.0)
         sol = extragradient_solve(sp, field)
         assert sol.x_star == pytest.approx([1.0, 0.0], abs=1e-7)
         assert sol.residual <= 1e-9
@@ -140,7 +213,7 @@ class TestExtragradient:
         for _ in range(10):
             c = rng.normal(size=3) * 3
             box = Box(lo=np.zeros(3), hi=np.ones(3))
-            sol = extragradient_solve(box, affine_field(2.0 * np.eye(3), c))
+            sol = extragradient_solve(box, VectorField(evaluator=lambda x: 2.0 * x + c, lipschitz_hint=2.0))
             assert sol.x_star == pytest.approx(np.clip(-c / 2.0, 0, 1), abs=1e-7)
 
     def test_nonfinite_field_raises(self):
@@ -172,15 +245,3 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
 
-
-class TestMonotonicity:
-    def test_psd_field_clean(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        report = check_monotone(affine_field(a, np.zeros(2)), Box(lo=[-1, -1], hi=[1, 1]))
-        assert report.violations == 0
-        assert report.worst_value >= -1e-10
-
-    def test_non_monotone_detected(self):
-        field = affine_field(np.array([[-1.0]]), np.zeros(1))
-        report = check_monotone(field, Box(lo=[-1.0], hi=[1.0]), trials=200)
-        assert report.violations > 0
