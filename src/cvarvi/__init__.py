@@ -4,29 +4,22 @@ sample-complexity constants, and Monte Carlo convergence experiments."""
 
 from .bounds import (
     BoundReport,
-    covering_number_compact,
-    covering_number_convex,
     covering_number_flow_polytope,
     covering_number_simplex,
-    delta_strongly_monotone,
     exponential_bound_general,
     exponential_bound_routing,
     exponential_bound_separable,
     flow_polytope_cover,
     pointwise_deviation_bound,
-    set_deviation,
     simplex_lattice_cover,
 )
 from .cvar import (
     CvarEstimate,
-    DiscreteDistribution,
     RiskLevel,
     SampleBatch,
-    cvar_discrete,
     cvar_uniform_interval,
     empirical_cvar,
     empirical_cvar_lp,
-    optimizer_bounds,
 )
 from .harness import (
     ExperimentConfig,

@@ -22,8 +22,6 @@ from .cvar import RiskLevel
 __all__ = [
     "BoundReport",
     "pointwise_deviation_bound",
-    "covering_number_convex",
-    "covering_number_compact",
     "covering_number_simplex",
     "covering_number_flow_polytope",
     "simplex_lattice_cover",
@@ -31,8 +29,6 @@ __all__ = [
     "exponential_bound_general",
     "exponential_bound_separable",
     "exponential_bound_routing",
-    "delta_strongly_monotone",
-    "set_deviation",
 ]
 
 
@@ -65,28 +61,10 @@ def pointwise_deviation_bound(
     return min(raw, 1.0) if clip else raw
 
 
-def covering_number_convex(n: int, vol_x: float, vol_b: float, epsilon: float) -> float:
-    """Upper bound (3/eps)^n vol(X)/vol(B) on the eps-covering number of a
-    convex set containing an eps-ball."""
-    if min(n, vol_x, vol_b, epsilon) <= 0:
-        raise ValueError("all arguments must be positive")
-    return math.exp(n * math.log(3.0 / epsilon) + math.log(vol_x) - math.log(vol_b))
-
-
 def _log_inv_ball_volume(n: int) -> float:
-    # Lower bound vol(B) >= 2 pi^(n/2) / ceil(n/2)! used throughout, so the
-    # constants match the printed bound formulas verbatim.
+    # The compact-set covering term of the general bound, from the lower
+    # bound vol(B) >= 2 pi^(n/2) / ceil(n/2)!, so gamma matches the printed formula.
     return math.lgamma(math.ceil(n / 2) + 1) - math.log(2.0) - 0.5 * n * math.log(math.pi)
-
-
-def covering_number_compact(n: int, diam_x: float, epsilon: float) -> float:
-    """Upper bound (3 diam/eps)^n * ceil(n/2)!/(2 pi^(n/2)) on the
-    eps-covering number of a compact set."""
-    if n < 1 or diam_x <= 0:
-        raise ValueError("need positive dimension and diameter")
-    if not 0 < epsilon <= diam_x / 2:
-        raise ValueError("epsilon must lie in (0, diam/2]")
-    return math.exp(n * math.log(3.0 * diam_x / epsilon) + _log_inv_ball_volume(n))
 
 
 def _simplex_k(n: int, d: float, epsilon: float) -> int:
@@ -240,22 +218,3 @@ def exponential_bound_routing(
     beta = a * delta**2 / (44.0 * p_total * (big_l - ell) ** 2)
     ln_gamma = float(math.log(gamma_exact))
     return _finalize(ln_gamma, beta, "routing", zeta, gamma_exact=gamma_exact)
-
-
-def delta_strongly_monotone(sigma: float, sup_dev: float) -> float:
-    """Solution-set deviation bound sup_dev / sigma for strongly monotone
-    separable fields with modulus sigma."""
-    if sigma <= 0:
-        raise ValueError("strong monotonicity modulus must be positive")
-    return sup_dev / sigma
-
-
-def set_deviation(a_set: np.ndarray, s_set: np.ndarray) -> float:
-    """One-sided deviation sup_{a in A} dist(a, S); not symmetric."""
-    a_set = np.atleast_2d(np.asarray(a_set, dtype=float))
-    s_set = np.atleast_2d(np.asarray(s_set, dtype=float))
-    if len(a_set) == 0 or len(s_set) == 0:
-        raise ValueError("both sets must be nonempty")
-    diffs = a_set[:, None, :] - s_set[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    return float(dists.min(axis=1).max())

@@ -21,12 +21,9 @@ __all__ = [
     "RiskLevel",
     "SampleBatch",
     "CvarEstimate",
-    "DiscreteDistribution",
     "empirical_cvar",
     "empirical_cvar_lp",
-    "cvar_discrete",
     "cvar_uniform_interval",
-    "optimizer_bounds",
 ]
 
 # Probability-accumulation slack when locating quantile/tail indices.
@@ -68,28 +65,6 @@ class CvarEstimate:
     t_star: float
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finite-support distribution given as (value, probability) atoms."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if len(self.atoms) == 0:
-            raise ValueError("distribution needs at least one atom")
-        probs = np.array([p for _, p in self.atoms], dtype=float)
-        if np.any(probs < 0):
-            raise ValueError("atom probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > _PROB_TOL:
-            raise ValueError(f"atom probabilities sum to {probs.sum()}, expected 1")
-
-    @classmethod
-    def uniform_over(cls, values) -> "DiscreteDistribution":
-        values = np.asarray(values, dtype=float)
-        p = 1.0 / len(values)
-        return cls(atoms=tuple((float(v), p) for v in values))
-
-
 def _tail_index(probs: np.ndarray, alpha: float) -> tuple[int, float]:
     """First index k at which the descending tail mass reaches alpha, and the mass before k."""
     cum = np.cumsum(probs)
@@ -97,14 +72,17 @@ def _tail_index(probs: np.ndarray, alpha: float) -> tuple[int, float]:
     return k, float(cum[k - 1]) if k > 0 else 0.0
 
 
-def _weighted_cvar(values: np.ndarray, probs: np.ndarray, alpha: float) -> tuple[float, float]:
-    """CVaR and left-quantile t* of a finite-support random variable.
+def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
+    """Empirical CVaR (value, t*) of raw draws at level alpha.
 
-    Returns the mean of the upper-alpha tail: sort values descending,
-    accumulate probability mass until alpha is reached, splitting the
-    boundary atom proportionally. t* is the smallest value v with
-    P(Z <= v) >= 1 - alpha.
+    The value is the mean of the upper-alpha tail: sort the draws
+    descending, accumulate mass 1/N per draw until alpha is reached,
+    splitting the boundary draw proportionally. t* is the smallest draw v
+    with P(Z <= v) >= 1 - alpha.
     """
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    probs = np.full(n, 1.0 / n)
     order = np.argsort(-values, kind="stable")
     v = values[order]
     p = probs[order]
@@ -118,13 +96,6 @@ def _weighted_cvar(values: np.ndarray, probs: np.ndarray, alpha: float) -> tuple
     j = min(j, len(va) - 1)
     t_star = float(va[j])
     return float(value), t_star
-
-
-def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
-    """Empirical CVaR (value, t*) of raw draws at level alpha."""
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    return _weighted_cvar(values, np.full(n, 1.0 / n), alpha)
 
 
 def equal_weight_cvar(n: int, alpha: float) -> Callable[[np.ndarray], float]:
@@ -156,12 +127,6 @@ def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
     return CvarEstimate(*cvar_from_values(samples.values, alpha.alpha))
 
 
-def cvar_discrete(dist: DiscreteDistribution, alpha: RiskLevel) -> CvarEstimate:
-    """Exact CVaR of a finite-support random variable."""
-    values, probs = np.array(dist.atoms, dtype=float).T
-    return CvarEstimate(*_weighted_cvar(values, probs, alpha.alpha))
-
-
 def cvar_uniform_interval(lo: float, hi: float, alpha: RiskLevel) -> float:
     """CVaR of U(lo, hi): the mean of its upper-alpha tail."""
     if not lo < hi:
@@ -190,15 +155,3 @@ def empirical_cvar_lp(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
     if not res.success:
         raise RuntimeError(f"CVaR linear program failed: {res.message}")
     return CvarEstimate(value=float(res.fun), t_star=float(res.x[0]))
-
-
-def optimizer_bounds(
-    f_range_lo: float, f_range_hi: float, alpha: RiskLevel
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Compact intervals containing the CVaR program's optimizer t and its
-    objective values: t in [lo, hi] and the objective in
-    [lo, lo + (hi - lo)/alpha]."""
-    if f_range_lo > f_range_hi:
-        raise ValueError(f"inverted cost range [{f_range_lo}, {f_range_hi}]")
-    lo, hi = f_range_lo, f_range_hi
-    return (lo, hi), (lo, lo + (hi - lo) / alpha.alpha)

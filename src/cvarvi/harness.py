@@ -96,6 +96,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
             raise ConfigError("need epsilon > 0")
+        for name in ("master_seed", "ref_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.ods:
             raise ConfigError("need at least one od line")
         if self.solver not in SOLVE_METHODS:

@@ -514,21 +514,24 @@ _DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
 
 def _kappa_from_noise(game: RoutingGame, draws: np.ndarray) -> np.ndarray:
     """Per-path empirical CVaR of path noise sums for edge-major draws of
-    shape (len(game.noise_edges), N). A path's sum adds its rows in
-    increasing edge order; each path then selects its top-ceil(alpha N) tail."""
+    shape (len(game.noise_edges), N). A sum adds its rows in increasing
+    edge order and selects its top-ceil(alpha N) tail once per distinct
+    rows tuple; paths that cross the same noisy edges share that kappa."""
     n_samples = draws.shape[1]
     cvar_of = equal_weight_cvar(n_samples, game.alpha.alpha)
     sums = np.empty(n_samples)
-    kappa = np.zeros(game.path_set.n_paths)
-    for p, rows in enumerate(game.path_noise_rows):
+    kappa_of: dict[tuple[int, ...], float] = {(): 0.0}
+    for rows in game.path_noise_rows:
+        if rows in kappa_of:
+            continue
         if len(rows) == 1:
-            kappa[p] = cvar_of(draws[rows[0]])
-        elif rows:
+            kappa_of[rows] = cvar_of(draws[rows[0]])
+        else:
             np.add(draws[rows[0]], draws[rows[1]], out=sums)
             for r in rows[2:]:
                 sums += draws[r]
-            kappa[p] = cvar_of(sums)
-    return kappa
+            kappa_of[rows] = cvar_of(sums)
+    return np.array([kappa_of[rows] for rows in game.path_noise_rows])
 
 
 def sample_path_kappa(game: RoutingGame, n_samples: int, seed: int, *stream_key: int) -> np.ndarray:

@@ -65,13 +65,6 @@ class FeasibleSet:
     def project(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def contains(self, x: np.ndarray, tol: float = _FEASIBILITY_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.project(x))) <= tol
-
     def default_start(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -103,9 +96,6 @@ class Box(FeasibleSet):
     def project(self, y):
         y = self._check_dimension(y)
         return np.clip(y, self.lo, self.hi)
-
-    def sample(self, rng):
-        return rng.uniform(self.lo, self.hi)
 
     def default_start(self):
         return 0.5 * (self.lo + self.hi)
@@ -143,12 +133,6 @@ class SimplexProduct(FeasibleSet):
         for coords, demands in self._groups:
             out[coords] = project_simplex(y[coords], demands)
         return out
-
-    def sample(self, rng):
-        parts = []
-        for n, d in self.blocks:
-            parts.append(d * rng.dirichlet(np.ones(n)))
-        return np.concatenate(parts)
 
     def default_start(self):
         # Demand spread uniformly over each block: interior start.

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from cvarvi.bounds import (
-    covering_number_compact,
-    covering_number_convex,
     covering_number_flow_polytope,
     covering_number_simplex,
-    delta_strongly_monotone,
     exponential_bound_general,
     exponential_bound_routing,
     exponential_bound_separable,
     flow_polytope_cover,
     pointwise_deviation_bound,
-    set_deviation,
     simplex_lattice_cover,
 )
 from cvarvi.cvar import RiskLevel
@@ -39,21 +35,6 @@ class TestPointwiseBound:
 
 
 class TestCoveringNumbers:
-    def test_convex_pinned(self):
-        assert covering_number_convex(1, 2.0, 2.0, 3.0) == pytest.approx(1.0)
-        assert covering_number_convex(2, 1.0, 1.0, 3.0) == pytest.approx(1.0)
-        assert covering_number_convex(2, 1.0, 1.0, 1.5) == pytest.approx(4.0)
-
-    def test_compact_pinned(self):
-        assert covering_number_compact(2, 1.0, 0.5) == pytest.approx(36.0 / (2 * math.pi), rel=1e-12)
-        assert covering_number_compact(1, 1.0, 0.5) == pytest.approx(
-            6.0 / (2.0 * math.sqrt(math.pi)), rel=1e-12
-        )
-
-    def test_compact_epsilon_domain(self):
-        with pytest.raises(ValueError):
-            covering_number_compact(2, 1.0, 0.6)
-
     def test_simplex_hand_binomials(self):
         assert covering_number_simplex(2, 1.0, 0.71) == 3
         assert covering_number_simplex(2, 1.0, math.sqrt(2.0)) == 1
@@ -115,14 +96,20 @@ class TestLatticeCovers:
 
 
 class TestExponentialBounds:
-    def test_general_pinned(self):
+    # 12 M diam / (delta alpha) = 240; ceil(n/2)!/(2 pi^(n/2)) is 1/(2 sqrt(pi)),
+    # 1/(2 pi) and 2/(2 pi^(3/2)) at n = 1, 2, 3.
+    @pytest.mark.parametrize("n, expected_gamma", [
+        (1, 6.0 * 240.0 / (2.0 * math.sqrt(math.pi))),
+        (2, 12.0 * 240.0**2 / (2.0 * math.pi)),
+        (3, 18.0 * 240.0**3 * 2.0 / (2.0 * math.pi**1.5)),
+    ], ids=["1", "2", "3"])
+    def test_general_pinned(self, n, expected_gamma):
         report = exponential_bound_general(
-            n=1, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta=0.1
+            n=n, alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta=0.1
         )
-        expected_gamma = 6.0 * 240.0 / (2.0 * math.sqrt(math.pi))
         assert report.gamma == pytest.approx(expected_gamma, rel=1e-12)
         assert report.ln_gamma == pytest.approx(math.log(expected_gamma), rel=1e-12)
-        assert report.beta == pytest.approx(0.5 * 0.01 / 44.0, rel=1e-12)
+        assert report.beta == pytest.approx(0.5 * 0.01 / (44.0 * n), rel=1e-12)
 
     def test_general_alpha_scaling(self):
         base = dict(n=2, ell=0.0, big_l=1.0, m_lip=1.0, diam_x=1.0, delta=0.1)
@@ -238,18 +225,3 @@ class TestSampleSize:
             n=1, alpha=RiskLevel(0.5), f_max=1.0, g_rge=1.0, delta=1.0, zeta=6.0 / 6.0001
         )
         assert report.n_samples >= 1
-
-
-class TestDeltaAndDeviation:
-    def test_delta_pinned(self):
-        assert delta_strongly_monotone(2.0, 0.1) == pytest.approx(0.05)
-        assert delta_strongly_monotone(1.0, 0.7) == pytest.approx(0.7)
-        with pytest.raises(ValueError):
-            delta_strongly_monotone(0.0, 1.0)
-
-    def test_set_deviation(self):
-        a = np.array([[0.0, 0.0], [2.0, 0.0]])
-        s = np.array([[0.0, 0.0]])
-        assert set_deviation(a, s) == pytest.approx(2.0)
-        assert set_deviation(s, a) == pytest.approx(0.0)
-        assert set_deviation(a, a) == pytest.approx(0.0)

@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvarvi.cvar import (
-    DiscreteDistribution,
     RiskLevel,
     SampleBatch,
-    cvar_discrete,
     cvar_from_values,
     cvar_uniform_interval,
     empirical_cvar,
     empirical_cvar_lp,
     equal_weight_cvar,
-    optimizer_bounds,
 )
 from cvarvi.tables import fmt, format_table, read_table
 
@@ -54,11 +51,6 @@ class TestPinnedValues:
         est = empirical_cvar(batch([1, 2, 3, 4]), RiskLevel(0.25))
         assert est.value == pytest.approx(4.0, abs=1e-12)
 
-    def test_discrete_atoms(self):
-        dist = DiscreteDistribution(atoms=((0.0, 0.9), (10.0, 0.1)))
-        assert cvar_discrete(dist, RiskLevel(0.1)).value == pytest.approx(10.0)
-        assert cvar_discrete(dist, RiskLevel(0.2)).value == pytest.approx(5.0)
-
     def test_uniform_interval(self):
         assert cvar_uniform_interval(0.0, 1.0, RiskLevel(0.5)) == pytest.approx(0.75)
 
@@ -69,11 +61,6 @@ class TestPinnedValues:
     def test_lp_fractional_tail(self):
         est = empirical_cvar_lp(batch([0, 0, 0, 1]), RiskLevel(0.75))
         assert est.value == pytest.approx(1.0 / 3.0, abs=1e-10)
-
-    def test_optimizer_bounds(self):
-        t_int, obj_int = optimizer_bounds(-1.0, 1.0, RiskLevel(0.25))
-        assert t_int == (-1.0, 1.0)
-        assert obj_int == (-1.0, 7.0)
 
 
 class TestOracles:
@@ -96,14 +83,6 @@ class TestOracles:
             a = empirical_cvar(batch(values), RiskLevel(alpha)).value
             b = empirical_cvar_lp(batch(values), RiskLevel(alpha)).value
             assert a == pytest.approx(b, abs=1e-10)
-
-    def test_discrete_uniform_consistency(self):
-        rng = np.random.default_rng(9)
-        values = rng.normal(size=37)
-        est_batch = empirical_cvar(batch(values), RiskLevel(0.3))
-        est_dist = cvar_discrete(DiscreteDistribution.uniform_over(values), RiskLevel(0.3))
-        assert est_batch.value == est_dist.value
-        assert est_batch.t_star == est_dist.t_star
 
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -162,9 +141,7 @@ class TestProperties:
     )
     def test_t_star_in_optimizer_interval(self, values, alpha):
         est = empirical_cvar(batch(values), RiskLevel(alpha))
-        arr = np.asarray(values, dtype=float)
-        t_int, _ = optimizer_bounds(float(arr.min()), float(arr.max()), RiskLevel(alpha))
-        assert t_int[0] <= est.t_star <= t_int[1]
+        assert min(values) <= est.t_star <= max(values)
 
 
 class TestEqualWeightCvar:
@@ -258,10 +235,6 @@ class TestValidation:
     def test_two_dimensional_batch(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             SampleBatch(values=np.ones((2, 3)))
-
-    def test_bad_atom_mass(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution(atoms=((0.0, 0.5), (1.0, 0.4)))
 
     def test_degenerate_uniform(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
             parse_config(f"{key} = {value}\nod = 1 2 5 1\n")
 
+    @pytest.mark.parametrize("key", ["master_seed", "ref_seed"])
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be non-negative, got -5$"):
+            parse_config(f"{key} = -5\nod = 1 2 5 1\n")
+
     @pytest.mark.parametrize("key", ["zeta", "ods"])
     def test_key_without_a_config_field_rejected(self, key):
         with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):

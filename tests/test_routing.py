@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cvarvi import lcp, routing
-from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval
+from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval, equal_weight_cvar
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
 from cvarvi.routing import (
     SOLVE_METHODS,
@@ -460,6 +460,44 @@ class TestKappaSelectionMatchesSort:
         assert kappa.tobytes() == sort_route_kappa(sioux_game, same_draws(sioux_game, 10**5, 42)).tobytes()
 
 
+def per_path_kappa(game, draws):
+    """Oracle: one sum and one tail selection for every path, shared rows or not."""
+    n_samples = draws.shape[1]
+    cvar_of = equal_weight_cvar(n_samples, game.alpha.alpha)
+    sums = np.empty(n_samples)
+    kappa = np.zeros(game.path_set.n_paths)
+    for p, rows in enumerate(game.path_noise_rows):
+        if len(rows) == 1:
+            kappa[p] = cvar_of(draws[rows[0]])
+        elif rows:
+            np.add(draws[rows[0]], draws[rows[1]], out=sums)
+            for r in rows[2:]:
+                sums += draws[r]
+            kappa[p] = cvar_of(sums)
+    return kappa
+
+
+class TestSharedRowsReducedOnce:
+    @pytest.fixture(scope="class")
+    def distinct_game(self):
+        od = OdSpec(pairs=[OdPair(12, 18, 200, 10)])
+        return build_game(builtin_network(), od, RiskLevel(0.05))
+
+    @staticmethod
+    def repeated_rows(game):
+        rows = [r for r in game.path_noise_rows if r]
+        return len(rows) - len(set(rows))
+
+    @pytest.mark.parametrize("n", [1, 50, 5000])
+    @pytest.mark.parametrize("game_name, repeats", [("sioux_game", 3), ("distinct_game", 0)])
+    def test_equals_per_path_loop_bitwise(self, request, monkeypatch, game_name, repeats, n):
+        game = request.getfixturevalue(game_name)
+        assert self.repeated_rows(game) == repeats
+        kappa = sample_path_kappa(game, n, 5, 1, n)
+        monkeypatch.setattr(routing, "_kappa_from_noise", per_path_kappa)
+        assert kappa.tobytes() == sample_path_kappa(game, n, 5, 1, n).tobytes()
+
+
 class TestEquilibriumRegions:
     """A region table changes how a flow is found, never its bits."""
 
@@ -693,10 +731,16 @@ class TestSolveAndCertificate:
         assert monotone_violations(field, sioux_game.feasible_flows, trials=300) == 0
 
 
+def random_flow(feasible, rng):
+    """A random point of a SimplexProduct: each block's demand times one
+    flat Dirichlet draw, block by block."""
+    return np.concatenate([d * rng.dirichlet(np.ones(n)) for n, d in feasible.blocks])
+
+
 def monotone_violations(field, feasible, trials, seed=0):
     """Sampled pairs of feasible points with (F(x) - F(x'))^T (x - x') < -1e-10."""
     rng = np.random.default_rng(seed)
-    pairs = [(feasible.sample(rng), feasible.sample(rng)) for _ in range(trials)]
+    pairs = [(random_flow(feasible, rng), random_flow(feasible, rng)) for _ in range(trials)]
     return sum(float(np.dot(field(x) - field(xp), x - xp)) < -1e-10 for x, xp in pairs)
 
 
@@ -730,7 +774,7 @@ class TestPerOdMinimumMatchesLoop:
         rng = np.random.default_rng(3)
         for rep in range(5):
             kappa = sample_path_kappa(game, 50, 4, rep)
-            flows = [feasible.default_start(), feasible.sample(rng), solve_cwe(game, kappa, "lemke").x_star]
+            flows = [feasible.default_start(), random_flow(feasible, rng), solve_cwe(game, kappa, "lemke").x_star]
             for h in flows:
                 assert wardrop_gap(game, kappa, h) == loop_wardrop_gap(game, kappa, h)
         assert wardrop_gap(game, kappa, flows[0]) > 0.0
