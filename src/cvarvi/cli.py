@@ -40,9 +40,17 @@ def _default_output_dir() -> str:
 
 
 def _load_experiment_config(args):
-    if args.config is None:
-        return parse_config(default_config_text())
-    return load_config(args.config)
+    return parse_config(default_config_text()) if args.config is None else load_config(args.config)
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer of at least `minimum`; a usage error names the flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,29 +70,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", default=None, help="experiment config (default: builtin)")
     p_solve.add_argument("--method", choices=SOLVE_METHODS, default="lemke")
     p_solve.add_argument("--kappa", choices=["empirical", "reference"], default="empirical")
-    p_solve.add_argument("--n-samples", type=int, default=5000)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--n-samples", type=_int_at_least(1), default=5000)
+    p_solve.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p_bounds = sub.add_parser("bounds", help="gamma/beta constants and sample sizes")
-    p_bounds.add_argument("--formula", choices=["general", "separable", "routing"], required=True)
-    p_bounds.add_argument("--config", default=None, help="game config for --formula routing")
-    p_bounds.add_argument("--zeta", type=float, default=0.05)
-    p_bounds.add_argument("--epsilon", type=float, default=None)
-    p_bounds.add_argument("--delta", type=float, default=None)
-    p_bounds.add_argument("--n", type=int, default=None)
-    p_bounds.add_argument("--alpha", type=float, default=None)
-    p_bounds.add_argument("--ell", type=float, default=None)
-    p_bounds.add_argument("--big-l", type=float, default=None)
-    p_bounds.add_argument("--m", type=float, default=None, help="Lipschitz constant")
-    p_bounds.add_argument("--diam", type=float, default=None)
-    p_bounds.add_argument("--sigma", type=float, default=None)
-    p_bounds.add_argument("--f-max", type=float, default=None)
-    p_bounds.add_argument("--g-rge", type=float, default=None)
+    formulas = p_bounds.add_subparsers(dest="formula", required=True, metavar="FORMULA")
+    p_gen = formulas.add_parser("general", help="bound over a covering of the decision set")
+    p_sep = formulas.add_parser("separable", help="bound for a separable cost, no covering")
+    p_rte = formulas.add_parser("routing", help="bound for the configured routing game")
+    for p in (p_gen, p_sep):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--alpha", type=float, required=True)
+    p_gen.add_argument("--ell", type=float, required=True)
+    p_gen.add_argument("--big-l", type=float, required=True)
+    p_gen.add_argument("--m", type=float, required=True, help="Lipschitz constant")
+    p_gen.add_argument("--diam", type=float, required=True)
+    p_sep.add_argument("--f-max", type=float, required=True)
+    p_sep.add_argument("--g-rge", type=float, required=True)
+    for p in (p_gen, p_sep):
+        delta = p.add_mutually_exclusive_group(required=True)
+        delta.add_argument("--delta", type=float)
+        delta.add_argument("--sigma", type=float, help="with --epsilon: delta = sigma * epsilon")
+        p.add_argument("--epsilon", type=float)
+        p.set_defaults(usage_error=p.error)
+    p_rte.add_argument("--config", default=None, help="game config (default: builtin)")
+    delta = p_rte.add_mutually_exclusive_group()
+    delta.add_argument("--delta", type=float)
+    delta.add_argument("--epsilon", type=float, help="delta = epsilon (default: the config's)")
+    for p in (p_gen, p_sep, p_rte):
+        p.add_argument("--zeta", type=float, default=0.05)
 
     p_exp = sub.add_parser("experiment", help="run the replication grid")
     p_exp.add_argument("--config", default=None)
     p_exp.add_argument("--output-dir", default=_default_output_dir())
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker process count")
+    p_exp.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker process count")
 
     p_cmp = sub.add_parser("compare", help="empirical tail frequencies vs the bound")
     p_cmp.add_argument("--config", default=None)
@@ -122,52 +141,18 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
-# The flags each bound formula requires, then those it may also read; all
-# three read --zeta. delta is --delta, else sigma * epsilon for general and
-# separable (the strongly monotone case), else epsilon for routing.
-_BOUND_FLAGS = {
-    "general": (("n", "alpha", "ell", "big_l", "m", "diam"), ("delta", "sigma", "epsilon")),
-    "separable": (("n", "alpha", "f_max", "g_rge"), ("delta", "sigma", "epsilon")),
-    "routing": ((), ("config", "epsilon", "delta")),
-}
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _cmd_bounds(args) -> int:
-    required, optional = _BOUND_FLAGS[args.formula]
-    every = {name for req, opt in _BOUND_FLAGS.values() for name in req + opt}
-    given = {name for name in every if getattr(args, name) is not None}
-    unread = sorted(given - set(required + optional))
-    if unread:
-        raise _UsageError(f"--formula {args.formula} does not read {', '.join(map(_flag, unread))}")
-    replaced = sorted(given & {"sigma", "epsilon"}) if args.delta is not None else []
-    if replaced:
-        raise _UsageError(f"--delta replaces {', '.join(map(_flag, replaced))}; give one of them")
-    missing = [_flag(name) for name in required if name not in given]
-    if args.formula != "routing" and args.delta is None and not {"sigma", "epsilon"} <= given:
-        missing.append("--delta (or --sigma and --epsilon)")
-    if missing:
-        raise _UsageError(f"--formula {args.formula} requires {', '.join(missing)}")
-
     if args.formula == "routing":
         config = _load_experiment_config(args)
-        epsilon = args.epsilon if args.epsilon is not None else config.epsilon
-        delta = args.delta if args.delta is not None else epsilon
+        delta = next(d for d in (args.delta, args.epsilon, config.epsilon) if d is not None)
         report = routing_bound(build_configured_game(config), delta, zeta=args.zeta)
     else:
+        if (args.sigma is None) != (args.epsilon is None):
+            args.usage_error("give --delta, or --sigma with --epsilon")
         delta = args.delta if args.delta is not None else args.sigma * args.epsilon
         if args.formula == "general":
-            report = exponential_bound_general(
-                args.n, RiskLevel(args.alpha), args.ell, args.big_l, args.m, args.diam, delta,
-                zeta=args.zeta,
-            )
+            report = exponential_bound_general(args.n, RiskLevel(args.alpha), args.ell, args.big_l,
+                                               args.m, args.diam, delta, zeta=args.zeta)
         else:
             report = exponential_bound_separable(
                 args.n, RiskLevel(args.alpha), args.f_max, args.g_rge, delta, zeta=args.zeta
@@ -229,8 +214,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        parser.error(f"{args.command}: {exc}")
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

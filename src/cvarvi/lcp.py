@@ -194,7 +194,7 @@ def solve_lcp_qp(lcp: AffineLcp) -> LcpSolution:
         x = np.maximum(x - step * fy, 0.0)
     sol = _make_solution(lcp, x, it)
     gap_tol = _QP_TOL * (1.0 + float(np.linalg.norm(q)))
-    if sol.complementarity_gap > gap_tol:
+    if not abs(sol.complementarity_gap) <= gap_tol:
         raise RuntimeError(
             f"gap minimization stalled at {sol.complementarity_gap:.3e} (tolerance {gap_tol:.1e})"
         )

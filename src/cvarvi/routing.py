@@ -218,11 +218,13 @@ def parse_tntp(text: str) -> Network:
         if line.startswith("<"):
             match = _META_RE.match(line)
             if match:
-                tag = match.group(1).strip().upper()
+                tag, count = match.group(1).strip().upper(), match.group(2)
+                if tag in ("NUMBER OF NODES", "NUMBER OF LINKS") and not count.isdecimal():
+                    raise TntpParseError(f"line {lineno}: <{tag}> expects a count, got {count!r}")
                 if tag == "NUMBER OF NODES":
-                    n_nodes = int(match.group(2))
+                    n_nodes = int(count)
                 elif tag == "NUMBER OF LINKS":
-                    n_links = int(match.group(2))
+                    n_links = int(count)
                 elif tag == "END OF METADATA":
                     in_data = True
             continue
@@ -713,7 +715,7 @@ def _equilibrium_region(game: RoutingGame, active: np.ndarray,
     )
 
 
-def _region_flow(game: RoutingGame, feasible: SimplexProduct, field: VectorField, kappa: np.ndarray,
+def _region_flow(game: RoutingGame, field: VectorField, kappa: np.ndarray,
                  region: EquilibriumRegion) -> Optional[np.ndarray]:
     """The region's flow at kappa, projected onto the flow polytope, if its
     certificate holds, else None. The certificate: every used path carries
@@ -727,7 +729,7 @@ def _region_flow(game: RoutingGame, feasible: SimplexProduct, field: VectorField
         return None
     h = np.zeros(game.path_set.n_paths)
     h[support] = h_used
-    h = feasible.project(h)
+    h = game.feasible_flows.project(h)
     costs = field(h)
     floor = _od_min_cost(game.path_set, costs)
     relative = (costs - floor) / (1.0 + np.abs(floor))
@@ -767,34 +769,28 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
     kappa = np.asarray(kappa, dtype=float)  # checked by path_cost_field
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown method {method!r}; choose one of {', '.join(SOLVE_METHODS)}")
-    for region in regions or ():
-        h = _region_flow(game, feasible, field, kappa, region)
-        if h is not None:
-            return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=0,
-                              converged=True)
-
-    if method == "extragradient":
-        raw = extragradient_solve(feasible, field)
-        h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
-    else:
-        solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp
-        lcp_sol = solver(lcp_mod.assemble_lcp(game, kappa))
-        h0 = lcp_sol.x[: game.path_set.n_paths]
-        iterations, converged = lcp_sol.iterations, lcp_sol.feasible
-
-    canonical, active = _min_norm_equilibrium(game, field(h0), h0)
-    region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
-    h = None if region is None else _region_flow(game, feasible, field, kappa, region)
-    if h is not None:
-        if regions is not None:
+    hits = (_region_flow(game, field, kappa, region) for region in regions or ())
+    h = next((h for h in hits if h is not None), None)
+    iterations, converged = 0, True
+    if h is None:
+        if method == "extragradient":
+            raw = extragradient_solve(feasible, field)
+            h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
+        else:
+            solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp
+            lcp_sol = solver(lcp_mod.assemble_lcp(game, kappa))
+            h0 = lcp_sol.x[: game.path_set.n_paths]
+            iterations, converged = lcp_sol.iterations, lcp_sol.feasible
+        canonical, active = _min_norm_equilibrium(game, field(h0), h0)
+        region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
+        h = None if region is None else _region_flow(game, field, kappa, region)
+        if h is None:
+            h = feasible.project(canonical)
+            gap = wardrop_gap(game, kappa, h)
+            if not gap <= _WARDROP_TOL:  # a NaN gap fails too
+                raise RuntimeError(f"solver returned a flow violating the equilibrium condition "
+                                   f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})")
+        elif regions is not None:
             regions.append(region)
-    else:
-        h = feasible.project(canonical)
-        gap = wardrop_gap(game, kappa, h)
-        if not gap <= _WARDROP_TOL:  # a NaN gap fails too
-            raise RuntimeError(
-                f"solver returned a flow violating the equilibrium condition "
-                f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})"
-            )
     return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=iterations,
                       converged=converged)

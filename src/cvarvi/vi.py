@@ -191,18 +191,16 @@ def extragradient_solve(
         raise ValueError("step must be positive")
 
     x = feasible.project(np.asarray(x0, dtype=float)) if x0 is not None else feasible.default_start()
-    residual = np.inf
-    for it in range(_EG_MAX_ITER):
+    for it in range(_EG_MAX_ITER + 1):
         fx = field(x)
         if not np.all(np.isfinite(fx)):
             raise FloatingPointError(f"field returned non-finite values at iteration {it}: x={x}")
         residual = float(np.linalg.norm(x - feasible.project(x - fx)))
-        if residual <= _EG_TOL:
-            return ViSolution(x_star=x, residual=residual, iterations=it, converged=True)
+        if residual <= _EG_TOL or it == _EG_MAX_ITER:
+            break
         y = feasible.project(x - step * fx)
         fy = field(y)
         if not np.all(np.isfinite(fy)):
             raise FloatingPointError(f"field returned non-finite values at iteration {it}: y={y}")
         x = feasible.project(x - step * fy)
-    residual = float(np.linalg.norm(x - feasible.project(x - field(x))))
-    return ViSolution(x_star=x, residual=residual, iterations=_EG_MAX_ITER, converged=residual <= _EG_TOL)
+    return ViSolution(x_star=x, residual=residual, iterations=it, converged=residual <= _EG_TOL)

@@ -265,7 +265,7 @@ class TestResultsCsv:
         commands = [
             (["estimate", "-", "--alpha", "0.5"], ("cvar", "t_star"), 1),
             (["solve", "--config", str(cfg), "--n-samples", "200"], ("path", "od", "flow", "cost"), 30),
-            (["bounds", "--formula", "routing", "--config", str(cfg)],
+            (["bounds", "routing", "--config", str(cfg)],
              ("formula", "gamma", "ln_gamma", "beta", "n_samples"), 1),
             (["compare", "--config", str(cfg), "--output-dir", out_dir],
              ("n_samples", "empirical_freq", "bound", "consistent"), 2),
@@ -345,7 +345,7 @@ class TestCli:
 
     def test_bounds_separable(self):
         proc = self.run_cli(
-            "bounds", "--formula", "separable", "--n", "1", "--alpha", "0.05",
+            "bounds", "separable", "--n", "1", "--alpha", "0.05",
             "--f-max", "1", "--g-rge", "1", "--delta", "1",
         )
         assert proc.returncode == 0
@@ -356,7 +356,7 @@ class TestCli:
 
     def test_bounds_empty_cost_range_is_an_error(self):
         proc = self.run_cli(
-            "bounds", "--formula", "general", "--n", "1", "--alpha", "0.5", "--ell", "1",
+            "bounds", "general", "--n", "1", "--alpha", "0.5", "--ell", "1",
             "--big-l", "1", "--m", "1", "--diam", "1", "--delta", "0.1",
         )
         assert proc.returncode == 1
@@ -364,7 +364,7 @@ class TestCli:
         assert proc.stderr == "error: cost range [1.0, 1.0] is inverted or empty: need ell < L\n"
 
     def test_bounds_sigma_epsilon_gives_delta(self, capsys):
-        flags = ["bounds", "--formula", "separable", "--n", "1", "--alpha", "0.05",
+        flags = ["bounds", "separable", "--n", "1", "--alpha", "0.05",
                  "--f-max", "1", "--g-rge", "1"]
         assert cli.main(flags + ["--sigma", "2", "--epsilon", "0.05"]) == 0
         derived = capsys.readouterr().out
@@ -372,21 +372,53 @@ class TestCli:
         assert derived == capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, message", [
-        (["--formula", "separable", "--n", "1", "--alpha", "0.05", "--f-max", "1", "--delta", "1"],
-         "requires --g-rge"),
-        (["--formula", "general", "--n", "1", "--alpha", "0.5", "--ell", "0", "--big-l", "1",
-          "--m", "1", "--diam", "1", "--sigma", "2"], r"requires --delta \(or --sigma and --epsilon\)"),
-        (["--formula", "separable", "--n", "1", "--alpha", "0.05", "--f-max", "1", "--g-rge", "1",
-          "--delta", "1", "--ell", "0", "--big-l", "1"], "does not read --big-l, --ell"),
-        (["--formula", "routing", "--n", "5"], "does not read --n"),
-        (["--formula", "routing", "--sigma", "2"], "does not read --sigma"),
-        (["--formula", "routing", "--delta", "0.5", "--epsilon", "1"], "--delta replaces --epsilon"),
-    ])
+        (["separable", "--n", "1", "--alpha", "0.05", "--f-max", "1", "--delta", "1"],
+         "required: --g-rge"),
+        (["general", "--n", "1", "--alpha", "0.5", "--ell", "0", "--big-l", "1",
+          "--m", "1", "--diam", "1", "--sigma", "2"], "give --delta, or --sigma with --epsilon"),
+        (["separable", "--n", "1", "--alpha", "0.05", "--f-max", "1", "--g-rge", "1",
+          "--delta", "1", "--ell", "0", "--big-l", "1"], "unrecognized arguments: --ell 0 --big-l 1"),
+        (["routing", "--n", "5"], "unrecognized arguments: --n 5"),
+        (["routing", "--sigma", "2"], "unrecognized arguments: --sigma 2"),
+        (["routing", "--delta", "0.5", "--epsilon", "1"], "--epsilon: not allowed with argument --delta"),
+    ], ids=["separable-without-g-rge", "general-sigma-without-epsilon", "separable-with-ell-big-l",
+            "routing-with-n", "routing-with-sigma", "routing-delta-and-epsilon"])
     def test_bounds_usage_errors(self, flags, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["bounds", *flags])
         assert exit_info.value.code == 2
         assert re.search(message, capsys.readouterr().err)
+
+    def test_bounds_formula_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bounds", "--formula", "routing"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --formula" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formula, flags", [
+        ("general", "--n --alpha --ell --big-l --m --diam --delta --sigma --epsilon --zeta"),
+        ("separable", "--n --alpha --f-max --g-rge --delta --sigma --epsilon --zeta"),
+        ("routing", "--config --delta --epsilon --zeta"),
+    ], ids=["general", "separable", "routing"])
+    def test_bounds_help_lists_the_formula_flags(self, formula, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bounds", formula, "--help"])
+        assert exit_info.value.code == 0
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert sorted(listed) == sorted(flags.split())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--seed", "-1", "--n-samples", "50"], "--seed"),
+        (["solve", "--n-samples", "0"], "--n-samples"),
+        (["experiment", "--jobs", "0"], "--jobs"),
+    ], ids=["seed", "n-samples", "jobs"])
+    def test_bad_seed_or_count_is_a_usage_error_naming_the_flag(self, argv, flag, tmp_path,
+                                                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where a run that got past the parser would write
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: expected an integer >= " in capsys.readouterr().err
 
     def test_output_dir_env(self, small_config, small_result, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"

@@ -332,6 +332,13 @@ class TestQpRoute:
         assert h == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-6)
         assert sol.iterations > 0
 
+    # The toy's gap is negative (w < 0) after 2 steps and positive after 8.
+    @pytest.mark.parametrize("cap", [2, 8])
+    def test_iteration_cap_raises_stalled(self, cap, monkeypatch):
+        monkeypatch.setattr(lcp_mod, "_QP_MAX_ITER", cap)
+        with pytest.raises(RuntimeError, match="stalled"):
+            solve_lcp_qp(two_path_toy())
+
     def test_agrees_with_lemke_on_random_monotone(self):
         rng = np.random.default_rng(12)
         for _ in range(10):

@@ -97,6 +97,13 @@ class TestTntpParsing:
         with pytest.raises(TntpParseError, match="malformed"):
             parse_tntp(bad)
 
+    @pytest.mark.parametrize("tag", ["NUMBER OF NODES", "NUMBER OF LINKS"])
+    def test_bad_count_names_line_and_tag(self, tag):
+        bad = MINIMAL_TNTP.replace(f"<{tag}> 3", f"<{tag}> abc")
+        line = 1 + bad.splitlines().index(f"<{tag}> abc")
+        with pytest.raises(TntpParseError, match=f"line {line}: <{tag}> expects a count, got 'abc'"):
+            parse_tntp(bad)
+
     def test_self_loop_rejected(self):
         bad = MINIMAL_TNTP.replace("2 3 20.0", "2 2 20.0")
         with pytest.raises(ValueError, match="self-loop"):

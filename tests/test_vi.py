@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvarvi import vi
 from cvarvi.vi import (
     Box,
     SimplexProduct,
@@ -208,6 +209,15 @@ class TestExtragradient:
             box = Box(lo=np.zeros(3), hi=np.ones(3))
             sol = extragradient_solve(box, VectorField(evaluator=lambda x: 2.0 * x + c, lipschitz_hint=2.0))
             assert sol.x_star == pytest.approx(np.clip(-c / 2.0, 0, 1), abs=1e-7)
+
+    def test_iteration_cap_reports_the_returned_point(self, monkeypatch):
+        monkeypatch.setattr(vi, "_EG_MAX_ITER", 3)
+        sp = SimplexProduct(blocks=[(2, 1.0)])
+        field = VectorField(evaluator=lambda x: np.array([1.0, 2.0]) * x, lipschitz_hint=2.0)
+        sol = extragradient_solve(sp, field)
+        assert not sol.converged
+        assert sol.iterations == 3
+        assert sol.residual == natural_residual(sp, field, sol.x_star)
 
     def test_nonfinite_field_raises(self):
         box = Box(lo=[0.0], hi=[1.0])
