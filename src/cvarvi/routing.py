@@ -18,7 +18,6 @@ flow in closed form (Cottle, Pang & Stone 1992, sections 4.5-4.6).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import re
 import tempfile
 from dataclasses import dataclass, replace
@@ -28,6 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import yen
 
 from . import lcp as lcp_mod
 from .cvar import RiskLevel, equal_weight_cvar
@@ -72,6 +73,10 @@ _TIE_TOL = 1e-7
 # _TIE_TOL * _REGION_TIE_FACTOR, all relative as for _TIE_TOL.
 _REGION_MARGIN = 1e-4
 _REGION_TIE_FACTOR = 100.0
+# SciPy's Yen distances and the path costs summed here differ by rounding
+# only, so once the last path Yen returns costs more than the k-th by this
+# relative gap, no path it did not return can tie with the k-th.
+_PATH_TIE_RTOL = 1e-9
 
 
 class TntpParseError(ValueError):
@@ -125,12 +130,6 @@ class Network:
 
     def with_congestion(self, b_e: float) -> "Network":
         return replace(self, congestion_coeff=np.full(self.n_edges, float(b_e)))
-
-    def out_edges(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n_nodes + 1)}
-        for e in range(self.n_edges):
-            adj[int(self.tail[e])].append(e)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -272,84 +271,56 @@ def builtin_network(name: str = "siouxfalls") -> Network:
     return parse_tntp(candidate.read_text())
 
 
-def _dijkstra_lex(adj, network: Network, source: int, target: int,
-                  banned_edges: frozenset, banned_nodes: frozenset) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Shortest path by free-flow time, lexicographically smallest node
-    sequence among ties. Returns (cost, nodes) or None."""
-    heap = [(0.0, (source,))]
-    settled = set()
-    while heap:
-        cost, nodes = heapq.heappop(heap)
-        v = nodes[-1]
-        if v == target:
-            return cost, nodes
-        if v in settled:
-            continue
-        settled.add(v)
-        for e in adj[v]:
-            if e in banned_edges:
-                continue
-            w = int(network.head[e])
-            if w in banned_nodes or w in settled or w in nodes:
-                continue
-            heapq.heappush(heap, (cost + float(network.free_flow_time[e]), nodes + (w,)))
-    return None
-
-
-def _k_shortest_paths(network: Network, adj: dict[int, list[int]], edge_of: dict[tuple[int, int], int],
+def _k_shortest_paths(graph: csr_array, time_of: dict[tuple[int, int], float],
                       source: int, target: int, k: int) -> list[tuple[int, ...]]:
-    """Yen-style loopless k-shortest paths by free-flow travel time with
-    deterministic (cost, node-sequence) tie-breaking; adj and edge_of are
-    the network's out-edges and (tail, head) -> edge map."""
-    first = _dijkstra_lex(adj, network, source, target, frozenset(), frozenset())
-    if first is None:
-        return []
-    accepted = [first]
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    seen = {first[1]}
+    """The k loopless source -> target paths with smallest free-flow time,
+    ties broken by node sequence (fewer if fewer exist).
 
-    while len(accepted) < k:
-        _, last_path = accepted[-1]
-        for i in range(len(last_path) - 1):
-            spur_node = last_path[i]
-            root = last_path[: i + 1]
-            banned_edges = set()
-            for _, path in accepted:
-                if path[: i + 1] == root and len(path) > i + 1:
-                    banned_edges.add(edge_of[(path[i], path[i + 1])])
-            banned_nodes = frozenset(root[:-1])
-            spur = _dijkstra_lex(adj, network, spur_node, target, frozenset(banned_edges), banned_nodes)
-            if spur is None:
-                continue
-            spur_cost, spur_nodes = spur
-            root_cost = sum(
-                float(network.free_flow_time[edge_of[(root[j], root[j + 1])]])
-                for j in range(len(root) - 1)
-            )
-            total = root + spur_nodes[1:]
-            if total not in seen:
-                seen.add(total)
-                heapq.heappush(candidates, (root_cost + spur_cost, total))
-        if not candidates:
-            break
-        accepted.append(heapq.heappop(candidates))
-    return [nodes for _, nodes in accepted]
+    `graph` holds the free-flow times on zero-based nodes, time_of the same
+    times by (tail, head). SciPy's Yen (Yen 1971) orders equal-cost paths
+    as it likes, so it is asked for more paths until the last one it
+    returns costs more than the k-th; each cost is the free-flow times
+    summed along the node sequence."""
+    asked = k
+    while True:
+        _, pred = yen(graph, source - 1, target - 1, asked, return_predecessors=True)
+        found = []
+        for row in pred.tolist():
+            nodes = [target - 1]
+            while nodes[-1] != source - 1:
+                nodes.append(row[nodes[-1]])
+            nodes = tuple(v + 1 for v in reversed(nodes))
+            cost = 0.0
+            for pair in zip(nodes, nodes[1:]):
+                cost += time_of[pair]
+            found.append((cost, nodes))
+        ranked = sorted(found)
+        if len(found) < asked or found[-1][0] > ranked[k - 1][0] * (1.0 + _PATH_TIE_RTOL):
+            return [nodes for _, nodes in ranked[:k]]
+        asked *= 2
 
 
 def enumerate_paths(network: Network, od_spec: OdSpec) -> PathSet:
     """For each OD pair, the k simple paths with smallest free-flow travel
-    time; builds the edge incidence matrix. Paths are node sequences, so a
-    network with parallel edges is rejected."""
+    time, ties broken by node sequence; builds the edge incidence matrix.
+    Paths are node sequences, so a network with parallel edges is rejected.
+    Needs SciPy >= 1.14, the first release with scipy.sparse.csgraph.yen."""
     edge_of: dict[tuple[int, int], int] = {}
     for e, pair in enumerate(zip(network.tail.tolist(), network.head.tolist())):
         if pair in edge_of:
             raise ValueError(f"parallel edges {edge_of[pair]} and {e} join node pair {pair}")
         edge_of[pair] = e
-    adj = network.out_edges()
+    time_of = dict(zip(edge_of, network.free_flow_time.tolist()))
+    # scipy.sparse.csgraph.yen reads int32 indices only.
+    graph = csr_array((network.free_flow_time, (network.tail.astype(np.int32) - 1,
+                                                network.head.astype(np.int32) - 1)),
+                      shape=(network.n_nodes, network.n_nodes))
     paths: list[tuple[int, ...]] = []
     od_of_path: list[int] = []
     for w, od in enumerate(od_spec.pairs):
-        found = _k_shortest_paths(network, adj, edge_of, od.origin, od.destination, od.paths_per_od)
+        if not (1 <= od.origin <= network.n_nodes and 1 <= od.destination <= network.n_nodes):
+            raise ValueError(f"OD pair ({od.origin}, {od.destination}) names a node outside 1..{network.n_nodes}")
+        found = _k_shortest_paths(graph, time_of, od.origin, od.destination, od.paths_per_od)
         if len(found) < od.paths_per_od:
             raise ValueError(
                 f"OD pair ({od.origin}, {od.destination}) has only {len(found)} simple paths, "

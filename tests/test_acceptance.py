@@ -92,7 +92,9 @@ def tgrid_cvar(values, alpha, refinements=3, grid=1000):
 
 def test_criterion_01_cvar_oracle_equivalence():
     rng = np.random.default_rng(1001)
-    start = time.perf_counter()
+    # CPU time of this process, so that load from other processes on the
+    # machine does not count against the budget.
+    start = time.process_time()
     worst_grid = 0.0
     worst_lp = 0.0
     for _ in range(1000):
@@ -106,14 +108,14 @@ def test_criterion_01_cvar_oracle_equivalence():
         worst_grid = max(worst_grid, abs(est - oracle) / scale)
         lp = empirical_cvar_lp(batch, RiskLevel(alpha)).value
         worst_lp = max(worst_lp, abs(est - lp))
-    elapsed = time.perf_counter() - start
-    ok = worst_grid < 1e-6 and worst_lp < 1e-10 and elapsed < 10.0
+    cpu = time.process_time() - start
     report(
         1,
         "CVaR oracle equivalence",
-        ok,
-        f"grid dev {worst_grid:.2e}, lp dev {worst_lp:.2e}, {elapsed:.1f}s",
+        worst_grid < 1e-6 and worst_lp < 1e-10,
+        f"grid dev {worst_grid:.2e}, lp dev {worst_lp:.2e}, {cpu:.1f}s CPU",
     )
+    assert cpu < 10.0, f"[criterion 01] 1000 CVaR/LP pairs took {cpu:.1f}s of CPU time, over the 10s budget"
 
 
 def test_criterion_02_analytic_uniform_tail():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import heapq
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.optimize import linprog
 
 from cvarvi import lcp, routing
 from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval, equal_weight_cvar
+from cvarvi.harness import build_configured_game, default_config_text, parse_config
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
 from cvarvi.routing import (
     SOLVE_METHODS,
@@ -39,6 +41,42 @@ MINIMAL_TNTP = """
 """
 
 
+# The 30 paths of the default experiment's game, 10 per OD pair in
+# (free-flow time, node sequence) order.
+DEFAULT_GAME_PATHS = [
+    (1, 2, 6, 8, 16, 17, 19),
+    (1, 2, 6, 8, 7, 18, 16, 17, 19),
+    (1, 3, 4, 5, 6, 8, 16, 17, 19),
+    (1, 2, 6, 8, 7, 18, 20, 19),
+    (1, 3, 4, 5, 9, 10, 16, 17, 19),
+    (1, 3, 4, 11, 14, 15, 19),
+    (1, 3, 12, 11, 14, 15, 19),
+    (1, 3, 12, 13, 24, 21, 22, 15, 19),
+    (1, 3, 4, 5, 9, 10, 15, 19),
+    (1, 3, 4, 11, 10, 16, 17, 19),
+    (13, 12, 3, 4, 5, 6, 8),
+    (13, 24, 21, 20, 18, 7, 8),
+    (13, 12, 11, 4, 5, 6, 8),
+    (13, 12, 11, 10, 16, 8),
+    (13, 24, 21, 22, 20, 18, 7, 8),
+    (13, 12, 3, 1, 2, 6, 8),
+    (13, 24, 21, 22, 15, 19, 17, 16, 8),
+    (13, 24, 23, 22, 20, 18, 7, 8),
+    (13, 24, 21, 20, 18, 16, 8),
+    (13, 24, 23, 22, 15, 19, 17, 16, 8),
+    (12, 11, 10, 16, 18),
+    (12, 13, 24, 21, 20, 18),
+    (12, 3, 4, 5, 6, 8, 7, 18),
+    (12, 13, 24, 21, 22, 20, 18),
+    (12, 13, 24, 23, 22, 20, 18),
+    (12, 3, 4, 5, 6, 8, 16, 18),
+    (12, 11, 10, 17, 16, 18),
+    (12, 3, 4, 5, 9, 10, 16, 18),
+    (12, 11, 4, 5, 6, 8, 7, 18),
+    (12, 11, 10, 16, 8, 7, 18),
+]
+
+
 def diamond_network():
     """Four simple 1->4 paths with distinct free-flow times."""
     return Network(
@@ -51,9 +89,16 @@ def diamond_network():
     )
 
 
+def out_edges(network):
+    adj = {v: [] for v in range(1, network.n_nodes + 1)}
+    for e, v in enumerate(network.tail.tolist()):
+        adj[v].append(e)
+    return adj
+
+
 def all_simple_paths(network, source, target):
     """Exhaustive DFS oracle returning every simple path with its cost."""
-    adj = network.out_edges()
+    adj = out_edges(network)
     out = []
 
     def walk(nodes, cost):
@@ -68,6 +113,77 @@ def all_simple_paths(network, source, target):
 
     walk([source], 0.0)
     return sorted(out)
+
+
+def hand_yen(network, source, target, k):
+    """The pure-Python Yen (1971) that `enumerate_paths` ran before it used
+    scipy.sparse.csgraph.yen: Dijkstra with (cost, node sequence) heap
+    order, loopless deviations from every accepted path."""
+    adj = out_edges(network)
+    edge_of = {(int(network.tail[e]), int(network.head[e])): e for e in range(network.n_edges)}
+    fftt = network.free_flow_time
+
+    def dijkstra(start, banned_edges, banned_nodes):
+        heap = [(0.0, (start,))]
+        settled = set()
+        while heap:
+            cost, nodes = heapq.heappop(heap)
+            v = nodes[-1]
+            if v == target:
+                return cost, nodes
+            if v in settled:
+                continue
+            settled.add(v)
+            for e in adj[v]:
+                if e in banned_edges:
+                    continue
+                w = int(network.head[e])
+                if w in banned_nodes or w in settled or w in nodes:
+                    continue
+                heapq.heappush(heap, (cost + float(fftt[e]), nodes + (w,)))
+        return None
+
+    first = dijkstra(source, frozenset(), frozenset())
+    if first is None:
+        return []
+    accepted = [first]
+    candidates = []
+    seen = {first[1]}
+    while len(accepted) < k:
+        _, last_path = accepted[-1]
+        for i in range(len(last_path) - 1):
+            root = last_path[: i + 1]
+            banned_edges = {edge_of[(path[i], path[i + 1])] for _, path in accepted
+                            if path[: i + 1] == root and len(path) > i + 1}
+            spur = dijkstra(last_path[i], frozenset(banned_edges), frozenset(root[:-1]))
+            if spur is None:
+                continue
+            root_cost = sum(float(fftt[edge_of[(root[j], root[j + 1])]]) for j in range(len(root) - 1))
+            total = root + spur[1][1:]
+            if total not in seen:
+                seen.add(total)
+                heapq.heappush(candidates, (root_cost + spur[0], total))
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates))
+    return [nodes for _, nodes in accepted]
+
+
+def grid_network(side, seed, integer_times):
+    """Bidirectional side x side grid with seeded free-flow times; integer
+    times make many equal-cost paths."""
+    tail, head = [], []
+    for v in range(1, side * side + 1):
+        if v % side:
+            tail += [v, v + 1]
+            head += [v + 1, v]
+        if v + side <= side * side:
+            tail += [v, v + side]
+            head += [v + side, v]
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1, 4, len(tail)) if integer_times else rng.uniform(2.0, 8.0, len(tail))
+    return Network(n_nodes=side * side, tail=tail, head=head, free_flow_time=times,
+                   capacity=np.ones(len(tail)), congestion_coeff=np.zeros(len(tail)))
 
 
 class TestTntpParsing:
@@ -133,8 +249,67 @@ class TestPathEnumeration:
 
     def test_too_many_paths_requested(self):
         net = diamond_network()
-        with pytest.raises(ValueError, match=r"\(1, 4\)"):
+        with pytest.raises(ValueError, match=r"^OD pair \(1, 4\) has only 4 simple paths, requested 99$"):
             enumerate_paths(net, OdSpec(pairs=[OdPair(1, 4, 1.0, 99)]))
+
+    def test_unreachable_destination(self):
+        net = Network(n_nodes=3, tail=[1, 2], head=[2, 1], free_flow_time=[1.0, 1.0],
+                      capacity=np.ones(2), congestion_coeff=np.zeros(2))
+        with pytest.raises(ValueError, match=r"^OD pair \(1, 3\) has only 0 simple paths, requested 1$"):
+            enumerate_paths(net, OdSpec(pairs=[OdPair(1, 3, 1.0, 1)]))
+
+    @pytest.mark.parametrize("origin, destination", [(1, 99), (0, 4)])
+    def test_od_node_outside_network(self, origin, destination):
+        with pytest.raises(ValueError, match=rf"^OD pair \({origin}, {destination}\) names a node outside 1\.\.4$"):
+            enumerate_paths(diamond_network(), OdSpec(pairs=[OdPair(origin, destination, 1.0, 1)]))
+
+    def test_default_ods_match_hand_yen(self):
+        net = builtin_network()
+        for origin, destination in [(1, 19), (13, 8), (12, 18)]:
+            ps = enumerate_paths(net, OdSpec(pairs=[OdPair(origin, destination, 1.0, 10)]))
+            assert ps.paths == hand_yen(net, origin, destination, 10)
+
+    @pytest.mark.parametrize("k", [5, 10, 30])
+    def test_random_sioux_ods_match_hand_yen(self, k):
+        net = builtin_network()
+        rng = np.random.default_rng(1600 + k)
+        for _ in range(60):
+            origin, destination = (int(v) for v in rng.choice(np.arange(1, 25), size=2, replace=False))
+            ps = enumerate_paths(net, OdSpec(pairs=[OdPair(origin, destination, 1.0, k)]))
+            assert ps.paths == hand_yen(net, origin, destination, k), (origin, destination)
+
+    @pytest.mark.parametrize("integer_times", [False, True])
+    def test_grid_matches_hand_yen_and_oracle(self, integer_times):
+        net = grid_network(5, 16, integer_times)
+        for origin, destination in [(1, 25), (25, 1), (5, 21), (3, 23)]:
+            ps = enumerate_paths(net, OdSpec(pairs=[OdPair(origin, destination, 1.0, 40)]))
+            assert ps.paths == hand_yen(net, origin, destination, 40)
+            assert ps.paths == [nodes for _, nodes in all_simple_paths(net, origin, destination)[:40]]
+
+    def test_tie_at_kth_path_asks_for_more(self, monkeypatch):
+        # 1 -> {4, 3, 2} -> 5 cost 2 each and 1 -> 6 -> 5 costs 3, so the
+        # 2nd and 3rd paths tie and the first two Yen returns may be any two.
+        net = Network(n_nodes=6, tail=[1, 1, 1, 1, 4, 3, 2, 6], head=[4, 3, 2, 6, 5, 5, 5, 5],
+                      free_flow_time=[1.0, 1.0, 1.0, 1.5, 1.0, 1.0, 1.0, 1.5],
+                      capacity=np.ones(8), congestion_coeff=np.zeros(8))
+        asked = []
+        scipy_yen = routing.yen
+
+        def counting_yen(graph, source, sink, k, **kwargs):
+            asked.append(k)
+            return scipy_yen(graph, source, sink, k, **kwargs)
+
+        monkeypatch.setattr(routing, "yen", counting_yen)
+        ps = enumerate_paths(net, OdSpec(pairs=[OdPair(1, 5, 1.0, 2)]))
+        assert ps.paths == [(1, 2, 5), (1, 3, 5)] == hand_yen(net, 1, 5, 2)
+        # Two paths tie with the 2nd; four, the last costing 3, settle it.
+        assert asked == [2, 4]
+
+    def test_default_game_paths_pinned(self):
+        # A SciPy release that reorders Yen's output must fail here rather
+        # than move every result of the default experiment.
+        game = build_configured_game(parse_config(default_config_text()))
+        assert game.path_set.paths == DEFAULT_GAME_PATHS
 
     def test_incidence_structure(self):
         net = diamond_network()
