@@ -60,7 +60,6 @@ from .routing import (
 from .vi import (
     Box,
     SimplexProduct,
-    VectorField,
     ViSolution,
     extragradient_solve,
     natural_residual,

@@ -70,8 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", default=None, help="experiment config (default: builtin)")
     p_solve.add_argument("--method", choices=SOLVE_METHODS, default="lemke")
     p_solve.add_argument("--kappa", choices=["empirical", "reference"], default="empirical")
-    p_solve.add_argument("--n-samples", type=_int_at_least(1), default=5000)
-    p_solve.add_argument("--seed", type=_int_at_least(0), default=0)
+    # None marks a flag not given: with --kappa reference a given one is a usage error.
+    p_solve.add_argument("--n-samples", type=_int_at_least(1), help="draws per kappa-hat (default: 5000)")
+    p_solve.add_argument("--seed", type=_int_at_least(0), help="master seed of the draws (default: 0)")
+    p_solve.set_defaults(usage_error=p_solve.error)
 
     p_bounds = sub.add_parser("bounds", help="gamma/beta constants and sample sizes")
     formulas = p_bounds.add_subparsers(dest="formula", required=True, metavar="FORMULA")
@@ -123,12 +125,17 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.kappa == "reference":
+        for flag, value in (("--n-samples", args.n_samples), ("--seed", args.seed)):
+            if value is not None:
+                args.usage_error(f"argument {flag}: not allowed with --kappa reference")
     config = _load_experiment_config(args)
     game = build_configured_game(config)
     if args.kappa == "reference":
         kappa = true_path_kappa(game, config.ref_samples, config.ref_seed)
     else:
-        kappa = sample_path_kappa(game, args.n_samples, args.seed)
+        kappa = sample_path_kappa(game, 5000 if args.n_samples is None else args.n_samples,
+                                  0 if args.seed is None else args.seed)
     sol = solve_cwe(game, kappa, method=args.method)
     costs = path_cost_field(game, kappa)(sol.x_star)
     names = ["-".join(map(str, nodes)) for nodes in game.path_set.paths]

@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import yen
 
 from . import lcp as lcp_mod
 from .cvar import RiskLevel, equal_weight_cvar
-from .vi import SimplexProduct, VectorField, ViSolution, extragradient_solve, natural_residual, spectral_norm
+from .vi import SimplexProduct, ViSolution, extragradient_solve, natural_residual, spectral_norm
 
 __all__ = [
     "Network",
@@ -464,13 +464,14 @@ def build_game(
     )
 
 
-def path_cost_field(game: RoutingGame, kappa: np.ndarray) -> VectorField:
-    """Affine CVaR path-cost map h -> Q^T R Q h + Q^T t + kappa. Every solve
+def path_cost_field(game: RoutingGame, kappa: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The affine CVaR path-cost map h -> Q^T R Q h + Q^T t + kappa, as a
+    plain function; its Lipschitz constant is `game.lipschitz`. Every solve
     and certificate starts here, so a non-finite kappa fails here."""
     kappa = game.check_kappa(kappa)
     a_mat = game.cost_matrix
     const = game.free_flow_costs + kappa
-    return VectorField(evaluator=lambda h: a_mat @ h + const, lipschitz_hint=game.lipschitz)
+    return lambda h: a_mat @ h + const
 
 
 def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
@@ -686,7 +687,7 @@ def _equilibrium_region(game: RoutingGame, active: np.ndarray,
     )
 
 
-def _region_flow(game: RoutingGame, field: VectorField, kappa: np.ndarray,
+def _region_flow(game: RoutingGame, field: Callable[[np.ndarray], np.ndarray], kappa: np.ndarray,
                  region: EquilibriumRegion) -> Optional[np.ndarray]:
     """The region's flow at kappa, projected onto the flow polytope, if its
     certificate holds, else None. The certificate: every used path carries
@@ -715,11 +716,12 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
               regions: Optional[list[EquilibriumRegion]] = None) -> ViSolution:
     """The minimum-norm equilibrium flow under a fixed per-path CVaR offset.
 
-    Methods: `extragradient` on the flow polytope VI, `lemke`
-    complementary pivoting on the LCP, or `qp` complementarity-gap
-    minimization. Path flows at equilibrium are not unique when paths
-    share edges, and each method reaches its own point of the equilibrium
-    set; the returned flow is the unique minimum-norm point of that set.
+    Methods: `extragradient` on the flow polytope VI (step from
+    `game.lipschitz`), `lemke` complementary pivoting on the LCP, or `qp`
+    complementarity-gap minimization. Path flows at equilibrium are not
+    unique when paths share edges, and each method reaches its own point of
+    the equilibrium set; the returned flow is the unique minimum-norm point
+    of that set.
 
     The flow comes from an `EquilibriumRegion` whenever one certifies it
     (see `_region_flow`). The regions of the table `regions` are tried in
@@ -745,7 +747,7 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
     iterations, converged = 0, True
     if h is None:
         if method == "extragradient":
-            raw = extragradient_solve(feasible, field)
+            raw = extragradient_solve(feasible, field, game.lipschitz)
             h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
         else:
             solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp

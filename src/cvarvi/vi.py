@@ -1,9 +1,11 @@
 """Finite-dimensional variational inequalities over compact convex sets.
 
-Feasible sets are boxes or products of scaled simplices (the flow polytope
-of the routing game). The solver is the projection-based extragradient
-method; solution quality is measured by the natural residual
-||x - proj(x - F(x))||, which vanishes exactly at solutions.
+A field is any callable x -> F(x). A feasible set is any object with
+`project`, `default_start` and `dimension`: here boxes or products of
+scaled simplices (the flow polytope of the routing game). The solver is
+the projection-based extragradient method, whose step comes from the
+field's Lipschitz constant; solution quality is measured by the natural
+residual ||x - proj(x - F(x))||, which vanishes exactly at solutions.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "FeasibleSet",
     "Box",
     "SimplexProduct",
-    "VectorField",
     "ViSolution",
     "spectral_norm",
     "project_simplex",
@@ -57,26 +57,15 @@ def project_simplex(y: np.ndarray, demand: float | np.ndarray) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-class FeasibleSet:
-    """Base class: nonempty compact convex feasible set."""
-
-    dimension: int
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def default_start(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def _check_dimension(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.dimension,):
-            raise ValueError(f"expected vector of dimension {self.dimension}, got shape {y.shape}")
-        return y
+def _check_dimension(y: np.ndarray, dimension: int) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (dimension,):
+        raise ValueError(f"expected vector of dimension {dimension}, got shape {y.shape}")
+    return y
 
 
 @dataclass
-class Box(FeasibleSet):
+class Box:
     lo: np.ndarray
     hi: np.ndarray
 
@@ -94,7 +83,7 @@ class Box(FeasibleSet):
         self.dimension = len(self.lo)
 
     def project(self, y):
-        y = self._check_dimension(y)
+        y = _check_dimension(y, self.dimension)
         return np.clip(y, self.lo, self.hi)
 
     def default_start(self):
@@ -102,7 +91,7 @@ class Box(FeasibleSet):
 
 
 @dataclass
-class SimplexProduct(FeasibleSet):
+class SimplexProduct:
     """Product of scaled simplices {h >= 0, sum(h_block) = demand}.
 
     Blocks of equal length are grouped once, at construction; `project`
@@ -128,7 +117,7 @@ class SimplexProduct(FeasibleSet):
                         for n in np.unique(lengths)]
 
     def project(self, y):
-        y = self._check_dimension(y)
+        y = _check_dimension(y, self.dimension)
         out = np.empty_like(y)
         for coords, demands in self._groups:
             out[coords] = project_simplex(y[coords], demands)
@@ -138,17 +127,6 @@ class SimplexProduct(FeasibleSet):
         # Demand spread uniformly over each block: interior start.
         parts = [np.full(n, d / n) for n, d in self.blocks]
         return np.concatenate(parts)
-
-
-@dataclass
-class VectorField:
-    """Deterministic evaluator x -> F(x) with an optional Lipschitz hint."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    lipschitz_hint: Optional[float] = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(x), dtype=float)
 
 
 @dataclass
@@ -164,31 +142,37 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float), 2))
 
 
-def natural_residual(feasible: FeasibleSet, field: VectorField, x: np.ndarray) -> float:
-    """||x - proj(x - F(x))||; zero exactly at VI solutions."""
+def natural_residual(feasible: Box | SimplexProduct, field: Callable[[np.ndarray], np.ndarray],
+                     x: np.ndarray) -> float:
+    """||x - proj(x - F(x))||; zero exactly at VI solutions. An infeasible
+    point is a ValueError, a non-finite F(x) a FloatingPointError."""
     x = np.asarray(x, dtype=float)
     infeas = float(np.linalg.norm(x - feasible.project(x)))
     if not infeas <= _FEASIBILITY_TOL:  # a NaN distance fails too
         raise ValueError(f"point is infeasible (distance {infeas:.3e} to the set)")
-    return float(np.linalg.norm(x - feasible.project(x - field(x))))
+    fx = field(x)
+    if not np.all(np.isfinite(fx)):
+        raise FloatingPointError(f"field returned non-finite values at x={x}")
+    return float(np.linalg.norm(x - feasible.project(x - fx)))
 
 
 def extragradient_solve(
-    feasible: FeasibleSet,
-    field: VectorField,
+    feasible: Box | SimplexProduct,
+    field: Callable[[np.ndarray], np.ndarray],
+    lipschitz: float,
     x0: Optional[np.ndarray] = None,
 ) -> ViSolution:
     """Extragradient iteration y = proj(x - s F(x)), x+ = proj(x - s F(y)).
 
-    Converges for monotone Lipschitz fields with s < 1/L; the step is
-    s = 0.9 / lipschitz_hint. Stops once the natural residual is at most
-    _EG_TOL or after _EG_MAX_ITER steps.
+    Converges for monotone fields with Lipschitz constant `lipschitz` and
+    s < 1/L; the step is s = 0.9 / lipschitz, so a constant that is not
+    finite and positive is a ValueError. A non-finite field value is a
+    FloatingPointError. Stops once the natural residual is at most _EG_TOL
+    or after _EG_MAX_ITER steps.
     """
-    if not field.lipschitz_hint:
-        raise ValueError("the field carries no Lipschitz hint to set the step")
-    step = _EG_STEP_SCALE / field.lipschitz_hint
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < lipschitz < np.inf:  # NaN fails too
+        raise ValueError(f"Lipschitz constant must be finite and positive, got {lipschitz}")
+    step = _EG_STEP_SCALE / lipschitz
 
     x = feasible.project(np.asarray(x0, dtype=float)) if x0 is not None else feasible.default_start()
     for it in range(_EG_MAX_ITER + 1):

@@ -42,7 +42,7 @@ from cvarvi.routing import (
     solve_cwe,
     wardrop_gap,
 )
-from cvarvi.vi import Box, VectorField, extragradient_solve
+from cvarvi.vi import Box, extragradient_solve
 
 SIOUX_ODS = OdSpec(
     pairs=[OdPair(1, 19, 300, 10), OdPair(13, 8, 600, 10), OdPair(12, 18, 200, 10)]
@@ -354,10 +354,7 @@ def test_criterion_09_strongly_monotone_delta_law():
     for _ in range(2000):
         draws = rng.random(100)
         kappa_hat = empirical_cvar(SampleBatch(values=tuple(draws)), alpha).value
-        field = VectorField(
-            evaluator=lambda x, k=kappa_hat: sigma * x - c + k, lipschitz_hint=sigma
-        )
-        sol = extragradient_solve(box, field, x0=np.array([5.0]))
+        sol = extragradient_solve(box, lambda x, k=kappa_hat: sigma * x - c + k, sigma, x0=np.array([5.0]))
         lhs = abs(float(sol.x_star[0]) - x_exact)
         rhs = abs(kappa_hat - exact_kappa) / sigma + 1e-8
         worst = max(worst, lhs - rhs)

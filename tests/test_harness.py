@@ -420,6 +420,23 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"argument {flag}: expected an integer >= " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--n-samples", "50"), ("--seed", "3")])
+    def test_reference_kappa_with_a_sampling_flag_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["solve", "--kappa", "reference", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: not allowed with --kappa reference" in capsys.readouterr().err
+
+    def test_solve_defaults_and_reference_kappa(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        assert cli.main(["solve", "--config", str(cfg)]) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["solve", "--config", str(cfg), "--n-samples", "5000", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == default
+        assert cli.main(["solve", "--config", str(cfg), "--kappa", "reference"]) == 0
+        assert len(read_table(capsys.readouterr().out, ("path", "od", "flow", "cost"), "stdout")) == 30
+
     def test_output_dir_env(self, small_config, small_result, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMALL_CONFIG)

@@ -456,9 +456,7 @@ class TestCostModel:
         assert game.path_set.od_starts is game.path_set.od_starts
         assert game.path_set.od_starts.tolist() == [0, 10]
         assert game.lipschitz == pytest.approx(np.linalg.norm(game.cost_matrix, 2), rel=1e-12)
-        field = path_cost_field(game, np.zeros(20))
-        assert field.lipschitz_hint == game.lipschitz
-        assert np.array_equal(field(np.zeros(20)), game.free_flow_costs)
+        assert np.array_equal(path_cost_field(game, np.zeros(20))(np.zeros(20)), game.free_flow_costs)
 
     def test_cached_arrays_are_read_only(self):
         game = self.fresh_game()
@@ -466,6 +464,18 @@ class TestCostModel:
                     game.path_set.od_starts, assemble_lcp(game, np.zeros(20)).m_mat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+
+    def test_extragradient_gets_the_game_lipschitz(self, monkeypatch):
+        game = self.fresh_game()
+        original, seen = routing.extragradient_solve, []
+
+        def spy(feasible, field, lipschitz, x0=None):
+            seen.append(lipschitz)
+            return original(feasible, field, lipschitz, x0)
+
+        monkeypatch.setattr(routing, "extragradient_solve", spy)
+        solve_cwe(game, sample_path_kappa(game, 200, 1), method="extragradient")
+        assert seen == [game.lipschitz]
 
     def test_repeat_solve_skips_spectral_norm(self, monkeypatch):
         game = self.fresh_game()

@@ -7,7 +7,6 @@ from cvarvi import vi
 from cvarvi.vi import (
     Box,
     SimplexProduct,
-    VectorField,
     extragradient_solve,
     natural_residual,
     project_simplex,
@@ -174,30 +173,32 @@ class TestFeasibleSets:
 class TestNaturalResidual:
     def test_boundary_solution(self):
         box = Box(lo=[0.0], hi=[1.0])
-        field = VectorField(evaluator=lambda x: x - 2.0, lipschitz_hint=1.0)
+        field = lambda x: x - 2.0
         assert natural_residual(box, field, np.array([1.0])) == pytest.approx(0.0, abs=1e-14)
         assert natural_residual(box, field, np.array([0.0])) == pytest.approx(1.0)
 
     def test_rejects_infeasible_point(self):
         box = Box(lo=[0.0], hi=[1.0])
-        field = VectorField(evaluator=lambda x: x, lipschitz_hint=1.0)
         with pytest.raises(ValueError):
-            natural_residual(box, field, np.array([2.0]))
+            natural_residual(box, lambda x: x, np.array([2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_field_at_feasible_point_raises(self, bad):
+        with pytest.raises(FloatingPointError, match="^field returned non-finite values at x="):
+            natural_residual(Box(lo=[0.0], hi=[1.0]), lambda x: x * bad, np.array([0.5]))
 
 
 class TestExtragradient:
     def test_two_path_toy_interior(self):
         # Costs c1 = h1, c2 = 2 h2 over the unit simplex: equalize at (2/3, 1/3).
         sp = SimplexProduct(blocks=[(2, 1.0)])
-        field = VectorField(evaluator=lambda x: np.array([1.0, 2.0]) * x, lipschitz_hint=2.0)
-        sol = extragradient_solve(sp, field)
+        sol = extragradient_solve(sp, lambda x: np.array([1.0, 2.0]) * x, 2.0)
         assert sol.converged
         assert sol.x_star == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-7)
 
     def test_two_path_toy_corner(self):
         sp = SimplexProduct(blocks=[(2, 1.0)])
-        field = VectorField(evaluator=lambda x: np.array([1.0, 2.0]) * x + [0.0, 10.0], lipschitz_hint=2.0)
-        sol = extragradient_solve(sp, field)
+        sol = extragradient_solve(sp, lambda x: np.array([1.0, 2.0]) * x + [0.0, 10.0], 2.0)
         assert sol.x_star == pytest.approx([1.0, 0.0], abs=1e-7)
         assert sol.residual <= 1e-9
 
@@ -207,35 +208,28 @@ class TestExtragradient:
         for _ in range(10):
             c = rng.normal(size=3) * 3
             box = Box(lo=np.zeros(3), hi=np.ones(3))
-            sol = extragradient_solve(box, VectorField(evaluator=lambda x: 2.0 * x + c, lipschitz_hint=2.0))
+            sol = extragradient_solve(box, lambda x: 2.0 * x + c, 2.0)
             assert sol.x_star == pytest.approx(np.clip(-c / 2.0, 0, 1), abs=1e-7)
 
     def test_iteration_cap_reports_the_returned_point(self, monkeypatch):
         monkeypatch.setattr(vi, "_EG_MAX_ITER", 3)
         sp = SimplexProduct(blocks=[(2, 1.0)])
-        field = VectorField(evaluator=lambda x: np.array([1.0, 2.0]) * x, lipschitz_hint=2.0)
-        sol = extragradient_solve(sp, field)
+        field = lambda x: np.array([1.0, 2.0]) * x
+        sol = extragradient_solve(sp, field, 2.0)
         assert not sol.converged
         assert sol.iterations == 3
         assert sol.residual == natural_residual(sp, field, sol.x_star)
 
     def test_nonfinite_field_raises(self):
         box = Box(lo=[0.0], hi=[1.0])
-        field = VectorField(evaluator=lambda x: x * np.inf, lipschitz_hint=1.0)
         with pytest.raises(FloatingPointError):
-            extragradient_solve(box, field)
+            extragradient_solve(box, lambda x: x * np.inf, 1.0)
 
-    def test_missing_step_and_hint(self):
+    @pytest.mark.parametrize("lipschitz", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_lipschitz_not_finite_and_positive_rejected(self, lipschitz):
         box = Box(lo=[0.0], hi=[1.0])
-        field = VectorField(evaluator=lambda x: x)
-        with pytest.raises(ValueError):
-            extragradient_solve(box, field)
-
-    def test_negative_hint_gives_no_step(self):
-        box = Box(lo=[0.0], hi=[1.0])
-        field = VectorField(evaluator=lambda x: x, lipschitz_hint=-1.0)
-        with pytest.raises(ValueError, match="positive"):
-            extragradient_solve(box, field)
+        with pytest.raises(ValueError, match=f"^Lipschitz constant must be finite and positive, got {lipschitz}$"):
+            extragradient_solve(box, lambda x: x, lipschitz)
 
 
 class TestSpectralNorm:
