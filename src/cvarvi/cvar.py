@@ -10,6 +10,7 @@ draws. A linear-programming route is provided for cross-checking.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,10 +66,11 @@ class CvarEstimate:
     t_star: float
 
 
-def _tail_index(probs: np.ndarray, alpha: float) -> tuple[int, float]:
-    """First index k at which the descending tail mass reaches alpha, and the mass before k."""
-    cum = np.cumsum(probs)
-    k = min(int(np.searchsorted(cum, alpha - _PROB_TOL, side="left")), len(probs) - 1)
+@functools.lru_cache
+def _tail_index(n: int, alpha: float) -> tuple[int, float]:
+    """First index k at which n equal draws' descending tail mass reaches alpha, and the mass before k."""
+    cum = np.cumsum(np.full(n, 1.0 / n))
+    k = min(int(np.searchsorted(cum, alpha - _PROB_TOL, side="left")), n - 1)
     return k, float(cum[k - 1]) if k > 0 else 0.0
 
 
@@ -85,36 +87,38 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
     probs = np.full(n, 1.0 / n)
     order = np.argsort(-values, kind="stable")
     v = values[order]
-    p = probs[order]
-    k, mass_before = _tail_index(p, alpha)
-    value = (float(np.dot(p[:k], v[:k])) + (alpha - mass_before) * v[k]) / alpha
+    k, mass_before = _tail_index(n, alpha)
+    value = (float(np.dot(probs[:k], v[:k])) + (alpha - mass_before) * v[k]) / alpha
 
     # Left-side (1 - alpha)-quantile from the ascending CDF.
-    va = v[::-1]
-    ca = np.cumsum(p[::-1])
-    j = int(np.searchsorted(ca, 1.0 - alpha - _PROB_TOL, side="left"))
-    j = min(j, len(va) - 1)
-    t_star = float(va[j])
+    j = min(int(np.searchsorted(np.cumsum(probs), 1.0 - alpha - _PROB_TOL, side="left")), n - 1)
+    t_star = float(v[n - 1 - j])
     return float(value), t_star
 
 
-def equal_weight_cvar(n: int, alpha: float) -> Callable[[np.ndarray], float]:
-    """cvar_from_values' value for n raw draws, bit for bit, without t*: the
-    tail index is fixed once; each call selects the top k + 1 draws in O(n)
-    and sorts only the k tail values, descending, as the sort route does.
-    The reducer negates into one scratch buffer of its own and selects in
-    place, so a call allocates nothing of length n; it leaves its argument
-    unchanged and is not reentrant."""
-    k, mass_before = _tail_index(np.full(n, 1.0 / n), alpha)
+def equal_weight_cvar(n: int, alpha: float) -> Callable[..., float]:
+    """cvar_from_values' value of the sum of n-draw rows, bit for bit, without
+    t*: `reduce(*rows)` adds arrays of shape (n,) (else ValueError) left to
+    right into its one buffer, selects the top k + 1 sums there in O(n) and
+    sorts the k tail values. Rows stay unchanged; a call allocates nothing of
+    length n but for a zero value, whose sign the sort route gives. Not reentrant."""
+    k, mass_before = _tail_index(n, alpha)
     weights = np.full(k, 1.0 / n)
-    neg = np.empty(n)
-    tail = neg[:k]
+    buf = np.empty(n)
+    tail = buf[n - k:]
+    descending = tail[::-1]
 
-    def reduce(values: np.ndarray) -> float:
-        np.negative(values, out=neg)
-        neg.partition(k)
+    def reduce(*rows: np.ndarray) -> float:
+        for row in rows:
+            if getattr(row, "shape", None) != (n,):
+                raise ValueError(f"row of shape {np.shape(row)} is not an array of shape ({n},)")
+        np.add(rows[0], rows[1] if len(rows) > 1 else 0.0, out=buf)  # + 0.0 changes only a -0.0
+        for row in rows[2:]:
+            np.add(buf, row, out=buf)
+        buf.partition(n - k - 1)
         tail.sort()
-        return float((np.dot(weights, np.negative(tail, out=tail)) + (alpha - mass_before) * -neg[k]) / alpha)
+        value = float((np.dot(weights, descending) + (alpha - mass_before) * buf[n - k - 1]) / alpha)
+        return value if value != 0.0 else cvar_from_values(functools.reduce(np.add, rows), alpha)[0]
     return reduce
 
 

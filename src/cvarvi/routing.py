@@ -487,24 +487,13 @@ _DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
 
 
 def _kappa_from_noise(game: RoutingGame, draws: np.ndarray) -> np.ndarray:
-    """Per-path empirical CVaR of path noise sums for edge-major draws of
-    shape (len(game.noise_edges), N). A sum adds its rows in increasing
-    edge order and selects its top-ceil(alpha N) tail once per distinct
-    rows tuple; paths that cross the same noisy edges share that kappa."""
-    n_samples = draws.shape[1]
-    cvar_of = equal_weight_cvar(n_samples, game.alpha.alpha)
-    sums = np.empty(n_samples)
-    kappa_of: dict[tuple[int, ...], float] = {(): 0.0}
-    for rows in game.path_noise_rows:
-        if rows in kappa_of:
-            continue
-        if len(rows) == 1:
-            kappa_of[rows] = cvar_of(draws[rows[0]])
-        else:
-            np.add(draws[rows[0]], draws[rows[1]], out=sums)
-            for r in rows[2:]:
-                sums += draws[r]
-            kappa_of[rows] = cvar_of(sums)
+    """Per-path empirical CVaR of noise sums for edge-major draws of shape
+    (len(game.noise_edges), N): each distinct rows tuple is summed in edge
+    order and reduced once, shared by the paths that cross those edges."""
+    cvar_of = equal_weight_cvar(draws.shape[1], game.alpha.alpha)
+    edge_rows = list(draws)  # row views made once, not once per rows tuple
+    kappa_of = {rows: cvar_of(*[edge_rows[r] for r in rows]) if rows else 0.0
+                for rows in dict.fromkeys(game.path_noise_rows)}
     return np.array([kappa_of[rows] for rows in game.path_noise_rows])
 
 

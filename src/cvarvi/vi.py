@@ -1,11 +1,12 @@
 """Finite-dimensional variational inequalities over compact convex sets.
 
 A field is any callable x -> F(x). A feasible set is any object with
-`project`, `default_start` and `dimension`: here boxes or products of
-scaled simplices (the flow polytope of the routing game). The solver is
-the projection-based extragradient method, whose step comes from the
-field's Lipschitz constant; solution quality is measured by the natural
-residual ||x - proj(x - F(x))||, which vanishes exactly at solutions.
+`project`, `contains` (every constraint met within _FEASIBILITY_TOL; else
+`violation` names the one violated most), `default_start` and `dimension`:
+boxes or products of scaled simplices (the routing game's flow polytope).
+The solver is projection-based extragradient with a step from the field's
+Lipschitz constant; the natural residual ||x - proj(x - F(x))|| vanishes
+exactly at solutions.
 """
 
 from __future__ import annotations
@@ -86,6 +87,17 @@ class Box:
         y = _check_dimension(y, self.dimension)
         return np.clip(y, self.lo, self.hi)
 
+    def violation(self, x) -> Optional[str]:
+        x = _check_dimension(x, self.dimension)
+        excess = np.maximum(self.lo - x, x - self.hi)
+        i = int(np.argmax(excess))
+        if not excess[i] <= _FEASIBILITY_TOL:
+            return f"coordinate {i} is {x[i]}, outside [{self.lo[i]}, {self.hi[i]}]"
+        return None
+
+    def contains(self, x) -> bool:
+        return self.violation(x) is None
+
     def default_start(self):
         return 0.5 * (self.lo + self.hi)
 
@@ -110,8 +122,8 @@ class SimplexProduct:
                 raise ValueError("simplex block demand must be nonnegative")
         self.dimension = sum(n for n, _ in self.blocks)
         lengths = np.array([n for n, _ in self.blocks], dtype=int)
-        demands = np.array([d for _, d in self.blocks])
-        starts = np.cumsum(lengths) - lengths
+        self._demands = demands = np.array([d for _, d in self.blocks])
+        self._starts = starts = np.cumsum(lengths) - lengths
         # Per block length: the coordinates of its blocks, one row each, and their demands.
         self._groups = [(starts[lengths == n, None] + np.arange(n), demands[lengths == n])
                         for n in np.unique(lengths)]
@@ -122,6 +134,21 @@ class SimplexProduct:
         for coords, demands in self._groups:
             out[coords] = project_simplex(y[coords], demands)
         return out
+
+    def violation(self, x) -> Optional[str]:
+        """h >= 0, else the block sums: the constraint violated most (a NaN first), or None."""
+        x = _check_dimension(x, self.dimension)
+        i = int(np.argmin(x))
+        if not x[i] >= -_FEASIBILITY_TOL:
+            return f"coordinate {i} is {x[i]}, not >= 0"
+        sums = np.add.reduceat(x, self._starts)
+        b = int(np.argmax(np.abs(sums - self._demands)))
+        if not abs(sums[b] - self._demands[b]) <= _FEASIBILITY_TOL:
+            return f"block {b} sums to {sums[b]}, not its demand {self._demands[b]}"
+        return None
+
+    def contains(self, x) -> bool:
+        return self.violation(x) is None
 
     def default_start(self):
         # Demand spread uniformly over each block: interior start.
@@ -144,12 +171,11 @@ def spectral_norm(a: np.ndarray) -> float:
 
 def natural_residual(feasible: Box | SimplexProduct, field: Callable[[np.ndarray], np.ndarray],
                      x: np.ndarray) -> float:
-    """||x - proj(x - F(x))||; zero exactly at VI solutions. An infeasible
-    point is a ValueError, a non-finite F(x) a FloatingPointError."""
+    """||x - proj(x - F(x))||; zero exactly at VI solutions. A point the set
+    does not contain is a ValueError, a non-finite F(x) a FloatingPointError."""
     x = np.asarray(x, dtype=float)
-    infeas = float(np.linalg.norm(x - feasible.project(x)))
-    if not infeas <= _FEASIBILITY_TOL:  # a NaN distance fails too
-        raise ValueError(f"point is infeasible (distance {infeas:.3e} to the set)")
+    if not feasible.contains(x):
+        raise ValueError(f"point is infeasible: {feasible.violation(x)}")
     fx = field(x)
     if not np.all(np.isfinite(fx)):
         raise FloatingPointError(f"field returned non-finite values at x={x}")

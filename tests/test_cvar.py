@@ -1,8 +1,9 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvarvi.cvar import (
@@ -148,19 +149,31 @@ class TestEqualWeightCvar:
     """The selection route must reproduce the sort route bit for bit."""
 
     @staticmethod
-    def assert_bitwise(values, alpha):
+    def assert_bitwise(values, alpha, n_rows=1):
+        # The values fill up to n_rows equal rows, a remainder dropped; the
+        # oracle reduces their left-to-right sum.
         values = np.asarray(values, dtype=float)
-        got = equal_weight_cvar(len(values), alpha)(values)
-        want = cvar_from_values(values, alpha)[0]
+        m = min(n_rows, len(values))
+        rows = values[: len(values) // m * m].reshape(m, -1)
+        kept = rows.copy()
+        got = equal_weight_cvar(rows.shape[1], alpha)(*rows)
+        want = cvar_from_values(np.add.accumulate(rows)[-1], alpha)[0]
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+        assert rows.tobytes() == kept.tobytes()
 
+    # Ties of +0.0 and -0.0 compare equal but sign a zero tail differently:
+    # the sort route takes the first ones in index order.
     @settings(max_examples=300, deadline=None)
     @given(
-        values=st.lists(finite_floats | st.integers(-3, 3).map(float), min_size=1, max_size=300),
+        values=st.lists(finite_floats | st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0]),
+                        min_size=1, max_size=300),
         alpha=st.floats(min_value=0.001, max_value=0.999),
+        n_rows=st.integers(1, 4),
     )
-    def test_matches_sort_route(self, values, alpha):
-        self.assert_bitwise(values, alpha)
+    @example(values=[0.0, -0.0, -0.0], alpha=0.5, n_rows=1)
+    @example(values=[-0.0, 0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0], alpha=0.5, n_rows=2)
+    def test_matches_sort_route(self, values, alpha, n_rows):
+        self.assert_bitwise(values, alpha, n_rows)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 2000), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
@@ -202,6 +215,27 @@ class TestReducerScratchBuffer:
         want = [cvar_from_values(v, 0.05)[0] for v in (first, second, first)]
         assert np.array(results).tobytes() == np.array(want).tobytes()
         assert first.tobytes() == kept[0].tobytes() and second.tobytes() == kept[1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_one_reducer_on_four_rows_then_one(self, n):
+        rows = np.random.default_rng(n + 2).uniform(0.0, 4.0, (4, n))
+        kept = rows.copy()
+        reduce = equal_weight_cvar(n, 0.05)
+        results = [reduce(*rows), reduce(rows[2])]
+        want = [cvar_from_values(((rows[0] + rows[1]) + rows[2]) + rows[3], 0.05)[0],
+                cvar_from_values(rows[2], 0.05)[0]]
+        assert np.array(results).tobytes() == np.array(want).tobytes()
+        assert rows.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("row", [np.array([3.0]), np.float64(3.0), 3.0, np.zeros(49), np.zeros((50, 1))],
+                             ids=["one draw", "numpy scalar", "float", "short", "column"])
+    @pytest.mark.parametrize("place", ["first", "later"])
+    def test_rejects_a_row_of_another_shape(self, row, place):
+        reduce = equal_weight_cvar(50, 0.05)
+        rows = (row,) if place == "first" else (np.zeros(50), row)
+        shape = re.escape(str(np.shape(row)))
+        with pytest.raises(ValueError, match=rf"^row of shape {shape} is not an array of shape \(50,\)$"):
+            reduce(*rows)
 
 
 class TestLpMemory:

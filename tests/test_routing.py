@@ -28,7 +28,7 @@ from cvarvi.routing import (
     true_path_kappa,
     wardrop_gap,
 )
-from cvarvi.vi import natural_residual
+from cvarvi.vi import SimplexProduct, natural_residual
 
 MINIMAL_TNTP = """
 <NUMBER OF NODES> 3
@@ -708,6 +708,18 @@ class TestEquilibriumRegions:
             assert hit.x_star.tobytes() == plain.x_star.tobytes()
             assert hit.residual == plain.residual
         assert len(table) == 1
+
+    def test_hit_projects_twice(self, sioux_game, kappas, monkeypatch):
+        # Once to build the flow, once for the natural residual; the residual
+        # checks feasibility without a projection.
+        table = []
+        cold = solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        calls = []
+        project = SimplexProduct.project
+        monkeypatch.setattr(SimplexProduct, "project", lambda self, y: calls.append(1) or project(self, y))
+        hit = solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        assert len(calls) == 2 and hit.iterations == 0
+        assert hit.x_star.tobytes() == cold.x_star.tobytes() and hit.residual == cold.residual
 
     def test_every_method_returns_the_region_flow(self, sioux_game, kappas):
         flows = {solve_cwe(sioux_game, kappas[1], method).x_star.tobytes() for method in SOLVE_METHODS}

@@ -170,6 +170,71 @@ class TestFeasibleSets:
         assert proj[2:].sum() == pytest.approx(2.0)
 
 
+TOL = vi._FEASIBILITY_TOL
+
+
+def box_point(coordinate, off):
+    """A point of Box([0, 0], [1, 2]) moved off one bound by `off`."""
+    x = np.array([1.0, 0.5]) if coordinate == 0 else np.array([0.5, 0.0])
+    x[coordinate] += off if coordinate == 0 else -off
+    return x
+
+
+def simplex_point(constraint, off):
+    """A point of SimplexProduct([(2, 1), (3, 2)]) moved by `off` across one
+    constraint: a coordinate below 0 (its block sum kept), or block 1's sum."""
+    x = np.array([0.25, 0.75, 0.0, 1.0, 1.0])
+    if constraint == "coordinate":
+        x[2] -= off
+        x[3] += off
+    else:
+        x[4] += off
+    return x
+
+
+class TestContains:
+    """Each constraint may be violated by at most _FEASIBILITY_TOL."""
+
+    BOX = Box(lo=[0.0, 0.0], hi=[1.0, 2.0])
+    SIMPLEX = SimplexProduct(blocks=[(2, 1.0), (3, 2.0)])
+
+    @pytest.mark.parametrize("coordinate", [0, 1], ids=["upper", "lower"])
+    @pytest.mark.parametrize("off, inside", [(0.0, True), (0.5 * TOL, True), (2 * TOL, False)])
+    def test_box_bounds(self, coordinate, off, inside):
+        x = box_point(coordinate, off)
+        assert self.BOX.contains(x) is inside
+        if inside:
+            assert self.BOX.violation(x) is None
+        else:
+            bounds = ["[0.0, 1.0]", "[0.0, 2.0]"][coordinate]
+            assert self.BOX.violation(x) == f"coordinate {coordinate} is {x[coordinate]}, outside {bounds}"
+
+    @pytest.mark.parametrize("constraint", ["coordinate", "block sum"])
+    @pytest.mark.parametrize("off, inside", [(0.0, True), (0.5 * TOL, True), (2 * TOL, False)])
+    def test_simplex_constraints(self, constraint, off, inside):
+        x = simplex_point(constraint, off)
+        assert self.SIMPLEX.contains(x) is inside
+        if inside:
+            assert self.SIMPLEX.violation(x) is None
+        elif constraint == "coordinate":
+            assert self.SIMPLEX.violation(x) == f"coordinate 2 is {x[2]}, not >= 0"
+        else:
+            assert self.SIMPLEX.violation(x).startswith("block 1 sums to 2.00000000")
+            assert self.SIMPLEX.violation(x).endswith(", not its demand 2.0")
+
+    def test_names_the_largest_violation_and_a_nan_first(self):
+        assert self.BOX.violation(np.array([1.5, 5.0])) == "coordinate 1 is 5.0, outside [0.0, 2.0]"
+        assert self.BOX.violation(np.array([5.0, np.nan])) == "coordinate 1 is nan, outside [0.0, 2.0]"
+        x = np.array([-1.0, 2.0, 0.0, np.nan, 2.0])
+        assert self.SIMPLEX.violation(x) == "coordinate 3 is nan, not >= 0"
+        assert self.SIMPLEX.violation(np.array([0.5, 0.6, 0.0, 0.0, 5.0])) == "block 1 sums to 5.0, not its demand 2.0"
+
+    def test_wrong_dimension_rejected(self):
+        for feasible in (self.BOX, self.SIMPLEX):
+            with pytest.raises(ValueError, match="^expected vector of dimension"):
+                feasible.contains(np.zeros(7))
+
+
 class TestNaturalResidual:
     def test_boundary_solution(self):
         box = Box(lo=[0.0], hi=[1.0])
@@ -179,8 +244,18 @@ class TestNaturalResidual:
 
     def test_rejects_infeasible_point(self):
         box = Box(lo=[0.0], hi=[1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^point is infeasible: coordinate 0 is 2\.0, outside \[0\.0, 1\.0\]$"):
             natural_residual(box, lambda x: x, np.array([2.0]))
+
+    @pytest.mark.parametrize("constraint, message", [
+        ("coordinate", r"coordinate 2 is -2e-09, not >= 0"),
+        ("block sum", r"block 1 sums to 2\.00000000\d*, not its demand 2\.0"),
+    ])
+    def test_names_the_violated_simplex_constraint(self, constraint, message):
+        field = lambda x: x
+        assert natural_residual(TestContains.SIMPLEX, field, simplex_point(constraint, 0.5 * TOL)) >= 0.0
+        with pytest.raises(ValueError, match=f"^point is infeasible: {message}$"):
+            natural_residual(TestContains.SIMPLEX, field, simplex_point(constraint, 2 * TOL))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_field_at_feasible_point_raises(self, bad):
