@@ -201,19 +201,19 @@ def exponential_bound_separable(
 
 
 def exponential_bound_routing(
-    ods: Sequence[tuple[int, float]], alpha: RiskLevel, ell: float, big_l: float,
+    path_counts: Sequence[int], alpha: RiskLevel, ell: float, big_l: float,
     m_lip: float, delta: float, zeta: Optional[float] = None,
 ) -> BoundReport:
     """gamma = 6 |P| prod_w ceil(4 M |W| sqrt(|P_w|) / (delta alpha)),
-    beta = alpha delta^2 / (44 |P| (L - l)^2), with one (|P_w|, demand)
-    pair per OD pair w in ods and |P| the sum of the path counts. gamma is
-    also reported exactly, as the integer gamma_exact."""
-    w_count = len(ods)
-    p_total = sum(pc for pc, _ in ods)
+    beta = alpha delta^2 / (44 |P| (L - l)^2), with one path count |P_w|
+    per OD pair w in path_counts and |P| their sum. gamma is also reported
+    exactly, as the integer gamma_exact."""
+    w_count = len(path_counts)
+    p_total = sum(path_counts)
     _check_bound_inputs(p_total, delta, ell=ell, big_l=big_l)
     a = alpha.alpha
     gamma_exact = 6 * p_total
-    for path_count, _ in ods:
+    for path_count in path_counts:
         gamma_exact *= math.ceil(4.0 * m_lip * w_count * math.sqrt(path_count) / (delta * a))
     beta = a * delta**2 / (44.0 * p_total * (big_l - ell) ** 2)
     ln_gamma = float(math.log(gamma_exact))

@@ -19,12 +19,11 @@ import numpy as np
 from .bounds import exponential_bound_general, exponential_bound_separable
 from .cvar import RiskLevel, SampleBatch, empirical_cvar, empirical_cvar_lp
 from .harness import (
+    ExperimentConfig,
     ExperimentResult,
     build_configured_game,
     compare_bounds,
-    default_config_text,
     load_config,
-    parse_config,
     read_results_csv,
     routing_bound,
     run_experiment,
@@ -40,7 +39,7 @@ def _default_output_dir() -> str:
 
 
 def _load_experiment_config(args):
-    return parse_config(default_config_text()) if args.config is None else load_config(args.config)
+    return ExperimentConfig() if args.config is None else load_config(args.config)
 
 
 def _int_at_least(minimum: int):
@@ -65,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("samples", help="CSV file with a `value` header, or - for stdin")
     p_est.add_argument("--alpha", type=float, required=True)
     p_est.add_argument("--method", choices=["order_statistic", "lp"], default="order_statistic")
+    p_est.set_defaults(run=_cmd_estimate)
 
     p_solve = sub.add_parser("solve", help="equilibrium flow for a configured game")
     p_solve.add_argument("--config", default=None, help="experiment config (default: builtin)")
@@ -73,9 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     # None marks a flag not given: with --kappa reference a given one is a usage error.
     p_solve.add_argument("--n-samples", type=_int_at_least(1), help="draws per kappa-hat (default: 5000)")
     p_solve.add_argument("--seed", type=_int_at_least(0), help="master seed of the draws (default: 0)")
-    p_solve.set_defaults(usage_error=p_solve.error)
+    p_solve.set_defaults(run=_cmd_solve, usage_error=p_solve.error)
 
     p_bounds = sub.add_parser("bounds", help="gamma/beta constants and sample sizes")
+    p_bounds.set_defaults(run=_cmd_bounds)
     formulas = p_bounds.add_subparsers(dest="formula", required=True, metavar="FORMULA")
     p_gen = formulas.add_parser("general", help="bound over a covering of the decision set")
     p_sep = formulas.add_parser("separable", help="bound for a separable cost, no covering")
@@ -106,10 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", default=None)
     p_exp.add_argument("--output-dir", default=_default_output_dir())
     p_exp.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker process count")
+    p_exp.set_defaults(run=_cmd_experiment)
 
-    p_cmp = sub.add_parser("compare", help="empirical tail frequencies vs the bound")
-    p_cmp.add_argument("--config", default=None)
+    p_cmp = sub.add_parser("compare", help="tail frequencies vs the bound, for the run in --output-dir")
     p_cmp.add_argument("--output-dir", default=_default_output_dir())
+    p_cmp.set_defaults(run=_cmd_compare)
     return parser
 
 
@@ -185,12 +187,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_experiment_config(args)
-    results_path = Path(args.output_dir) / "results.csv"
-    if not results_path.exists():
-        raise RuntimeError(f"no results at {results_path}; run `cvarvi experiment` first")
+    results_path, config_path = Path(args.output_dir) / "results.csv", Path(args.output_dir) / "config.cfg"
+    for kind, path in (("results", results_path), ("config", config_path)):
+        if not path.exists():
+            raise RuntimeError(f"no {kind} at {path}; run `cvarvi experiment` first")
     records = read_results_csv(results_path)
-    result = ExperimentResult(config=config, h_ref=np.zeros(0), records=records)
+    result = ExperimentResult(config=load_config(config_path), h_ref=np.zeros(0), records=records)
     rows = compare_bounds(result)
     table = [(row.n_samples, row.empirical_freq, row.bound_value, row.consistent) for row in rows]
     sys.stdout.write(format_table(("n_samples", "empirical_freq", "bound", "consistent"), table))
@@ -207,20 +209,10 @@ def _cmd_compare(args) -> int:
     return 0 if all(row.consistent for row in rows) else 1
 
 
-_COMMANDS = {
-    "estimate": _cmd_estimate,
-    "solve": _cmd_solve,
-    "bounds": _cmd_bounds,
-    "experiment": _cmd_experiment,
-    "compare": _cmd_compare,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -151,8 +151,9 @@ def empirical_cvar_lp(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
     a = alpha.alpha
     # Variables: (t, y_1..y_N).
     c = np.concatenate([[1.0], np.full(n, 1.0 / (n * a))])
-    # Sparse, so memory grows as N rather than N^2.
-    a_ub = sparse.hstack([-np.ones((n, 1)), -sparse.identity(n)], format="csr")
+    # Row j is -t - y_j, in CSR from its arrays: memory grows as N rather than N^2.
+    cols = np.column_stack((np.zeros(n, dtype=int), np.arange(1, n + 1))).ravel()
+    a_ub = sparse.csr_matrix((np.full(2 * n, -1.0), cols, np.arange(0, 2 * n + 1, 2)), shape=(n, n + 1))
     b_ub = -v
     bounds = [(None, None)] + [(0.0, None)] * n
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")

@@ -7,8 +7,8 @@ flows are the minimum-norm points of their equilibrium sets, as
 `solve_cwe` returns them, so the distance does not depend on which
 equilibrium a solver happens to reach. Replications run in blocks, each
 solved from a table of certified equilibrium regions (`run_experiment`).
-Output is a flat results table plus one empirical-CDF table per sample
-size, all byte-identical across repeated runs with the same configuration
+Output is a results table, its config.cfg and one empirical-CDF table per
+sample size, byte-identical across runs with the same configuration
 (worker count, block size and scheduling order do not affect the files).
 """
 
@@ -46,6 +46,7 @@ __all__ = [
     "BoundComparison",
     "ConfigError",
     "parse_config",
+    "format_config",
     "load_config",
     "default_config_text",
     "build_configured_game",
@@ -62,7 +63,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Flat description of one convergence experiment."""
+    """One convergence experiment, flat; its field defaults are the default experiment."""
 
     network: str = "builtin:siouxfalls"
     alpha: float = 0.05
@@ -148,13 +149,23 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def format_config(config: ExperimentConfig) -> str:
+    """The text `parse_config` reads back as config: an `od` line per quadruple, then a
+    `key = value` line per other field, tuples comma-joined and floats as `str` (exact)."""
+    lines = [f"od = {o} {d} {demand} {k}" for o, d, demand, k in config.ods]
+    for f in fields(config):
+        if f.name != "ods":
+            value = getattr(config, f.name)
+            lines.append(f"{f.name} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}")
+    return "\n".join(lines) + "\n"
+
+
 def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
 def default_config_text() -> str:
-    cfg_path = Path(__file__).parent / "data" / "siouxfalls.cfg"
-    return cfg_path.read_text()
+    return format_config(ExperimentConfig())
 
 
 def build_configured_game(config: ExperimentConfig) -> RoutingGame:
@@ -248,8 +259,9 @@ def run_experiment(
     game: Optional[RoutingGame] = None,
     progress=None,
 ) -> ExperimentResult:
-    """Run the full replication grid and write results.csv plus one
-    cdf_{N}.csv per sample size into output_dir.
+    """Run the full replication grid and write results.csv, config.cfg
+    (`format_config`; a stale one is removed first, so it never describes
+    another run's results) and one cdf_{N}.csv per sample size into output_dir.
 
     The deviation of a replication is the Euclidean distance between the
     minimum-norm equilibrium flow of its sampled game and that of the
@@ -271,6 +283,7 @@ def run_experiment(
         raise ValueError(f"need at least one worker, got {workers}")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    (output_dir / "config.cfg").unlink(missing_ok=True)
     if cache_dir is None:
         cache_dir = output_dir / "cache"
     if game is None:
@@ -306,6 +319,7 @@ def run_experiment(
     result.results_path = output_dir / "results.csv"
     rows = [(r.n_samples, r.rep, r.deviation, r.residual, r.status) for r in records]
     result.results_path.write_text(format_table(_RESULTS_HEADER, rows), newline="\n")
+    (output_dir / "config.cfg").write_text(format_config(config), newline="\n")
     for n in config.sample_sizes:
         devs = np.sort(result.deviations(n))
         rows = [(d, k / len(devs)) for k, d in enumerate(devs, start=1)]
@@ -336,7 +350,7 @@ def routing_bound(game: RoutingGame, delta: float, zeta: Optional[float] = None)
     ell = float(base.min())
     big_l = float((base + a_mat @ demand_of_path + noise_top).max())
     return exponential_bound_routing(
-        game.feasible_flows.blocks, game.alpha, ell, big_l, m_lip, delta, zeta=zeta
+        [n for n, _ in game.feasible_flows.blocks], game.alpha, ell, big_l, m_lip, delta, zeta=zeta
     )
 
 

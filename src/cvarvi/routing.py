@@ -128,9 +128,6 @@ class Network:
     def n_edges(self) -> int:
         return len(self.tail)
 
-    def with_congestion(self, b_e: float) -> "Network":
-        return replace(self, congestion_coeff=np.full(self.n_edges, float(b_e)))
-
 
 @dataclass(frozen=True)
 class OdPair:
@@ -444,7 +441,7 @@ def build_game(
     by free-flow k-shortest enumeration, and uniform noise on [0,
     noise_scale * t_e] for every edge whose tail or head lies in
     uncertain_nodes."""
-    net = network.with_congestion(b_e)
+    net = replace(network, congestion_coeff=np.full(network.n_edges, float(b_e)))
     node_set = set(int(v) for v in uncertain_nodes)
     outside = sorted(v for v in node_set if not 1 <= v <= net.n_nodes)
     if outside:
@@ -509,8 +506,6 @@ def sample_path_kappa(game: RoutingGame, n_samples: int, seed: int, *stream_key:
     if n_samples < 1:
         raise ValueError("need at least one sample")
     edges = game.noise_edges
-    if len(edges) == 0:
-        return np.zeros(game.path_set.n_paths)
     lo = game.noise_lo[edges][:, None]
     draws = replication_rng(seed, *stream_key).random((len(edges), n_samples))
     draws *= game.noise_hi[edges][:, None] - lo

@@ -1,9 +1,10 @@
 """Finite-dimensional variational inequalities over compact convex sets.
 
 A field is any callable x -> F(x). A feasible set is any object with
-`project`, `contains` (every constraint met within _FEASIBILITY_TOL; else
-`violation` names the one violated most), `default_start` and `dimension`:
-boxes or products of scaled simplices (the routing game's flow polytope).
+`project`, `violation` (None when every constraint is met within
+_FEASIBILITY_TOL; else the one violated most), `default_start` and
+`dimension`: boxes or products of scaled simplices (the routing game's
+flow polytope).
 The solver is projection-based extragradient with a step from the field's
 Lipschitz constant; the natural residual ||x - proj(x - F(x))|| vanishes
 exactly at solutions.
@@ -95,9 +96,6 @@ class Box:
             return f"coordinate {i} is {x[i]}, outside [{self.lo[i]}, {self.hi[i]}]"
         return None
 
-    def contains(self, x) -> bool:
-        return self.violation(x) is None
-
     def default_start(self):
         return 0.5 * (self.lo + self.hi)
 
@@ -147,9 +145,6 @@ class SimplexProduct:
             return f"block {b} sums to {sums[b]}, not its demand {self._demands[b]}"
         return None
 
-    def contains(self, x) -> bool:
-        return self.violation(x) is None
-
     def default_start(self):
         # Demand spread uniformly over each block: interior start.
         parts = [np.full(n, d / n) for n, d in self.blocks]
@@ -174,8 +169,9 @@ def natural_residual(feasible: Box | SimplexProduct, field: Callable[[np.ndarray
     """||x - proj(x - F(x))||; zero exactly at VI solutions. A point the set
     does not contain is a ValueError, a non-finite F(x) a FloatingPointError."""
     x = np.asarray(x, dtype=float)
-    if not feasible.contains(x):
-        raise ValueError(f"point is infeasible: {feasible.violation(x)}")
+    violation = feasible.violation(x)
+    if violation is not None:
+        raise ValueError(f"point is infeasible: {violation}")
     fx = field(x)
     if not np.all(np.isfinite(fx)):
         raise FloatingPointError(f"field returned non-finite values at x={x}")

@@ -272,9 +272,8 @@ def test_criterion_07_bound_calculators():
     checks.append(abs(rep.gamma - 6.0) <= 1e-12 * 6.0)
     checks.append(abs(rep.beta - 0.05 * 0.01 / 11.0) <= 1e-12 * rep.beta)
     # Routing constants on the experiment's shape.
-    ods = [(10, 300.0), (10, 600.0), (10, 200.0)]
     rep = exponential_bound_routing(
-        ods=ods, alpha=RiskLevel(0.05), ell=0.0, big_l=7.0, m_lip=2.5, delta=1.0
+        path_counts=[10, 10, 10], alpha=RiskLevel(0.05), ell=0.0, big_l=7.0, m_lip=2.5, delta=1.0
     )
     factor = math.ceil(4.0 * 2.5 * 3.0 * math.sqrt(10.0) / (1.0 * 0.05))
     checks.append(rep.gamma_exact == 6 * 30 * factor**3)

@@ -134,26 +134,24 @@ class TestExponentialBounds:
 
     def test_routing_pinned(self):
         report = exponential_bound_routing(
-            ods=[(1, 1.0)], alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, delta=8.0
+            path_counts=[1], alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, delta=8.0
         )
         assert report.gamma_exact == 6
         assert report.beta == pytest.approx(0.5 * 64.0 / 44.0, rel=1e-12)
 
     def test_routing_sioux_shape(self):
-        ods = [(10, 300.0), (10, 600.0), (10, 200.0)]
         report = exponential_bound_routing(
-            ods=ods, alpha=RiskLevel(0.05), ell=0.0, big_l=10.0, m_lip=5.0, delta=1.0
+            path_counts=[10, 10, 10], alpha=RiskLevel(0.05), ell=0.0, big_l=10.0, m_lip=5.0, delta=1.0
         )
         factor = math.ceil(4.0 * 5.0 * 3.0 * math.sqrt(10.0) / (1.0 * 0.05))
         assert report.gamma_exact == 6 * 30 * factor**3
         assert report.beta == pytest.approx(0.05 / (44.0 * 30.0 * 100.0), rel=1e-12)
 
     def test_gamma_monotone_in_delta(self):
-        ods = [(4, 1.0)]
         gammas = []
         for delta in (0.1, 0.2, 0.4):
             report = exponential_bound_routing(
-                ods=ods, alpha=RiskLevel(0.1), ell=0.0, big_l=1.0, m_lip=1.0, delta=delta
+                path_counts=[4], alpha=RiskLevel(0.1), ell=0.0, big_l=1.0, m_lip=1.0, delta=delta
             )
             gammas.append(report.gamma_exact)
         assert gammas[0] >= gammas[1] >= gammas[2]
@@ -170,7 +168,7 @@ def _separable(**change):
 
 
 def _routing(**change):
-    kwargs = dict(ods=[(2, 1.0)], alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, delta=0.1)
+    kwargs = dict(path_counts=[2], alpha=RiskLevel(0.5), ell=0.0, big_l=1.0, m_lip=1.0, delta=0.1)
     return exponential_bound_routing(**{**kwargs, **change})
 
 
@@ -178,7 +176,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("formula, change, message", [
         (_general, dict(n=0), "dimension"),
         (_separable, dict(n=0), "dimension"),
-        (_routing, dict(ods=[]), "dimension"),
+        (_routing, dict(path_counts=[]), "dimension"),
         (_general, dict(ell=2.0), "inverted"),
         (_routing, dict(ell=2.0), "inverted"),
         (_general, dict(delta=0.0), "delta must be positive"),
@@ -200,7 +198,7 @@ class TestInputChecks:
     def test_accepts_the_edges(self):
         # n = 1, delta just below diam/2 and tiny positive scales are valid.
         assert _general(n=1, delta=0.4999).ln_gamma > 0
-        assert _routing(ods=[(1, 1.0)], delta=1e-9).gamma_exact > 0
+        assert _routing(path_counts=[1], delta=1e-9).gamma_exact > 0
         assert _separable(f_max=1e-9, g_rge=1e-9).beta > 0
 
 

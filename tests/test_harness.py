@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvarvi
 from cvarvi import cli, harness
@@ -21,12 +23,14 @@ from cvarvi.harness import (
     build_configured_game,
     compare_bounds,
     default_config_text,
+    format_config,
+    load_config,
     parse_config,
     read_results_csv,
     routing_bound,
     run_experiment,
 )
-from cvarvi.routing import sample_path_kappa, solve_cwe, true_path_kappa
+from cvarvi.routing import SOLVE_METHODS, sample_path_kappa, solve_cwe, true_path_kappa
 from cvarvi.tables import fmt, format_table, read_table
 
 RESULTS_HEADER = ("n_samples", "rep", "deviation", "residual", "status")
@@ -135,12 +139,60 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
             parse_config(f"{key} = 0.05\nod = 1 2 5 1\n")
 
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.builds(
+        ExperimentConfig,
+        # A text value as parse_config leaves it: stripped, one line, no comment.
+        network=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="#"), max_size=20)
+        .filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        b_e=st.floats(allow_nan=False, allow_infinity=False),
+        uncertain_nodes=st.lists(st.integers()).map(tuple),
+        noise_scale=st.floats(allow_nan=False, allow_infinity=False),
+        ods=st.lists(st.tuples(st.integers(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                               st.integers()), min_size=1).map(tuple),
+        sample_sizes=st.lists(st.integers(min_value=1), min_size=1, unique=True).map(tuple),
+        replications=st.integers(min_value=200),
+        master_seed=st.integers(min_value=0),
+        epsilon=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ref_samples=st.integers(),
+        ref_seed=st.integers(min_value=0),
+        solver=st.sampled_from(SOLVE_METHODS),
+    ))
+    def test_format_config_round_trips(self, config):
+        text = format_config(config)
+        assert parse_config(text) == config
+        assert format_config(parse_config(text)) == text  # the float bits, -0.0 included
+
+    def test_readme_default_block_is_the_dataclass_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(block) == ExperimentConfig()
+
 
 class TestExperiment:
     def test_outputs_exist(self, small_config, small_result):
         assert small_result.results_path.exists()
         for n in small_config.sample_sizes:
             assert small_result.cdf_paths[n].exists()
+
+    def test_config_file_is_the_config_run(self, small_config, small_result):
+        path = small_result.results_path.parent / "config.cfg"
+        assert path.read_text() == format_config(small_config)
+        assert load_config(path) == small_config
+
+    def test_stale_config_file_removed_before_the_grid(self, small_config, small_result, tmp_path,
+                                                       monkeypatch):
+        (tmp_path / "config.cfg").write_text("replications = 900\n")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_run_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_config, tmp_path, cache_dir=small_result.results_path.parent / "cache")
+        assert not (tmp_path / "config.cfg").exists()
 
     def test_results_schema(self, small_config, small_result):
         lines = small_result.results_path.read_text().splitlines()
@@ -267,7 +319,7 @@ class TestResultsCsv:
             (["solve", "--config", str(cfg), "--n-samples", "200"], ("path", "od", "flow", "cost"), 30),
             (["bounds", "routing", "--config", str(cfg)],
              ("formula", "gamma", "ln_gamma", "beta", "n_samples"), 1),
-            (["compare", "--config", str(cfg), "--output-dir", out_dir],
+            (["compare", "--output-dir", out_dir],
              ("n_samples", "empirical_freq", "bound", "consistent"), 2),
         ]
         for argv, header, n_rows in commands:
@@ -281,17 +333,17 @@ class TestBoundComparison:
     def test_inputs_are_sane(self, small_config, monkeypatch):
         seen = []
 
-        def capture(ods, alpha, ell, big_l, m_lip, delta, zeta=None):
-            seen.append(dict(ods=ods, ell=ell, big_l=big_l, m_lip=m_lip))
-            return exponential_bound_routing(ods, alpha, ell, big_l, m_lip, delta, zeta)
+        def capture(path_counts, alpha, ell, big_l, m_lip, delta, zeta=None):
+            seen.append(dict(path_counts=path_counts, ell=ell, big_l=big_l, m_lip=m_lip))
+            return exponential_bound_routing(path_counts, alpha, ell, big_l, m_lip, delta, zeta)
 
         monkeypatch.setattr(harness, "exponential_bound_routing", capture)
         routing_bound(build_configured_game(small_config), 1.0)
         (inputs,) = seen
-        assert sum(pc for pc, _ in inputs["ods"]) == 30
+        assert sum(inputs["path_counts"]) == 30
         assert inputs["ell"] < inputs["big_l"]
         assert inputs["m_lip"] > 0
-        assert [pc for pc, _ in inputs["ods"]] == [10, 10, 10]
+        assert list(inputs["path_counts"]) == [10, 10, 10]
 
     def test_compare_consistent(self, small_config, small_result):
         rows = compare_bounds(small_result)
@@ -438,23 +490,18 @@ class TestCli:
         assert len(read_table(capsys.readouterr().out, ("path", "od", "flow", "cost"), "stdout")) == 30
 
     def test_output_dir_env(self, small_config, small_result, tmp_path, monkeypatch):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(SMALL_CONFIG)
         # The child's cwd holds no ./cvarvi_out, so only the variable can
         # point it at the results.
         proc = subprocess.run(
-            [sys.executable, "-m", "cvarvi.cli", "compare", "--config", str(cfg)],
+            [sys.executable, "-m", "cvarvi.cli", "compare"],
             capture_output=True, text=True, cwd=tmp_path,
             env=child_env(CVARVI_OUTPUT_DIR=str(small_result.results_path.parent)),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n_samples,empirical_freq,bound,consistent"
 
-    def test_compare_reports_vacuous_bound(self, small_config, small_result, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(SMALL_CONFIG)
-        proc = self.run_cli("compare", "--config", str(cfg),
-                            "--output-dir", str(small_result.results_path.parent))
+    def test_compare_reports_vacuous_bound(self, small_config, small_result):
+        proc = self.run_cli("compare", "--output-dir", str(small_result.results_path.parent))
         assert proc.returncode == 0
         rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
         assert [row[2] for row in rows] == ["1", "1"]
@@ -466,3 +513,34 @@ class TestCli:
             f"the bound is below 1 from N = {n_min} "
             f"(ln gamma = {report.ln_gamma:.4g}, beta = {report.beta:.4g})",
         ]
+
+    def test_compare_without_a_config_file_names_it(self, small_result, tmp_path, capsys):
+        (tmp_path / "results.csv").write_bytes(small_result.results_path.read_bytes())
+        assert cli.main(["compare", "--output-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no config at {tmp_path / 'config.cfg'}; run `cvarvi experiment` first\n"
+
+    def test_compare_config_flag_is_gone(self, small_result, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["compare", "--config", "c.cfg", "--output-dir", str(small_result.results_path.parent)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --config c.cfg" in capsys.readouterr().err
+
+    def test_compare_reads_the_config_of_its_run(self, tmp_path, capsys):
+        # Not the default sizes, epsilon or alpha: each would change the table or the bound.
+        text = SMALL_CONFIG.replace("epsilon = 1.0", "epsilon = 3.0").replace("alpha = 0.05", "alpha = 0.2")
+        config = parse_config(text)
+        (tmp_path / "c.cfg").write_text(text)
+        out_dir = tmp_path / "out"
+        assert cli.main(["experiment", "--config", str(tmp_path / "c.cfg"), "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", "--output-dir", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        rows = read_table(captured.out, ("n_samples", "empirical_freq", "bound", "consistent"), "stdout")
+        run = harness.ExperimentResult(config, np.zeros(0), read_results_csv(out_dir / "results.csv"))
+        assert [(int(n), float(freq)) for n, freq, _, _ in rows] == [
+            (n, float(np.mean(run.deviations(n) >= 3.0))) for n in (50, 200)
+        ]
+        report = routing_bound(build_configured_game(config), 3.0)
+        assert f"(ln gamma = {report.ln_gamma:.4g}, beta = {report.beta:.4g})" in captured.err

@@ -675,13 +675,21 @@ class TestSharedRowsReducedOnce:
         od = OdSpec(pairs=[OdPair(12, 18, 200, 10)])
         return build_game(builtin_network(), od, RiskLevel(0.05))
 
+    @pytest.fixture(scope="class")
+    def noiseless_game(self, sioux_game):
+        # No noisy edge: the one reducer path gives every path the loop's +0.0.
+        game = build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), uncertain_nodes=())
+        assert len(game.noise_edges) == 0
+        return game
+
     @staticmethod
     def repeated_rows(game):
         rows = [r for r in game.path_noise_rows if r]
         return len(rows) - len(set(rows))
 
     @pytest.mark.parametrize("n", [1, 50, 5000])
-    @pytest.mark.parametrize("game_name, repeats", [("sioux_game", 3), ("distinct_game", 0)])
+    @pytest.mark.parametrize("game_name, repeats",
+                             [("sioux_game", 3), ("distinct_game", 0), ("noiseless_game", 0)])
     def test_equals_per_path_loop_bitwise(self, request, monkeypatch, game_name, repeats, n):
         game = request.getfixturevalue(game_name)
         assert self.repeated_rows(game) == repeats

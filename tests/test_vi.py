@@ -202,7 +202,7 @@ class TestContains:
     @pytest.mark.parametrize("off, inside", [(0.0, True), (0.5 * TOL, True), (2 * TOL, False)])
     def test_box_bounds(self, coordinate, off, inside):
         x = box_point(coordinate, off)
-        assert self.BOX.contains(x) is inside
+        assert (self.BOX.violation(x) is None) is inside
         if inside:
             assert self.BOX.violation(x) is None
         else:
@@ -213,7 +213,7 @@ class TestContains:
     @pytest.mark.parametrize("off, inside", [(0.0, True), (0.5 * TOL, True), (2 * TOL, False)])
     def test_simplex_constraints(self, constraint, off, inside):
         x = simplex_point(constraint, off)
-        assert self.SIMPLEX.contains(x) is inside
+        assert (self.SIMPLEX.violation(x) is None) is inside
         if inside:
             assert self.SIMPLEX.violation(x) is None
         elif constraint == "coordinate":
@@ -232,7 +232,7 @@ class TestContains:
     def test_wrong_dimension_rejected(self):
         for feasible in (self.BOX, self.SIMPLEX):
             with pytest.raises(ValueError, match="^expected vector of dimension"):
-                feasible.contains(np.zeros(7))
+                feasible.violation(np.zeros(7))
 
 
 class TestNaturalResidual:
