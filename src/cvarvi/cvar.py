@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -68,9 +68,19 @@ class CvarEstimate:
 
 @functools.lru_cache
 def _tail_index(n: int, alpha: float) -> tuple[int, float]:
-    """First index k at which n equal draws' descending tail mass reaches alpha, and the mass before k."""
-    cum = np.cumsum(np.full(n, 1.0 / n))
-    k = min(int(np.searchsorted(cum, alpha - _PROB_TOL, side="left")), n - 1)
+    """First index k at which n equal draws' descending tail mass reaches alpha, and the mass before k.
+
+    The masses are the running sums of 1/n. Only a prefix of them is formed,
+    doubled until it reaches alpha: a running sum's prefix is the same
+    whatever follows it, and the reference batch holds its draws meanwhile."""
+    head = min(n, int(alpha * n) + 2)
+    while True:
+        cum = np.cumsum(np.full(head, 1.0 / n))
+        k = int(np.searchsorted(cum, alpha - _PROB_TOL, side="left"))
+        if k < head or head == n:
+            break
+        head = min(n, 2 * head)
+    k = min(k, n - 1)
     return k, float(cum[k - 1]) if k > 0 else 0.0
 
 
@@ -96,30 +106,49 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
     return float(value), t_star
 
 
-def equal_weight_cvar(n: int, alpha: float) -> Callable[..., float]:
-    """cvar_from_values' value of the sum of n-draw rows, bit for bit, without
-    t*: `reduce(*rows)` adds arrays of shape (n,) (else ValueError) left to
-    right into its one buffer, selects the top k + 1 sums there in O(n) and
-    sorts the k tail values. Rows stay unchanged; a call allocates nothing of
-    length n but for a zero value, whose sign the sort route gives. Not reentrant."""
+def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alpha: float,
+                     sums: Optional[np.ndarray] = None) -> np.ndarray:
+    """cvar_from_values' value of each row set's sum in each draw matrix, bit
+    for bit, without t*: an (R, U) array for draws of shape (R, E, N) and U
+    row sets, each a nonempty tuple of row indices. A set's rows are added
+    left to right (a lone row plus 0.0) into `sums`, an (m, N) C-ordered
+    float64 scratch array with m >= R (default: room for every sum), m // R sets at a
+    time. One partition moves the top ceil(alpha N) entries of every sum row
+    to its end, one sort orders those tails, and each row's tail mean is one
+    np.dot. The draws stay unchanged; a zero value, whose sign depends on the
+    index order of tied +-0 sums, is recomputed by the sort route."""
+    draws = np.asarray(draws)
+    if draws.ndim != 3:
+        raise ValueError(f"draws of shape {draws.shape} is not a stack of draw matrices (R, E, N)")
+    n_reps, _, n = draws.shape
+    if sums is None:
+        sums = np.empty((n_reps * len(row_sets), n))
+    elif getattr(sums, "dtype", None) != np.float64 or np.ndim(sums) != 2 or sums.shape[1] != n:
+        raise ValueError(f"sums of shape {np.shape(sums)} is not a float64 array of shape (m, {n})")
+    per_pass = len(sums) // n_reps
+    if not per_pass:
+        raise ValueError(f"sums has {len(sums)} rows, fewer than the {n_reps} draw matrices")
     k, mass_before = _tail_index(n, alpha)
     weights = np.full(k, 1.0 / n)
-    buf = np.empty(n)
-    tail = buf[n - k:]
-    descending = tail[::-1]
-
-    def reduce(*rows: np.ndarray) -> float:
-        for row in rows:
-            if getattr(row, "shape", None) != (n,):
-                raise ValueError(f"row of shape {np.shape(row)} is not an array of shape ({n},)")
-        np.add(rows[0], rows[1] if len(rows) > 1 else 0.0, out=buf)  # + 0.0 changes only a -0.0
-        for row in rows[2:]:
-            np.add(buf, row, out=buf)
-        buf.partition(n - k - 1)
-        tail.sort()
-        value = float((np.dot(weights, descending) + (alpha - mass_before) * buf[n - k - 1]) / alpha)
-        return value if value != 0.0 else cvar_from_values(functools.reduce(np.add, rows), alpha)[0]
-    return reduce
+    values = np.empty((len(row_sets), n_reps))
+    for first in range(0, len(row_sets), per_pass):
+        group = row_sets[first:first + per_pass]
+        block = sums[:len(group) * n_reps]
+        for rows, out in zip(group, block.reshape(len(group), n_reps, n)):
+            # + 0.0 changes only a -0.0
+            np.add(draws[:, rows[0]], draws[:, rows[1]] if len(rows) > 1 else 0.0, out=out)
+            for row in rows[2:]:
+                np.add(out, draws[:, row], out=out)
+        block.partition(n - k - 1, axis=1)
+        tail = block[:, n - k:]
+        tail.sort(axis=1)
+        dots = np.fromiter((np.dot(weights, descending) for descending in tail[:, ::-1]), float, len(block))
+        boundary = (alpha - mass_before) * block[:, n - k - 1]
+        values[first:first + len(group)] = ((dots + boundary) / alpha).reshape(len(group), n_reps)
+    for u, i in zip(*np.nonzero(values == 0.0)):
+        total = functools.reduce(np.add, [draws[i, row] for row in row_sets[u]])
+        values[u, i] = cvar_from_values(total, alpha)[0]
+    return values.T
 
 
 def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:

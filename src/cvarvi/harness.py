@@ -34,7 +34,7 @@ from .routing import (
     build_game,
     builtin_network,
     load_tntp,
-    sample_path_kappa,
+    sample_kappa_block,
     solve_cwe,
     true_path_kappa,
 )
@@ -226,18 +226,26 @@ _BLOCK_REPS = 25
 def _run_block(game: RoutingGame, n_samples: int, master_seed: int, n_index: int, reps: range,
                h_ref: np.ndarray, solver: str, regions: list[EquilibriumRegion]) -> list[RepRecord]:
     """Replications `reps` at one sample size. Each: kappa_hat from its own
-    substream, the minimum-norm equilibrium flow h_N under it (from the
-    region table `regions`, which grows on each miss), and ||h_N - h_ref||
-    against the minimum-norm reference flow."""
+    substream (one `sample_kappa_block` call for the block, so an error there
+    fails every replication of it), the minimum-norm equilibrium flow h_N
+    under it (from the region table `regions`, which grows on each miss),
+    and ||h_N - h_ref|| against the minimum-norm reference flow."""
+    def failed(rep: int, exc: Exception) -> RepRecord:
+        return RepRecord(n_samples, rep, math.nan, math.nan, f"fail:{type(exc).__name__}")
+
+    # Errors are recorded per replication and judged in bulk.
+    try:
+        kappas = sample_kappa_block(game, n_samples, master_seed, [(n_index, rep) for rep in reps])
+    except Exception as exc:
+        return [failed(rep, exc) for rep in reps]
     records = []
-    for rep in reps:
+    for rep, kappa_hat in zip(reps, kappas):
         try:
-            kappa_hat = sample_path_kappa(game, n_samples, master_seed, n_index, rep)
             sol = solve_cwe(game, kappa_hat, method=solver, regions=regions)
             deviation = float(np.linalg.norm(sol.x_star - h_ref))
             records.append(RepRecord(n_samples, rep, deviation, sol.residual, "ok"))
-        except Exception as exc:  # recorded per replication, judged in bulk
-            records.append(RepRecord(n_samples, rep, math.nan, math.nan, f"fail:{type(exc).__name__}"))
+        except Exception as exc:
+            records.append(failed(rep, exc))
     return records
 
 
@@ -260,8 +268,9 @@ def run_experiment(
     progress=None,
 ) -> ExperimentResult:
     """Run the full replication grid and write results.csv, config.cfg
-    (`format_config`; a stale one is removed first, so it never describes
-    another run's results) and one cdf_{N}.csv per sample size into output_dir.
+    (`format_config`) and one cdf_{N}.csv per sample size into output_dir.
+    The config.cfg and every cdf_*.csv of an earlier run are removed first,
+    so none describes another run's results.
 
     The deviation of a replication is the Euclidean distance between the
     minimum-norm equilibrium flow of its sampled game and that of the
@@ -283,7 +292,8 @@ def run_experiment(
         raise ValueError(f"need at least one worker, got {workers}")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "config.cfg").unlink(missing_ok=True)
+    for stale in [output_dir / "config.cfg", *output_dir.glob("cdf_*.csv")]:
+        stale.unlink(missing_ok=True)
     if cache_dir is None:
         cache_dir = output_dir / "cache"
     if game is None:

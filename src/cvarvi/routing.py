@@ -17,10 +17,11 @@ flow in closed form (Cottle, Pang & Stone 1992, sections 4.5-4.6).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -31,7 +32,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import yen
 
 from . import lcp as lcp_mod
-from .cvar import RiskLevel, equal_weight_cvar
+from .cvar import RiskLevel, cvar_of_row_sums
 from .vi import SimplexProduct, ViSolution, extragradient_solve, natural_residual, spectral_norm
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "build_game",
     "path_cost_field",
     "sample_path_kappa",
+    "sample_kappa_block",
     "true_path_kappa",
     "solve_cwe",
     "EquilibriumRegion",
@@ -259,13 +261,23 @@ def load_tntp(path) -> Network:
     return parse_tntp(Path(path).read_text())
 
 
-def builtin_network(name: str = "siouxfalls") -> Network:
-    """Networks shipped with the package (currently `siouxfalls`)."""
-    data_dir = Path(__file__).parent / "data"
-    candidate = data_dir / f"{name}_net.tntp"
+@functools.lru_cache
+def _builtin_arrays(name: str) -> tuple[int, dict[str, np.ndarray]]:
+    """Node count and read-only edge arrays of a shipped network, parsed once."""
+    candidate = Path(__file__).parent / "data" / f"{name}_net.tntp"
     if not candidate.exists():
         raise ValueError(f"no builtin network named {name!r}")
-    return parse_tntp(candidate.read_text())
+    network = parse_tntp(candidate.read_text())
+    return network.n_nodes, {f.name: _read_only(getattr(network, f.name))
+                             for f in fields(Network) if f.name != "n_nodes"}
+
+
+def builtin_network(name: str = "siouxfalls") -> Network:
+    """Networks shipped with the package (currently `siouxfalls`). Each is
+    parsed once per process; every call returns a new Network over the same
+    read-only arrays, so writing to them raises ValueError."""
+    n_nodes, arrays = _builtin_arrays(name)
+    return Network(n_nodes=n_nodes, **arrays)
 
 
 def _k_shortest_paths(graph: csr_array, time_of: dict[tuple[int, int], float],
@@ -391,6 +403,12 @@ class RoutingGame:
         return tuple(tuple(np.nonzero(col)[0].tolist()) for col in q_noisy.T)
 
     @cached_property
+    def noise_row_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct nonempty path_noise_rows, in path order: kappa-hat
+        reduces each once, for all the paths that cross those edges."""
+        return tuple(rows for rows in dict.fromkeys(self.path_noise_rows) if rows)
+
+    @cached_property
     def cost_matrix(self) -> np.ndarray:
         """A = Q^T R Q, the Jacobian of the path-cost map."""
         q_inc = self.path_set.edge_incidence
@@ -483,15 +501,56 @@ def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
 _DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
 
 
-def _kappa_from_noise(game: RoutingGame, draws: np.ndarray) -> np.ndarray:
-    """Per-path empirical CVaR of noise sums for edge-major draws of shape
-    (len(game.noise_edges), N): each distinct rows tuple is summed in edge
-    order and reduced once, shared by the paths that cross those edges."""
-    cvar_of = equal_weight_cvar(draws.shape[1], game.alpha.alpha)
-    edge_rows = list(draws)  # row views made once, not once per rows tuple
-    kappa_of = {rows: cvar_of(*[edge_rows[r] for r in rows]) if rows else 0.0
-                for rows in dict.fromkeys(game.path_noise_rows)}
-    return np.array([kappa_of[rows] for rows in game.path_noise_rows])
+# Scratch of one sample_kappa_block pass in bytes: its draw matrices and their
+# row-set sums. A pass always holds one draw matrix and one sum row.
+_KAPPA_BLOCK_BYTES = 1 << 21
+
+
+def _kappa_from_noise(game: RoutingGame, draws: np.ndarray, sums: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-path empirical CVaR of noise sums, (R, P), for R edge-major draw
+    matrices of shape (len(game.noise_edges), N): each of game.noise_row_sets
+    is summed in edge order and reduced once (`cvar_of_row_sums`, scratch
+    `sums`), shared by the paths that cross those edges; other paths get 0."""
+    kappa = np.zeros((len(draws), game.path_set.n_paths))
+    column = {rows: u for u, rows in enumerate(game.noise_row_sets)}
+    noisy = [p for p, rows in enumerate(game.path_noise_rows) if rows]
+    values = cvar_of_row_sums(draws, game.noise_row_sets, game.alpha.alpha, sums)
+    kappa[:, noisy] = values[:, [column[game.path_noise_rows[p]] for p in noisy]]
+    return kappa
+
+
+def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
+                       stream_keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """`sample_path_kappa` of each stream key at one N, bit for bit, as an
+    (R, P) array with one row per key.
+
+    The keys' draw matrices fill a reused (r, E, N) buffer, r at a time, and
+    are scaled to [0, hi - lo) by one multiply; all r are then reduced
+    together (`_kappa_from_noise`). r, and the number of row sets summed at
+    a time, keep the buffers within _KAPPA_BLOCK_BYTES, but for one draw
+    matrix and one sum row. Each path's sum of noise_lo over its noise edges
+    is added after the reduction, as CVaR is translation-equivariant.
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    keys = [tuple(key) for key in stream_keys]
+    edges = game.noise_edges
+    kappa = np.zeros((len(keys), game.path_set.n_paths))
+    if keys and len(edges):
+        row_bytes = 8 * n_samples
+        per_key = row_bytes * (len(edges) + len(game.noise_row_sets))
+        draws = np.empty((max(1, min(len(keys), _KAPPA_BLOCK_BYTES // per_key)), len(edges), n_samples))
+        sum_rows = max(len(draws), (_KAPPA_BLOCK_BYTES - draws.nbytes) // row_bytes)
+        sums = np.empty((min(sum_rows, len(draws) * len(game.noise_row_sets)), n_samples))
+        scale = (game.noise_hi - game.noise_lo)[edges][:, None]
+        for start in range(0, len(keys), len(draws)):
+            block = draws[:len(keys) - start]
+            for matrix, key in zip(block, keys[start:]):
+                replication_rng(seed, *key).random(out=matrix)
+            block *= scale
+            kappa[start:start + len(block)] = _kappa_from_noise(game, block, sums)
+    kappa += game.path_set.edge_incidence[edges].T @ game.noise_lo[edges]
+    return kappa
 
 
 def sample_path_kappa(game: RoutingGame, n_samples: int, seed: int, *stream_key: int) -> np.ndarray:
@@ -501,16 +560,10 @@ def sample_path_kappa(game: RoutingGame, n_samples: int, seed: int, *stream_key:
     edge by edge: N uniforms per edge from the replication's SFC64 stream.
     Paths without uncertain edges get exactly zero. Bitwise reproducible
     for equal (n_samples, seed, stream_key); distinct stream keys give
-    statistically independent replications under one master seed.
+    statistically independent replications under one master seed. The
+    one-key call of `sample_kappa_block`.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    edges = game.noise_edges
-    lo = game.noise_lo[edges][:, None]
-    draws = replication_rng(seed, *stream_key).random((len(edges), n_samples))
-    draws *= game.noise_hi[edges][:, None] - lo
-    draws += lo
-    return _kappa_from_noise(game, draws)
+    return sample_kappa_block(game, n_samples, seed, [stream_key])[0]
 
 
 def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,

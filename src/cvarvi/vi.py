@@ -38,25 +38,33 @@ def project_simplex(y: np.ndarray, demand: float | np.ndarray) -> np.ndarray:
     """Euclidean projection of y onto {h >= 0, sum(h) = demand}, row by row
     for a stack of equal-length blocks with one demand each.
 
-    Sort-threshold algorithm: stable descending sort, cumulative sums, the
-    last index k that passes the threshold test (the block length if none
-    does), the shift tau from the top k, then clip. Ties are resolved by the
-    stable sort, so the output is deterministic; zero demand gives exactly 0.
+    Sort-threshold algorithm: sort, cumulative sums from the largest entry
+    down, the last index k that passes the threshold test (the block length
+    if none does), the shift tau from the top k, then clip. The output does
+    not depend on the order of tied entries; zero demand gives exactly 0,
+    and a row holding a NaN (with nonzero demand) comes out all NaN.
     """
     y = np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
     demand = np.asarray(demand, dtype=float).reshape(-1, 1)
-    n = rows.shape[1]
-    u = np.sort(-rows, axis=1, kind="stable")
-    np.negative(u, out=u)
-    css = np.cumsum(u, axis=1)
-    cond = u - (css - demand) / np.arange(1, n + 1) > 0
+    ranks = np.arange(1, rows.shape[1] + 1)
+    return _project_rows(rows, demand, ranks, np.arange(len(rows))[:, None]).reshape(y.shape)
+
+
+def _project_rows(rows: np.ndarray, demand: np.ndarray, ranks: np.ndarray,
+                  row_index: np.ndarray) -> np.ndarray:
+    """project_simplex of an (m, n) stack, given its (m, 1) demand column,
+    ranks = arange(1, n + 1) and row_index = arange(m)[:, None]."""
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.add.accumulate(u, axis=1)
+    # Under gradual underflow u > t exactly when u - t > 0, NaN included.
+    cond = u > (css - demand) / ranks
     # argmax finds the first True of the reversed rows, and 0 when none is.
-    k = n - np.argmax(cond[:, ::-1], axis=1, keepdims=True)
-    tau = (css[np.arange(len(rows))[:, None], k - 1] - demand) / k
+    k = len(ranks) - np.argmax(cond[:, ::-1], axis=1, keepdims=True)
+    tau = (css[row_index, k - 1] - demand) / k
     out = np.maximum(rows - tau, 0.0)
     np.copyto(out, 0.0, where=demand == 0.0)
-    return out.reshape(y.shape)
+    return out
 
 
 def _check_dimension(y: np.ndarray, dimension: int) -> np.ndarray:
@@ -104,8 +112,9 @@ class Box:
 class SimplexProduct:
     """Product of scaled simplices {h >= 0, sum(h_block) = demand}.
 
-    Blocks of equal length are grouped once, at construction; `project`
-    makes one `project_simplex` call per group."""
+    Blocks of equal length are grouped once, at construction, with the
+    constants of their projection; `project` projects each group's stack of
+    blocks in one call."""
 
     blocks: Sequence[tuple[int, float]]
 
@@ -122,15 +131,17 @@ class SimplexProduct:
         lengths = np.array([n for n, _ in self.blocks], dtype=int)
         self._demands = demands = np.array([d for _, d in self.blocks])
         self._starts = starts = np.cumsum(lengths) - lengths
-        # Per block length: the coordinates of its blocks, one row each, and their demands.
-        self._groups = [(starts[lengths == n, None] + np.arange(n), demands[lengths == n])
+        # Per block length n: the coordinates of its blocks, one row each, their
+        # demand column, arange(1, n + 1) and the row selector of _project_rows.
+        self._groups = [(starts[lengths == n, None] + np.arange(n), demands[lengths == n, None],
+                         np.arange(1, n + 1), np.arange(np.count_nonzero(lengths == n))[:, None])
                         for n in np.unique(lengths)]
 
     def project(self, y):
         y = _check_dimension(y, self.dimension)
         out = np.empty_like(y)
-        for coords, demands in self._groups:
-            out[coords] = project_simplex(y[coords], demands)
+        for coords, *constants in self._groups:
+            out[coords] = _project_rows(y[coords], *constants)
         return out
 
     def violation(self, x) -> Optional[str]:

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvarvi import cvar
 from cvarvi.cvar import (
     RiskLevel,
     SampleBatch,
     cvar_from_values,
+    cvar_of_row_sums,
     cvar_uniform_interval,
     empirical_cvar,
     empirical_cvar_lp,
-    equal_weight_cvar,
 )
 from cvarvi.tables import fmt, format_table, read_table
 
@@ -145,21 +146,28 @@ class TestProperties:
         assert min(values) <= est.t_star <= max(values)
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 class TestEqualWeightCvar:
-    """The selection route must reproduce the sort route bit for bit."""
+    """The block reduction must reproduce the sort route bit for bit."""
 
     @staticmethod
     def assert_bitwise(values, alpha, n_rows=1):
-        # The values fill up to n_rows equal rows, a remainder dropped; the
-        # oracle reduces their left-to-right sum.
+        # The values fill up to n_rows equal rows, a remainder dropped, and
+        # the same rows reversed make a second draw matrix; the oracle
+        # reduces each matrix's left-to-right row sum.
         values = np.asarray(values, dtype=float)
         m = min(n_rows, len(values))
         rows = values[: len(values) // m * m].reshape(m, -1)
-        kept = rows.copy()
-        got = equal_weight_cvar(rows.shape[1], alpha)(*rows)
-        want = cvar_from_values(np.add.accumulate(rows)[-1], alpha)[0]
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
-        assert rows.tobytes() == kept.tobytes()
+        draws = np.stack([rows, rows[:, ::-1]])
+        kept = draws.copy()
+        got = cvar_of_row_sums(draws, [tuple(range(m))], alpha)
+        want = [[cvar_from_values(np.add.accumulate(matrix)[-1], alpha)[0]] for matrix in draws]
+        assert got.shape == (2, 1)
+        assert bits(got) == bits(want), (got, want)
+        assert draws.tobytes() == kept.tobytes()
 
     # Ties of +0.0 and -0.0 compare equal but sign a zero tail differently:
     # the sort route takes the first ones in index order.
@@ -195,47 +203,86 @@ class TestEqualWeightCvar:
         self.assert_bitwise(np.round(rng.uniform(0.0, 4.0, n)), alpha)
 
 
+def full_tail_index(n, alpha):
+    """Oracle: the tail index from all n running sums of 1/n."""
+    cum = np.cumsum(np.full(n, 1.0 / n))
+    k = min(int(np.searchsorted(cum, alpha - 1e-12, side="left")), n - 1)
+    return k, float(cum[k - 1]) if k > 0 else 0.0
+
+
+class TestTailIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 10**5), alpha=st.floats(1e-6, 1.0 - 1e-6), integral=st.booleans())
+    def test_prefix_matches_all_running_sums(self, n, alpha, integral):
+        # alpha = m/n puts the target a hair from a running sum.
+        if integral:
+            alpha = min(n - 1, max(1, round(alpha * n))) / n if n > 1 else alpha
+        assert cvar._tail_index.__wrapped__(n, alpha) == full_tail_index(n, alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 500, 5000, 10**6])
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.5, 0.95, 0.999999])
+    def test_pinned(self, n, alpha):
+        assert cvar._tail_index.__wrapped__(n, alpha) == full_tail_index(n, alpha)
+
+
 class TestReducerScratchBuffer:
-    """The reducer selects in its own buffer: each call sees only its argument."""
+    """The reduction sums into its scratch rows: each call sees only its draws."""
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     def test_matches_sort_route_bytewise(self, n, alpha):
         values = np.random.default_rng(n).uniform(0.0, 4.0, n)
-        got = equal_weight_cvar(n, alpha)(values)
-        assert np.float64(got).tobytes() == np.float64(cvar_from_values(values, alpha)[0]).tobytes()
+        got = cvar_of_row_sums(values[None, None], [(0,)], alpha)
+        assert bits(got) == bits([[cvar_from_values(values, alpha)[0]]])
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
     def test_one_reducer_on_two_arrays(self, n):
+        # One scratch for two calls, each on a block of two draw matrices.
         rng = np.random.default_rng(n + 1)
         first, second = rng.uniform(0.0, 4.0, n), np.round(rng.uniform(-2.0, 2.0, n))
         kept = first.copy(), second.copy()
-        reduce = equal_weight_cvar(n, 0.05)
-        results = [reduce(first), reduce(second), reduce(first)]
-        want = [cvar_from_values(v, 0.05)[0] for v in (first, second, first)]
-        assert np.array(results).tobytes() == np.array(want).tobytes()
+        sums = np.empty((2, n))
+        results = [cvar_of_row_sums(np.stack([a, b])[:, None], [(0,)], 0.05, sums)
+                   for a, b in ((first, second), (second, first))]
+        one, other = cvar_from_values(first, 0.05)[0], cvar_from_values(second, 0.05)[0]
+        assert bits(results) == bits([[[one], [other]], [[other], [one]]])
         assert first.tobytes() == kept[0].tobytes() and second.tobytes() == kept[1].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
     def test_one_reducer_on_four_rows_then_one(self, n):
+        # One scratch row: the two row sets are summed and reduced in turn.
         rows = np.random.default_rng(n + 2).uniform(0.0, 4.0, (4, n))
         kept = rows.copy()
-        reduce = equal_weight_cvar(n, 0.05)
-        results = [reduce(*rows), reduce(rows[2])]
+        got = cvar_of_row_sums(rows[None], [(0, 1, 2, 3), (2,)], 0.05, np.empty((1, n)))
         want = [cvar_from_values(((rows[0] + rows[1]) + rows[2]) + rows[3], 0.05)[0],
                 cvar_from_values(rows[2], 0.05)[0]]
-        assert np.array(results).tobytes() == np.array(want).tobytes()
+        assert bits(got) == bits([want])
         assert rows.tobytes() == kept.tobytes()
 
-    @pytest.mark.parametrize("row", [np.array([3.0]), np.float64(3.0), 3.0, np.zeros(49), np.zeros((50, 1))],
-                             ids=["one draw", "numpy scalar", "float", "short", "column"])
+    # One array holds every draw row and the scratch holds every sum row, so
+    # the rows of a call cannot differ in shape. A row of another shape given
+    # as the first argument (the draws) or a later one (the scratch) is rejected.
+    @pytest.mark.parametrize("row", [np.array([3.0]), np.float64(3.0), 3.0, np.zeros(49), np.zeros((50, 1)),
+                                     np.zeros((1, 1, 2, 50))],
+                             ids=["one draw", "numpy scalar", "float", "short", "column", "four axes"])
     @pytest.mark.parametrize("place", ["first", "later"])
     def test_rejects_a_row_of_another_shape(self, row, place):
-        reduce = equal_weight_cvar(50, 0.05)
-        rows = (row,) if place == "first" else (np.zeros(50), row)
         shape = re.escape(str(np.shape(row)))
-        with pytest.raises(ValueError, match=rf"^row of shape {shape} is not an array of shape \(50,\)$"):
-            reduce(*rows)
+        if place == "first":
+            with pytest.raises(ValueError, match=rf"^draws of shape {shape} is not a stack of draw matrices"):
+                cvar_of_row_sums(row, [(0,)], 0.05)
+        else:
+            with pytest.raises(ValueError, match=rf"^sums of shape {shape} is not a float64 array of shape \(m, 50\)$"):
+                cvar_of_row_sums(np.zeros((1, 1, 50)), [(0,)], 0.05, row)
+
+    def test_rejects_a_float32_scratch(self):
+        # Its sums would be rounded to float32 before the reduction.
+        with pytest.raises(ValueError, match=r"^sums of shape \(1, 50\) is not a float64 array"):
+            cvar_of_row_sums(np.zeros((1, 1, 50)), [(0,)], 0.05, np.empty((1, 50), np.float32))
+
+    def test_rejects_scratch_with_fewer_rows_than_matrices(self):
+        with pytest.raises(ValueError, match="^sums has 1 rows, fewer than the 2 draw matrices$"):
+            cvar_of_row_sums(np.zeros((2, 1, 50)), [(0,)], 0.05, np.empty((1, 50)))
 
 
 class TestLpMemory:

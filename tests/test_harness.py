@@ -194,6 +194,24 @@ class TestExperiment:
             run_experiment(small_config, tmp_path, cache_dir=small_result.results_path.parent / "cache")
         assert not (tmp_path / "config.cfg").exists()
 
+    def test_stale_cdf_tables_removed_before_the_grid(self, small_config, small_result, tmp_path):
+        # A run at N = 50 into the directory of a run at N = 50 and 200
+        # leaves only its own table.
+        cache = small_result.results_path.parent / "cache"
+        run_experiment(small_config, tmp_path, cache_dir=cache)
+        assert sorted(p.name for p in tmp_path.glob("cdf_*.csv")) == ["cdf_200.csv", "cdf_50.csv"]
+        again = run_experiment(dataclasses.replace(small_config, sample_sizes=(50,)), tmp_path, cache_dir=cache)
+        assert sorted(p.name for p in tmp_path.glob("cdf_*.csv")) == ["cdf_50.csv"]
+        assert again.cdf_paths[50].read_bytes() == small_result.cdf_paths[50].read_bytes()
+
+    def test_kappa_error_fails_every_replication_of_its_block(self, small_config, small_result):
+        # kappa-hat of a block is one call; N = 0 makes it raise.
+        game = build_configured_game(small_config)
+        records = harness._run_block(game, 0, small_config.master_seed, 0, range(3, 6), small_result.h_ref,
+                                     small_config.solver, [])
+        assert [(r.rep, r.status) for r in records] == [(rep, "fail:ValueError") for rep in range(3, 6)]
+        assert all(math.isnan(r.deviation) and math.isnan(r.residual) for r in records)
+
     def test_results_schema(self, small_config, small_result):
         lines = small_result.results_path.read_text().splitlines()
         assert lines[0] == "n_samples,rep,deviation,residual,status"

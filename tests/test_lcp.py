@@ -379,13 +379,12 @@ game = workloads.grid_game(workloads.GRID_SIDE, workloads.GRID_PATHS_PER_OD,
 unc = game.uncertain_edges
 rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=12, spawn_key=(0, 4))))
 draws = rng.uniform(game.noise_lo[unc], game.noise_hi[unc], size=(workloads.GRID_SAMPLES, len(unc)))
-cvar_of = cvar.equal_weight_cvar(len(draws), game.alpha.alpha)
 q_unc = game.path_set.edge_incidence[unc]
 kappa_hat = np.zeros(game.path_set.n_paths)
 for p in range(game.path_set.n_paths):
     cols = np.nonzero(q_unc[:, p])[0]
     if len(cols):
-        kappa_hat[p] = cvar_of(draws[:, cols].sum(axis=1))
+        kappa_hat[p] = cvar.cvar_from_values(draws[:, cols].sum(axis=1), game.alpha.alpha)[0]
 lcp.solve_lcp_lemke(lcp.assemble_lcp(game, kappa_hat), max_pivots=1000)
 """
 

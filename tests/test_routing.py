@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import heapq
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from cvarvi import lcp, routing
-from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval, equal_weight_cvar
+from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval
 from cvarvi.harness import build_configured_game, default_config_text, parse_config
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
 from cvarvi.routing import (
@@ -23,6 +24,7 @@ from cvarvi.routing import (
     enumerate_paths,
     parse_tntp,
     path_cost_field,
+    sample_kappa_block,
     sample_path_kappa,
     solve_cwe,
     true_path_kappa,
@@ -233,6 +235,30 @@ class TestTntpParsing:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             builtin_network("atlantis")
+
+    def test_builtin_parsed_once_per_process(self, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_tntp(text)
+
+        routing._builtin_arrays.cache_clear()
+        monkeypatch.setattr(routing, "parse_tntp", counting_parse)
+        first, second = builtin_network(), builtin_network()
+        assert len(parsed) == 1
+        assert first is not second
+        for name in ("tail", "head", "free_flow_time", "capacity", "congestion_coeff"):
+            assert getattr(first, name) is getattr(second, name)
+
+    def test_builtin_arrays_are_read_only(self):
+        net = builtin_network()
+        capacity = net.capacity[0]
+        with pytest.raises(ValueError, match="read-only"):
+            net.capacity[0] = 2 * capacity
+        with pytest.raises(ValueError, match="read-only"):
+            net.tail[0] = net.head[0]
+        assert builtin_network().capacity[0] == capacity
 
 
 class TestPathEnumeration:
@@ -644,7 +670,7 @@ class TestKappaSelectionMatchesSort:
     @pytest.mark.parametrize("decimals", [0, 1])
     def test_tied_draws_bitwise(self, sioux_game, n, decimals):
         draws = np.round(same_draws(sioux_game, n, 9, n), decimals)
-        kappa = routing._kappa_from_noise(sioux_game, draws)
+        kappa = routing._kappa_from_noise(sioux_game, draws[None])[0]
         assert kappa.tobytes() == sort_route_kappa(sioux_game, draws).tobytes()
 
     def test_reference_bitwise(self, sioux_game):
@@ -652,20 +678,17 @@ class TestKappaSelectionMatchesSort:
         assert kappa.tobytes() == sort_route_kappa(sioux_game, same_draws(sioux_game, 10**5, 42)).tobytes()
 
 
-def per_path_kappa(game, draws):
-    """Oracle: one sum and one tail selection for every path, shared rows or not."""
-    n_samples = draws.shape[1]
-    cvar_of = equal_weight_cvar(n_samples, game.alpha.alpha)
-    sums = np.empty(n_samples)
-    kappa = np.zeros(game.path_set.n_paths)
-    for p, rows in enumerate(game.path_noise_rows):
-        if len(rows) == 1:
-            kappa[p] = cvar_of(draws[rows[0]])
-        elif rows:
-            np.add(draws[rows[0]], draws[rows[1]], out=sums)
-            for r in rows[2:]:
-                sums += draws[r]
-            kappa[p] = cvar_of(sums)
+def per_path_kappa(game, draws, sums=None):
+    """Oracle: one sum, added in edge order, and one full sort for every
+    path of every draw matrix, shared rows or not."""
+    kappa = np.zeros((len(draws), game.path_set.n_paths))
+    for matrix, out in zip(draws, kappa):
+        for p, rows in enumerate(game.path_noise_rows):
+            if rows:
+                total = matrix[rows[0]]
+                for r in rows[1:]:
+                    total = total + matrix[r]
+                out[p] = cvar_from_values(total, game.alpha.alpha)[0]
     return kappa
 
 
@@ -696,6 +719,72 @@ class TestSharedRowsReducedOnce:
         kappa = sample_path_kappa(game, n, 5, 1, n)
         monkeypatch.setattr(routing, "_kappa_from_noise", per_path_kappa)
         assert kappa.tobytes() == sample_path_kappa(game, n, 5, 1, n).tobytes()
+
+
+class TestKappaBlock:
+    """A block of stream keys reduced together gives each key's own bits."""
+
+    SIZES = [1, 2, 19, 20, 21, 50, 500, 5000]
+
+    @staticmethod
+    def key_bytes(game, n):
+        return 8 * n * (len(game.noise_edges) + len(game.noise_row_sets))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_block_equals_per_key_calls(self, sioux_game, monkeypatch, n):
+        keys = [(2, rep) for rep in range(5)]
+        want = np.array([sample_path_kappa(sioux_game, n, 13, *key) for key in keys])
+        # Two keys per pass, so the five keys cross two pass boundaries.
+        monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 2 * self.key_bytes(sioux_game, n) + 8 * n)
+        got = sample_kappa_block(sioux_game, n, 13, keys)
+        assert got.shape == (5, sioux_game.path_set.n_paths)
+        assert got.tobytes() == want.tobytes()
+        sorted_route = [sort_route_kappa(sioux_game, same_draws(sioux_game, n, 13, *key)) for key in keys]
+        assert got.tobytes() == np.array(sorted_route).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_row_sets_summed_a_few_at_a_time(self, sioux_game, monkeypatch, n):
+        # Room for one draw matrix and five of the twelve sum rows.
+        keys = [(2, rep) for rep in range(3)]
+        want = sample_kappa_block(sioux_game, n, 13, keys)
+        edges = len(sioux_game.noise_edges)
+        monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 8 * n * (edges + 5))
+        assert sample_kappa_block(sioux_game, n, 13, keys).tobytes() == want.tobytes()
+
+    def test_no_keys_and_no_noise(self, sioux_game):
+        assert sample_kappa_block(sioux_game, 50, 13, []).shape == (0, sioux_game.path_set.n_paths)
+        quiet = build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), uncertain_nodes=())
+        assert sample_kappa_block(quiet, 50, 13, [(0,), (1,)]).tobytes() == bytes(8 * 2 * quiet.path_set.n_paths)
+        with pytest.raises(ValueError, match="at least one sample"):
+            sample_kappa_block(sioux_game, 0, 13, [(0,)])
+
+    def test_peak_memory_is_one_draw_matrix_and_one_sum_row(self, sioux_game):
+        n = 10**5
+        sample_path_kappa(sioux_game, n, 3)  # fills the per-(N, alpha) tail index cache
+        tracemalloc.start()
+        try:
+            sample_path_kappa(sioux_game, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        draw_matrix = 8 * n * len(sioux_game.noise_edges)
+        # Slack: the tail weights and one sort buffer, each alpha N long, and 16 KiB.
+        slack = 2 * 8 * int(0.05 * n) + 16 * 1024
+        assert draw_matrix < peak <= draw_matrix + 8 * n + slack
+
+    @pytest.mark.parametrize("n", [1, 50, 5000])
+    def test_noise_floor_added_after_the_reduction(self, sioux_game, n):
+        # A game built directly with lo > 0: each path's kappa shifts by its
+        # sum of lo, which the draws no longer carry.
+        lo = np.where(sioux_game.noise_hi > 0.0, 0.3 * sioux_game.noise_hi, 0.0)
+        game = dataclasses.replace(sioux_game, noise_lo=lo)
+        assert np.array_equal(game.noise_edges, sioux_game.noise_edges)
+        kappa = sample_path_kappa(game, n, 21, 1, n)
+        want = sort_route_kappa(game, same_draws(game, n, 21, 1, n))
+        assert kappa == pytest.approx(want, rel=1e-12, abs=0.0)
+        noisy = np.array([bool(rows) for rows in game.path_noise_rows])
+        assert np.all(kappa[noisy] > sample_path_kappa(sioux_game, n, 21, 1, n)[noisy])
+        assert not kappa[~noisy].any()
 
 
 class TestEquilibriumRegions:

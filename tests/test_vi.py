@@ -134,6 +134,59 @@ class TestBatchedProjection:
         assert not got[2].any()
 
 
+def negate_and_sort_project(y, demand):
+    """Oracle: project_simplex as it was before the simplex product kept its
+    constants, negating before and after a stable sort."""
+    y = np.asarray(y, dtype=float)
+    rows = y.reshape(-1, y.shape[-1])
+    demand = np.asarray(demand, dtype=float).reshape(-1, 1)
+    n = rows.shape[1]
+    u = np.sort(-rows, axis=1, kind="stable")
+    np.negative(u, out=u)
+    css = np.cumsum(u, axis=1)
+    cond = u - (css - demand) / np.arange(1, n + 1) > 0
+    k = n - np.argmax(cond[:, ::-1], axis=1, keepdims=True)
+    tau = (css[np.arange(len(rows))[:, None], k - 1] - demand) / k
+    out = np.maximum(rows - tau, 0.0)
+    np.copyto(out, 0.0, where=demand == 0.0)
+    return out.reshape(y.shape)
+
+
+class TestProjectionMatchesNegateAndSort:
+    """SimplexProduct's precomputed constants, ascending sort and direct
+    threshold comparison give the old algorithm's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           blocks=st.lists(st.tuples(st.integers(1, 8), st.just(0.0) | st.integers(1, 5).map(float)
+                                     | st.floats(1e-3, 1e3)), min_size=1, max_size=6))
+    def test_matches_oracle(self, data, blocks):
+        value = (st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
+                 | st.just(1e20))
+        y = np.array(data.draw(st.lists(value, min_size=sum(n for n, _ in blocks),
+                                        max_size=sum(n for n, _ in blocks))))
+        got = SimplexProduct(blocks=blocks).project(y)
+        start = 0
+        for n, d in blocks:
+            want = negate_and_sort_project(y[start:start + n], d)
+            assert got[start:start + n].tobytes() == want.tobytes(), (n, d, y[start:start + n])
+            start += n
+
+    @pytest.mark.parametrize("blocks", [[(3, 2.0), (5, 0.0), (3, 1.0), (1, 4.0)], [(10, 300.0)] * 3])
+    def test_pinned_ties_and_signed_zeros(self, blocks):
+        sp = SimplexProduct(blocks=blocks)
+        rng = np.random.default_rng(3)
+        for y in (np.where(rng.random(sp.dimension) < 0.5, 0.0, -0.0), np.round(rng.normal(size=sp.dimension)),
+                  np.full(sp.dimension, -0.0), rng.integers(-2, 3, sp.dimension).astype(float)):
+            got, start = sp.project(y), 0
+            for n, d in blocks:
+                assert got[start:start + n].tobytes() == negate_and_sort_project(y[start:start + n], d).tobytes()
+                start += n
+        stacked = np.round(rng.normal(size=(4, 6)))
+        demands = np.array([0.0, 1.0, 2.0, 3.0])
+        assert project_simplex(stacked, demands).tobytes() == negate_and_sort_project(stacked, demands).tobytes()
+
+
 class TestFeasibleSets:
     def test_box_project_and_contains(self):
         box = Box(lo=[0.0, 0.0], hi=[1.0, 2.0])
