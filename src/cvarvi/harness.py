@@ -5,11 +5,13 @@ empirical per-path CVaR offsets, solves each replication's equilibrium,
 and records the distance to a high-accuracy reference equilibrium. Both
 flows are the minimum-norm points of their equilibrium sets, as
 `solve_cwe` returns them, so the distance does not depend on which
-equilibrium a solver happens to reach. Replications run in blocks, each
-solved from a table of certified equilibrium regions (`run_experiment`).
-Output is a results table, its config.cfg and one empirical-CDF table per
-sample size, byte-identical across runs with the same configuration
-(worker count, block size and scheduling order do not affect the files).
+equilibrium a solver happens to reach. Replications run in blocks: a
+block's kappa-hat are reduced together, and its region hits certified as
+stacked arrays (`solve_cwe_block`) from the one table of certified
+equilibrium regions that each worker holds (`run_experiment`). Output is
+a results table, its config.cfg and one empirical-CDF table per sample
+size, byte-identical across runs with the same configuration (worker
+count, block size and scheduling order do not affect the files).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .routing import (
     load_tntp,
     sample_kappa_block,
     solve_cwe,
+    solve_cwe_block,
     true_path_kappa,
 )
 from .tables import format_table, read_table
@@ -218,34 +221,47 @@ class ExperimentResult:
         return self.failure_fraction() <= 0.01
 
 
-# Replications per task, all at one sample size: a task pickles the game
-# and its region table once.
+# Replications per task, all at one sample size: the unit of kappa-hat
+# reduction and of the block certificate.
 _BLOCK_REPS = 25
 
+# What every block of one run shares, set by _install_worker in each pool
+# worker (or in this process at workers=1): game, master seed, h_ref,
+# solver and the region table, which the worker's blocks grow in turn.
+_worker: Optional[tuple[RoutingGame, int, np.ndarray, str, list[EquilibriumRegion]]] = None
 
-def _run_block(game: RoutingGame, n_samples: int, master_seed: int, n_index: int, reps: range,
-               h_ref: np.ndarray, solver: str, regions: list[EquilibriumRegion]) -> list[RepRecord]:
-    """Replications `reps` at one sample size. Each: kappa_hat from its own
-    substream (one `sample_kappa_block` call for the block, so an error there
-    fails every replication of it), the minimum-norm equilibrium flow h_N
-    under it (from the region table `regions`, which grows on each miss),
-    and ||h_N - h_ref|| against the minimum-norm reference flow."""
+
+def _install_worker(*shared) -> None:
+    """Set _worker to `shared`; with no arguments, clear it."""
+    global _worker
+    _worker = shared or None
+
+
+def _run_block(n_samples: int, n_index: int, reps: range) -> list[RepRecord]:
+    """Replications `reps` at one sample size, on what `_install_worker`
+    set. Each: kappa_hat from its own substream (one `sample_kappa_block`
+    call for the block, so an error there fails every replication of it),
+    the minimum-norm equilibrium flow h_N under it (`solve_cwe_block` on
+    the worker's region table, which grows on each miss), and
+    ||h_N - h_ref|| against the minimum-norm reference flow."""
+    game, master_seed, h_ref, solver, regions = _worker
+
     def failed(rep: int, exc: Exception) -> RepRecord:
         return RepRecord(n_samples, rep, math.nan, math.nan, f"fail:{type(exc).__name__}")
 
     # Errors are recorded per replication and judged in bulk.
     try:
         kappas = sample_kappa_block(game, n_samples, master_seed, [(n_index, rep) for rep in reps])
+        solutions = solve_cwe_block(game, kappas, solver, regions)
     except Exception as exc:
         return [failed(rep, exc) for rep in reps]
     records = []
-    for rep, kappa_hat in zip(reps, kappas):
-        try:
-            sol = solve_cwe(game, kappa_hat, method=solver, regions=regions)
+    for rep, sol in zip(reps, solutions):
+        if isinstance(sol, Exception):
+            records.append(failed(rep, sol))
+        else:
             deviation = float(np.linalg.norm(sol.x_star - h_ref))
             records.append(RepRecord(n_samples, rep, deviation, sol.residual, "ok"))
-        except Exception as exc:
-            records.append(failed(rep, exc))
     return records
 
 
@@ -276,17 +292,19 @@ def run_experiment(
     minimum-norm equilibrium flow of its sampled game and that of the
     reference game (kappa from config.ref_samples draws).
 
-    Replications run in blocks of _BLOCK_REPS at one sample size. Each
-    block takes the region table of the reference solve and solves from
-    it (`solve_cwe` with `regions`), running config.solver only where no
-    region certifies the flow; such a miss adds its region to the table.
-    At workers=1 the blocks share one table; in a process pool each task
-    grows its own copy. A table never changes a flow's bits, so output
-    bytes depend only on the configuration, never on `workers` (at least
-    1; 1 runs the grid in this process). `progress(done, total)`, if
-    given, is called once per replication, as its block's records
-    arrive, at any worker count. Raises RuntimeError when more than 1% of
-    replications fail.
+    Replications run in blocks of _BLOCK_REPS at one sample size, each
+    task carrying only (N, its index, the block's replications). The game,
+    master seed, h_ref, solver and the region table of the reference solve
+    are installed once per process (`_install_worker`): as each pool
+    worker starts, or in this process at workers=1. A block certifies its
+    region hits as stacked arrays (`solve_cwe_block`) and runs
+    config.solver only where no region certifies the flow; such a miss adds
+    its region to the worker's table, which its later blocks reuse. A
+    table never changes a flow's bits, so output bytes depend only on the
+    configuration, never on `workers` (at least 1; 1 runs the grid in this
+    process). `progress(done, total)`, if given, is called once per
+    replication, as its block's records arrive, at any worker count.
+    Raises RuntimeError when more than 1% of replications fail.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -304,19 +322,20 @@ def run_experiment(
     h_ref = solve_cwe(game, kappa_ref, method=config.solver, regions=regions).x_star
 
     reps = config.replications
-    tasks = [
-        (game, n, config.master_seed, n_index, range(start, min(start + _BLOCK_REPS, reps)), h_ref,
-         config.solver, regions)
-        for n_index, n in enumerate(config.sample_sizes)
-        for start in range(0, reps, _BLOCK_REPS)
-    ]
+    tasks = [(n, n_index, range(start, min(start + _BLOCK_REPS, reps)))
+             for n_index, n in enumerate(config.sample_sizes)
+             for start in range(0, reps, _BLOCK_REPS)]
+    shared = (game, config.master_seed, h_ref, config.solver, regions)
     total = len(config.sample_sizes) * reps
     records = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_install_worker, initargs=shared))
             outcomes = pool.map(_run_block, *zip(*tasks))
         else:
+            stack.callback(_install_worker, *(_worker or ()))  # puts back what was installed
+            _install_worker(*shared)
             outcomes = map(_run_block, *zip(*tasks))
         for block in outcomes:
             for record in block:

@@ -52,6 +52,7 @@ __all__ = [
     "sample_kappa_block",
     "true_path_kappa",
     "solve_cwe",
+    "solve_cwe_block",
     "EquilibriumRegion",
     "SOLVE_METHODS",
     "wardrop_gap",
@@ -610,8 +611,15 @@ def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,
 
 
 def _od_min_cost(path_set: PathSet, costs: np.ndarray) -> np.ndarray:
-    """Each path's OD minimum of costs."""
-    return np.minimum.reduceat(costs, path_set.od_starts)[path_set.od_of_path]
+    """Each path's OD minimum of costs (of each row, for a stack of cost rows)."""
+    return np.minimum.reduceat(costs, path_set.od_starts, axis=-1)[..., path_set.od_of_path]
+
+
+def _used_gap(path_set: PathSet, costs: np.ndarray, h: np.ndarray):
+    """`wardrop_gap` of flows h with path costs `costs`, row by row for stacks."""
+    # A non-finite flow counts as used, so its gap is NaN and fails every check.
+    return np.max(costs - _od_min_cost(path_set, costs), axis=-1, where=~(h <= _USED_FLOW_TOL),
+                  initial=0.0)
 
 
 def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
@@ -621,10 +629,7 @@ def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
     minimum-CVaR paths; NaN when h is not finite.
     """
     h = np.asarray(h, dtype=float)
-    costs = path_cost_field(game, kappa)(h)
-    excess = costs - _od_min_cost(game.path_set, costs)
-    # A non-finite flow counts as used, so its gap is NaN and fails every check.
-    return float(excess[~(h <= _USED_FLOW_TOL)].max(initial=0.0))
+    return float(_used_gap(game.path_set, path_cost_field(game, kappa)(h), h))
 
 
 def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
@@ -724,6 +729,46 @@ def _equilibrium_region(game: RoutingGame, active: np.ndarray,
     )
 
 
+def _rowwise(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for a vector x; for a stack, one matrix-vector product per row,
+    as a stacked matrix product rounds differently."""
+    if x.ndim == 1:
+        return mat @ x
+    out = np.empty((len(x), len(mat)))
+    for i, row in enumerate(x):
+        out[i] = mat @ row
+    return out
+
+
+# The steps of a region's certificate (`_region_flow`). Each takes one
+# vector or a stack of rows, and gives a row of a stack the bits of its
+# one-vector call.
+
+def _region_used_flows(region: EquilibriumRegion, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The region's flows on T at q = Q^T t + kappa, and whether they and
+    the multipliers on S minus T are all at least _REGION_MARGIN."""
+    h_used = _rowwise(region.flow_map, q[..., region.support]) + region.flow_offset
+    return h_used, (np.all(h_used >= _REGION_MARGIN, axis=-1)
+                    & np.all(_rowwise(region.slack_map, h_used) >= _REGION_MARGIN, axis=-1))
+
+
+def _region_placed(game: RoutingGame, region: EquilibriumRegion, h_used: np.ndarray) -> np.ndarray:
+    """Flows on T placed among all paths and projected onto the flow polytope."""
+    h = np.zeros((*h_used.shape[:-1], game.path_set.n_paths))
+    h[..., region.support] = h_used
+    return game.feasible_flows.project(h)
+
+
+def _region_ties_hold(game: RoutingGame, region: EquilibriumRegion, costs: np.ndarray):
+    """Whether the paths within _TIE_TOL / _REGION_TIE_FACTOR of their OD
+    minimum cost are exactly S, and all others lie beyond _TIE_TOL *
+    _REGION_TIE_FACTOR (relative)."""
+    floor = _od_min_cost(game.path_set, costs)
+    relative = (costs - floor) / (1.0 + np.abs(floor))
+    return (np.all(relative[..., region.active] <= _TIE_TOL / _REGION_TIE_FACTOR, axis=-1)
+            & np.all(relative[..., ~region.active] > _TIE_TOL * _REGION_TIE_FACTOR, axis=-1))
+
+
 def _region_flow(game: RoutingGame, field: Callable[[np.ndarray], np.ndarray], kappa: np.ndarray,
                  region: EquilibriumRegion) -> Optional[np.ndarray]:
     """The region's flow at kappa, projected onto the flow polytope, if its
@@ -731,20 +776,13 @@ def _region_flow(game: RoutingGame, field: Callable[[np.ndarray], np.ndarray], k
     at least _REGION_MARGIN and so does every multiplier on S minus T; the
     paths within _TIE_TOL / _REGION_TIE_FACTOR of their OD minimum cost are
     exactly S, and all others lie beyond _TIE_TOL * _REGION_TIE_FACTOR;
-    the Wardrop gap is at most _WARDROP_TOL. Comparisons fail on NaN."""
-    support = region.support
-    h_used = region.flow_map @ (game.free_flow_costs + kappa)[support] + region.flow_offset
-    if not (np.all(h_used >= _REGION_MARGIN) and np.all(region.slack_map @ h_used >= _REGION_MARGIN)):
+    the Wardrop gap is at most _WARDROP_TOL. Comparisons fail on NaN.
+    `solve_cwe_block` takes the same steps for a stack of kappa."""
+    h_used, margins_hold = _region_used_flows(region, game.free_flow_costs + kappa)
+    if not margins_hold:
         return None
-    h = np.zeros(game.path_set.n_paths)
-    h[support] = h_used
-    h = game.feasible_flows.project(h)
-    costs = field(h)
-    floor = _od_min_cost(game.path_set, costs)
-    relative = (costs - floor) / (1.0 + np.abs(floor))
-    if not (np.all(relative[region.active] <= _TIE_TOL / _REGION_TIE_FACTOR)
-            and np.all(relative[~region.active] > _TIE_TOL * _REGION_TIE_FACTOR)
-            and wardrop_gap(game, kappa, h) <= _WARDROP_TOL):
+    h = _region_placed(game, region, h_used)
+    if not (_region_ties_hold(game, region, field(h)) and wardrop_gap(game, kappa, h) <= _WARDROP_TOL):
         return None
     return h
 
@@ -804,3 +842,65 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
             regions.append(region)
     return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=iterations,
                       converged=converged)
+
+
+def solve_cwe_block(game: RoutingGame, kappas: np.ndarray, method: str,
+                    regions: list[EquilibriumRegion]) -> list[ViSolution | Exception]:
+    """`solve_cwe(game, kappa, method, regions=regions)` of each row of an
+    (R, P) stack of kappa, bit for bit: one ViSolution per row, or the
+    exception its solve raised, so that a row fails alone.
+
+    Each region of the table is tried once, in order, on all rows that no
+    earlier region certified, by the steps of `_region_flow` run over the
+    stack; every matrix-vector product and every norm stays one per row,
+    so each row keeps its one-row bits. Then the first row still open, a
+    miss, goes through `solve_cwe`, which may append its region, and the
+    regions it added are tried on the rows after it; so the table grows as
+    under a loop of `solve_cwe` calls. The certified rows get the natural
+    residual after the feasibility and finiteness checks of
+    `natural_residual`; a row that fails them, and a row whose kappa is not
+    finite, goes through `solve_cwe` too, which raises as it would alone.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    if kappas.ndim != 2 or kappas.shape[1] != game.path_set.n_paths:
+        raise ValueError(f"expected a stack of kappa rows of length {game.path_set.n_paths}, "
+                         f"got shape {kappas.shape}")
+    if method not in SOLVE_METHODS:
+        raise ValueError(f"unknown method {method!r}; choose one of {', '.join(SOLVE_METHODS)}")
+
+    def solve(r: int) -> ViSolution | Exception:
+        try:
+            return solve_cwe(game, kappas[r], method, regions=regions)
+        except Exception as exc:
+            return exc
+
+    feasible = game.feasible_flows
+    q = game.free_flow_costs + kappas  # each row the constant of its path_cost_field
+    flows, costs = np.empty_like(q), np.empty_like(q)
+    hit = np.zeros(len(q), dtype=bool)
+    solutions: list = [None] * len(q)
+    open_rows = np.flatnonzero(np.isfinite(kappas).all(axis=1))
+    tried = 0
+    while len(open_rows):
+        for region in regions[tried:]:
+            h_used, margins_hold = _region_used_flows(region, q[open_rows])
+            rows = open_rows[margins_hold]
+            h = _region_placed(game, region, h_used[margins_hold])
+            c = _rowwise(game.cost_matrix, h) + q[rows]
+            held = _region_ties_hold(game, region, c) & (_used_gap(game.path_set, c, h) <= _WARDROP_TOL)
+            flows[rows[held]], costs[rows[held]] = h[held], c[held]
+            hit[rows[held]] = True
+            open_rows = open_rows[~hit[open_rows]]
+            if not len(open_rows):
+                break
+        tried = len(regions)
+        if len(open_rows):
+            solutions[open_rows[0]] = solve(open_rows[0])
+            open_rows = open_rows[1:]
+    hits = np.flatnonzero(hit)
+    hits = hits[feasible.contains(flows[hits]) & np.isfinite(costs[hits]).all(axis=1)]
+    steps = flows[hits] - feasible.project(flows[hits] - costs[hits])
+    for r, step in zip(hits, steps):
+        solutions[r] = ViSolution(x_star=flows[r], residual=float(np.linalg.norm(step)), iterations=0,
+                                  converged=True)
+    return [solve(r) if sol is None else sol for r, sol in enumerate(solutions)]

@@ -67,9 +67,11 @@ def _project_rows(rows: np.ndarray, demand: np.ndarray, ranks: np.ndarray,
     return out
 
 
-def _check_dimension(y: np.ndarray, dimension: int) -> np.ndarray:
+def _check_dimension(y: np.ndarray, dimension: int, stacked: bool = False) -> np.ndarray:
+    """y as a float vector of the dimension, or with `stacked` also as an
+    (m, dimension) stack of such vectors; else ValueError."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (dimension,):
+    if y.shape != (dimension,) and not (stacked and y.ndim == 2 and y.shape[1] == dimension):
         raise ValueError(f"expected vector of dimension {dimension}, got shape {y.shape}")
     return y
 
@@ -114,7 +116,9 @@ class SimplexProduct:
 
     Blocks of equal length are grouped once, at construction, with the
     constants of their projection; `project` projects each group's stack of
-    blocks in one call."""
+    blocks in one call. `project` and `contains` also take an (m,
+    dimension) stack of points and give each row the bits of its one-point
+    call: every step is row by row, elementwise or an exact reduction."""
 
     blocks: Sequence[tuple[int, float]]
 
@@ -138,23 +142,40 @@ class SimplexProduct:
                         for n in np.unique(lengths)]
 
     def project(self, y):
-        y = _check_dimension(y, self.dimension)
+        y = _check_dimension(y, self.dimension, stacked=True)
         out = np.empty_like(y)
-        for coords, *constants in self._groups:
-            out[coords] = _project_rows(y[coords], *constants)
+        if y.ndim == 1:  # the extragradient loop's call: kept free of stack handling
+            for coords, *constants in self._groups:
+                out[coords] = _project_rows(y[coords], *constants)
+            return out
+        for coords, demand, ranks, _ in self._groups:
+            # The group's blocks of every point, as one stack of rows.
+            blocks = y[:, coords].reshape(-1, len(ranks))
+            out[:, coords] = _project_rows(blocks, np.tile(demand, (len(y), 1)), ranks,
+                                           np.arange(len(blocks))[:, None]).reshape(len(y), *coords.shape)
         return out
+
+    def contains(self, x):
+        """Whether `violation` finds nothing: one bool for a point, one per
+        row of a stack. A NaN coordinate is never contained."""
+        x = _check_dimension(x, self.dimension, stacked=True)
+        # One reduceat over the flat rows sums each block as a one-point call does.
+        offsets = self._starts + self.dimension * np.arange(x.size // self.dimension)[:, None]
+        sums = np.add.reduceat(x.ravel(), offsets.ravel()).reshape(*x.shape[:-1], len(self._starts))
+        return (np.all(x >= -_FEASIBILITY_TOL, axis=-1)
+                & np.all(np.abs(sums - self._demands) <= _FEASIBILITY_TOL, axis=-1))
 
     def violation(self, x) -> Optional[str]:
         """h >= 0, else the block sums: the constraint violated most (a NaN first), or None."""
         x = _check_dimension(x, self.dimension)
+        if self.contains(x):
+            return None
         i = int(np.argmin(x))
         if not x[i] >= -_FEASIBILITY_TOL:
             return f"coordinate {i} is {x[i]}, not >= 0"
         sums = np.add.reduceat(x, self._starts)
         b = int(np.argmax(np.abs(sums - self._demands)))
-        if not abs(sums[b] - self._demands[b]) <= _FEASIBILITY_TOL:
-            return f"block {b} sums to {sums[b]}, not its demand {self._demands[b]}"
-        return None
+        return f"block {b} sums to {sums[b]}, not its demand {self._demands[b]}"
 
     def default_start(self):
         # Demand spread uniformly over each block: interior start.

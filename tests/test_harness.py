@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvarvi
-from cvarvi import cli, harness
+from cvarvi import cli, harness, lcp
 from cvarvi.bounds import exponential_bound_routing
 from cvarvi.cvar import RiskLevel, SampleBatch, empirical_cvar_lp
 from cvarvi.harness import (
@@ -204,13 +204,68 @@ class TestExperiment:
         assert sorted(p.name for p in tmp_path.glob("cdf_*.csv")) == ["cdf_50.csv"]
         assert again.cdf_paths[50].read_bytes() == small_result.cdf_paths[50].read_bytes()
 
-    def test_kappa_error_fails_every_replication_of_its_block(self, small_config, small_result):
+    @pytest.fixture
+    def installed(self, small_config, small_result):
+        """The small run's game, master seed, h_ref, solver and an empty
+        table, installed as a worker's."""
+        harness._install_worker(build_configured_game(small_config), small_config.master_seed,
+                                small_result.h_ref, small_config.solver, [])
+        yield
+        harness._install_worker()
+
+    def test_kappa_error_fails_every_replication_of_its_block(self, installed):
         # kappa-hat of a block is one call; N = 0 makes it raise.
-        game = build_configured_game(small_config)
-        records = harness._run_block(game, 0, small_config.master_seed, 0, range(3, 6), small_result.h_ref,
-                                     small_config.solver, [])
+        records = harness._run_block(0, 0, range(3, 6))
         assert [(r.rep, r.status) for r in records] == [(rep, "fail:ValueError") for rep in range(3, 6)]
         assert all(math.isnan(r.deviation) and math.isnan(r.residual) for r in records)
+
+    def test_nan_kappa_fails_only_its_replication(self, small_config, small_result, installed,
+                                                  monkeypatch):
+        block = harness.sample_kappa_block
+
+        def one_nan_row(*args):
+            kappas = block(*args)
+            kappas[1, 0] = np.nan
+            return kappas
+
+        monkeypatch.setattr(harness, "sample_kappa_block", one_nan_row)
+        records = harness._run_block(50, 0, range(0, 4))
+        assert [r.status for r in records] == ["ok", "fail:ValueError", "ok", "ok"]
+        want = {(r.rep, r.deviation, r.residual) for r in small_result.records if r.n_samples == 50}
+        assert all((r.rep, r.deviation, r.residual) in want for r in records if r.status == "ok")
+
+    def test_default_grid_runs_lemke_twice(self, tmp_path, monkeypatch):
+        # The reference solve and the grid's one miss, measured before the
+        # block certificate; a silent fall-back to cold solves raises it.
+        calls = []
+        lemke = lcp.solve_lcp_lemke
+        monkeypatch.setattr(lcp, "solve_lcp_lemke", lambda *args: calls.append(1) or lemke(*args))
+        result = run_experiment(ExperimentConfig(), tmp_path, workers=1)
+        assert len(calls) == 2 and result.failure_fraction() == 0.0
+
+    def test_pool_tasks_carry_only_their_block(self, small_config, small_result, tmp_path, monkeypatch):
+        # Game, h_ref, solver and table go to each worker once, at start-up.
+        seen = {}
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                seen["kwargs"] = kwargs
+                super().__init__(**kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                seen["tasks"] = list(zip(*iterables))
+                return super().map(fn, *zip(*seen["tasks"]), **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        again = run_experiment(small_config, tmp_path, workers=2,
+                               cache_dir=small_result.results_path.parent / "cache")
+        assert seen["kwargs"]["initializer"] is harness._install_worker
+        assert seen["kwargs"]["max_workers"] == 2
+        game, seed, h_ref, solver, regions = seen["kwargs"]["initargs"]
+        assert (seed, solver, len(regions)) == (small_config.master_seed, small_config.solver, 1)
+        assert seen["tasks"][:2] == [(50, 0, range(0, 25)), (50, 0, range(25, 50))]
+        assert len(seen["tasks"]) == 16
+        assert again.results_path.read_bytes() == small_result.results_path.read_bytes()
 
     def test_results_schema(self, small_config, small_result):
         lines = small_result.results_path.read_text().splitlines()

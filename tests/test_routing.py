@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from cvarvi import lcp, routing
 from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval
-from cvarvi.harness import build_configured_game, default_config_text, parse_config
+from cvarvi.harness import ExperimentConfig, build_configured_game, default_config_text, parse_config
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
 from cvarvi.routing import (
     SOLVE_METHODS,
@@ -27,9 +27,11 @@ from cvarvi.routing import (
     sample_kappa_block,
     sample_path_kappa,
     solve_cwe,
+    solve_cwe_block,
     true_path_kappa,
     wardrop_gap,
 )
+from cvarvi.tables import fmt
 from cvarvi.vi import SimplexProduct, natural_residual
 
 MINIMAL_TNTP = """
@@ -912,6 +914,121 @@ class TestEquilibriumRegions:
         sol = solve_cwe(game, kappas[0], "lemke", regions=table)
         assert table == []
         assert wardrop_gap(game, kappas[0], sol.x_star) <= 1e-5
+
+
+def same_solution(got, want) -> bool:
+    return (got.x_star.tobytes() == want.x_star.tobytes() and fmt(got.residual) == fmt(want.residual)
+            and (got.iterations, got.converged) == (want.iterations, want.converged))
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    calls, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    return calls
+
+
+class TestSolveCweBlock:
+    """A block's region hits, certified as stacked arrays, carry the bits of
+    one solve_cwe per row; every other row goes through solve_cwe."""
+
+    @pytest.fixture(scope="class")
+    def default_grid(self, tmp_path_factory):
+        """The default experiment's game, h_ref, reference region table and
+        its 1,500 kappa-hat, as blocks of 25 per sample size."""
+        config = ExperimentConfig()
+        game = build_configured_game(config)
+        kappa_ref = true_path_kappa(game, config.ref_samples, config.ref_seed,
+                                    cache_dir=tmp_path_factory.mktemp("ref"))
+        table = []
+        h_ref = solve_cwe(game, kappa_ref, config.solver, regions=table).x_star
+        blocks = [sample_kappa_block(game, n, config.master_seed,
+                                     [(n_index, rep) for rep in range(start, start + 25)])
+                  for n_index, n in enumerate(config.sample_sizes)
+                  for start in range(0, config.replications, 25)]
+        return game, h_ref, table, blocks
+
+    @pytest.fixture(scope="class")
+    def kappas(self, sioux_game):
+        return sample_kappa_block(sioux_game, 500, 11, [(rep,) for rep in range(4)])
+
+    def test_default_grid_equals_solve_cwe(self, default_grid, monkeypatch):
+        game, h_ref, table, blocks = default_grid
+        block_table, loop_table = list(table), list(table)
+        cwe = counting(monkeypatch, routing, "solve_cwe")
+        solved = [solve_cwe_block(game, kappas, "lemke", block_table) for kappas in blocks]
+        # Only the grid's one miss went through solve_cwe.
+        assert len(cwe) == len(block_table) - len(table) == 1
+        rows = 0
+        for kappas, solutions in zip(blocks, solved):
+            for kappa, got in zip(kappas, solutions):
+                want = solve_cwe(game, kappa, "lemke", regions=loop_table)
+                assert same_solution(got, want)
+                assert fmt(float(np.linalg.norm(got.x_star - h_ref))) == \
+                    fmt(float(np.linalg.norm(want.x_star - h_ref)))
+                if rows % 10 == 0:  # and a cold solve, as the benchmark's recomputation does
+                    cold = solve_cwe(game, kappa, "lemke")
+                    assert (got.x_star.tobytes(), got.residual) == (cold.x_star.tobytes(), cold.residual)
+                rows += 1
+        assert rows == 1500
+        assert [r.support.tolist() for r in block_table] == [r.support.tolist() for r in loop_table]
+
+    def test_nan_row_fails_alone(self, sioux_game, kappas):
+        table = []
+        solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        block = kappas.copy()
+        block[2, 7] = np.nan
+        got = solve_cwe_block(sioux_game, block, "lemke", table)
+        assert isinstance(got[2], ValueError) and str(got[2]) == "kappa is not finite at path 7"
+        for r in (0, 1, 3):
+            assert same_solution(got[r], solve_cwe(sioux_game, block[r], "lemke", regions=list(table)))
+        assert len(table) == 1
+
+    def test_row_that_misses_every_region_solves_cold_once(self, sioux_game, kappas, monkeypatch):
+        table = []
+        solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        moved = kappas[0].copy()
+        moved[table[0].support[0]] += 100.0  # the path is no longer among the cheapest
+        block = np.array([kappas[1], moved, kappas[2]])
+        want_table = list(table)
+        want = [solve_cwe(sioux_game, kappa, "lemke", regions=want_table) for kappa in block]
+        lemke = counting(monkeypatch, lcp, "solve_lcp_lemke")
+        cwe = counting(monkeypatch, routing, "solve_cwe")
+        got = solve_cwe_block(sioux_game, block, "lemke", table)
+        assert (len(lemke), len(cwe), len(table)) == (1, 1, 2)
+        assert all(same_solution(g, w) for g, w in zip(got, want))
+        assert got[1].iterations > 0 and got[0].iterations == got[2].iterations == 0
+        assert got[1].x_star.tobytes() == solve_cwe(sioux_game, moved, "lemke").x_star.tobytes()
+
+    def test_empty_table_solves_the_first_row_cold(self, sioux_game, kappas, monkeypatch):
+        # The region the first row appends certifies the others.
+        want_table = []
+        want = [solve_cwe(sioux_game, kappa, "lemke", regions=want_table) for kappa in kappas]
+        lemke = counting(monkeypatch, lcp, "solve_lcp_lemke")
+        cwe = counting(monkeypatch, routing, "solve_cwe")
+        table = []
+        got = solve_cwe_block(sioux_game, kappas, "lemke", table)
+        assert (len(lemke), len(cwe), len(table), len(want_table)) == (1, 1, 1, 1)
+        assert all(same_solution(g, w) for g, w in zip(got, want))
+
+    def test_table_that_stays_empty_sends_every_row_cold(self, sioux_game, kappas, monkeypatch):
+        # An uncongested edge under S gives no region.
+        game = build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), b_e=0.0)
+        want = [solve_cwe(game, kappa, "lemke") for kappa in kappas]
+        lemke = counting(monkeypatch, lcp, "solve_lcp_lemke")
+        table = []
+        got = solve_cwe_block(game, kappas, "lemke", table)
+        assert len(lemke) == len(kappas) and table == []
+        assert all(same_solution(g, w) for g, w in zip(got, want))
+
+    def test_malformed_block_or_method_rejected(self, sioux_game, kappas):
+        with pytest.raises(ValueError, match="kappa rows of length 30, got shape"):
+            solve_cwe_block(sioux_game, kappas[0], "lemke", [])
+        with pytest.raises(ValueError, match="kappa rows of length 30, got shape"):
+            solve_cwe_block(sioux_game, kappas[:, :29], "lemke", [])
+        with pytest.raises(ValueError, match="unknown method 'simplex'"):
+            solve_cwe_block(sioux_game, kappas, "simplex", [])
+        assert solve_cwe_block(sioux_game, kappas[:0], "lemke", []) == []
 
 
 class TestZeroDemandOd:

@@ -187,6 +187,47 @@ class TestProjectionMatchesNegateAndSort:
         assert project_simplex(stacked, demands).tobytes() == negate_and_sort_project(stacked, demands).tobytes()
 
 
+class TestStackedPoints:
+    """A stack of points gets each row's one-point bits from `project` and
+    each row's one-point verdict from `contains`."""
+
+    BLOCKS = [(3, 2.0), (5, 0.0), (3, 1.0), (1, 4.0), (10, 300.0), (10, 600.0)]
+
+    def stack(self, sp):
+        rng = np.random.default_rng(5)
+        rows = [rng.normal(size=sp.dimension) * 100, np.round(rng.normal(size=sp.dimension)),
+                np.where(rng.random(sp.dimension) < 0.5, 0.0, -0.0), np.full(sp.dimension, np.nan),
+                rng.integers(-2, 3, sp.dimension).astype(float), np.full(sp.dimension, 1e20)]
+        return np.array(rows)
+
+    def test_project_rows_equal_one_point_calls(self):
+        sp = SimplexProduct(blocks=self.BLOCKS)
+        ys = self.stack(sp)
+        got = sp.project(ys)
+        assert got.shape == ys.shape
+        assert got.tobytes() == np.array([sp.project(y) for y in ys]).tobytes()
+        assert sp.project(ys[:0]).shape == (0, sp.dimension)
+
+    def test_contains_rows_equal_violation(self):
+        sp = SimplexProduct(blocks=self.BLOCKS)
+        ys = self.stack(sp)
+        inside = sp.project(ys)
+        off_sum, off_sign = inside[0].copy(), inside[0].copy()
+        off_sum[-1] += 2 * vi._FEASIBILITY_TOL
+        off_sign[np.argmin(off_sign)] = -2 * vi._FEASIBILITY_TOL
+        xs = np.vstack([inside, ys, off_sum, off_sign])
+        assert sp.contains(xs).tolist() == [sp.violation(x) is None for x in xs]
+        # The finite projections, not the NaN row nor the points moved out.
+        assert sp.contains(xs)[[0, 1, 2, 3, -2, -1]].tolist() == [True] * 3 + [False] * 3
+        assert sp.contains(xs[:0]).shape == (0,)
+
+    def test_three_dimensional_input_rejected(self):
+        sp = SimplexProduct(blocks=[(2, 1.0)])
+        for method in (sp.project, sp.contains):
+            with pytest.raises(ValueError, match="^expected vector of dimension 2"):
+                method(np.zeros((1, 1, 2)))
+
+
 class TestFeasibleSets:
     def test_box_project_and_contains(self):
         box = Box(lo=[0.0, 0.0], hi=[1.0, 2.0])
