@@ -5,7 +5,9 @@ objective t + (1/(N*alpha)) * sum([v_j - t]_+). We solve it exactly by the
 order-statistic closed form: the mean of the worst alpha-fraction, with an
 interpolated term when N*alpha is fractional. Per-path offsets select that
 top-ceil(alpha N) tail in O(N) per path, bitwise equal to sorting all N
-draws. A linear-programming route is provided for cross-checking.
+draws. A linear-programming route, `empirical_cvar_lp`, is provided for
+cross-checking; it is the package's only user of SciPy's optimizer and
+imports it on its first call.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 __all__ = [
     "RiskLevel",
@@ -174,7 +174,12 @@ def empirical_cvar_lp(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
         s.t. y_j >= v_j - t,  y_j >= 0.
 
     Independent of the order-statistic route; agrees with it to 1e-10.
+    SciPy's optimizer is imported here, on the first call, so that the
+    rest of the package never loads it.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     v = samples.values
     n = len(v)
     a = alpha.alpha

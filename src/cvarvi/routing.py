@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import yen
 
@@ -632,6 +631,48 @@ def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
     return float(_used_gap(game.path_set, path_cost_field(game, kappa)(h), h))
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0, by the active-set method of Lawson &
+    Hanson (1974, ch. 23). Each round moves the column of largest gradient
+    a^T (b - a x) into the passive set and solves least squares on that
+    set; while the solution has a nonpositive entry, x steps to the last
+    feasible point on the segment towards it and the column that reached
+    zero leaves the set. A gradient within rounding of zero ends the loop;
+    more than 3n rounds is a RuntimeError."""
+    m, n = a.shape
+    tol = 10 * max(m, n) * np.finfo(float).eps * np.linalg.norm(a, axis=0).max() * np.linalg.norm(b)
+
+    def solve(cols: np.ndarray) -> np.ndarray:
+        z = np.zeros(n)
+        z[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+        return z
+
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = a.T @ b
+    for _ in range(3 * n):
+        gain = np.where(passive, -np.inf, w)
+        j = np.argmax(gain)
+        if not gain[j] > tol:
+            return x
+        passive[j] = True
+        z = solve(passive)
+        if not z[j] > 0.0:
+            # Column j lowers the residual by rounding only: skip it until x moves.
+            passive[j], w[j] = False, 0.0
+            continue
+        while not np.all(z[passive] > 0.0):
+            back = np.flatnonzero(passive & (z <= 0.0))
+            steps = x[back] / (x[back] - z[back])
+            x += steps.min() * (z - x)
+            x[back[np.argmin(steps)]] = 0.0
+            passive &= x > 0.0
+            z = solve(passive)
+        x = z
+        w = a.T @ (b - a @ x)
+    raise RuntimeError(f"NNLS did not converge in {3 * n} rounds")
+
+
 def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
                           h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm path flow among the equilibria that share h0's loads,
@@ -643,10 +684,10 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
     the minimum-norm solution of the equalities and N an orthonormal basis
     of their null space, min ||h|| becomes the least-distance program
     min ||z|| s.t. N z >= -h_p, solved by one nonnegative least-squares
-    problem (Lawson & Hanson 1974, ch. 23). The paths of a zero-demand OD
-    are held at exactly 0, as B h = 0 with h >= 0 forces; h0 restricted to
-    the other minimum-cost paths is then feasible for the program, so it is
-    never empty.
+    problem (`_nnls`; Lawson & Hanson 1974, ch. 23). The paths of a
+    zero-demand OD are held at exactly 0, as B h = 0 with h >= 0 forces;
+    h0 restricted to the other minimum-cost paths is then feasible for the
+    program, so it is never empty.
     """
     ps = game.path_set
     floor = _od_min_cost(ps, costs)
@@ -665,7 +706,7 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
         e_mat = np.vstack([null, -h_act])
         target = np.zeros(len(e_mat))
         target[-1] = 1.0
-        u_ldp, _ = nnls(e_mat, target)
+        u_ldp = _nnls(e_mat, target)
         r = e_mat @ u_ldp - target
         h_act = h_act - null.T @ (r[:-1] / r[-1])
     h = np.zeros(ps.n_paths)

@@ -84,6 +84,9 @@ def breakpoint_cvar(values, alpha):
 
 def test_criterion_01_cvar_oracle_equivalence():
     rng = np.random.default_rng(1001)
+    # The LP route imports SciPy's optimizer on its first call; make that
+    # call before the clock starts, so that the budget times the pairs.
+    empirical_cvar_lp(SampleBatch(values=(0.0, 1.0)), RiskLevel(0.5))
     # CPU time of this process, so that load from other processes on the
     # machine does not count against the budget.
     start = time.process_time()
@@ -337,20 +340,21 @@ def test_criterion_09_strongly_monotone_delta_law():
     c = 3.0
     alpha = RiskLevel(0.1)
     exact_kappa = cvar_uniform_interval(0.0, 1.0, alpha)
-    box = Box(lo=[0.0], hi=[10.0])
     x_exact = np.clip((c - exact_kappa) / sigma, 0.0, 10.0)
     rng = np.random.default_rng(99)
-    ok = True
-    worst = -np.inf
-    for _ in range(2000):
-        draws = rng.random(100)
-        kappa_hat = empirical_cvar(SampleBatch(values=tuple(draws)), alpha).value
-        sol = extragradient_solve(box, lambda x, k=kappa_hat: sigma * x - c + k, sigma, x0=np.array([5.0]))
-        lhs = abs(float(sol.x_star[0]) - x_exact)
-        rhs = abs(kappa_hat - exact_kappa) / sigma + 1e-8
-        worst = max(worst, lhs - rhs)
-        ok = ok and lhs <= rhs
-    report(9, "strongly monotone deviation law", ok, f"worst slack violation {worst:.2e}")
+    kappa_hat = np.array([empirical_cvar(SampleBatch(values=tuple(rng.random(100))), alpha).value
+                          for _ in range(2000)])
+    # F is diagonal, so the 2,000 one-dimensional VIs on [0, 10] solve as
+    # one separable VI on a box: each coordinate takes its own iterates bit
+    # for bit, and the joint stop (residual norm <= 1e-9) bounds the
+    # residual of every coordinate.
+    box = Box(lo=np.zeros(len(kappa_hat)), hi=np.full(len(kappa_hat), 10.0))
+    sol = extragradient_solve(box, lambda x: sigma * x - c + kappa_hat, sigma,
+                              x0=np.full(len(kappa_hat), 5.0))
+    lhs = np.abs(sol.x_star - x_exact)
+    rhs = np.abs(kappa_hat - exact_kappa) / sigma + 1e-8
+    ok = sol.converged and bool(np.all(lhs <= rhs))
+    report(9, "strongly monotone deviation law", ok, f"worst slack violation {np.max(lhs - rhs):.2e}")
 
 
 def test_criterion_10_determinism(tmp_path):

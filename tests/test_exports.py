@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,34 @@ def test_no_private_name_imported_from_another_module(name):
     path = Path(cvarvi.__file__).with_name(f"{name}.py")
     imports = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ImportFrom)]
     assert [a.name for node in imports for a in node.names if a.name.startswith("_")] == []
+
+
+# In a fresh interpreter, since the test suite itself loads scipy.optimize.
+PIPELINE_WITHOUT_SCIPY_OPTIMIZE = """
+import sys, tempfile
+import cvarvi
+from cvarvi.cvar import RiskLevel, SampleBatch, empirical_cvar_lp
+from cvarvi.harness import ExperimentConfig, build_configured_game, run_experiment
+from cvarvi.routing import SOLVE_METHODS, sample_path_kappa, solve_cwe
+
+config = ExperimentConfig(replications=200)
+game = build_configured_game(config)
+kappa = sample_path_kappa(game, 50, 0)
+assert [solve_cwe(game, kappa, method).iterations > 0 for method in SOLVE_METHODS] == [True] * 3
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(config, out, workers=1, cache_dir=out)
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
+assert not loaded, loaded
+assert empirical_cvar_lp(SampleBatch(values=[1.0, 2.0, 3.0, 4.0]), RiskLevel(0.5)).value > 3.49
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_pipeline_never_loads_scipy_optimize():
+    """Import, cold solves and a 200-replication experiment leave SciPy's
+    optimizer unloaded; the LP cross-check loads it on its first call."""
+    src_dir = str(Path(cvarvi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_SCIPY_OPTIMIZE], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

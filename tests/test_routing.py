@@ -1,17 +1,18 @@
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from cvarvi import lcp, routing
 from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval
 from cvarvi.harness import ExperimentConfig, build_configured_game, default_config_text, parse_config
-from cvarvi.lcp import assemble_lcp, solve_lcp_lemke
+from cvarvi.lcp import assemble_lcp, solve_lcp_lemke, solve_lcp_qp
 from cvarvi.routing import (
     SOLVE_METHODS,
     Network,
@@ -1075,6 +1076,119 @@ class TestZeroDemandOd:
             natural_residual(sioux_game.feasible_flows, path_cost_field(sioux_game, np.zeros(30)), h)
 
 
+def assert_min_norm_equilibrium(game, kappa, h, raw):
+    """h has raw's edge loads and OD demands and is the point nearest the
+    origin of {g >= 0, same loads and demands, g = 0 off raw's minimum-cost
+    paths}: exactly when the linear program min <h, g> over the set
+    attains ||h||^2."""
+    ps = game.path_set
+    eq = np.vstack([ps.edge_incidence, ps.od_incidence])
+    assert np.abs(eq @ h - eq @ raw).max() <= 1e-9 * np.abs(eq @ raw).max()
+    costs = path_cost_field(game, kappa)(raw)
+    floor = np.array([costs[ps.od_of_path == w].min() for w in ps.od_of_path])
+    off = costs > floor + 1e-6 * (1.0 + floor)
+    lp = linprog(h, A_eq=eq, b_eq=eq @ raw, bounds=[(0, 0) if o else (0, None) for o in off])
+    assert lp.status == 0
+    assert lp.fun >= (h @ h) * (1.0 - 1e-7)
+
+
+class TestNnls:
+    """routing._nnls against SciPy's NNLS, the reference it replaces."""
+
+    @pytest.mark.parametrize("kind", ["wide", "tall", "duplicate_columns", "in_cone", "zero_solution"])
+    def test_residual_matches_scipy(self, kind):
+        rng = np.random.default_rng(2201)
+        m, n = {"wide": (6, 15), "tall": (15, 6)}.get(kind, (8, 12))
+        for _ in range(40):
+            a, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+            if kind == "duplicate_columns":
+                a[:, 1::2] = a[:, ::2]
+            elif kind == "in_cone":
+                b = a @ rng.random(n)
+            elif kind == "zero_solution":
+                a, b = rng.random((m, n)), -rng.random(m)
+            x = routing._nnls(a, b)
+            want = nnls(a, b)[0]
+            assert np.all(x >= 0.0)
+            assert (abs(np.linalg.norm(a @ x - b) - np.linalg.norm(a @ want - b))
+                    <= 1e-12 * np.linalg.norm(b))
+            if kind == "zero_solution":
+                assert not x.any()
+
+    def test_round_cap_raises(self, monkeypatch):
+        # Least squares that alternately rejects each of two columns would
+        # cycle for ever; the cap is 3n rounds.
+        answers = itertools.cycle([[1.0], [-1.0, 1.0], [1.0], [1.0, -1.0]])
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (np.array(next(answers)),))
+        with pytest.raises(RuntimeError, match="6 rounds"):
+            routing._nnls(np.eye(2), np.ones(2))
+
+
+def least_distance_flows(monkeypatch, game, kappas, solver):
+    """_min_norm_equilibrium of each kappa's cold solver flow, as in
+    solve_cwe, by _nnls and by SciPy's NNLS; and the number of _nnls calls."""
+    inputs = []
+    for kappa in kappas:
+        h0 = solver(assemble_lcp(game, kappa)).x[: game.path_set.n_paths]
+        inputs.append((path_cost_field(game, kappa)(h0), h0))
+    calls = counting(monkeypatch, routing, "_nnls")
+    ours = [routing._min_norm_equilibrium(game, costs, h0) for costs, h0 in inputs]
+    monkeypatch.setattr(routing, "_nnls", lambda a, b: nnls(a, b)[0])
+    return ours, [routing._min_norm_equilibrium(game, costs, h0) for costs, h0 in inputs], len(calls)
+
+
+@pytest.fixture(scope="module")
+def uncongested_game(sioux_game):
+    return build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), b_e=0.0)
+
+
+def tied_kappa(game, step_every):
+    """kappa that ties every path of each OD at b_e = 0, plus 1 on every
+    step_every-th path (none for 0)."""
+    ps = game.path_set
+    top = np.maximum.reduceat(game.free_flow_costs, ps.od_starts)[ps.od_of_path]
+    bump = np.arange(ps.n_paths) % step_every == 0 if step_every else np.zeros(ps.n_paths)
+    return top - game.free_flow_costs + bump
+
+
+class TestLeastDistanceFlow:
+    """The least-distance program of _min_norm_equilibrium, solved by _nnls."""
+
+    def assert_matches_scipy(self, ours, scipy_route):
+        for (h, active), (h_ref, active_ref) in zip(ours, scipy_route):
+            assert np.array_equal(active, active_ref)
+            assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+
+    def test_default_game_matches_scipy(self, monkeypatch):
+        game = build_configured_game(ExperimentConfig())
+        kappas = sample_kappa_block(game, 50, 2201, [(rep,) for rep in range(50)])
+        ours, scipy_route, calls = least_distance_flows(monkeypatch, game, kappas, solve_lcp_lemke)
+        assert calls == 50
+        self.assert_matches_scipy(ours, scipy_route)
+
+    def test_uncongested_game_matches_scipy(self, monkeypatch, uncongested_game, sioux_game):
+        # The test's kappa-hat give one minimum-cost path per OD and so no
+        # least-distance program; the tied kappa give one. Their qp flows
+        # are interior, where SciPy's NNLS solves the program too.
+        kappas = [sample_path_kappa(sioux_game, 500, 11, rep) for rep in range(2)]
+        kappas += [tied_kappa(uncongested_game, step) for step in (0, 3, 4)]
+        ours, scipy_route, calls = least_distance_flows(monkeypatch, uncongested_game, kappas, solve_lcp_qp)
+        assert calls == 3
+        self.assert_matches_scipy(ours, scipy_route)
+
+    @pytest.mark.parametrize("step_every", [0, 3, 4, 5, 7])
+    def test_vertex_flow_on_tied_uncongested_game(self, uncongested_game, step_every):
+        # Lemke's vertex flow idles paths whose loads hold them at 0; their
+        # columns in the program are rounding-sized, below _nnls's gradient
+        # tolerance. The flow has the vertex's loads and minimum norm.
+        game, kappa = uncongested_game, tied_kappa(uncongested_game, step_every)
+        raw = solve_lcp_lemke(assemble_lcp(game, kappa)).x[: game.path_set.n_paths]
+        table = []
+        h = solve_cwe(game, kappa, "lemke", regions=table).x_star
+        assert table == []
+        assert_min_norm_equilibrium(game, kappa, h, raw)
+
+
 class TestSolveAndCertificate:
     def test_two_path_toy_analytic(self):
         # One OD, two disjoint routes with distinct congestion: interior split.
@@ -1131,18 +1245,9 @@ class TestSolveAndCertificate:
         kappa = sample_path_kappa(sioux_game, 500, 11)
         raw = solve_lcp_lemke(assemble_lcp(sioux_game, kappa)).x[: ps.n_paths]
         h = solve_cwe(sioux_game, kappa, method=method).x_star
-        eq = np.vstack([ps.edge_incidence, ps.od_incidence])
-        assert np.abs(eq @ h - eq @ raw).max() <= 1e-9 * np.abs(eq @ raw).max()
         assert np.linalg.norm(h) <= np.linalg.norm(raw)
         assert wardrop_gap(sioux_game, kappa, h) <= 1e-5
-        # h is the point of the set nearest the origin exactly when the
-        # linear program min <h, g> over the set g attains ||h||^2.
-        costs = path_cost_field(sioux_game, kappa)(raw)
-        floor = np.array([costs[ps.od_of_path == w].min() for w in ps.od_of_path])
-        off = costs > floor + 1e-6 * (1.0 + floor)
-        lp = linprog(h, A_eq=eq, b_eq=eq @ raw, bounds=[(0, 0) if o else (0, None) for o in off])
-        assert lp.status == 0
-        assert lp.fun >= (h @ h) * (1.0 - 1e-7)
+        assert_min_norm_equilibrium(sioux_game, kappa, h, raw)
 
     def test_field_monotone_on_sioux(self, sioux_game):
         field = path_cost_field(sioux_game, np.zeros(30))
