@@ -12,7 +12,9 @@ Equilibrium edge loads are unique but path flows are not (paths share
 edges), so every solve returns the minimum-norm point of the equilibrium set.
 That flow is piecewise affine in kappa: each piece, an `EquilibriumRegion`,
 is fixed by the minimum-cost paths S and the used paths T, and gives the
-flow in closed form (Cottle, Pang & Stone 1992, sections 4.5-4.6).
+flow in closed form (Cottle, Pang & Stone 1992, sections 4.5-4.6). Every
+solve takes one route, `solve_cwe_block` over a stack of kappa rows, with
+one region certificate (`_certify`); `solve_cwe` is its one-row call.
 """
 
 from __future__ import annotations
@@ -771,61 +773,73 @@ def _equilibrium_region(game: RoutingGame, active: np.ndarray,
 
 
 def _rowwise(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ x for a vector x; for a stack, one matrix-vector product per row,
-    as a stacked matrix product rounds differently."""
-    if x.ndim == 1:
-        return mat @ x
+    """mat @ row for each row of a stack, as a stacked matrix product
+    rounds differently."""
     out = np.empty((len(x), len(mat)))
     for i, row in enumerate(x):
         out[i] = mat @ row
     return out
 
 
-# The steps of a region's certificate (`_region_flow`). Each takes one
-# vector or a stack of rows, and gives a row of a stack the bits of its
-# one-vector call.
-
-def _region_used_flows(region: EquilibriumRegion, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The region's flows on T at q = Q^T t + kappa, and whether they and
-    the multipliers on S minus T are all at least _REGION_MARGIN."""
-    h_used = _rowwise(region.flow_map, q[..., region.support]) + region.flow_offset
-    return h_used, (np.all(h_used >= _REGION_MARGIN, axis=-1)
-                    & np.all(_rowwise(region.slack_map, h_used) >= _REGION_MARGIN, axis=-1))
-
-
-def _region_placed(game: RoutingGame, region: EquilibriumRegion, h_used: np.ndarray) -> np.ndarray:
-    """Flows on T placed among all paths and projected onto the flow polytope."""
-    h = np.zeros((*h_used.shape[:-1], game.path_set.n_paths))
-    h[..., region.support] = h_used
-    return game.feasible_flows.project(h)
-
-
-def _region_ties_hold(game: RoutingGame, region: EquilibriumRegion, costs: np.ndarray):
-    """Whether the paths within _TIE_TOL / _REGION_TIE_FACTOR of their OD
-    minimum cost are exactly S, and all others lie beyond _TIE_TOL *
-    _REGION_TIE_FACTOR (relative)."""
+def _certify(game: RoutingGame, region: EquilibriumRegion,
+             q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of an (R, P) stack q = Q^T t + kappa where the region's
+    certificate holds, with their flows, projected onto the flow polytope,
+    and their path costs. The certificate: every used path carries at least
+    _REGION_MARGIN and so does every multiplier on S minus T; the paths
+    within _TIE_TOL / _REGION_TIE_FACTOR of their OD minimum cost are
+    exactly S, and all others lie beyond _TIE_TOL * _REGION_TIE_FACTOR
+    (relative); the Wardrop gap is at most _WARDROP_TOL. Comparisons fail
+    on NaN. Every product stays one per row, so a row's bits do not depend
+    on the stack it is in."""
+    h_used = _rowwise(region.flow_map, q[:, region.support]) + region.flow_offset
+    rows = np.flatnonzero(np.all(h_used >= _REGION_MARGIN, axis=1)
+                          & np.all(_rowwise(region.slack_map, h_used) >= _REGION_MARGIN, axis=1))
+    h = np.zeros((len(rows), game.path_set.n_paths))
+    h[:, region.support] = h_used[rows]
+    h = game.feasible_flows.project(h)
+    costs = _rowwise(game.cost_matrix, h) + q[rows]
     floor = _od_min_cost(game.path_set, costs)
     relative = (costs - floor) / (1.0 + np.abs(floor))
-    return (np.all(relative[..., region.active] <= _TIE_TOL / _REGION_TIE_FACTOR, axis=-1)
-            & np.all(relative[..., ~region.active] > _TIE_TOL * _REGION_TIE_FACTOR, axis=-1))
+    held = (np.all(relative[:, region.active] <= _TIE_TOL / _REGION_TIE_FACTOR, axis=1)
+            & np.all(relative[:, ~region.active] > _TIE_TOL * _REGION_TIE_FACTOR, axis=1)
+            & (_used_gap(game.path_set, costs, h) <= _WARDROP_TOL))
+    return rows[held], h[held], costs[held]
 
 
-def _region_flow(game: RoutingGame, field: Callable[[np.ndarray], np.ndarray], kappa: np.ndarray,
-                 region: EquilibriumRegion) -> Optional[np.ndarray]:
-    """The region's flow at kappa, projected onto the flow polytope, if its
-    certificate holds, else None. The certificate: every used path carries
-    at least _REGION_MARGIN and so does every multiplier on S minus T; the
-    paths within _TIE_TOL / _REGION_TIE_FACTOR of their OD minimum cost are
-    exactly S, and all others lie beyond _TIE_TOL * _REGION_TIE_FACTOR;
-    the Wardrop gap is at most _WARDROP_TOL. Comparisons fail on NaN.
-    `solve_cwe_block` takes the same steps for a stack of kappa."""
-    h_used, margins_hold = _region_used_flows(region, game.free_flow_costs + kappa)
-    if not margins_hold:
-        return None
-    h = _region_placed(game, region, h_used)
-    if not (_region_ties_hold(game, region, field(h)) and wardrop_gap(game, kappa, h) <= _WARDROP_TOL):
-        return None
-    return h
+def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
+                regions: list[EquilibriumRegion]) -> ViSolution:
+    """One kappa that no region of the table certifies: the method runs,
+    its flow gives the minimum-cost and used paths of the minimum-norm
+    equilibrium (`_min_norm_equilibrium`), and the flow of that region is
+    returned if it certifies (`_certify`); the region is then appended to
+    `regions`. Otherwise the least-distance flow itself is projected and
+    returned. Either flow is checked against the equilibrium condition at
+    _WARDROP_TOL (RuntimeError if violated)."""
+    feasible = game.feasible_flows
+    field = path_cost_field(game, kappa)
+    if method == "extragradient":
+        raw = extragradient_solve(feasible, field, game.lipschitz)
+        h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
+    else:
+        solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp
+        lcp_sol = solver(lcp_mod.assemble_lcp(game, kappa))
+        h0 = lcp_sol.x[: game.path_set.n_paths]
+        iterations, converged = lcp_sol.iterations, lcp_sol.feasible
+    canonical, active = _min_norm_equilibrium(game, field(h0), h0)
+    region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
+    flows = [] if region is None else _certify(game, region, (game.free_flow_costs + kappa)[None])[1]
+    if len(flows):
+        h = flows[0]
+        regions.append(region)
+    else:
+        h = feasible.project(canonical)
+    gap = wardrop_gap(game, kappa, h)
+    if not gap <= _WARDROP_TOL:  # a NaN gap fails too
+        raise RuntimeError(f"solver returned a flow violating the equilibrium condition "
+                           f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})")
+    return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=iterations,
+                      converged=converged)
 
 
 def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
@@ -839,68 +853,39 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
     the equilibrium set; the returned flow is the unique minimum-norm point
     of that set.
 
-    The flow comes from an `EquilibriumRegion` whenever one certifies it
-    (see `_region_flow`). The regions of the table `regions` are tried in
-    order; a hit runs no solver and reports `iterations` 0. On a miss, or
-    with no table, the method runs, its flow gives the minimum-cost and
-    used paths of the minimum-norm equilibrium (`_min_norm_equilibrium`),
-    and the flow of that region is returned if it certifies; the region
-    is then appended to `regions`. The margins of the certificate make a
-    hit's region the one a cold solve finds, so a table never changes the
-    returned bits. Only where no region certifies is the least-distance
-    flow itself returned, checked against the equilibrium condition at
-    _WARDROP_TOL (RuntimeError if violated). The natural residual
-    describes the returned flow; `iterations` (extragradient steps, Lemke
-    pivots or gap-minimization steps) and `converged` the solver run.
+    The one-row call of `solve_cwe_block`, which raises here what it
+    returns for the row: a hit of the table `regions` runs no solver and
+    reports `iterations` 0; a miss runs the method and may append its
+    region to `regions` (none is kept without a table). The natural
+    residual describes the returned flow; `iterations` (extragradient
+    steps, Lemke pivots or gap-minimization steps) and `converged` the
+    solver run.
     """
-    feasible = game.feasible_flows
-    field = path_cost_field(game, kappa)
-    kappa = np.asarray(kappa, dtype=float)  # checked by path_cost_field
-    if method not in SOLVE_METHODS:
-        raise ValueError(f"unknown method {method!r}; choose one of {', '.join(SOLVE_METHODS)}")
-    hits = (_region_flow(game, field, kappa, region) for region in regions or ())
-    h = next((h for h in hits if h is not None), None)
-    iterations, converged = 0, True
-    if h is None:
-        if method == "extragradient":
-            raw = extragradient_solve(feasible, field, game.lipschitz)
-            h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
-        else:
-            solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp
-            lcp_sol = solver(lcp_mod.assemble_lcp(game, kappa))
-            h0 = lcp_sol.x[: game.path_set.n_paths]
-            iterations, converged = lcp_sol.iterations, lcp_sol.feasible
-        canonical, active = _min_norm_equilibrium(game, field(h0), h0)
-        region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
-        h = None if region is None else _region_flow(game, field, kappa, region)
-        if h is None:
-            h = feasible.project(canonical)
-            gap = wardrop_gap(game, kappa, h)
-            if not gap <= _WARDROP_TOL:  # a NaN gap fails too
-                raise RuntimeError(f"solver returned a flow violating the equilibrium condition "
-                                   f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})")
-        elif regions is not None:
-            regions.append(region)
-    return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=iterations,
-                      converged=converged)
+    table = [] if regions is None else regions
+    solution = solve_cwe_block(game, game.check_kappa(kappa)[None], method, table)[0]
+    if isinstance(solution, Exception):
+        raise solution
+    return solution
 
 
 def solve_cwe_block(game: RoutingGame, kappas: np.ndarray, method: str,
                     regions: list[EquilibriumRegion]) -> list[ViSolution | Exception]:
-    """`solve_cwe(game, kappa, method, regions=regions)` of each row of an
-    (R, P) stack of kappa, bit for bit: one ViSolution per row, or the
-    exception its solve raised, so that a row fails alone.
+    """The minimum-norm equilibrium flow (`solve_cwe`) of each row of an
+    (R, P) stack of kappa: one ViSolution per row, or the exception its
+    solve raised, so that a row fails alone. Each row's result has the
+    same bits in any stack, the one-row stack of `solve_cwe` included.
 
-    Each region of the table is tried once, in order, on all rows that no
-    earlier region certified, by the steps of `_region_flow` run over the
-    stack; every matrix-vector product and every norm stays one per row,
-    so each row keeps its one-row bits. Then the first row still open, a
-    miss, goes through `solve_cwe`, which may append its region, and the
-    regions it added are tried on the rows after it; so the table grows as
-    under a loop of `solve_cwe` calls. The certified rows get the natural
-    residual after the feasibility and finiteness checks of
-    `natural_residual`; a row that fails them, and a row whose kappa is not
-    finite, goes through `solve_cwe` too, which raises as it would alone.
+    The flow comes from an `EquilibriumRegion` whenever one certifies it
+    (`_certify`). Each region of the table is tried once, in order, on all
+    rows that no earlier region certified. Then the first row still open,
+    a miss, is solved cold (`_solve_cold`), which may append its region,
+    and the regions it added are tried on the rows after it; so the table
+    grows as under a loop of one-row calls. The margins of the certificate
+    make a hit's region the one a cold solve finds, so a table never
+    changes the returned bits. The certified rows get the natural residual
+    after the feasibility and finiteness checks of `natural_residual`; a
+    row that fails them, and a row whose kappa is not finite, is solved
+    cold too, which raises as it would alone.
     """
     kappas = np.asarray(kappas, dtype=float)
     if kappas.ndim != 2 or kappas.shape[1] != game.path_set.n_paths:
@@ -911,7 +896,7 @@ def solve_cwe_block(game: RoutingGame, kappas: np.ndarray, method: str,
 
     def solve(r: int) -> ViSolution | Exception:
         try:
-            return solve_cwe(game, kappas[r], method, regions=regions)
+            return _solve_cold(game, kappas[r], method, regions)
         except Exception as exc:
             return exc
 
@@ -924,13 +909,9 @@ def solve_cwe_block(game: RoutingGame, kappas: np.ndarray, method: str,
     tried = 0
     while len(open_rows):
         for region in regions[tried:]:
-            h_used, margins_hold = _region_used_flows(region, q[open_rows])
-            rows = open_rows[margins_hold]
-            h = _region_placed(game, region, h_used[margins_hold])
-            c = _rowwise(game.cost_matrix, h) + q[rows]
-            held = _region_ties_hold(game, region, c) & (_used_gap(game.path_set, c, h) <= _WARDROP_TOL)
-            flows[rows[held]], costs[rows[held]] = h[held], c[held]
-            hit[rows[held]] = True
+            held, flows_held, costs_held = _certify(game, region, q[open_rows])
+            rows = open_rows[held]
+            flows[rows], costs[rows], hit[rows] = flows_held, costs_held, True
             open_rows = open_rows[~hit[open_rows]]
             if not len(open_rows):
                 break

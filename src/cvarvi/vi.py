@@ -219,14 +219,15 @@ def extragradient_solve(
     """Extragradient iteration y = proj(x - s F(x)), x+ = proj(x - s F(y)).
 
     Converges for monotone fields with Lipschitz constant `lipschitz` and
-    s < 1/L; the step is s = 0.9 / lipschitz, so a constant that is not
-    finite and positive is a ValueError. A non-finite field value is a
-    FloatingPointError. Stops once the natural residual is at most _EG_TOL
-    or after _EG_MAX_ITER steps.
+    s < 1/L; the step is s = 0.9 / lipschitz, or 1.0 for a constant field
+    (lipschitz 0), so a constant that is not finite and nonnegative is a
+    ValueError. A non-finite field value is a FloatingPointError. Stops
+    once the natural residual is at most _EG_TOL or after _EG_MAX_ITER
+    steps.
     """
-    if not 0 < lipschitz < np.inf:  # NaN fails too
-        raise ValueError(f"Lipschitz constant must be finite and positive, got {lipschitz}")
-    step = _EG_STEP_SCALE / lipschitz
+    if not 0 <= lipschitz < np.inf:  # NaN fails too
+        raise ValueError(f"Lipschitz constant must be finite and nonnegative, got {lipschitz}")
+    step = _EG_STEP_SCALE / lipschitz if lipschitz > 0 else 1.0
 
     x = feasible.project(np.asarray(x0, dtype=float)) if x0 is not None else feasible.default_start()
     for it in range(_EG_MAX_ITER + 1):

@@ -13,7 +13,14 @@ import pytest
 from cvarvi import harness
 from cvarvi.cvar import RiskLevel
 from cvarvi.harness import ExperimentConfig, build_configured_game, parse_config, run_experiment
-from cvarvi.routing import sample_kappa_block, solve_cwe, solve_cwe_block
+from cvarvi.routing import (
+    PathSet,
+    build_game,
+    sample_kappa_block,
+    solve_cwe,
+    solve_cwe_block,
+    true_path_kappa,
+)
 
 ALPHAS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.9, 0.99)
 
@@ -78,3 +85,42 @@ def test_reordering_od_lines_permutes_the_paths_only(tmp_path, monkeypatch):
     assert {r.status for r in result.records} == {"ok"}
     deviations = np.array([[r.deviation for r in run.records] for run in (result, permuted)])
     assert np.abs(deviations[0] - deviations[1]).max() <= 1.5e-12
+
+
+def test_doubling_free_flow_times_doubles_kappa_and_keeps_the_deviations(default_game):
+    # Doubling t is exact in floating point and doubles R, Q^T t and the
+    # noise supports: the paths stay, kappa-hat and kappa_ref double bit for
+    # bit, and the whole cost field doubles, so its equilibria stay.
+    config = ExperimentConfig()
+    network = default_game.network
+    doubled = build_game(dataclasses.replace(network, free_flow_time=2.0 * network.free_flow_time),
+                         default_game.od_spec, default_game.alpha, b_e=config.b_e,
+                         uncertain_nodes=config.uncertain_nodes, noise_scale=config.noise_scale)
+    assert doubled.path_set.paths == default_game.path_set.paths
+    refs = [true_path_kappa(game, config.ref_samples, config.ref_seed) for game in (default_game, doubled)]
+    assert np.array_equal(refs[1], 2.0 * refs[0])
+    tables = [], []
+    h_refs = [solve_cwe(game, kappa, "lemke", regions=table).x_star
+              for game, kappa, table in zip((default_game, doubled), refs, tables)]
+    assert np.abs(h_refs[1] - h_refs[0]).max() <= 1e-10
+    for n_index, n in enumerate(config.sample_sizes):
+        keys = [(n_index, rep) for rep in range(20)]
+        kappas = [sample_kappa_block(game, n, config.master_seed, keys) for game in (default_game, doubled)]
+        assert np.array_equal(kappas[1], 2.0 * kappas[0])
+        deviations = [[np.linalg.norm(sol.x_star - h_ref) for sol in solve_cwe_block(game, block, "lemke", table)]
+                      for game, block, table, h_ref in zip((default_game, doubled), kappas, tables, h_refs)]
+        assert np.array(deviations[1]) == pytest.approx(deviations[0], rel=1e-10, abs=0.0)
+
+
+def test_permuting_the_paths_of_each_od_permutes_the_lemke_flow(default_game):
+    # The same game with each OD's paths listed in another order: Lemke
+    # pivots through another sequence, and the minimum-norm flow agrees up
+    # to rounding.
+    ps = default_game.path_set
+    rng = np.random.default_rng(0)
+    order = np.concatenate([start + rng.permutation(n) for start, n in zip(ps.od_starts, np.bincount(ps.od_of_path))])
+    permuted = dataclasses.replace(default_game, path_set=PathSet(
+        paths=[ps.paths[p] for p in order], od_of_path=ps.od_of_path, edge_incidence=ps.edge_incidence[:, order]))
+    for kappa in sample_kappa_block(default_game, 500, 5, [(rep,) for rep in range(20)]):
+        flow = solve_cwe(default_game, kappa, "lemke").x_star
+        assert np.abs(solve_cwe(permuted, kappa[order], "lemke").x_star - flow[order]).max() <= 1e-10

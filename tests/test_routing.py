@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import itertools
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -821,6 +822,21 @@ class TestEquilibriumRegions:
         assert len(calls) == 2 and hit.iterations == 0
         assert hit.x_star.tobytes() == cold.x_star.tobytes() and hit.residual == cold.residual
 
+    def test_hit_evaluates_no_field_and_no_gap(self, sioux_game, kappas, monkeypatch):
+        # A hit takes its costs and gap from the certificate; a cold solve
+        # builds its field once and checks its flow with wardrop_gap once.
+        fields, gaps = [], counting(monkeypatch, routing, "wardrop_gap")
+        build = routing.path_cost_field
+        monkeypatch.setattr(routing, "path_cost_field",
+                            lambda *args: fields.append(sys._getframe(1).f_code.co_name) or build(*args))
+        table = []
+        solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        assert (fields, len(gaps), len(table)) == (["_solve_cold", "wardrop_gap"], 1, 1)
+        fields.clear()
+        gaps.clear()
+        hit = solve_cwe(sioux_game, kappas[1], "lemke", regions=table)
+        assert (fields, len(gaps), hit.iterations) == ([], 0, 0)
+
     def test_every_method_returns_the_region_flow(self, sioux_game, kappas):
         flows = {solve_cwe(sioux_game, kappas[1], method).x_star.tobytes() for method in SOLVE_METHODS}
         assert len(flows) == 1
@@ -916,6 +932,28 @@ class TestEquilibriumRegions:
         assert table == []
         assert wardrop_gap(game, kappas[0], sol.x_star) <= 1e-5
 
+    def test_extragradient_solves_the_uncongested_game(self):
+        # The field is constant and game.lipschitz 0: extragradient steps by
+        # 1.0. Where each OD's cheapest path is unique, that path takes the
+        # demand under every method; on a tie (paths 3, 5, 6 and 7 of
+        # replication 3) no edge load is pinned and each method keeps its
+        # own split of the tied paths.
+        config = dataclasses.replace(ExperimentConfig(), b_e=0.0)
+        game = build_configured_game(config)
+        assert game.lipschitz == 0.0
+        ps = game.path_set
+        kappas = sample_kappa_block(game, 50, config.master_seed, [(0, rep) for rep in range(4)])
+        tied = []
+        for kappa in kappas:
+            eg, lemke = (solve_cwe(game, kappa, method) for method in ("extragradient", "lemke"))
+            assert eg.converged and eg.iterations > 0 and wardrop_gap(game, kappa, eg.x_star) <= 1e-5
+            costs = game.free_flow_costs + kappa
+            cheapest = costs == np.minimum.reduceat(costs, ps.od_starts)[ps.od_of_path]
+            tied.append(bool(np.any(np.bincount(ps.od_of_path, weights=cheapest) > 1)))
+            if not tied[-1]:
+                assert eg.x_star.tobytes() == lemke.x_star.tobytes()
+        assert tied == [False, False, False, True]
+
 
 def same_solution(got, want) -> bool:
     return (got.x_star.tobytes() == want.x_star.tobytes() and fmt(got.residual) == fmt(want.residual)
@@ -931,7 +969,7 @@ def counting(monkeypatch, module, name) -> list:
 
 class TestSolveCweBlock:
     """A block's region hits, certified as stacked arrays, carry the bits of
-    one solve_cwe per row; every other row goes through solve_cwe."""
+    one solve_cwe per row; every other row is solved cold."""
 
     @pytest.fixture(scope="class")
     def default_grid(self, tmp_path_factory):
@@ -956,10 +994,10 @@ class TestSolveCweBlock:
     def test_default_grid_equals_solve_cwe(self, default_grid, monkeypatch):
         game, h_ref, table, blocks = default_grid
         block_table, loop_table = list(table), list(table)
-        cwe = counting(monkeypatch, routing, "solve_cwe")
+        cold = counting(monkeypatch, routing, "_solve_cold")
         solved = [solve_cwe_block(game, kappas, "lemke", block_table) for kappas in blocks]
-        # Only the grid's one miss went through solve_cwe.
-        assert len(cwe) == len(block_table) - len(table) == 1
+        # Only the grid's one miss was solved cold.
+        assert len(cold) == len(block_table) - len(table) == 1
         rows = 0
         for kappas, solutions in zip(blocks, solved):
             for kappa, got in zip(kappas, solutions):
@@ -994,9 +1032,9 @@ class TestSolveCweBlock:
         want_table = list(table)
         want = [solve_cwe(sioux_game, kappa, "lemke", regions=want_table) for kappa in block]
         lemke = counting(monkeypatch, lcp, "solve_lcp_lemke")
-        cwe = counting(monkeypatch, routing, "solve_cwe")
+        cold = counting(monkeypatch, routing, "_solve_cold")
         got = solve_cwe_block(sioux_game, block, "lemke", table)
-        assert (len(lemke), len(cwe), len(table)) == (1, 1, 2)
+        assert (len(lemke), len(cold), len(table)) == (1, 1, 2)
         assert all(same_solution(g, w) for g, w in zip(got, want))
         assert got[1].iterations > 0 and got[0].iterations == got[2].iterations == 0
         assert got[1].x_star.tobytes() == solve_cwe(sioux_game, moved, "lemke").x_star.tobytes()
@@ -1006,10 +1044,10 @@ class TestSolveCweBlock:
         want_table = []
         want = [solve_cwe(sioux_game, kappa, "lemke", regions=want_table) for kappa in kappas]
         lemke = counting(monkeypatch, lcp, "solve_lcp_lemke")
-        cwe = counting(monkeypatch, routing, "solve_cwe")
+        cold = counting(monkeypatch, routing, "_solve_cold")
         table = []
         got = solve_cwe_block(sioux_game, kappas, "lemke", table)
-        assert (len(lemke), len(cwe), len(table), len(want_table)) == (1, 1, 1, 1)
+        assert (len(lemke), len(cold), len(table), len(want_table)) == (1, 1, 1, 1)
         assert all(same_solution(g, w) for g, w in zip(got, want))
 
     def test_table_that_stays_empty_sends_every_row_cold(self, sioux_game, kappas, monkeypatch):
@@ -1235,6 +1273,19 @@ class TestSolveAndCertificate:
         with pytest.raises(ValueError, match="unknown method"):
             solve_cwe(game, np.zeros(3), method="magic")
 
+    def test_flow_violating_the_equilibrium_condition_raises(self, sioux_game, monkeypatch):
+        # A least-distance step that returns the uniform split, and no region.
+        least_distance = routing._min_norm_equilibrium
+        monkeypatch.setattr(routing, "_min_norm_equilibrium",
+                            lambda game, costs, h0: (game.feasible_flows.default_start(),
+                                                     least_distance(game, costs, h0)[1]))
+        monkeypatch.setattr(routing, "_equilibrium_region", lambda *args: None)
+        kappa = sample_path_kappa(sioux_game, 50, 1)
+        for method in SOLVE_METHODS:
+            with pytest.raises(RuntimeError, match=f"^solver returned a flow violating the equilibrium "
+                                                   rf"condition \(gap .* > 1\.0e-05, method {method}\)$"):
+                solve_cwe(sioux_game, kappa, method, regions=[])
+
     @pytest.mark.parametrize("method", ["extragradient", "lemke", "qp"])
     def test_canonical_flow_is_min_norm_equilibrium(self, sioux_game, method):
         # Path flows are not identified on Sioux Falls (Q has rank 24 for
@@ -1281,11 +1332,11 @@ def loop_wardrop_gap(game, kappa, h):
 
 
 def loop_od_min_cost(path_set, costs):
-    """Oracle: each path's OD minimum, OD by OD."""
+    """Oracle: each path's OD minimum, OD by OD (of each row, for a stack)."""
     floor = np.empty_like(costs)
     for w in range(len(path_set.od_incidence)):
         members = path_set.od_of_path == w
-        floor[members] = costs[members].min()
+        floor[..., members] = costs[..., members].min(axis=-1, keepdims=True)
     return floor
 
 

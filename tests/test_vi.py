@@ -394,10 +394,17 @@ class TestExtragradient:
         with pytest.raises(FloatingPointError):
             extragradient_solve(box, lambda x: x * np.inf, 1.0)
 
-    @pytest.mark.parametrize("lipschitz", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_zero_lipschitz_is_a_constant_field_stepped_by_one(self):
+        # The cheapest path takes the whole demand in two steps of 1.0
+        # (steps of 0.9 take three).
+        sp = SimplexProduct(blocks=[(3, 2.0)])
+        sol = extragradient_solve(sp, lambda x: np.array([3.0, 1.0, 2.0]), 0.0)
+        assert sol.converged and sol.iterations == 2 and sol.x_star.tolist() == [0.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize("lipschitz", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     def test_lipschitz_not_finite_and_positive_rejected(self, lipschitz):
         box = Box(lo=[0.0], hi=[1.0])
-        with pytest.raises(ValueError, match=f"^Lipschitz constant must be finite and positive, got {lipschitz}$"):
+        with pytest.raises(ValueError, match=f"^Lipschitz constant must be finite and nonnegative, got {lipschitz}$"):
             extragradient_solve(box, lambda x: x, lipschitz)
 
 
