@@ -8,8 +8,9 @@ h -> Q^T R Q h + Q^T t + kappa where kappa collects per-path CVaR offsets
 of the noise. The risk-averse Wardrop equilibrium is the solution of the
 VI over the flow polytope, solvable by extragradient, Lemke pivoting, or
 the complementarity-gap program; only kappa changes between solves.
-Equilibrium edge loads are unique but path flows are not (paths share
-edges), so every solve returns the minimum-norm point of the equilibrium set.
+Equilibrium loads on congested edges (b_e > 0) are unique (Beckmann, McGuire
+& Winsten 1956), but path flows and uncongested loads are not, so every
+solve returns the minimum-norm point of the equilibrium set.
 That flow is piecewise affine in kappa: each piece, an `EquilibriumRegion`,
 is fixed by the minimum-cost paths S and the used paths T, and gives the
 flow in closed form (Cottle, Pang & Stone 1992, sections 4.5-4.6). Every
@@ -677,19 +678,20 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
                           h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm path flow among the equilibria that share h0's loads,
-    and the mask of the minimum-cost paths it was found among.
+    """Minimum-norm path flow among the equilibria that share h0's loads
+    on congested edges, and the mask of the minimum-cost paths it was found
+    among.
 
-    All equilibria induce the same edge loads l* = Q h0 and so the same
-    path costs; the equilibrium set is the polytope {h >= 0, B h = d,
-    Q h = l*, h = 0 off the minimum-cost paths}. With h = h_p + N z, h_p
-    the minimum-norm solution of the equalities and N an orthonormal basis
-    of their null space, min ||h|| becomes the least-distance program
-    min ||z|| s.t. N z >= -h_p, solved by one nonnegative least-squares
-    problem (`_nnls`; Lawson & Hanson 1974, ch. 23). The paths of a
-    zero-demand OD are held at exactly 0, as B h = 0 with h >= 0 forces;
-    h0 restricted to the other minimum-cost paths is then feasible for the
-    program, so it is never empty.
+    Costs depend on those loads only, l* = Q_c h0 with Q_c the rows of Q
+    where congestion_diag > 0, and all equilibria share them; the
+    equilibrium set is the polytope {h >= 0, B h = d, Q_c h = l*, h = 0 off
+    the minimum-cost paths}. With h = h_p + N z, h_p the minimum-norm
+    solution of the equalities and N an orthonormal basis of their null
+    space, min ||h|| becomes the least-distance program min ||z|| s.t.
+    N z >= -h_p, solved by one nonnegative least-squares problem (`_nnls`;
+    Lawson & Hanson 1974, ch. 23). The paths of a zero-demand OD are held
+    at exactly 0, as B h = 0 with h >= 0 forces; h0 on the other minimum-cost
+    paths is then feasible, so the program is never empty.
     """
     ps = game.path_set
     floor = _od_min_cost(ps, costs)
@@ -697,7 +699,7 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
     free = active & (game.demands[ps.od_of_path] > 0.0)
     if not free.any():
         return np.zeros(ps.n_paths), active
-    a_mat = np.vstack([ps.edge_incidence, ps.od_incidence])[:, free]
+    a_mat = np.vstack([ps.edge_incidence[game.congestion_diag > 0.0], ps.od_incidence])[:, free]
     a_mat = a_mat[a_mat.any(axis=1)]
     u, sv, vt = np.linalg.svd(a_mat)
     rank = int(np.sum(sv > sv[0] * max(a_mat.shape) * np.finfo(float).eps))
@@ -728,16 +730,17 @@ class EquilibriumRegion:
     On the piece the minimum-cost paths S (`active`) and the used paths
     T (`support`, a subset of S) are fixed. With q = Q^T t + kappa, the
     flow on T solves K [h_T; mu] = [-q_T; d], K = [[A_TT, -B_T^T],
-    [B_T, 0]]. A null vector of K has mu-part 0 and Q-image 0 when every
-    edge that S crosses is congested, so the minimum-norm solution K^+ [..]
-    is the minimum-norm flow with T's edge loads: h_T = H q_T + g, with
-    H and g read off one pseudo-inverse of K. It is the minimum-norm
-    equilibrium when the multipliers pi = P h_T of the bounds h >= 0 on
-    S minus T are nonnegative: by the Karush-Kuhn-Tucker conditions of
-    min ||h|| over {h >= 0 on S, 0 off S, [Q; B] h fixed}, h_T = G_T^T lam
-    and pi = -G_{S-T}^T lam, G = [Q; B], with lam the minimum-norm
-    multipliers. A zero-demand OD's paths are held at 0 by B h = 0 alone,
-    so P has no rows for them. All arrays are read-only.
+    [B_T, 0]]. As A_TT = Q_T^T R Q_T, a null vector of K has a flow part
+    with image 0 under B and under Q_c, the congested rows of Q, and a
+    mu-part 0 on every OD that T serves; so the minimum-norm solution
+    K^+ [..] is the minimum-norm flow with T's demands and congested loads:
+    h_T = H q_T + g, with H and g read off one pseudo-inverse of K. It is
+    the minimum-norm equilibrium when the multipliers pi = P h_T of the
+    bounds h >= 0 on S minus T are nonnegative: by the Karush-Kuhn-Tucker
+    conditions of min ||h|| over {h >= 0 on S, 0 off S, G h fixed}, with
+    G = [Q_c; B], h_T = G_T^T lam and pi = -G_{S-T}^T lam, lam the
+    minimum-norm multipliers. A zero-demand OD's paths are held at 0 by
+    B h = 0 alone, so P has no rows for them. All arrays are read-only.
     """
 
     active: np.ndarray  # S, a mask over paths
@@ -747,15 +750,11 @@ class EquilibriumRegion:
     slack_map: np.ndarray  # P, |S minus T, less zero-demand ODs| x |T|
 
 
-def _equilibrium_region(game: RoutingGame, active: np.ndarray,
-                        used: np.ndarray) -> Optional[EquilibriumRegion]:
+def _equilibrium_region(game: RoutingGame, active: np.ndarray, used: np.ndarray) -> EquilibriumRegion:
     """The region of minimum-cost paths `active` and used paths `used`
-    (masks, used within active), or None where its formula does not give
-    the minimum-norm flow: no path used, or an uncongested edge under S."""
+    (masks, used within active; T is empty where no demand is positive)."""
     ps = game.path_set
-    crossed = ps.edge_incidence[:, active].any(axis=1)
-    if not used.any() or np.any(game.congestion_diag[crossed] <= 0.0):
-        return None
+    crossed = ps.edge_incidence[:, active].any(axis=1) & (game.congestion_diag > 0.0)
     support = np.flatnonzero(used)
     n_used, n_ods = len(support), len(ps.od_incidence)
     b_used = ps.od_incidence[:, support]
@@ -813,9 +812,9 @@ def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
     its flow gives the minimum-cost and used paths of the minimum-norm
     equilibrium (`_min_norm_equilibrium`), and the flow of that region is
     returned if it certifies (`_certify`); the region is then appended to
-    `regions`. Otherwise the least-distance flow itself is projected and
-    returned. Either flow is checked against the equilibrium condition at
-    _WARDROP_TOL (RuntimeError if violated)."""
+    `regions`. Where a margin fails, the least-distance flow itself is
+    projected and returned. Either flow is checked against the equilibrium
+    condition at _WARDROP_TOL (RuntimeError if violated)."""
     feasible = game.feasible_flows
     field = path_cost_field(game, kappa)
     if method == "extragradient":
@@ -828,7 +827,7 @@ def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
         iterations, converged = lcp_sol.iterations, lcp_sol.feasible
     canonical, active = _min_norm_equilibrium(game, field(h0), h0)
     region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
-    flows = [] if region is None else _certify(game, region, (game.free_flow_costs + kappa)[None])[1]
+    flows = _certify(game, region, (game.free_flow_costs + kappa)[None])[1]
     if len(flows):
         h = flows[0]
         regions.append(region)
@@ -920,9 +919,10 @@ def solve_cwe_block(game: RoutingGame, kappas: np.ndarray, method: str,
             solutions[open_rows[0]] = solve(open_rows[0])
             open_rows = open_rows[1:]
     hits = np.flatnonzero(hit)
-    hits = hits[feasible.contains(flows[hits]) & np.isfinite(costs[hits]).all(axis=1)]
-    steps = flows[hits] - feasible.project(flows[hits] - costs[hits])
-    for r, step in zip(hits, steps):
-        solutions[r] = ViSolution(x_star=flows[r], residual=float(np.linalg.norm(step)), iterations=0,
-                                  converged=True)
+    if len(hits):  # a call without hits, as every cold solve_cwe, skips the stacked checks
+        hits = hits[feasible.contains(flows[hits]) & np.isfinite(costs[hits]).all(axis=1)]
+        steps = flows[hits] - feasible.project(flows[hits] - costs[hits])
+        for r, step in zip(hits, steps):
+            solutions[r] = ViSolution(x_star=flows[r], residual=float(np.linalg.norm(step)), iterations=0,
+                                      converged=True)
     return [solve(r) if sol is None else sol for r, sol in enumerate(solutions)]

@@ -20,6 +20,7 @@ from cvarvi.routing import (
     OdPair,
     OdSpec,
     PathSet,
+    RoutingGame,
     TntpParseError,
     build_game,
     builtin_network,
@@ -791,6 +792,21 @@ class TestKappaBlock:
         assert not kappa[~noisy].any()
 
 
+def below_the_margin_kappa(game, table):
+    """kappa at which the region that solving sample_path_kappa(game, 50,
+    11, 0) appends to `table` is right but uncertified: its path-24 flow is
+    5e-5. Towards replication 2, whose flow idles path 24, it falls to 0."""
+    uses, idles = (sample_path_kappa(game, 50, 11, rep) for rep in (0, 2))
+    solve_cwe(game, uses, "lemke", regions=table)
+    region = table[-1]
+    i = int(np.flatnonzero(region.support == 24)[0])
+    # The region's map is affine in kappa: its path-24 flow at each end.
+    q = [(game.free_flow_costs + kappa)[region.support] for kappa in (uses, idles)]
+    ends = [region.flow_map[i] @ q_used + region.flow_offset[i] for q_used in q]
+    t = (ends[0] - 5e-5) / (ends[0] - ends[1])
+    return (1.0 - t) * uses + t * idles
+
+
 class TestEquilibriumRegions:
     """A region table changes how a flow is found, never its bits."""
 
@@ -891,18 +907,8 @@ class TestEquilibriumRegions:
         assert sol.iterations > 0 and 24 in table[1].support
 
     def test_flow_below_the_margin_misses(self, sioux_game):
-        # Between those two replications path 24's flow falls to zero;
-        # where it is 5e-5 the region is right but uncertified.
-        uses, idles = (sample_path_kappa(sioux_game, 50, 11, rep) for rep in (0, 2))
         table = []
-        solve_cwe(sioux_game, uses, "lemke", regions=table)
-        region = table[0]
-        i = int(np.flatnonzero(region.support == 24)[0])
-        # The region's map is affine in kappa: its path-24 flow at each end.
-        q = [(sioux_game.free_flow_costs + kappa)[region.support] for kappa in (uses, idles)]
-        ends = [region.flow_map[i] @ q_used + region.flow_offset[i] for q_used in q]
-        t = (ends[0] - 5e-5) / (ends[0] - ends[1])
-        kappa = (1.0 - t) * uses + t * idles
+        kappa = below_the_margin_kappa(sioux_game, table)
         sol = solve_cwe(sioux_game, kappa, "lemke", regions=table)
         plain = solve_cwe(sioux_game, kappa, "lemke")
         assert sol.x_star[24] == pytest.approx(5e-5, rel=1e-3)
@@ -925,19 +931,22 @@ class TestEquilibriumRegions:
         assert sol.x_star.tobytes() == plain.x_star.tobytes() and sol.iterations == plain.iterations > 0
         assert len(table) == 1
 
-    def test_uncongested_edges_give_no_region(self, sioux_game, kappas):
+    def test_uncongested_edges_get_a_region(self, sioux_game, kappas):
+        # No load is pinned at b_e = 0, so the region fixes only the demands.
         game = build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), b_e=0.0)
         table = []
         sol = solve_cwe(game, kappas[0], "lemke", regions=table)
-        assert table == []
+        assert len(table) == 1 and sol.iterations > 0
         assert wardrop_gap(game, kappas[0], sol.x_star) <= 1e-5
+        hit = solve_cwe(game, kappas[0], "lemke", regions=table)
+        assert hit.iterations == 0 and len(table) == 1
+        assert hit.x_star.tobytes() == sol.x_star.tobytes() and hit.residual == sol.residual
 
     def test_extragradient_solves_the_uncongested_game(self):
         # The field is constant and game.lipschitz 0: extragradient steps by
         # 1.0. Where each OD's cheapest path is unique, that path takes the
-        # demand under every method; on a tie (paths 3, 5, 6 and 7 of
-        # replication 3) no edge load is pinned and each method keeps its
-        # own split of the tied paths.
+        # demand; on a tie (paths 3, 5, 6 and 7 of replication 3) no load is
+        # pinned, and every method returns the even split of minimum norm.
         config = dataclasses.replace(ExperimentConfig(), b_e=0.0)
         game = build_configured_game(config)
         assert game.lipschitz == 0.0
@@ -945,14 +954,14 @@ class TestEquilibriumRegions:
         kappas = sample_kappa_block(game, 50, config.master_seed, [(0, rep) for rep in range(4)])
         tied = []
         for kappa in kappas:
-            eg, lemke = (solve_cwe(game, kappa, method) for method in ("extragradient", "lemke"))
+            eg, lemke, qp = (solve_cwe(game, kappa, method) for method in SOLVE_METHODS)
             assert eg.converged and eg.iterations > 0 and wardrop_gap(game, kappa, eg.x_star) <= 1e-5
+            assert eg.x_star.tobytes() == lemke.x_star.tobytes() == qp.x_star.tobytes()
             costs = game.free_flow_costs + kappa
             cheapest = costs == np.minimum.reduceat(costs, ps.od_starts)[ps.od_of_path]
             tied.append(bool(np.any(np.bincount(ps.od_of_path, weights=cheapest) > 1)))
-            if not tied[-1]:
-                assert eg.x_star.tobytes() == lemke.x_star.tobytes()
         assert tied == [False, False, False, True]
+        assert eg.x_star[[3, 5, 6, 7]] == pytest.approx([75.0] * 4, rel=1e-12)
 
 
 def same_solution(got, want) -> bool:
@@ -1050,13 +1059,13 @@ class TestSolveCweBlock:
         assert (len(lemke), len(cold), len(table), len(want_table)) == (1, 1, 1, 1)
         assert all(same_solution(g, w) for g, w in zip(got, want))
 
-    def test_table_that_stays_empty_sends_every_row_cold(self, sioux_game, kappas, monkeypatch):
-        # An uncongested edge under S gives no region.
-        game = build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), b_e=0.0)
-        want = [solve_cwe(game, kappa, "lemke") for kappa in kappas]
+    def test_table_that_stays_empty_sends_every_row_cold(self, sioux_game, monkeypatch):
+        # Each row's region is right but uncertified, so none joins the table.
+        kappas = np.array([below_the_margin_kappa(sioux_game, [])] * 3)
+        want = [solve_cwe(sioux_game, kappa, "lemke") for kappa in kappas]
         lemke = counting(monkeypatch, lcp, "solve_lcp_lemke")
         table = []
-        got = solve_cwe_block(game, kappas, "lemke", table)
+        got = solve_cwe_block(sioux_game, kappas, "lemke", table)
         assert len(lemke) == len(kappas) and table == []
         assert all(same_solution(g, w) for g, w in zip(got, want))
 
@@ -1103,6 +1112,17 @@ class TestZeroDemandOd:
         for method in SOLVE_METHODS:
             assert solve_cwe(game, sample_path_kappa(game, 50, 3), method).x_star.tobytes() == bytes(8 * 20)
 
+    def test_all_demands_zero_give_a_region_with_no_used_path(self, monkeypatch):
+        # Lemke stops at its first basis here, so only the count of cold
+        # solves tells the hit from the miss.
+        od = OdSpec(pairs=[OdPair(1, 19, 0, 10), OdPair(13, 8, 0, 10)])
+        game = build_game(builtin_network(), od, RiskLevel(0.05))
+        cold = counting(monkeypatch, routing, "_solve_cold")
+        table = []
+        hit = [solve_cwe(game, sample_path_kappa(game, 50, 3, rep), "lemke", regions=table) for rep in (0, 1)][1]
+        assert len(table) == len(cold) == 1 and table[0].support.size == 0
+        assert hit.iterations == 0 and hit.x_star.tobytes() == bytes(8 * 20)
+
     def test_non_finite_flow_fails_both_checks(self, sioux_game):
         # A NaN path flow counts as used, also where no other path is.
         h = np.zeros(30)
@@ -1115,12 +1135,13 @@ class TestZeroDemandOd:
 
 
 def assert_min_norm_equilibrium(game, kappa, h, raw):
-    """h has raw's edge loads and OD demands and is the point nearest the
-    origin of {g >= 0, same loads and demands, g = 0 off raw's minimum-cost
-    paths}: exactly when the linear program min <h, g> over the set
-    attains ||h||^2."""
+    """h has raw's loads on congested edges and its OD demands and is the
+    point nearest the origin of {g >= 0, same congested loads and demands,
+    g = 0 off raw's minimum-cost paths}: exactly when the linear program
+    min <h, g> over the set attains ||h||^2. Costs depend on no other load,
+    so that set is every equilibrium."""
     ps = game.path_set
-    eq = np.vstack([ps.edge_incidence, ps.od_incidence])
+    eq = np.vstack([ps.edge_incidence[game.congestion_diag > 0], ps.od_incidence])
     assert np.abs(eq @ h - eq @ raw).max() <= 1e-9 * np.abs(eq @ raw).max()
     costs = path_cost_field(game, kappa)(raw)
     floor = np.array([costs[ps.od_of_path == w].min() for w in ps.od_of_path])
@@ -1216,15 +1237,49 @@ class TestLeastDistanceFlow:
 
     @pytest.mark.parametrize("step_every", [0, 3, 4, 5, 7])
     def test_vertex_flow_on_tied_uncongested_game(self, uncongested_game, step_every):
-        # Lemke's vertex flow idles paths whose loads hold them at 0; their
-        # columns in the program are rounding-sized, below _nnls's gradient
-        # tolerance. The flow has the vertex's loads and minimum norm.
+        # No edge is congested, so no load is pinned: the flow has the
+        # demands and minimum norm over all the tied paths, and its region
+        # joins the table.
         game, kappa = uncongested_game, tied_kappa(uncongested_game, step_every)
         raw = solve_lcp_lemke(assemble_lcp(game, kappa)).x[: game.path_set.n_paths]
         table = []
         h = solve_cwe(game, kappa, "lemke", regions=table).x_star
-        assert table == []
+        assert len(table) == 1
         assert_min_norm_equilibrium(game, kappa, h, raw)
+
+
+class TestMixedCongestion:
+    """The default game with b_e = 0 on its 18 uncertain edges, 13 of them
+    on paths: only the congested loads and the demands are identified."""
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        game = build_configured_game(ExperimentConfig())
+        free = game.noise_hi > game.noise_lo
+        network = dataclasses.replace(game.network, congestion_coeff=np.where(free, 0.0, 100.0))
+        return RoutingGame(network=network, od_spec=game.od_spec, path_set=game.path_set,
+                           noise_lo=game.noise_lo, noise_hi=game.noise_hi, alpha=game.alpha)
+
+    @pytest.fixture(scope="class")
+    def kappas(self, game):
+        return sample_kappa_block(game, 50, ExperimentConfig().master_seed, [(0, rep) for rep in range(20)])
+
+    def test_every_method_returns_the_same_bits(self, game, kappas):
+        # Extragradient and qp take thousands of steps here, so 4 kappa-hat.
+        assert np.count_nonzero(game.congestion_diag == 0.0) == 18 and len(game.noise_edges) == 13
+        for kappa in kappas[:4]:
+            flows = {solve_cwe(game, kappa, method).x_star.tobytes() for method in SOLVE_METHODS}
+            assert len(flows) == 1
+
+    def test_one_table_serves_every_kappa(self, game, kappas):
+        table = []
+        solved = [solve_cwe(game, kappa, "lemke", regions=table) for kappa in kappas]
+        misses = sum(sol.iterations > 0 for sol in solved)
+        assert misses == len(table) < len(kappas) // 2
+        for kappa, sol in zip(kappas, solved):
+            assert sol.x_star.tobytes() == solve_cwe(game, kappa, "lemke").x_star.tobytes()
+            raw = solve_lcp_lemke(assemble_lcp(game, kappa)).x[: game.path_set.n_paths]
+            assert_min_norm_equilibrium(game, kappa, sol.x_star, raw)
 
 
 class TestSolveAndCertificate:
@@ -1274,12 +1329,12 @@ class TestSolveAndCertificate:
             solve_cwe(game, np.zeros(3), method="magic")
 
     def test_flow_violating_the_equilibrium_condition_raises(self, sioux_game, monkeypatch):
-        # A least-distance step that returns the uniform split, and no region.
+        # A least-distance step that returns the uniform split, whose
+        # region (every path used) fails its certificate.
         least_distance = routing._min_norm_equilibrium
         monkeypatch.setattr(routing, "_min_norm_equilibrium",
                             lambda game, costs, h0: (game.feasible_flows.default_start(),
                                                      least_distance(game, costs, h0)[1]))
-        monkeypatch.setattr(routing, "_equilibrium_region", lambda *args: None)
         kappa = sample_path_kappa(sioux_game, 50, 1)
         for method in SOLVE_METHODS:
             with pytest.raises(RuntimeError, match=f"^solver returned a flow violating the equilibrium "
