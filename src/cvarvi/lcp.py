@@ -18,6 +18,7 @@ would pick other rows on the near ties of the degenerate routing LCPs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,8 @@ def solve_lcp_qp(lcp: AffineLcp) -> LcpSolution:
     res_tol = min(1e-10, np.sqrt(_QP_TOL) * 1e-3)
     for it in range(_QP_MAX_ITER + 1):
         fx = m_mat @ x + q
-        if it == _QP_MAX_ITER or np.linalg.norm(np.minimum(x, fx)) <= res_tol:
+        r = np.minimum(x, fx)
+        if it == _QP_MAX_ITER or math.sqrt(r.dot(r)) <= res_tol:  # np.linalg.norm's arithmetic
             break
         y = np.maximum(x - step * fx, 0.0)
         fy = m_mat @ y + q

@@ -1,17 +1,18 @@
 """Finite-dimensional variational inequalities over compact convex sets.
 
 A field is any callable x -> F(x). A feasible set is any object with
-`project`, `violation` (None when every constraint is met within
+`project` (of a point, or of an (m, dimension) stack giving each row its
+one-point bits), `violation` (None when every constraint is met within
 _FEASIBILITY_TOL; else the one violated most), `default_start` and
-`dimension`: boxes or products of scaled simplices (the routing game's
-flow polytope).
+`dimension`: boxes or products of scaled simplices (the flow polytope).
 The solver is projection-based extragradient with a step from the field's
-Lipschitz constant; the natural residual ||x - proj(x - F(x))|| vanishes
-exactly at solutions.
+Lipschitz constant, projecting the residual's and the predictor's points as
+one stack; the natural residual ||x - proj(x - F(x))|| vanishes at solutions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -47,23 +48,22 @@ def project_simplex(y: np.ndarray, demand: float | np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
     demand = np.asarray(demand, dtype=float).reshape(-1, 1)
-    ranks = np.arange(1, rows.shape[1] + 1)
-    return _project_rows(rows, demand, ranks, np.arange(len(rows))[:, None]).reshape(y.shape)
+    return _project_blocks(rows, demand, np.arange(1, rows.shape[1] + 1), 0.0 in demand).reshape(y.shape)
 
 
-def _project_rows(rows: np.ndarray, demand: np.ndarray, ranks: np.ndarray,
-                  row_index: np.ndarray) -> np.ndarray:
-    """project_simplex of an (m, n) stack, given its (m, 1) demand column,
-    ranks = arange(1, n + 1) and row_index = arange(m)[:, None]."""
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.add.accumulate(u, axis=1)
+def _project_blocks(blocks: np.ndarray, demand: np.ndarray, ranks: np.ndarray, zero_demand: bool) -> np.ndarray:
+    """project_simplex of a (..., n) stack of blocks, with demand broadcast
+    to (..., 1), ranks = arange(1, n + 1) and whether some demand is 0."""
+    u = np.sort(blocks, axis=-1)[..., ::-1]
+    css = np.add.accumulate(u, axis=-1)
     # Under gradual underflow u > t exactly when u - t > 0, NaN included.
     cond = u > (css - demand) / ranks
     # argmax finds the first True of the reversed rows, and 0 when none is.
-    k = len(ranks) - np.argmax(cond[:, ::-1], axis=1, keepdims=True)
-    tau = (css[row_index, k - 1] - demand) / k
-    out = np.maximum(rows - tau, 0.0)
-    np.copyto(out, 0.0, where=demand == 0.0)
+    k = len(ranks) - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    tau = (css[ranks == k].reshape(k.shape) - demand) / k
+    out = np.maximum(blocks - tau, 0.0)
+    if zero_demand:
+        np.copyto(out, 0.0, where=demand == 0.0)
     return out
 
 
@@ -95,7 +95,7 @@ class Box:
         self.dimension = len(self.lo)
 
     def project(self, y):
-        y = _check_dimension(y, self.dimension)
+        y = _check_dimension(y, self.dimension, stacked=True)
         return np.clip(y, self.lo, self.hi)
 
     def violation(self, x) -> Optional[str]:
@@ -114,11 +114,10 @@ class Box:
 class SimplexProduct:
     """Product of scaled simplices {h >= 0, sum(h_block) = demand}.
 
-    Blocks of equal length are grouped once, at construction, with the
-    constants of their projection; `project` projects each group's stack of
-    blocks in one call. `project` and `contains` also take an (m,
-    dimension) stack of points and give each row the bits of its one-point
-    call: every step is row by row, elementwise or an exact reduction."""
+    Blocks of equal length are grouped once, with the constants of their
+    projection; `project` projects each group's blocks of all points (a
+    point is a stack of one) as one stack. Each row of an (m, dimension)
+    stack gets its one-point bits from `project` and `contains`."""
 
     blocks: Sequence[tuple[int, float]]
 
@@ -135,25 +134,22 @@ class SimplexProduct:
         lengths = np.array([n for n, _ in self.blocks], dtype=int)
         self._demands = demands = np.array([d for _, d in self.blocks])
         self._starts = starts = np.cumsum(lengths) - lengths
-        # Per block length n: the coordinates of its blocks, one row each, their
-        # demand column, arange(1, n + 1) and the row selector of _project_rows.
-        self._groups = [(starts[lengths == n, None] + np.arange(n), demands[lengths == n, None],
-                         np.arange(1, n + 1), np.arange(np.count_nonzero(lengths == n))[:, None])
+        # Per block length n: the coordinates of its blocks, one row each (None when they are
+        # the whole vector in order), their demand column, arange(1, n + 1) and whether a demand is 0.
+        self._groups = [(None if (lengths == n).all() else starts[lengths == n, None] + np.arange(n),
+                         demands[lengths == n, None], np.arange(1, n + 1), 0.0 in demands[lengths == n])
                         for n in np.unique(lengths)]
 
     def project(self, y):
         y = _check_dimension(y, self.dimension, stacked=True)
-        out = np.empty_like(y)
-        if y.ndim == 1:  # the extragradient loop's call: kept free of stack handling
-            for coords, *constants in self._groups:
-                out[coords] = _project_rows(y[coords], *constants)
-            return out
-        for coords, demand, ranks, _ in self._groups:
-            # The group's blocks of every point, as one stack of rows.
-            blocks = y[:, coords].reshape(-1, len(ranks))
-            out[:, coords] = _project_rows(blocks, np.tile(demand, (len(y), 1)), ranks,
-                                           np.arange(len(blocks))[:, None]).reshape(len(y), *coords.shape)
-        return out
+        points = y.reshape(-1, self.dimension)  # a point is a stack of one
+        out = np.empty(points.shape)
+        for coords, demand, ranks, zero_demand in self._groups:
+            if coords is None:  # the only group: its blocks are a reshape view of the points
+                blocks = points.reshape(len(points), len(demand), len(ranks))
+                return _project_blocks(blocks, demand, ranks, zero_demand).reshape(y.shape)
+            out[:, coords] = _project_blocks(points[:, coords], demand, ranks, zero_demand)
+        return out.reshape(y.shape)
 
     def contains(self, x):
         """Whether `violation` finds nothing: one bool for a point, one per
@@ -179,8 +175,7 @@ class SimplexProduct:
 
     def default_start(self):
         # Demand spread uniformly over each block: interior start.
-        parts = [np.full(n, d / n) for n, d in self.blocks]
-        return np.concatenate(parts)
+        return np.concatenate([np.full(n, d / n) for n, d in self.blocks])
 
 
 @dataclass
@@ -223,23 +218,26 @@ def extragradient_solve(
     (lipschitz 0), so a constant that is not finite and nonnegative is a
     ValueError. A non-finite field value is a FloatingPointError. Stops
     once the natural residual is at most _EG_TOL or after _EG_MAX_ITER
-    steps.
+    steps. A start `x0` that is not one point of the set's dimension is a ValueError.
     """
     if not 0 <= lipschitz < np.inf:  # NaN fails too
         raise ValueError(f"Lipschitz constant must be finite and nonnegative, got {lipschitz}")
     step = _EG_STEP_SCALE / lipschitz if lipschitz > 0 else 1.0
 
-    x = feasible.project(np.asarray(x0, dtype=float)) if x0 is not None else feasible.default_start()
+    x = feasible.default_start() if x0 is None else feasible.project(_check_dimension(x0, feasible.dimension))
+    # Rows x - F(x), the residual's point, and x - s F(x), the predictor's (1.0 * F(x) is exact).
+    steps = np.array([[1.0], [step]])
     for it in range(_EG_MAX_ITER + 1):
         fx = field(x)
-        if not np.all(np.isfinite(fx)):
+        if not np.isfinite(fx).all():
             raise FloatingPointError(f"field returned non-finite values at iteration {it}: x={x}")
-        residual = float(np.linalg.norm(x - feasible.project(x - fx)))
+        projected = feasible.project(x - steps * fx)
+        d = x - projected[0]
+        residual = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic for a vector
         if residual <= _EG_TOL or it == _EG_MAX_ITER:
             break
-        y = feasible.project(x - step * fx)
-        fy = field(y)
-        if not np.all(np.isfinite(fy)):
-            raise FloatingPointError(f"field returned non-finite values at iteration {it}: y={y}")
+        fy = field(projected[1])
+        if not np.isfinite(fy).all():
+            raise FloatingPointError(f"field returned non-finite values at iteration {it}: y={projected[1]}")
         x = feasible.project(x - step * fy)
     return ViSolution(x_star=x, residual=residual, iterations=it, converged=residual <= _EG_TOL)

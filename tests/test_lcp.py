@@ -352,6 +352,39 @@ class TestQpRoute:
             assert a.x == pytest.approx(c.x, abs=1e-5)
 
 
+def norm_stop_qp_loop(lcp):
+    """Oracle: the gap-minimization loop with its stop test through
+    np.linalg.norm; (x, iterations)."""
+    m_mat, q = lcp.m_mat, lcp.q_vec
+    lip = np.linalg.norm(m_mat, 2)
+    step = 0.9 / lip if lip > 0 else 1.0
+    x = np.zeros(lcp.size)
+    res_tol = min(1e-10, np.sqrt(lcp_mod._QP_TOL) * 1e-3)
+    for it in range(lcp_mod._QP_MAX_ITER + 1):
+        fx = m_mat @ x + q
+        if it == lcp_mod._QP_MAX_ITER or np.linalg.norm(np.minimum(x, fx)) <= res_tol:
+            break
+        y = np.maximum(x - step * fx, 0.0)
+        fy = m_mat @ y + q
+        x = np.maximum(x - step * fy, 0.0)
+    return x, it
+
+
+class TestQpMatchesNormLoop:
+    """The stop test as sqrt(r . r) keeps every bit of the loop."""
+
+    @pytest.mark.parametrize("n_index, n, rep", [(0, 50, 0), (1, 500, 1), (2, 5000, 2)])
+    def test_default_lcp(self, n_index, n, rep):
+        config = parse_config(default_config_text())
+        game = build_configured_game(config)
+        lcp = assemble_lcp(game, sample_path_kappa(game, n, config.master_seed, n_index, rep))
+        x, iterations = norm_stop_qp_loop(lcp)
+        sol = solve_lcp_qp(lcp)
+        assert sol.x.tobytes() == x.tobytes()
+        assert sol.iterations == iterations > 0
+        assert sol.complementarity_gap == float(np.dot(x, lcp.m_mat @ x + lcp.q_vec))
+
+
 class TestSiouxFallsCross:
     def test_lemke_matches_extragradient(self):
         game = build_game(builtin_network(), SIOUX_ODS, RiskLevel(0.05))

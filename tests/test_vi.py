@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,16 @@ class TestStackedPoints:
 
 
 class TestFeasibleSets:
+    def test_box_project_rows_equal_one_point_calls(self):
+        box = Box(lo=[0.0, -1.0, 2.0], hi=[1.0, 1.0, 2.0])
+        ys = np.array([[2.0, -3.0, 0.0], [0.5, -0.0, 5.0], [np.nan, np.inf, -np.inf], [-0.0, 0.25, 2.0]])
+        got = box.project(ys)
+        assert got.shape == ys.shape
+        assert got.tobytes() == np.array([box.project(y) for y in ys]).tobytes()
+        assert box.project(ys[:0]).shape == (0, 3)
+        with pytest.raises(ValueError, match="^expected vector of dimension 3"):
+            box.project(np.zeros((1, 1, 3)))
+
     def test_box_project_and_contains(self):
         box = Box(lo=[0.0, 0.0], hi=[1.0, 2.0])
         assert box.project(np.array([2.0, -1.0])) == pytest.approx([1.0, 0.0])
@@ -406,6 +418,113 @@ class TestExtragradient:
         box = Box(lo=[0.0], hi=[1.0])
         with pytest.raises(ValueError, match=f"^Lipschitz constant must be finite and nonnegative, got {lipschitz}$"):
             extragradient_solve(box, lambda x: x, lipschitz)
+
+
+def three_projection_extragradient(feasible, field, lipschitz, x0=None):
+    """Oracle: the extragradient loop with three one-point projections per
+    step and the residual through np.linalg.norm."""
+    step = vi._EG_STEP_SCALE / lipschitz if lipschitz > 0 else 1.0
+    x = feasible.project(np.asarray(x0, dtype=float)) if x0 is not None else feasible.default_start()
+    for it in range(vi._EG_MAX_ITER + 1):
+        fx = field(x)
+        if not np.all(np.isfinite(fx)):
+            raise FloatingPointError(f"field returned non-finite values at iteration {it}: x={x}")
+        residual = float(np.linalg.norm(x - feasible.project(x - fx)))
+        if residual <= vi._EG_TOL or it == vi._EG_MAX_ITER:
+            break
+        y = feasible.project(x - step * fx)
+        fy = field(y)
+        if not np.all(np.isfinite(fy)):
+            raise FloatingPointError(f"field returned non-finite values at iteration {it}: y={y}")
+        x = feasible.project(x - step * fy)
+    return vi.ViSolution(x_star=x, residual=residual, iterations=it, converged=residual <= vi._EG_TOL)
+
+
+def monotone_affine(dimension, seed):
+    """F(x) = A x + c with A positive definite plus skew, and its Lipschitz constant."""
+    rng = np.random.default_rng(seed)
+    b, s = rng.normal(size=(2, dimension, dimension)) / np.sqrt(dimension)
+    a = b @ b.T + 0.2 * np.eye(dimension) + 0.5 * (s - s.T)
+    c = rng.normal(size=dimension) * 0.3
+    return (lambda x: a @ x + c), spectral_norm(a)
+
+
+def turning_field(field, bad_call):
+    """`field`, but all NaN at its call number `bad_call` (from 0): F(x) of
+    step j is call 2j, F(y) call 2j + 1."""
+    calls = []
+
+    def turning(x):
+        calls.append(x)
+        return np.full(len(x), np.nan) if len(calls) - 1 == bad_call else field(x)
+    return turning
+
+
+class TestExtragradientMatchesThreeProjectionLoop:
+    """One stacked projection for the residual and the predictor gives the
+    bits of the loop that projected each point alone."""
+
+    CASES = {
+        "one block length": (SimplexProduct(blocks=[(10, 300.0), (10, 600.0), (10, 200.0)]), None),
+        "several lengths and a zero demand": (
+            SimplexProduct(blocks=[(4, 1.0), (1, 0.0), (4, 2.0), (10, 3.0), (3, 0.0), (4, 5.0)]), None),
+        "box": (Box(lo=-np.ones(6), hi=np.linspace(0.5, 2.0, 6)), None),
+        "start given": (SimplexProduct(blocks=[(3, 2.0), (5, 1.0), (3, 0.0)]), "x0"),
+    }
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.x_star.tobytes() == want.x_star.tobytes()
+        assert (got.residual, got.iterations, got.converged) == (want.residual, want.iterations, want.converged)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_case(self, case, seed):
+        feasible, start = self.CASES[case]
+        field, lipschitz = monotone_affine(feasible.dimension, seed)
+        x0 = np.random.default_rng(seed).normal(size=feasible.dimension) if start else None
+        want = three_projection_extragradient(feasible, field, lipschitz, x0)
+        assert want.converged and want.iterations > 10
+        self.assert_same(extragradient_solve(feasible, field, lipschitz, x0), want)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(vi, "_EG_MAX_ITER", 7)
+        feasible = self.CASES["several lengths and a zero demand"][0]
+        field, lipschitz = monotone_affine(feasible.dimension, 2)
+        want = three_projection_extragradient(feasible, field, lipschitz)
+        assert not want.converged and want.iterations == 7
+        self.assert_same(extragradient_solve(feasible, field, lipschitz), want)
+
+    def test_default_game(self):
+        from cvarvi.harness import ExperimentConfig, build_configured_game
+        from cvarvi.routing import path_cost_field, sample_path_kappa
+
+        config = ExperimentConfig()
+        game = build_configured_game(config)
+        field = path_cost_field(game, sample_path_kappa(game, 50, config.master_seed, 0, 0))
+        want = three_projection_extragradient(game.feasible_flows, field, game.lipschitz)
+        assert want.converged and want.iterations > 500
+        self.assert_same(extragradient_solve(game.feasible_flows, field, game.lipschitz), want)
+
+    @pytest.mark.parametrize("bad_call, point", [(0, "x"), (1, "y"), (6, "x"), (7, "y")])
+    def test_nonfinite_field_names_the_step_and_point(self, bad_call, point):
+        feasible = self.CASES["one block length"][0]
+        field, lipschitz = monotone_affine(feasible.dimension, 0)
+        with pytest.raises(FloatingPointError) as want:
+            three_projection_extragradient(feasible, turning_field(field, bad_call), lipschitz)
+        message = f"field returned non-finite values at iteration {bad_call // 2}: {point}="
+        assert str(want.value).startswith(message)
+        with pytest.raises(FloatingPointError) as got:
+            extragradient_solve(feasible, turning_field(field, bad_call), lipschitz)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("feasible", [SimplexProduct(blocks=[(2, 1.0)]), Box(lo=[0.0, 0.0], hi=[1.0, 1.0])],
+                             ids=["simplex", "box"])
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (3,)])
+    def test_start_that_is_not_one_point_rejected(self, feasible, shape):
+        pattern = rf"^expected vector of dimension 2, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=pattern):
+            extragradient_solve(feasible, lambda x: np.array([1.0, 2.0]) * x, 2.0, x0=np.full(shape, 0.5))
 
 
 class TestSpectralNorm:
