@@ -6,8 +6,8 @@ order-statistic closed form: the mean of the worst alpha-fraction, with an
 interpolated term when N*alpha is fractional. Per-path offsets select that
 top-ceil(alpha N) tail in O(N) per path, bitwise equal to sorting all N
 draws. A linear-programming route, `empirical_cvar_lp`, is provided for
-cross-checking; it is the package's only user of SciPy's optimizer and
-imports it on its first call.
+cross-checking; it is the package's only user of SciPy and imports
+SciPy's optimizer on its first call.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def empirical_cvar_lp(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
 
     Independent of the order-statistic route; agrees with it to 1e-10.
     SciPy's optimizer is imported here, on the first call, so that the
-    rest of the package never loads it.
+    rest of the package never loads SciPy.
     """
     from scipy import sparse
     from scipy.optimize import linprog

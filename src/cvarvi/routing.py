@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
+import math
 import re
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -30,8 +32,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import yen
 
 from . import lcp as lcp_mod
 from .cvar import RiskLevel, cvar_of_row_sums
@@ -78,9 +78,10 @@ _TIE_TOL = 1e-7
 # _TIE_TOL * _REGION_TIE_FACTOR, all relative as for _TIE_TOL.
 _REGION_MARGIN = 1e-4
 _REGION_TIE_FACTOR = 100.0
-# SciPy's Yen distances and the path costs summed here differ by rounding
-# only, so once the last path Yen returns costs more than the k-th by this
-# relative gap, no path it did not return can tie with the k-th.
+# A path's search key (its cost plus a Dijkstra distance summed from the
+# target end) and its cost summed from the origin differ by rounding only,
+# so once the least key left costs more than the k-th path by this relative
+# gap, no path not yet found can tie with the k-th.
 _PATH_TIE_RTOL = 1e-9
 
 
@@ -283,56 +284,87 @@ def builtin_network(name: str = "siouxfalls") -> Network:
     return Network(n_nodes=n_nodes, **arrays)
 
 
-def _k_shortest_paths(graph: csr_array, time_of: dict[tuple[int, int], float],
+def _to_target(into: list[list[tuple[int, float]]], target: int,
+               banned: frozenset[int] = frozenset()) -> tuple[list[float], list[int]]:
+    """Dijkstra over the reversed edges: each node's least free-flow time to
+    `target` without entering `banned` (inf if there is none) and its next
+    hop on that route. `into[v]` lists the (tail, time) of v's in-edges."""
+    dist, hop = [math.inf] * len(into), [0] * len(into)
+    dist[target] = 0.0
+    heap = [(0.0, target)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for u, t in into[v]:
+            if d + t < dist[u] and u not in banned:
+                dist[u], hop[u] = d + t, v
+                heapq.heappush(heap, (d + t, u))
+    return dist, hop
+
+
+def _k_shortest_paths(out: list[list[tuple[int, float]]], into: list[list[tuple[int, float]]],
                       source: int, target: int, k: int) -> list[tuple[int, ...]]:
     """The k loopless source -> target paths with smallest free-flow time,
-    ties broken by node sequence (fewer if fewer exist).
+    ties broken by node sequence (fewer if fewer exist); each cost is the
+    edge times summed along the node sequence.
 
-    `graph` holds the free-flow times on zero-based nodes, time_of the same
-    times by (tail, head). SciPy's Yen (Yen 1971) orders equal-cost paths
-    as it likes, so it is asked for more paths until the last one it
-    returns costs more than the k-th; each cost is the free-flow times
-    summed along the node sequence."""
-    asked = k
-    while True:
-        _, pred = yen(graph, source - 1, target - 1, asked, return_predecessors=True)
-        found = []
-        for row in pred.tolist():
-            nodes = [target - 1]
-            while nodes[-1] != source - 1:
-                nodes.append(row[nodes[-1]])
-            nodes = tuple(v + 1 for v in reversed(nodes))
-            cost = 0.0
-            for pair in zip(nodes, nodes[1:]):
-                cost += time_of[pair]
-            found.append((cost, nodes))
-        ranked = sorted(found)
-        if len(found) < asked or found[-1][0] > ranked[k - 1][0] * (1.0 + _PATH_TIE_RTOL):
-            return [nodes for _, nodes in ranked[:k]]
-        asked *= 2
+    One best-first search over loopless paths. A heap entry is (cost +
+    to_go, cost, nodes, exact), where to_go is a lower bound on the time
+    from the last node to `target`, so complete paths (to_go = 0) leave the
+    heap in (cost, node sequence) order up to rounding: they are collected
+    until the least key left passes the k-th cost by _PATH_TIE_RTOL, then
+    sorted. A partial path is extended only once to_go is exact: the
+    static next-hop route from its last node avoids its own nodes, or a
+    Dijkstra that bans them has re-keyed it (an entry with no loopless
+    completion is dropped). Every extended path is then a prefix of its
+    cheapest loopless completion, which costs at most the k-th, so the
+    work is polynomial, as in Yen's (1971) algorithm."""
+    dist, hop = _to_target(into, target)
+    # A least-time route never revisits its start, so the source's key is exact.
+    heap = [(dist[source], 0.0, (source,), True)]
+    done: list[tuple[float, tuple[int, ...]]] = []
+    while heap and (len(done) < k or heap[0][0] <= done[k - 1][0] * (1.0 + _PATH_TIE_RTOL)):
+        _, cost, nodes, exact = heapq.heappop(heap)
+        v = nodes[-1]
+        if v == target:
+            done.append((cost, nodes))
+            continue
+        if not exact:
+            u = hop[v]
+            while u != target and u not in nodes:
+                u = hop[u]
+            if u != target:
+                to_go = _to_target(into, target, frozenset(nodes[:-1]))[0][v]
+                if to_go < math.inf:
+                    heapq.heappush(heap, (cost + to_go, cost, nodes, True))
+                continue
+        for w, t in out[v]:
+            if w not in nodes and dist[w] < math.inf:
+                heapq.heappush(heap, (cost + t + dist[w], cost + t, nodes + (w,), False))
+    return [nodes for _, nodes in sorted(done)[:k]]
 
 
 def enumerate_paths(network: Network, od_spec: OdSpec) -> PathSet:
     """For each OD pair, the k simple paths with smallest free-flow travel
     time, ties broken by node sequence; builds the edge incidence matrix.
-    Paths are node sequences, so a network with parallel edges is rejected.
-    Needs SciPy >= 1.14, the first release with scipy.sparse.csgraph.yen."""
+    Paths are node sequences, so a network with parallel edges is rejected."""
     edge_of: dict[tuple[int, int], int] = {}
     for e, pair in enumerate(zip(network.tail.tolist(), network.head.tolist())):
         if pair in edge_of:
             raise ValueError(f"parallel edges {edge_of[pair]} and {e} join node pair {pair}")
         edge_of[pair] = e
-    time_of = dict(zip(edge_of, network.free_flow_time.tolist()))
-    # scipy.sparse.csgraph.yen reads int32 indices only.
-    graph = csr_array((network.free_flow_time, (network.tail.astype(np.int32) - 1,
-                                                network.head.astype(np.int32) - 1)),
-                      shape=(network.n_nodes, network.n_nodes))
+    out: list[list[tuple[int, float]]] = [[] for _ in range(network.n_nodes + 1)]
+    into: list[list[tuple[int, float]]] = [[] for _ in range(network.n_nodes + 1)]
+    for (tail, head), time in zip(edge_of, network.free_flow_time.tolist()):
+        out[tail].append((head, time))
+        into[head].append((tail, time))
     paths: list[tuple[int, ...]] = []
     od_of_path: list[int] = []
     for w, od in enumerate(od_spec.pairs):
         if not (1 <= od.origin <= network.n_nodes and 1 <= od.destination <= network.n_nodes):
             raise ValueError(f"OD pair ({od.origin}, {od.destination}) names a node outside 1..{network.n_nodes}")
-        found = _k_shortest_paths(graph, time_of, od.origin, od.destination, od.paths_per_od)
+        found = _k_shortest_paths(out, into, od.origin, od.destination, od.paths_per_od)
         if len(found) < od.paths_per_od:
             raise ValueError(
                 f"OD pair ({od.origin}, {od.destination}) has only {len(found)} simple paths, "

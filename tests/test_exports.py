@@ -37,8 +37,8 @@ def test_no_private_name_imported_from_another_module(name):
     assert [a.name for node in imports for a in node.names if a.name.startswith("_")] == []
 
 
-# In a fresh interpreter, since the test suite itself loads scipy.optimize.
-PIPELINE_WITHOUT_SCIPY_OPTIMIZE = """
+# In a fresh interpreter, since the test suite itself loads SciPy.
+PIPELINE_WITHOUT_SCIPY = """
 import sys, tempfile
 import cvarvi
 from cvarvi.cvar import RiskLevel, SampleBatch, empirical_cvar_lp
@@ -51,18 +51,18 @@ kappa = sample_path_kappa(game, 50, 0)
 assert [solve_cwe(game, kappa, method).iterations > 0 for method in SOLVE_METHODS] == [True] * 3
 with tempfile.TemporaryDirectory() as out:
     run_experiment(config, out, workers=1, cache_dir=out)
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 assert not loaded, loaded
 assert empirical_cvar_lp(SampleBatch(values=[1.0, 2.0, 3.0, 4.0]), RiskLevel(0.5)).value > 3.49
 assert "scipy.optimize" in sys.modules
 """
 
 
-def test_pipeline_never_loads_scipy_optimize():
-    """Import, cold solves and a 200-replication experiment leave SciPy's
-    optimizer unloaded; the LP cross-check loads it on its first call."""
+def test_pipeline_never_loads_scipy():
+    """Import, cold solves and a 200-replication experiment load no SciPy
+    module; the LP cross-check loads SciPy's optimizer on its first call."""
     src_dir = str(Path(cvarvi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_SCIPY_OPTIMIZE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_SCIPY], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -5,9 +5,12 @@ import itertools
 import pickle
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls
 
 from cvarvi import lcp, routing
@@ -123,9 +126,9 @@ def all_simple_paths(network, source, target):
 
 
 def hand_yen(network, source, target, k):
-    """The pure-Python Yen (1971) that `enumerate_paths` ran before it used
-    scipy.sparse.csgraph.yen: Dijkstra with (cost, node sequence) heap
-    order, loopless deviations from every accepted path."""
+    """A pure-Python Yen (1971), independent of `enumerate_paths`' search:
+    Dijkstra with (cost, node sequence) heap order, loopless deviations
+    from every accepted path."""
     adj = out_edges(network)
     edge_of = {(int(network.tail[e]), int(network.head[e])): e for e in range(network.n_edges)}
     fftt = network.free_flow_time
@@ -317,24 +320,72 @@ class TestPathEnumeration:
             assert ps.paths == hand_yen(net, origin, destination, 40)
             assert ps.paths == [nodes for _, nodes in all_simple_paths(net, origin, destination)[:40]]
 
-    def test_tie_at_kth_path_asks_for_more(self, monkeypatch):
-        # 1 -> {4, 3, 2} -> 5 cost 2 each and 1 -> 6 -> 5 costs 3, so the
-        # 2nd and 3rd paths tie and the first two Yen returns may be any two.
+    def test_tie_at_kth_path_breaks_by_node_sequence(self):
+        # 1 -> {4, 3, 2} -> 5 cost 2 each and 1 -> 6 -> 5 costs 3, so at
+        # k = 2 two of three tied paths are kept and at k = 3 all three.
         net = Network(n_nodes=6, tail=[1, 1, 1, 1, 4, 3, 2, 6], head=[4, 3, 2, 6, 5, 5, 5, 5],
                       free_flow_time=[1.0, 1.0, 1.0, 1.5, 1.0, 1.0, 1.0, 1.5],
                       capacity=np.ones(8), congestion_coeff=np.zeros(8))
-        asked = []
-        scipy_yen = routing.yen
+        oracle = [nodes for _, nodes in all_simple_paths(net, 1, 5)]
+        assert oracle[:3] == [(1, 2, 5), (1, 3, 5), (1, 4, 5)]
+        for k in (2, 3):
+            assert enumerate_paths(net, OdSpec(pairs=[OdPair(1, 5, 1.0, k)])).paths == oracle[:k]
 
-        def counting_yen(graph, source, sink, k, **kwargs):
-            asked.append(k)
-            return scipy_yen(graph, source, sink, k, **kwargs)
+    def test_rounding_tie_at_kth_path(self):
+        # 1 -> 2 -> 3 -> 4 -> 6 and 1 -> 5 -> 2 -> 6 both cost 1.9 summed
+        # from the origin, but the first one's search key, 0.2 + 0.5 plus the
+        # distance 0.8 + 0.4 from node 3, rounds above 1.9: it is found after
+        # the second and must still rank before it, by node sequence.
+        net = Network(n_nodes=6, tail=[1, 1, 2, 2, 2, 3, 4, 5], head=[2, 5, 3, 4, 6, 4, 6, 2],
+                      free_flow_time=[0.2, 0.8, 0.5, 0.4, 0.9, 0.8, 0.4, 0.2],
+                      capacity=np.ones(8), congestion_coeff=np.zeros(8))
+        oracle = all_simple_paths(net, 1, 6)
+        assert oracle[3:5] == [(1.9, (1, 2, 3, 4, 6)), (1.9, (1, 5, 2, 6))]
+        for k in (4, 5):
+            assert enumerate_paths(net, OdSpec(pairs=[OdPair(1, 6, 1.0, k)])).paths == [p for _, p in oracle[:k]]
 
-        monkeypatch.setattr(routing, "yen", counting_yen)
-        ps = enumerate_paths(net, OdSpec(pairs=[OdPair(1, 5, 1.0, 2)]))
-        assert ps.paths == [(1, 2, 5), (1, 3, 5)] == hand_yen(net, 1, 5, 2)
-        # Two paths tie with the 2nd; four, the last costing 3, settle it.
-        assert asked == [2, 4]
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_nodes=st.integers(3, 7), k=st.integers(1, 8))
+    def test_random_networks_match_exhaustive_oracle(self, data, n_nodes, k):
+        # Times in tenths repeat and, summed, nearly tie (0.1 + 0.2 is not 0.3).
+        pairs = data.draw(st.lists(st.sampled_from(list(itertools.permutations(range(1, n_nodes + 1), 2))),
+                                   min_size=1, unique=True))
+        times = data.draw(st.lists(st.one_of(st.integers(1, 9).map(lambda i: i / 10),
+                                             st.floats(0.01, 10.0)),
+                                   min_size=len(pairs), max_size=len(pairs)))
+        tail, head = zip(*pairs)
+        net = Network(n_nodes=n_nodes, tail=tail, head=head, free_flow_time=times,
+                      capacity=np.ones(len(pairs)), congestion_coeff=np.zeros(len(pairs)))
+        oracle = [nodes for _, nodes in all_simple_paths(net, 1, n_nodes)]
+        od_spec = OdSpec(pairs=[OdPair(1, n_nodes, 1.0, k)])
+        if len(oracle) < k:
+            with pytest.raises(ValueError, match=rf"has only {len(oracle)} simple paths, requested {k}$"):
+                enumerate_paths(net, od_spec)
+        else:
+            assert enumerate_paths(net, od_spec).paths == oracle[:k]
+
+    def test_clique_behind_origin_is_not_searched(self, monkeypatch):
+        # From the origin, one edge to the target and edges into a 12-node
+        # clique whose only way out is back through the origin. A search
+        # that extended every loopless prefix would walk the clique's 12!
+        # orderings before finding no second path.
+        clique = range(3, 15)
+        edges = [(1, 2)] + [(1, v) for v in clique] + [(v, 1) for v in clique]
+        edges += list(itertools.permutations(clique, 2))
+        tail, head = zip(*edges)
+        net = Network(n_nodes=14, tail=tail, head=head, free_flow_time=np.ones(len(edges)),
+                      capacity=np.ones(len(edges)), congestion_coeff=np.zeros(len(edges)))
+        pops = []
+
+        def counting_pop(heap):
+            pops.append(None)
+            if len(pops) > 1000:
+                raise RuntimeError("path search passed 1000 heap pops")
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(routing, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop))
+        with pytest.raises(ValueError, match=r"^OD pair \(1, 2\) has only 1 simple paths, requested 2$"):
+            enumerate_paths(net, OdSpec(pairs=[OdPair(1, 2, 1.0, 2)]))
 
     def test_default_game_paths_pinned(self):
         # A SciPy release that reorders Yen's output must fail here rather
