@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,45 +106,37 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
     return float(value), t_star
 
 
-def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alpha: float,
-                     sums: Optional[np.ndarray] = None) -> np.ndarray:
+def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alpha: float) -> np.ndarray:
     """cvar_from_values' value of each row set's sum in each draw matrix, bit
     for bit, without t*: an (R, U) array for draws of shape (R, E, N) and U
-    row sets, each a nonempty tuple of row indices. A set's rows are added
-    left to right (a lone row plus 0.0) into `sums`, an (m, N) C-ordered
-    float64 scratch array with m >= R (default: room for every sum), m // R sets at a
-    time. One partition moves the top ceil(alpha N) entries of every sum row
-    to its end, one sort orders those tails, and each row's tail mean is one
-    np.dot. The draws stay unchanged; a zero value, whose sign depends on the
-    index order of tied +-0 sums, is recomputed by the sort route."""
+    row sets, each a nonempty tuple of row indices. One (R, N) sum buffer is
+    reused for one row set at a time: the set's rows are added left to right
+    (a lone row plus 0.0), one partition moves the top ceil(alpha N) entries
+    of every sum row to its end, one sort orders those tails, and each row's
+    tail sum is one np.dot; the boundary term and the division by alpha run
+    once over all values after the loop. The draws stay unchanged; a zero
+    value, whose sign depends on the index order of tied +-0 sums, is
+    recomputed by the sort route."""
     draws = np.asarray(draws)
     if draws.ndim != 3:
         raise ValueError(f"draws of shape {draws.shape} is not a stack of draw matrices (R, E, N)")
     n_reps, _, n = draws.shape
-    if sums is None:
-        sums = np.empty((n_reps * len(row_sets), n))
-    elif getattr(sums, "dtype", None) != np.float64 or np.ndim(sums) != 2 or sums.shape[1] != n:
-        raise ValueError(f"sums of shape {np.shape(sums)} is not a float64 array of shape (m, {n})")
-    per_pass = len(sums) // n_reps
-    if not per_pass:
-        raise ValueError(f"sums has {len(sums)} rows, fewer than the {n_reps} draw matrices")
     k, mass_before = _tail_index(n, alpha)
     weights = np.full(k, 1.0 / n)
-    values = np.empty((len(row_sets), n_reps))
-    for first in range(0, len(row_sets), per_pass):
-        group = row_sets[first:first + per_pass]
-        block = sums[:len(group) * n_reps]
-        for rows, out in zip(group, block.reshape(len(group), n_reps, n)):
-            # + 0.0 changes only a -0.0
-            np.add(draws[:, rows[0]], draws[:, rows[1]] if len(rows) > 1 else 0.0, out=out)
-            for row in rows[2:]:
-                np.add(out, draws[:, row], out=out)
-        block.partition(n - k - 1, axis=1)
-        tail = block[:, n - k:]
+    sums = np.empty((n_reps, n))
+    dots = np.empty((len(row_sets), n_reps))
+    boundary = np.empty((len(row_sets), n_reps))
+    for rows, dot, bound in zip(row_sets, dots, boundary):
+        # + 0.0 changes only a -0.0
+        np.add(draws[:, rows[0]], draws[:, rows[1]] if len(rows) > 1 else 0.0, out=sums)
+        for row in rows[2:]:
+            np.add(sums, draws[:, row], out=sums)
+        sums.partition(n - k - 1, axis=1)
+        tail = sums[:, n - k:]
         tail.sort(axis=1)
-        dots = np.fromiter((np.dot(weights, descending) for descending in tail[:, ::-1]), float, len(block))
-        boundary = (alpha - mass_before) * block[:, n - k - 1]
-        values[first:first + len(group)] = ((dots + boundary) / alpha).reshape(len(group), n_reps)
+        dot[:] = np.fromiter((np.dot(weights, descending) for descending in tail[:, ::-1]), float, n_reps)
+        bound[:] = sums[:, n - k - 1]
+    values = (dots + (alpha - mass_before) * boundary) / alpha
     for u, i in zip(*np.nonzero(values == 0.0)):
         total = functools.reduce(np.add, [draws[i, row] for row in row_sets[u]])
         values[u, i] = cvar_from_values(total, alpha)[0]

@@ -493,7 +493,11 @@ def build_game(
     """Assemble the game: congestion coefficient b_e on every edge, paths
     by free-flow k-shortest enumeration, and uniform noise on [0,
     noise_scale * t_e] for every edge whose tail or head lies in
-    uncertain_nodes."""
+    uncertain_nodes. A b_e or noise_scale that is not finite and
+    nonnegative is a ValueError naming it."""
+    for name, value in (("b_e", b_e), ("noise_scale", noise_scale)):
+        if not 0 <= value < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     net = replace(network, congestion_coeff=np.full(network.n_edges, float(b_e)))
     node_set = set(int(v) for v in uncertain_nodes)
     outside = sorted(v for v in node_set if not 1 <= v <= net.n_nodes)
@@ -536,20 +540,20 @@ def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
 _DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
 
 
-# Scratch of one sample_kappa_block pass in bytes: its draw matrices and their
-# row-set sums. A pass always holds one draw matrix and one sum row.
+# Scratch of one sample_kappa_block pass in bytes: its draw matrices and the
+# reducer's one sum row per matrix. A pass always holds one of each.
 _KAPPA_BLOCK_BYTES = 1 << 21
 
 
-def _kappa_from_noise(game: RoutingGame, draws: np.ndarray, sums: Optional[np.ndarray] = None) -> np.ndarray:
+def _kappa_from_noise(game: RoutingGame, draws: np.ndarray) -> np.ndarray:
     """Per-path empirical CVaR of noise sums, (R, P), for R edge-major draw
     matrices of shape (len(game.noise_edges), N): each of game.noise_row_sets
-    is summed in edge order and reduced once (`cvar_of_row_sums`, scratch
-    `sums`), shared by the paths that cross those edges; other paths get 0."""
+    is summed in edge order and reduced once (`cvar_of_row_sums`), shared by
+    the paths that cross those edges; other paths get 0."""
     kappa = np.zeros((len(draws), game.path_set.n_paths))
     column = {rows: u for u, rows in enumerate(game.noise_row_sets)}
     noisy = [p for p, rows in enumerate(game.path_noise_rows) if rows]
-    values = cvar_of_row_sums(draws, game.noise_row_sets, game.alpha.alpha, sums)
+    values = cvar_of_row_sums(draws, game.noise_row_sets, game.alpha.alpha)
     kappa[:, noisy] = values[:, [column[game.path_noise_rows[p]] for p in noisy]]
     return kappa
 
@@ -561,10 +565,10 @@ def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
 
     The keys' draw matrices fill a reused (r, E, N) buffer, r at a time, and
     are scaled to [0, hi - lo) by one multiply; all r are then reduced
-    together (`_kappa_from_noise`). r, and the number of row sets summed at
-    a time, keep the buffers within _KAPPA_BLOCK_BYTES, but for one draw
-    matrix and one sum row. Each path's sum of noise_lo over its noise edges
-    is added after the reduction, as CVaR is translation-equivariant.
+    together (`_kappa_from_noise`). r keeps the draws and the reducer's one
+    sum row per matrix within _KAPPA_BLOCK_BYTES, but for one of each. Each
+    path's sum of noise_lo over its noise edges is added after the
+    reduction, as CVaR is translation-equivariant.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -572,18 +576,15 @@ def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
     edges = game.noise_edges
     kappa = np.zeros((len(keys), game.path_set.n_paths))
     if keys and len(edges):
-        row_bytes = 8 * n_samples
-        per_key = row_bytes * (len(edges) + len(game.noise_row_sets))
+        per_key = 8 * n_samples * (len(edges) + 1)
         draws = np.empty((max(1, min(len(keys), _KAPPA_BLOCK_BYTES // per_key)), len(edges), n_samples))
-        sum_rows = max(len(draws), (_KAPPA_BLOCK_BYTES - draws.nbytes) // row_bytes)
-        sums = np.empty((min(sum_rows, len(draws) * len(game.noise_row_sets)), n_samples))
         scale = (game.noise_hi - game.noise_lo)[edges][:, None]
         for start in range(0, len(keys), len(draws)):
             block = draws[:len(keys) - start]
             for matrix, key in zip(block, keys[start:]):
                 replication_rng(seed, *key).random(out=matrix)
             block *= scale
-            kappa[start:start + len(block)] = _kappa_from_noise(game, block, sums)
+            kappa[start:start + len(block)] = _kappa_from_noise(game, block)
     kappa += game.path_set.edge_incidence[edges].T @ game.noise_lo[edges]
     return kappa
 

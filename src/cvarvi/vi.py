@@ -209,7 +209,6 @@ def extragradient_solve(
     feasible: Box | SimplexProduct,
     field: Callable[[np.ndarray], np.ndarray],
     lipschitz: float,
-    x0: Optional[np.ndarray] = None,
 ) -> ViSolution:
     """Extragradient iteration y = proj(x - s F(x)), x+ = proj(x - s F(y)).
 
@@ -218,13 +217,13 @@ def extragradient_solve(
     (lipschitz 0), so a constant that is not finite and nonnegative is a
     ValueError. A non-finite field value is a FloatingPointError. Stops
     once the natural residual is at most _EG_TOL or after _EG_MAX_ITER
-    steps. A start `x0` that is not one point of the set's dimension is a ValueError.
+    steps. The iteration starts at the set's `default_start`.
     """
     if not 0 <= lipschitz < np.inf:  # NaN fails too
         raise ValueError(f"Lipschitz constant must be finite and nonnegative, got {lipschitz}")
     step = _EG_STEP_SCALE / lipschitz if lipschitz > 0 else 1.0
 
-    x = feasible.default_start() if x0 is None else feasible.project(_check_dimension(x0, feasible.dimension))
+    x = feasible.default_start()
     # Rows x - F(x), the residual's point, and x - s F(x), the predictor's (1.0 * F(x) is exact).
     steps = np.array([[1.0], [step]])
     for it in range(_EG_MAX_ITER + 1):

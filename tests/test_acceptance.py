@@ -349,8 +349,7 @@ def test_criterion_09_strongly_monotone_delta_law():
     # for bit, and the joint stop (residual norm <= 1e-9) bounds the
     # residual of every coordinate.
     box = Box(lo=np.zeros(len(kappa_hat)), hi=np.full(len(kappa_hat), 10.0))
-    sol = extragradient_solve(box, lambda x: sigma * x - c + kappa_hat, sigma,
-                              x0=np.full(len(kappa_hat), 5.0))
+    sol = extragradient_solve(box, lambda x: sigma * x - c + kappa_hat, sigma)
     lhs = np.abs(sol.x_star - x_exact)
     rhs = np.abs(kappa_hat - exact_kappa) / sigma + 1e-8
     ok = sol.converged and bool(np.all(lhs <= rhs))

@@ -226,7 +226,7 @@ class TestTailIndex:
 
 
 class TestReducerScratchBuffer:
-    """The reduction sums into its scratch rows: each call sees only its draws."""
+    """The reduction sums into its own scratch rows: each call sees only its draws."""
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
@@ -237,12 +237,11 @@ class TestReducerScratchBuffer:
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
     def test_one_reducer_on_two_arrays(self, n):
-        # One scratch for two calls, each on a block of two draw matrices.
+        # Two calls, each on a block of two draw matrices.
         rng = np.random.default_rng(n + 1)
         first, second = rng.uniform(0.0, 4.0, n), np.round(rng.uniform(-2.0, 2.0, n))
         kept = first.copy(), second.copy()
-        sums = np.empty((2, n))
-        results = [cvar_of_row_sums(np.stack([a, b])[:, None], [(0,)], 0.05, sums)
+        results = [cvar_of_row_sums(np.stack([a, b])[:, None], [(0,)], 0.05)
                    for a, b in ((first, second), (second, first))]
         one, other = cvar_from_values(first, 0.05)[0], cvar_from_values(second, 0.05)[0]
         assert bits(results) == bits([[[one], [other]], [[other], [one]]])
@@ -250,39 +249,35 @@ class TestReducerScratchBuffer:
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
     def test_one_reducer_on_four_rows_then_one(self, n):
-        # One scratch row: the two row sets are summed and reduced in turn.
+        # One sum row: the two row sets are summed and reduced in turn.
         rows = np.random.default_rng(n + 2).uniform(0.0, 4.0, (4, n))
         kept = rows.copy()
-        got = cvar_of_row_sums(rows[None], [(0, 1, 2, 3), (2,)], 0.05, np.empty((1, n)))
+        got = cvar_of_row_sums(rows[None], [(0, 1, 2, 3), (2,)], 0.05)
         want = [cvar_from_values(((rows[0] + rows[1]) + rows[2]) + rows[3], 0.05)[0],
                 cvar_from_values(rows[2], 0.05)[0]]
         assert bits(got) == bits([want])
         assert rows.tobytes() == kept.tobytes()
 
-    # One array holds every draw row and the scratch holds every sum row, so
-    # the rows of a call cannot differ in shape. A row of another shape given
-    # as the first argument (the draws) or a later one (the scratch) is rejected.
+    # One array holds every draw row, so the rows of a call cannot differ in
+    # shape. A row of another shape given as the first argument (the draws)
+    # is rejected.
     @pytest.mark.parametrize("row", [np.array([3.0]), np.float64(3.0), 3.0, np.zeros(49), np.zeros((50, 1)),
                                      np.zeros((1, 1, 2, 50))],
-                             ids=["one draw", "numpy scalar", "float", "short", "column", "four axes"])
-    @pytest.mark.parametrize("place", ["first", "later"])
-    def test_rejects_a_row_of_another_shape(self, row, place):
+                             ids=[f"first-{name}" for name in
+                                  ["one draw", "numpy scalar", "float", "short", "column", "four axes"]])
+    def test_rejects_a_row_of_another_shape(self, row):
         shape = re.escape(str(np.shape(row)))
-        if place == "first":
-            with pytest.raises(ValueError, match=rf"^draws of shape {shape} is not a stack of draw matrices"):
-                cvar_of_row_sums(row, [(0,)], 0.05)
-        else:
-            with pytest.raises(ValueError, match=rf"^sums of shape {shape} is not a float64 array of shape \(m, 50\)$"):
-                cvar_of_row_sums(np.zeros((1, 1, 50)), [(0,)], 0.05, row)
+        with pytest.raises(ValueError, match=rf"^draws of shape {shape} is not a stack of draw matrices"):
+            cvar_of_row_sums(row, [(0,)], 0.05)
 
-    def test_rejects_a_float32_scratch(self):
-        # Its sums would be rounded to float32 before the reduction.
-        with pytest.raises(ValueError, match=r"^sums of shape \(1, 50\) is not a float64 array"):
-            cvar_of_row_sums(np.zeros((1, 1, 50)), [(0,)], 0.05, np.empty((1, 50), np.float32))
-
-    def test_rejects_scratch_with_fewer_rows_than_matrices(self):
-        with pytest.raises(ValueError, match="^sums has 1 rows, fewer than the 2 draw matrices$"):
-            cvar_of_row_sums(np.zeros((2, 1, 50)), [(0,)], 0.05, np.empty((1, 50)))
+    @pytest.mark.parametrize("draws, row_sets, shape", [
+        (np.zeros((0, 2, 50)), [(0,), (0, 1), (1,)], (0, 3)),
+        (np.ones((3, 2, 50)), [], (3, 0)),
+        (np.zeros((0, 2, 50)), [], (0, 0)),
+    ], ids=["no draw matrices", "no row sets", "neither"])
+    def test_empty_input_gives_an_empty_array(self, draws, row_sets, shape):
+        got = cvar_of_row_sums(draws, row_sets, 0.05)
+        assert got.shape == shape and got.dtype == np.float64
 
 
 class TestLpMemory:

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -561,6 +562,36 @@ class TestCli:
         assert capsys.readouterr().out == default
         assert cli.main(["solve", "--config", str(cfg), "--kappa", "reference"]) == 0
         assert len(read_table(capsys.readouterr().out, ("path", "od", "flow", "cost"), "stdout")) == 30
+
+    def test_solve_on_a_tntp_file_network(self, tmp_path, capsys):
+        # A copy of the shipped file, named by path, gives the builtin game's stdout.
+        net_path = tmp_path / "net.tntp"
+        shutil.copyfile(Path(cvarvi.__file__).parent / "data" / "siouxfalls_net.tntp", net_path)
+        builtin_cfg, file_cfg = tmp_path / "builtin.cfg", tmp_path / "file.cfg"
+        builtin_cfg.write_text(SMALL_CONFIG)
+        file_cfg.write_text(SMALL_CONFIG.replace("builtin:siouxfalls", str(net_path)))
+        assert cli.main(["solve", "--config", str(builtin_cfg)]) == 0
+        builtin = capsys.readouterr().out
+        assert cli.main(["solve", "--config", str(file_cfg)]) == 0
+        assert capsys.readouterr().out == builtin
+
+    def test_solve_on_a_missing_tntp_file_names_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tntp"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("builtin:siouxfalls", str(missing)))
+        assert cli.main(["solve", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and str(missing) in captured.err
+
+    @pytest.mark.parametrize("line, message", [("b_e = -1", "b_e must be finite and nonnegative, got -1.0"),
+                                               ("noise_scale = -0.5",
+                                                "noise_scale must be finite and nonnegative, got -0.5")],
+                             ids=["b_e", "noise_scale"])
+    def test_solve_names_a_negative_game_parameter(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CONFIG + line + "\n")
+        assert cli.main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_output_dir_env(self, small_config, small_result, tmp_path, monkeypatch):
         # The child's cwd holds no ./cvarvi_out, so only the variable can

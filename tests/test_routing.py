@@ -388,8 +388,8 @@ class TestPathEnumeration:
             enumerate_paths(net, OdSpec(pairs=[OdPair(1, 2, 1.0, 2)]))
 
     def test_default_game_paths_pinned(self):
-        # A SciPy release that reorders Yen's output must fail here rather
-        # than move every result of the default experiment.
+        # A change to the path search that reorders its output must fail
+        # here rather than move every result of the default experiment.
         game = build_configured_game(parse_config(default_config_text()))
         assert game.path_set.paths == DEFAULT_GAME_PATHS
 
@@ -484,6 +484,13 @@ class TestGameAssembly:
             with pytest.raises(ValueError, match="outside the node range 1..24"):
                 build_game(builtin_network(), od, RiskLevel(0.05), uncertain_nodes=nodes)
 
+    @pytest.mark.parametrize("name", ["b_e", "noise_scale"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_parameter_not_finite_and_nonnegative_rejected(self, name, value):
+        od = OdSpec(pairs=[OdPair(1, 19, 300, 1)])
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got {value}$"):
+            build_game(builtin_network(), od, RiskLevel(0.05), **{name: value})
+
     def test_congestion_diag(self, sioux_game):
         net = sioux_game.network
         expected = 100.0 * net.free_flow_time / net.capacity
@@ -551,9 +558,9 @@ class TestCostModel:
         game = self.fresh_game()
         original, seen = routing.extragradient_solve, []
 
-        def spy(feasible, field, lipschitz, x0=None):
+        def spy(feasible, field, lipschitz):
             seen.append(lipschitz)
-            return original(feasible, field, lipschitz, x0)
+            return original(feasible, field, lipschitz)
 
         monkeypatch.setattr(routing, "extragradient_solve", spy)
         solve_cwe(game, sample_path_kappa(game, 200, 1), method="extragradient")
@@ -734,7 +741,7 @@ class TestKappaSelectionMatchesSort:
         assert kappa.tobytes() == sort_route_kappa(sioux_game, same_draws(sioux_game, 10**5, 42)).tobytes()
 
 
-def per_path_kappa(game, draws, sums=None):
+def per_path_kappa(game, draws):
     """Oracle: one sum, added in edge order, and one full sort for every
     path of every draw matrix, shared rows or not."""
     kappa = np.zeros((len(draws), game.path_set.n_paths))
@@ -784,7 +791,7 @@ class TestKappaBlock:
 
     @staticmethod
     def key_bytes(game, n):
-        return 8 * n * (len(game.noise_edges) + len(game.noise_row_sets))
+        return 8 * n * (len(game.noise_edges) + 1)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_block_equals_per_key_calls(self, sioux_game, monkeypatch, n):
@@ -799,13 +806,20 @@ class TestKappaBlock:
         assert got.tobytes() == np.array(sorted_route).tobytes()
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_row_sets_summed_a_few_at_a_time(self, sioux_game, monkeypatch, n):
-        # Room for one draw matrix and five of the twelve sum rows.
+    def test_one_key_per_pass(self, sioux_game, monkeypatch, n):
+        # A byte short of two keys' draw matrices and sum rows: three passes of one key.
         keys = [(2, rep) for rep in range(3)]
         want = sample_kappa_block(sioux_game, n, 13, keys)
-        edges = len(sioux_game.noise_edges)
-        monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 8 * n * (edges + 5))
+        original, passes = routing._kappa_from_noise, []
+
+        def spy(game, draws):
+            passes.append(len(draws))
+            return original(game, draws)
+
+        monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 2 * self.key_bytes(sioux_game, n) - 1)
+        monkeypatch.setattr(routing, "_kappa_from_noise", spy)
         assert sample_kappa_block(sioux_game, n, 13, keys).tobytes() == want.tobytes()
+        assert passes == [1, 1, 1]
 
     def test_no_keys_and_no_noise(self, sioux_game):
         assert sample_kappa_block(sioux_game, 50, 13, []).shape == (0, sioux_game.path_set.n_paths)
