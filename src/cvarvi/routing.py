@@ -456,8 +456,25 @@ class RoutingGame:
 
     @cached_property
     def lipschitz(self) -> float:
-        """Spectral norm of A, the Lipschitz constant of the cost map."""
-        return spectral_norm(self.cost_matrix)
+        """||P A P||_2, the extragradient step constant of the cost map
+        F(h) = A h + c on the flow polytope C, where P = I - B^T diag(1/|P_w|) B
+        removes each OD's mean (B the OD incidence, |P_w| its path counts).
+
+        Why it suffices: P is the orthogonal projector onto null(B), and F
+        and PF differ by B^T mu, a constant added to each OD block. The
+        simplex projection shifts its threshold by that constant, so
+        P_C(z + B^T mu) = P_C(z), and extragradient on F and on PF make the
+        same iterates in exact arithmetic. For h, g in C, h - g lies in
+        null(B), so <PF(h) - PF(g), h - g> = <A(h - g), h - g> >= 0 (PF is
+        monotone on C) and PF(h) - PF(g) = PAP(h - g) (PF is
+        ||PAP||-Lipschitz on C); h = P_C(h - F(h)) exactly when
+        h = P_C(h - PF(h)), so PF has F's solutions. A value within
+        max(shape) * eps * ||A||_2 of 0, the `_pinv` tolerance, is rounding
+        of a field constant on C and is returned as exactly 0.0."""
+        a_mat, b_inc = self.cost_matrix, self.path_set.od_incidence
+        p_mat = np.eye(len(a_mat)) - b_inc.T @ (b_inc / b_inc.sum(axis=1, keepdims=True))
+        norm = spectral_norm(p_mat @ a_mat @ p_mat)
+        return norm if norm > max(a_mat.shape) * np.finfo(float).eps * spectral_norm(a_mat) else 0.0
 
     @cached_property
     def lcp_matrix(self) -> np.ndarray:
@@ -520,8 +537,10 @@ def build_game(
 
 def path_cost_field(game: RoutingGame, kappa: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The affine CVaR path-cost map h -> Q^T R Q h + Q^T t + kappa, as a
-    plain function; its Lipschitz constant is `game.lipschitz`. Every solve
-    and certificate starts here, so a non-finite kappa fails here."""
+    plain function. Its Lipschitz constant is ||A||_2; `game.lipschitz`
+    bounds its variation on the flow polytope modulo a constant per OD,
+    which the polytope's projection ignores. Every solve and certificate
+    starts here, so a non-finite kappa fails here."""
     kappa = game.check_kappa(kappa)
     a_mat = game.cost_matrix
     const = game.free_flow_costs + kappa

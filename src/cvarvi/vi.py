@@ -5,9 +5,10 @@ A field is any callable x -> F(x). A feasible set is any object with
 one-point bits), `violation` (None when every constraint is met within
 _FEASIBILITY_TOL; else the one violated most), `default_start` and
 `dimension`: boxes or products of scaled simplices (the flow polytope).
-The solver is projection-based extragradient with a step from the field's
-Lipschitz constant, projecting the residual's and the predictor's points as
-one stack; the natural residual ||x - proj(x - F(x))|| vanishes at solutions.
+The solver is projection-based extragradient with a step from a bound on
+how the field varies on the set (modulo what its projection ignores),
+projecting the residual's and the predictor's points as one stack; the
+natural residual ||x - proj(x - F(x))|| vanishes at solutions.
 """
 
 from __future__ import annotations
@@ -48,20 +49,24 @@ def project_simplex(y: np.ndarray, demand: float | np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
     demand = np.asarray(demand, dtype=float).reshape(-1, 1)
-    return _project_blocks(rows, demand, np.arange(1, rows.shape[1] + 1), 0.0 in demand).reshape(y.shape)
+    return _project_blocks(rows, demand, np.arange(1.0, rows.shape[1] + 1), 0.0 in demand).reshape(y.shape)
 
 
 def _project_blocks(blocks: np.ndarray, demand: np.ndarray, ranks: np.ndarray, zero_demand: bool) -> np.ndarray:
     """project_simplex of a (..., n) stack of blocks, with demand broadcast
-    to (..., 1), ranks = arange(1, n + 1) and whether some demand is 0."""
+    to (..., 1), float ranks = arange(1, n + 1) and whether some demand is 0."""
     u = np.sort(blocks, axis=-1)[..., ::-1]
-    css = np.add.accumulate(u, axis=-1)
+    # Thresholds t_j = (css_j - demand) / j; tau is t at the last passing index.
+    t = np.add.accumulate(u, axis=-1)
+    t -= demand
+    t /= ranks
+    n = len(ranks)
     # Under gradual underflow u > t exactly when u - t > 0, NaN included.
-    cond = u > (css - demand) / ranks
     # argmax finds the first True of the reversed rows, and 0 when none is.
-    k = len(ranks) - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
-    tau = (css[ranks == k].reshape(k.shape) - demand) / k
-    out = np.maximum(blocks - tau, 0.0)
+    back = np.argmax((u > t)[..., ::-1], axis=-1, keepdims=True)
+    last = np.arange(n - 1, t.size, n).reshape(back.shape) - back  # flat index into t
+    out = blocks - t.ravel()[last]
+    np.maximum(out, 0.0, out=out)
     if zero_demand:
         np.copyto(out, 0.0, where=demand == 0.0)
     return out
@@ -135,19 +140,20 @@ class SimplexProduct:
         self._demands = demands = np.array([d for _, d in self.blocks])
         self._starts = starts = np.cumsum(lengths) - lengths
         # Per block length n: the coordinates of its blocks, one row each (None when they are
-        # the whole vector in order), their demand column, arange(1, n + 1) and whether a demand is 0.
+        # the whole vector in order), their demand column, arange(1.0, n + 1) and whether a demand is 0.
         self._groups = [(None if (lengths == n).all() else starts[lengths == n, None] + np.arange(n),
-                         demands[lengths == n, None], np.arange(1, n + 1), 0.0 in demands[lengths == n])
+                         demands[lengths == n, None], np.arange(1.0, n + 1), 0.0 in demands[lengths == n])
                         for n in np.unique(lengths)]
 
     def project(self, y):
         y = _check_dimension(y, self.dimension, stacked=True)
         points = y.reshape(-1, self.dimension)  # a point is a stack of one
+        coords, demand, ranks, zero_demand = self._groups[0]
+        if coords is None:  # the only group: its blocks are a reshape view of the points
+            blocks = points.reshape(len(points), len(demand), len(ranks))
+            return _project_blocks(blocks, demand, ranks, zero_demand).reshape(y.shape)
         out = np.empty(points.shape)
         for coords, demand, ranks, zero_demand in self._groups:
-            if coords is None:  # the only group: its blocks are a reshape view of the points
-                blocks = points.reshape(len(points), len(demand), len(ranks))
-                return _project_blocks(blocks, demand, ranks, zero_demand).reshape(y.shape)
             out[:, coords] = _project_blocks(points[:, coords], demand, ranks, zero_demand)
         return out.reshape(y.shape)
 
@@ -212,12 +218,15 @@ def extragradient_solve(
 ) -> ViSolution:
     """Extragradient iteration y = proj(x - s F(x)), x+ = proj(x - s F(y)).
 
-    Converges for monotone fields with Lipschitz constant `lipschitz` and
-    s < 1/L; the step is s = 0.9 / lipschitz, or 1.0 for a constant field
-    (lipschitz 0), so a constant that is not finite and nonnegative is a
-    ValueError. A non-finite field value is a FloatingPointError. Stops
-    once the natural residual is at most _EG_TOL or after _EG_MAX_ITER
-    steps. The iteration starts at the set's `default_start`.
+    Converges for monotone fields and s < 1/L, where L = `lipschitz`
+    bounds the field's variation on the set modulo what the set's
+    projection ignores (for a product of simplices, a constant added to
+    each block); the step is s = 0.9 / lipschitz, or 1.0 for a field that
+    is constant in that sense (lipschitz 0), so a constant that is not
+    finite and nonnegative is a ValueError. A non-finite field value is a
+    FloatingPointError. Stops once the natural residual is at most _EG_TOL
+    or after _EG_MAX_ITER steps. The iteration starts at the set's
+    `default_start`.
     """
     if not 0 <= lipschitz < np.inf:  # NaN fails too
         raise ValueError(f"Lipschitz constant must be finite and nonnegative, got {lipschitz}")

@@ -38,7 +38,7 @@ from cvarvi.routing import (
     wardrop_gap,
 )
 from cvarvi.tables import fmt
-from cvarvi.vi import SimplexProduct, natural_residual
+from cvarvi.vi import SimplexProduct, extragradient_solve, natural_residual
 
 MINIMAL_TNTP = """
 <NUMBER OF NODES> 3
@@ -544,7 +544,10 @@ class TestCostModel:
         assert game.feasible_flows is game.feasible_flows
         assert game.path_set.od_starts is game.path_set.od_starts
         assert game.path_set.od_starts.tolist() == [0, 10]
-        assert game.lipschitz == pytest.approx(np.linalg.norm(game.cost_matrix, 2), rel=1e-12)
+        # ||P A P||_2, P removing each OD's mean.
+        b_inc = game.path_set.od_incidence
+        p_mat = np.eye(20) - b_inc.T @ np.diag(1.0 / b_inc.sum(axis=1)) @ b_inc
+        assert game.lipschitz == pytest.approx(np.linalg.norm(p_mat @ game.cost_matrix @ p_mat, 2), rel=1e-12)
         assert np.array_equal(path_cost_field(game, np.zeros(20))(np.zeros(20)), game.free_flow_costs)
 
     def test_cached_arrays_are_read_only(self):
@@ -553,6 +556,49 @@ class TestCostModel:
                     game.path_set.od_starts, assemble_lcp(game, np.zeros(20)).m_mat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+
+    def test_lipschitz_is_the_largest_eigenvalue_on_the_polytope_directions(self):
+        # Oracle: lambda_max(N^T A N), N an orthonormal basis of null(B).
+        game = self.fresh_game()
+        b_inc = game.path_set.od_incidence
+        null = np.linalg.svd(b_inc)[2][len(b_inc):].T
+        assert np.allclose(b_inc @ null, 0.0) and null.shape == (20, 18)
+        oracle = np.linalg.eigvalsh(null.T @ game.cost_matrix @ null)[-1]
+        assert game.lipschitz == pytest.approx(oracle, rel=1e-10)
+
+    def test_lipschitz_of_the_default_game_is_below_the_norm_of_a(self, sioux_game):
+        assert 0.0 < sioux_game.lipschitz <= np.linalg.norm(sioux_game.cost_matrix, 2)
+        assert sioux_game.lipschitz == pytest.approx(1.5110336127220712, rel=1e-9)
+
+    def test_lipschitz_is_zero_where_each_od_shares_every_congested_edge(self):
+        # Paths 1-2-{3,4,5}-6 all cross the one congested edge 1-2, so A is
+        # constant on each OD block and PAP vanishes; computed, it is rounding.
+        net = Network(n_nodes=6, tail=[1, 2, 2, 2, 3, 4, 5], head=[2, 3, 4, 5, 6, 6, 6],
+                      free_flow_time=[1.0, 1.0, 2.0, 3.0, 1.0, 1.5, 1.0], capacity=np.ones(7),
+                      congestion_coeff=np.ones(7))
+        od = OdSpec(pairs=[OdPair(1, 6, 2.0, 3), OdPair(2, 6, 1.0, 3)])
+        game = build_game(net, od, RiskLevel(0.5), b_e=1.0, uncertain_nodes=(3,))
+        congestion = np.where(np.arange(7) == 0, 1.0, 0.0)
+        game = dataclasses.replace(game, network=dataclasses.replace(game.network, congestion_coeff=congestion))
+        assert game.path_set.n_paths == 6 and game.cost_matrix[:3, :3].min() > 0.0
+        assert game.lipschitz == 0.0
+        kappa = sample_path_kappa(game, 50, 3)
+        eg = solve_cwe(game, kappa, "extragradient")
+        assert eg.converged and eg.x_star.tobytes() == solve_cwe(game, kappa, "lemke").x_star.tobytes()
+
+    @pytest.mark.parametrize("n", [50, 500, 5000])
+    def test_extragradient_at_the_tighter_step_returns_lemkes_bytes(self, sioux_game, n):
+        seed = ExperimentConfig().master_seed
+        for kappa in sample_kappa_block(sioux_game, n, seed, [(0, rep) for rep in range(10)]):
+            eg, lemke = (solve_cwe(sioux_game, kappa, method) for method in ("extragradient", "lemke"))
+            assert eg.converged and eg.x_star.tobytes() == lemke.x_star.tobytes()
+
+    def test_tighter_step_takes_fewer_steps_than_the_norm_of_a(self, sioux_game):
+        kappa = sample_path_kappa(sioux_game, 50, ExperimentConfig().master_seed, 0, 0)
+        tight = solve_cwe(sioux_game, kappa, "extragradient")
+        loose = extragradient_solve(sioux_game.feasible_flows, path_cost_field(sioux_game, kappa),
+                                    np.linalg.norm(sioux_game.cost_matrix, 2))
+        assert tight.converged and loose.converged and tight.iterations < loose.iterations
 
     def test_extragradient_gets_the_game_lipschitz(self, monkeypatch):
         game = self.fresh_game()

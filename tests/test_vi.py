@@ -57,6 +57,19 @@ class TestSimplexProjection:
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(demand, abs=1e-8 * (1 + demand))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           blocks=st.lists(st.tuples(st.integers(1, 10), st.just(0.0) | st.floats(1e-3, 1e3)),
+                           min_size=1, max_size=6))
+    def test_block_constant_is_ignored(self, data, blocks):
+        # P_C(y + B^T mu) = P_C(y): the ground of RoutingGame.lipschitz.
+        sp = SimplexProduct(blocks=blocks)
+        y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=sp.dimension, max_size=sp.dimension)))
+        mu = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(blocks), max_size=len(blocks))))
+        shift = np.repeat(mu, [n for n, _ in blocks])
+        scale = max(1.0, np.abs(y).max() + np.abs(mu).max(), max(d for _, d in blocks))
+        assert np.abs(sp.project(y + shift) - sp.project(y)).max() <= 1e-12 * scale
+
     def test_zero_demand(self):
         assert project_simplex(np.array([3.0, -1.0]), 0.0) == pytest.approx([0.0, 0.0])
 
@@ -185,6 +198,41 @@ class TestProjectionMatchesNegateAndSort:
         stacked = np.round(rng.normal(size=(4, 6)))
         demands = np.array([0.0, 1.0, 2.0, 3.0])
         assert project_simplex(stacked, demands).tobytes() == negate_and_sort_project(stacked, demands).tobytes()
+
+
+def css_tau_project_blocks(blocks, demand, ranks, zero_demand):
+    """Oracle: _project_blocks with integer ranks, the last passing index k
+    found by `ranks == k` and tau recomputed as (css[k - 1] - demand) / k."""
+    u = np.sort(blocks, axis=-1)[..., ::-1]
+    css = np.add.accumulate(u, axis=-1)
+    cond = u > (css - demand) / ranks
+    k = len(ranks) - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    tau = (css[ranks == k].reshape(k.shape) - demand) / k
+    out = np.maximum(blocks - tau, 0.0)
+    if zero_demand:
+        np.copyto(out, 0.0, where=demand == 0.0)
+    return out
+
+
+class TestProjectionKernelMatchesCssTau:
+    """Reading tau from the threshold row gives the bits of recomputing it
+    from the cumulative sums, on stacks of 1 to 4 points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), n_blocks=st.integers(1, 4), n=st.integers(1, 8))
+    def test_matches_oracle(self, data, m, n_blocks, n):
+        value = (st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float) | st.sampled_from([0.0, -0.0])
+                 | st.just(1e20))
+        blocks = np.array(data.draw(st.lists(value, min_size=m * n_blocks * n, max_size=m * n_blocks * n)))
+        blocks = blocks.reshape(m, n_blocks, n)
+        nan_rows = data.draw(st.lists(st.booleans(), min_size=m * n_blocks, max_size=m * n_blocks))
+        blocks[np.array(nan_rows).reshape(m, n_blocks), 0] = np.nan
+        demand = np.array(data.draw(st.lists(st.just(0.0) | st.integers(1, 5).map(float) | st.floats(1e-3, 1e3),
+                                             min_size=n_blocks, max_size=n_blocks)))[:, None]
+        zero_demand = 0.0 in demand
+        got = vi._project_blocks(blocks, demand, np.arange(1.0, n + 1), zero_demand)
+        want = css_tau_project_blocks(blocks, demand, np.arange(1, n + 1), zero_demand)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStackedPoints:
