@@ -112,11 +112,12 @@ def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alp
     row sets, each a nonempty tuple of row indices. One (R, N) sum buffer is
     reused for one row set at a time: the set's rows are added left to right
     (a lone row plus 0.0), one partition moves the top ceil(alpha N) entries
-    of every sum row to its end, one sort orders those tails, and each row's
-    tail sum is one np.dot; the boundary term and the division by alpha run
-    once over all values after the loop. The draws stay unchanged; a zero
-    value, whose sign depends on the index order of tied +-0 sums, is
-    recomputed by the sort route."""
+    of every sum row to its end, one sort orders those tails, and one
+    stacked product of the weights with the descending tails gives each
+    row's tail sum as its own dot product, with np.dot's bits; the boundary
+    term and the division by alpha run once over all values after the
+    loop. The draws stay unchanged; a zero value, whose sign depends on the
+    index order of tied +-0 sums, is recomputed by the sort route."""
     draws = np.asarray(draws)
     if draws.ndim != 3:
         raise ValueError(f"draws of shape {draws.shape} is not a stack of draw matrices (R, E, N)")
@@ -134,7 +135,7 @@ def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alp
         sums.partition(n - k - 1, axis=1)
         tail = sums[:, n - k:]
         tail.sort(axis=1)
-        dot[:] = np.fromiter((np.dot(weights, descending) for descending in tail[:, ::-1]), float, n_reps)
+        dot[:] = (weights @ np.ascontiguousarray(tail[:, ::-1])[..., None])[:, 0]
         bound[:] = sums[:, n - k - 1]
     values = (dots + (alpha - mass_before) * boundary) / alpha
     for u, i in zip(*np.nonzero(values == 0.0)):

@@ -823,49 +823,51 @@ def _equilibrium_region(game: RoutingGame, active: np.ndarray, used: np.ndarray)
     )
 
 
-def _rowwise(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ row for each row of a stack, as a stacked matrix product
-    rounds differently."""
-    out = np.empty((len(x), len(mat)))
-    for i, row in enumerate(x):
-        out[i] = mat @ row
-    return out
-
-
 def _certify(game: RoutingGame, region: EquilibriumRegion,
-             q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             q: np.ndarray) -> tuple[np.ndarray, list[ViSolution]]:
     """The rows of an (R, P) stack q = Q^T t + kappa where the region's
-    certificate holds, with their flows, projected onto the flow polytope,
-    and their path costs. The certificate: every used path carries at least
-    _REGION_MARGIN and so does every multiplier on S minus T; the paths
-    within _TIE_TOL / _REGION_TIE_FACTOR of their OD minimum cost are
-    exactly S, and all others lie beyond _TIE_TOL * _REGION_TIE_FACTOR
-    (relative); the Wardrop gap is at most _WARDROP_TOL. Comparisons fail
-    on NaN. Every product stays one per row, so a row's bits do not depend
-    on the stack it is in."""
-    h_used = _rowwise(region.flow_map, q[:, region.support]) + region.flow_offset
+    certificate holds, and each one's finished solution: its flow h,
+    projected onto the flow polytope, with the natural residual
+    ||h - P(h - c)|| of its path costs c and `iterations` 0. The
+    certificate: every used path carries at least _REGION_MARGIN and so
+    does every multiplier on S minus T; the paths within _TIE_TOL /
+    _REGION_TIE_FACTOR of their OD minimum cost are exactly S, and all
+    others lie beyond _TIE_TOL * _REGION_TIE_FACTOR (relative); the Wardrop
+    gap is at most _WARDROP_TOL; and the checks of `natural_residual` hold
+    (the polytope contains h, c is finite). Comparisons fail on NaN. Each
+    row gets its own matrix-vector product and dot product, so its bits do
+    not depend on the stack it is in, and its residual is
+    `natural_residual`'s."""
+    feasible = game.feasible_flows
+    h_used = (region.flow_map @ q[:, region.support, None])[..., 0] + region.flow_offset
     rows = np.flatnonzero(np.all(h_used >= _REGION_MARGIN, axis=1)
-                          & np.all(_rowwise(region.slack_map, h_used) >= _REGION_MARGIN, axis=1))
+                          & np.all((region.slack_map @ h_used[..., None]) >= _REGION_MARGIN, axis=(1, 2)))
     h = np.zeros((len(rows), game.path_set.n_paths))
     h[:, region.support] = h_used[rows]
-    h = game.feasible_flows.project(h)
-    costs = _rowwise(game.cost_matrix, h) + q[rows]
+    h = feasible.project(h)
+    costs = (game.cost_matrix @ h[..., None])[..., 0] + q[rows]
     floor = _od_min_cost(game.path_set, costs)
     relative = (costs - floor) / (1.0 + np.abs(floor))
     held = (np.all(relative[:, region.active] <= _TIE_TOL / _REGION_TIE_FACTOR, axis=1)
             & np.all(relative[:, ~region.active] > _TIE_TOL * _REGION_TIE_FACTOR, axis=1)
-            & (_used_gap(game.path_set, costs, h) <= _WARDROP_TOL))
-    return rows[held], h[held], costs[held]
+            & (_used_gap(game.path_set, costs, h) <= _WARDROP_TOL)
+            & feasible.contains(h) & np.isfinite(costs).all(axis=1))
+    h, costs = h[held], costs[held]
+    steps = h - feasible.project(h - costs)
+    residuals = np.sqrt(steps[:, None, :] @ steps[..., None])[:, 0, 0]  # np.linalg.norm's arithmetic
+    return rows[held], [ViSolution(x_star=x, residual=float(r), iterations=0, converged=True)
+                        for x, r in zip(h, residuals)]
 
 
 def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
                 regions: list[EquilibriumRegion]) -> ViSolution:
     """One kappa that no region of the table certifies: the method runs,
     its flow gives the minimum-cost and used paths of the minimum-norm
-    equilibrium (`_min_norm_equilibrium`), and the flow of that region is
-    returned if it certifies (`_certify`); the region is then appended to
-    `regions`. Where a margin fails, the least-distance flow itself is
-    projected and returned. Either flow is checked against the equilibrium
+    equilibrium (`_min_norm_equilibrium`), and if that region certifies
+    the kappa (`_certify`), its flow and residual are returned and the
+    region is appended to `regions`. Where the certificate fails, the
+    least-distance flow itself is projected and returned with its
+    `natural_residual`. Either flow is checked against the equilibrium
     condition at _WARDROP_TOL (RuntimeError if violated)."""
     feasible = game.feasible_flows
     field = path_cost_field(game, kappa)
@@ -879,9 +881,9 @@ def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
         iterations, converged = lcp_sol.iterations, lcp_sol.feasible
     canonical, active = _min_norm_equilibrium(game, field(h0), h0)
     region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
-    flows = _certify(game, region, (game.free_flow_costs + kappa)[None])[1]
-    if len(flows):
-        h = flows[0]
+    certified = _certify(game, region, (game.free_flow_costs + kappa)[None])[1]
+    if certified:
+        h = certified[0].x_star
         regions.append(region)
     else:
         h = feasible.project(canonical)
@@ -889,8 +891,8 @@ def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
     if not gap <= _WARDROP_TOL:  # a NaN gap fails too
         raise RuntimeError(f"solver returned a flow violating the equilibrium condition "
                            f"(gap {gap:.3e} > {_WARDROP_TOL:.1e}, method {method})")
-    return ViSolution(x_star=h, residual=natural_residual(feasible, field, h), iterations=iterations,
-                      converged=converged)
+    residual = certified[0].residual if certified else natural_residual(feasible, field, h)
+    return ViSolution(x_star=h, residual=residual, iterations=iterations, converged=converged)
 
 
 def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
@@ -927,16 +929,16 @@ def solve_cwe_block(game: RoutingGame, kappas: np.ndarray, method: str,
     same bits in any stack, the one-row stack of `solve_cwe` included.
 
     The flow comes from an `EquilibriumRegion` whenever one certifies it
-    (`_certify`). Each region of the table is tried once, in order, on all
-    rows that no earlier region certified. Then the first row still open,
-    a miss, is solved cold (`_solve_cold`), which may append its region,
-    and the regions it added are tried on the rows after it; so the table
-    grows as under a loop of one-row calls. The margins of the certificate
-    make a hit's region the one a cold solve finds, so a table never
-    changes the returned bits. The certified rows get the natural residual
-    after the feasibility and finiteness checks of `natural_residual`; a
-    row that fails them, and a row whose kappa is not finite, is solved
-    cold too, which raises as it would alone.
+    (`_certify`, which also builds the row's solution). Each region of the
+    table is tried once, in order, on all rows that no earlier region
+    certified. Then the first row still open, a miss, is solved cold
+    (`_solve_cold`), which may append its region, and the regions it added
+    are tried on the rows after it; so the table grows as under a loop of
+    one-row calls. The margins of the certificate make a hit's region the
+    one a cold solve finds, so a table never changes the returned bits. A
+    row that fails the certificate's feasibility or finiteness check stays
+    open, and a row whose kappa is not finite is solved cold after the
+    others; either raises as it would alone.
     """
     kappas = np.asarray(kappas, dtype=float)
     if kappas.ndim != 2 or kappas.shape[1] != game.path_set.n_paths:
@@ -951,30 +953,20 @@ def solve_cwe_block(game: RoutingGame, kappas: np.ndarray, method: str,
         except Exception as exc:
             return exc
 
-    feasible = game.feasible_flows
     q = game.free_flow_costs + kappas  # each row the constant of its path_cost_field
-    flows, costs = np.empty_like(q), np.empty_like(q)
-    hit = np.zeros(len(q), dtype=bool)
     solutions: list = [None] * len(q)
     open_rows = np.flatnonzero(np.isfinite(kappas).all(axis=1))
     tried = 0
     while len(open_rows):
         for region in regions[tried:]:
-            held, flows_held, costs_held = _certify(game, region, q[open_rows])
-            rows = open_rows[held]
-            flows[rows], costs[rows], hit[rows] = flows_held, costs_held, True
-            open_rows = open_rows[~hit[open_rows]]
+            held, certified = _certify(game, region, q[open_rows])
+            for r, solution in zip(open_rows[held], certified):
+                solutions[r] = solution
+            open_rows = np.delete(open_rows, held)
             if not len(open_rows):
                 break
         tried = len(regions)
         if len(open_rows):
             solutions[open_rows[0]] = solve(open_rows[0])
             open_rows = open_rows[1:]
-    hits = np.flatnonzero(hit)
-    if len(hits):  # a call without hits, as every cold solve_cwe, skips the stacked checks
-        hits = hits[feasible.contains(flows[hits]) & np.isfinite(costs[hits]).all(axis=1)]
-        steps = flows[hits] - feasible.project(flows[hits] - costs[hits])
-        for r, step in zip(hits, steps):
-            solutions[r] = ViSolution(x_star=flows[r], residual=float(np.linalg.norm(step)), iterations=0,
-                                      converged=True)
     return [solve(r) if sol is None else sol for r, sol in enumerate(solutions)]

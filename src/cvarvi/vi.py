@@ -159,11 +159,10 @@ class SimplexProduct:
 
     def contains(self, x):
         """Whether `violation` finds nothing: one bool for a point, one per
-        row of a stack. A NaN coordinate is never contained."""
+        row of a stack, whose block sums (one reduceat along the last axis)
+        have a point's bits. A NaN coordinate is never contained."""
         x = _check_dimension(x, self.dimension, stacked=True)
-        # One reduceat over the flat rows sums each block as a one-point call does.
-        offsets = self._starts + self.dimension * np.arange(x.size // self.dimension)[:, None]
-        sums = np.add.reduceat(x.ravel(), offsets.ravel()).reshape(*x.shape[:-1], len(self._starts))
+        sums = np.add.reduceat(x, self._starts, axis=-1)
         return (np.all(x >= -_FEASIBILITY_TOL, axis=-1)
                 & np.all(np.abs(sums - self._demands) <= _FEASIBILITY_TOL, axis=-1))
 

@@ -1087,6 +1087,16 @@ def counting(monkeypatch, module, name) -> list:
     return calls
 
 
+def assert_cold_residual_from_certificate(monkeypatch, game, kappa):
+    """A cold solve whose region certifies takes its residual from the
+    certificate, with natural_residual's bits, and never calls it."""
+    residuals = counting(monkeypatch, routing, "natural_residual")
+    table = []
+    sol = solve_cwe(game, kappa, "lemke", regions=table)
+    assert (len(table), len(residuals)) == (1, 0) and sol.iterations > 0
+    assert sol.residual == natural_residual(game.feasible_flows, path_cost_field(game, kappa), sol.x_star)
+
+
 class TestSolveCweBlock:
     """A block's region hits, certified as stacked arrays, carry the bits of
     one solve_cwe per row; every other row is solved cold."""
@@ -1132,6 +1142,34 @@ class TestSolveCweBlock:
         assert rows == 1500
         assert [r.support.tolist() for r in block_table] == [r.support.tolist() for r in loop_table]
 
+    def test_every_certified_residual_is_natural_residual(self, default_grid, monkeypatch):
+        # The certificate builds each certified solution, the cold miss's
+        # too: natural_residual never runs, yet every residual has its bits.
+        game, _, table, blocks = default_grid
+        residuals = counting(monkeypatch, routing, "natural_residual")
+        block_table = list(table)
+        solved = [solve_cwe_block(game, kappas, "lemke", block_table) for kappas in blocks]
+        assert (len(residuals), len(block_table) - len(table)) == (0, 1)
+        mismatches = [(kappa, got) for kappas, solutions in zip(blocks, solved)
+                      for kappa, got in zip(kappas, solutions)
+                      if got.residual != natural_residual(game.feasible_flows, path_cost_field(game, kappa),
+                                                          got.x_star)]
+        assert sum(map(len, solved)) == 1500 and mismatches == []
+
+    def test_row_failing_the_feasibility_check_is_solved_cold(self, sioux_game, kappas, monkeypatch):
+        # A certified row the polytope does not contain stays open, and its
+        # cold solve raises what the one-row call raises.
+        table = []
+        solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
+        monkeypatch.setattr(SimplexProduct, "contains", lambda self, x: np.zeros(np.shape(x)[:-1], dtype=bool))
+        cold = counting(monkeypatch, routing, "_solve_cold")
+        got = solve_cwe_block(sioux_game, kappas, "lemke", table)
+        assert len(cold) == len(kappas) and len(table) == 1
+        for kappa, row in zip(kappas, got):
+            with pytest.raises(ValueError, match="^point is infeasible") as alone:
+                solve_cwe(sioux_game, kappa, "lemke", regions=list(table))
+            assert type(row) is ValueError and str(row) == str(alone.value)
+
     def test_nan_row_fails_alone(self, sioux_game, kappas):
         table = []
         solve_cwe(sioux_game, kappas[0], "lemke", regions=table)
@@ -1175,9 +1213,10 @@ class TestSolveCweBlock:
         kappas = np.array([below_the_margin_kappa(sioux_game, [])] * 3)
         want = [solve_cwe(sioux_game, kappa, "lemke") for kappa in kappas]
         lemke = counting(monkeypatch, lcp, "solve_lcp_lemke")
+        residuals = counting(monkeypatch, routing, "natural_residual")
         table = []
         got = solve_cwe_block(sioux_game, kappas, "lemke", table)
-        assert len(lemke) == len(kappas) and table == []
+        assert len(lemke) == len(residuals) == len(kappas) and table == []
         assert all(same_solution(g, w) for g, w in zip(got, want))
 
     def test_malformed_block_or_method_rejected(self, sioux_game, kappas):
@@ -1216,6 +1255,9 @@ class TestZeroDemandOd:
             plain = solve_cwe(game, kappa, "lemke")
             hit = solve_cwe(game, kappa, "lemke", regions=table)
             assert hit.x_star.tobytes() == plain.x_star.tobytes() and hit.residual == plain.residual
+
+    def test_cold_certified_residual_is_natural_residual(self, game, monkeypatch):
+        assert_cold_residual_from_certificate(monkeypatch, game, sample_path_kappa(game, 50, 3))
 
     def test_all_demands_zero_give_the_zero_flow(self):
         od = OdSpec(pairs=[OdPair(1, 19, 0, 10), OdPair(13, 8, 0, 10)])
@@ -1391,6 +1433,9 @@ class TestMixedCongestion:
             assert sol.x_star.tobytes() == solve_cwe(game, kappa, "lemke").x_star.tobytes()
             raw = solve_lcp_lemke(assemble_lcp(game, kappa)).x[: game.path_set.n_paths]
             assert_min_norm_equilibrium(game, kappa, sol.x_star, raw)
+
+    def test_cold_certified_residual_is_natural_residual(self, game, kappas, monkeypatch):
+        assert_cold_residual_from_certificate(monkeypatch, game, kappas[0])
 
 
 class TestSolveAndCertificate:
