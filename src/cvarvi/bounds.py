@@ -42,14 +42,12 @@ class BoundReport:
     gamma_exact: Optional[int] = None  # populated by the routing formula
 
 
-def pointwise_deviation_bound(
-    ell: float, big_l: float, alpha: RiskLevel, epsilon: float, n_samples: int, clip: bool = True
-) -> float:
+def pointwise_deviation_bound(ell: float, big_l: float, alpha: RiskLevel, epsilon: float, n_samples: int) -> float:
     """Probability bound 6 exp(-alpha eps^2 N / (11 (L-l)^2)) on the
     deviation between a CVaR and its N-sample empirical estimate.
 
-    Values above one are vacuous; they are clipped to 1.0 for reporting
-    unless clip=False.
+    Returned raw, so terms can be summed in a union bound; a value above
+    one is vacuous.
     """
     if big_l <= ell:
         raise ValueError("degenerate cost support: need L > ell")
@@ -57,8 +55,7 @@ def pointwise_deviation_bound(
         raise ValueError("epsilon must be positive")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    raw = 6.0 * math.exp(-alpha.alpha * epsilon**2 * n_samples / (11.0 * (big_l - ell) ** 2))
-    return min(raw, 1.0) if clip else raw
+    return 6.0 * math.exp(-alpha.alpha * epsilon**2 * n_samples / (11.0 * (big_l - ell) ** 2))
 
 
 def _log_inv_ball_volume(n: int) -> float:
@@ -67,38 +64,36 @@ def _log_inv_ball_volume(n: int) -> float:
     return math.lgamma(math.ceil(n / 2) + 1) - math.log(2.0) - 0.5 * n * math.log(math.pi)
 
 
-def _simplex_k(n: int, d: float, epsilon: float) -> int:
-    return max(1, math.ceil(math.sqrt(n) * d / epsilon))
+def _lattice_sizes(ods: Sequence[tuple[int, float]], epsilon: float) -> list[int]:
+    """K_w = max(1, ceil(|W| sqrt(|P_w|) d_w / eps)) for each OD pair
+    (|P_w|, d_w) of ods: its simplex lattice at radius eps/|W|."""
+    if not ods:
+        raise ValueError("need at least one OD pair")
+    if not epsilon > 0:
+        raise ValueError(f"eps must be positive, got {epsilon}")
+    for i, (n, d) in enumerate(ods):
+        if not (n >= 1 and d > 0):
+            raise ValueError(f"OD pair {i} needs n >= 1 paths and demand d > 0, got n = {n}, d = {d}")
+    return [max(1, math.ceil(len(ods) * math.sqrt(n) * d / epsilon)) for n, d in ods]
 
 
 def covering_number_simplex(n: int, d: float, epsilon: float) -> int:
     """Binomial bound C(n + K - 1, K - 1), K = ceil(sqrt(n) d / eps), on
-    the eps-covering number of {x >= 0, sum x = d}.
+    the eps-covering number of {x >= 0, sum x = d}: the flow polytope of
+    one OD pair.
 
     For K >= n the explicit lattice of simplex_lattice_cover, with
     C(n + K - 1, n - 1) points, witnesses the bound. For K < n the
     reported binomial is smaller than that lattice, and the documents in
     this repository do not settle whether it is still a valid bound there.
     """
-    if n < 1 or d <= 0 or epsilon <= 0:
-        raise ValueError("need n >= 1, d > 0, eps > 0")
-    k = _simplex_k(n, d, epsilon)
-    return math.comb(n + k - 1, k - 1)
+    return covering_number_flow_polytope([(n, d)], epsilon)
 
 
 def covering_number_flow_polytope(ods: Sequence[tuple[int, float]], epsilon: float) -> int:
     """Product over OD pairs of per-simplex binomial bounds with
     K_w = ceil(|W| sqrt(|P_w|) d_w / eps)."""
-    if not ods:
-        raise ValueError("need at least one OD pair")
-    if epsilon <= 0:
-        raise ValueError("eps must be positive")
-    w_count = len(ods)
-    total = 1
-    for path_count, demand in ods:
-        k_w = max(1, math.ceil(w_count * math.sqrt(path_count) * demand / epsilon))
-        total *= math.comb(path_count + k_w - 1, k_w - 1)
-    return total
+    return math.prod(math.comb(n + k - 1, k - 1) for (n, _), k in zip(ods, _lattice_sizes(ods, epsilon)))
 
 
 def simplex_lattice_cover(n: int, d: float, k: int) -> np.ndarray:
@@ -110,31 +105,18 @@ def simplex_lattice_cover(n: int, d: float, k: int) -> np.ndarray:
     """
     if n < 1 or k < 1 or d <= 0:
         raise ValueError("need n >= 1, K >= 1, d > 0")
-    points = []
-    for combo in itertools.combinations(range(k + n - 1), n - 1):
-        # Stars and bars: bar positions -> composition of K into n parts.
-        prev = -1
-        parts = []
-        for c in combo:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(k + n - 2 - prev)
-        points.append(parts)
-    return np.asarray(points, dtype=float) * (d / k)
+    # Stars and bars: the n - 1 bar positions among K + n - 1 slots, padded
+    # with -1 and K + n - 1, leave parts[s] stars between bars s and s + 1.
+    bars = np.array(list(itertools.combinations(range(k + n - 1), n - 1)), dtype=int)
+    parts = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, k + n - 1))), axis=1) - 1
+    return parts.astype(float) * (d / k)
 
 
 def flow_polytope_cover(ods: Sequence[tuple[int, float]], epsilon: float) -> np.ndarray:
     """Cartesian product of per-OD lattice covers at radius eps/|W| each,
     giving an eps-cover of the feasible flow polytope."""
-    w_count = len(ods)
-    block_covers = []
-    for path_count, demand in ods:
-        k_w = max(1, math.ceil(w_count * math.sqrt(path_count) * demand / epsilon))
-        block_covers.append(simplex_lattice_cover(path_count, demand, k_w))
-    rows = []
-    for combo in itertools.product(*[range(len(c)) for c in block_covers]):
-        rows.append(np.concatenate([block_covers[w][i] for w, i in enumerate(combo)]))
-    return np.asarray(rows)
+    covers = [simplex_lattice_cover(n, d, k) for (n, d), k in zip(ods, _lattice_sizes(ods, epsilon))]
+    return np.array([np.concatenate(rows) for rows in itertools.product(*covers)])
 
 
 def _finalize(ln_gamma: float, beta: float, formula_id: str, zeta: Optional[float],
@@ -175,6 +157,8 @@ def exponential_bound_general(
     0 < delta < diam_x/2. Given zeta, n_samples is the N with
     gamma exp(-beta N) <= zeta."""
     _check_bound_inputs(n, delta, ell=ell, big_l=big_l, diam_x=diam_x)
+    if not 0 < m_lip < math.inf:  # gamma takes the log of 12 M diam / (delta alpha)
+        raise ValueError(f"Lipschitz constant M must be finite and positive, got {m_lip}")
     a = alpha.alpha
     ln_gamma = (
         math.log(6 * n)
@@ -204,17 +188,22 @@ def exponential_bound_routing(
     path_counts: Sequence[int], alpha: RiskLevel, ell: float, big_l: float,
     m_lip: float, delta: float, zeta: Optional[float] = None,
 ) -> BoundReport:
-    """gamma = 6 |P| prod_w ceil(4 M |W| sqrt(|P_w|) / (delta alpha)),
+    """gamma = 6 |P| prod_w max(1, ceil(4 M |W| sqrt(|P_w|) / (delta alpha))),
     beta = alpha delta^2 / (44 |P| (L - l)^2), with one path count |P_w|
     per OD pair w in path_counts and |P| their sum. gamma is also reported
-    exactly, as the integer gamma_exact."""
+    exactly, as the integer gamma_exact. At M = 0 the cost does not vary,
+    so one point covers each OD's simplex: its factor is 1."""
+    if any(path_count < 1 for path_count in path_counts):
+        raise ValueError(f"every OD pair needs a path, got path counts {list(path_counts)}")
     w_count = len(path_counts)
     p_total = sum(path_counts)
     _check_bound_inputs(p_total, delta, ell=ell, big_l=big_l)
+    if not 0 <= m_lip < math.inf:  # NaN fails too
+        raise ValueError(f"Lipschitz constant M must be finite and nonnegative, got {m_lip}")
     a = alpha.alpha
     gamma_exact = 6 * p_total
     for path_count in path_counts:
-        gamma_exact *= math.ceil(4.0 * m_lip * w_count * math.sqrt(path_count) / (delta * a))
+        gamma_exact *= max(1, math.ceil(4.0 * m_lip * w_count * math.sqrt(path_count) / (delta * a)))
     beta = a * delta**2 / (44.0 * p_total * (big_l - ell) ** 2)
     ln_gamma = float(math.log(gamma_exact))
     return _finalize(ln_gamma, beta, "routing", zeta, gamma_exact=gamma_exact)

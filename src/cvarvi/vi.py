@@ -196,14 +196,18 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float), 2))
 
 
+def _require_feasible(feasible: Box | SimplexProduct, x: np.ndarray) -> None:
+    violation = feasible.violation(x)
+    if violation is not None:
+        raise ValueError(f"point is infeasible: {violation}")
+
+
 def natural_residual(feasible: Box | SimplexProduct, field: Callable[[np.ndarray], np.ndarray],
                      x: np.ndarray) -> float:
     """||x - proj(x - F(x))||; zero exactly at VI solutions. A point the set
     does not contain is a ValueError, a non-finite F(x) a FloatingPointError."""
     x = np.asarray(x, dtype=float)
-    violation = feasible.violation(x)
-    if violation is not None:
-        raise ValueError(f"point is infeasible: {violation}")
+    _require_feasible(feasible, x)
     fx = field(x)
     if not np.all(np.isfinite(fx)):
         raise FloatingPointError(f"field returned non-finite values at x={x}")
@@ -225,7 +229,8 @@ def extragradient_solve(
     finite and nonnegative is a ValueError. A non-finite field value is a
     FloatingPointError. Stops once the natural residual is at most _EG_TOL
     or after _EG_MAX_ITER steps. The iteration starts at the set's
-    `default_start`.
+    `default_start`. A returned point the set does not contain (rounding
+    in the projection of a huge step) is natural_residual's ValueError.
     """
     if not 0 <= lipschitz < np.inf:  # NaN fails too
         raise ValueError(f"Lipschitz constant must be finite and nonnegative, got {lipschitz}")
@@ -247,4 +252,5 @@ def extragradient_solve(
         if not np.isfinite(fy).all():
             raise FloatingPointError(f"field returned non-finite values at iteration {it}: y={projected[1]}")
         x = feasible.project(x - step * fy)
+    _require_feasible(feasible, x)
     return ViSolution(x_star=x, residual=residual, iterations=it, converged=residual <= _EG_TOL)

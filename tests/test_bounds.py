@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,19 +19,17 @@ from cvarvi.cvar import RiskLevel
 
 class TestPointwiseBound:
     def test_small_n_vacuous(self):
-        raw = pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.05), 0.5, 1, clip=False)
+        raw = pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.05), 0.5, 1)
         assert raw == pytest.approx(6.0 * math.exp(-0.05 * 0.25 / 11.0), rel=1e-12)
-        assert pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.05), 0.5, 1) == 1.0
+        assert raw > 1.0
+        assert min(raw, 1.0) == 1.0
 
     def test_large_n_tiny(self):
-        val = pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.05), 0.5, 10**6, clip=False)
+        val = pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.05), 0.5, 10**6)
         assert val < 1e-300
 
     def test_decreasing_in_n(self):
-        vals = [
-            pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.1), 0.2, n, clip=False)
-            for n in (10, 100, 1000)
-        ]
+        vals = [pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.1), 0.2, n) for n in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2]
 
 
@@ -93,6 +92,97 @@ class TestLatticeCovers:
         )
         dists = np.linalg.norm(samples[:, None, :] - cover[None, :, :], axis=2).min(axis=1)
         assert dists.max() <= eps + 1e-12
+
+
+def loop_simplex_lattice(n, d, k):
+    """The stars-and-bars loop that simplex_lattice_cover's np.diff replaced."""
+    points = []
+    for combo in itertools.combinations(range(k + n - 1), n - 1):
+        prev = -1
+        parts = []
+        for c in combo:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(k + n - 2 - prev)
+        points.append(parts)
+    return np.asarray(points, dtype=float) * (d / k)
+
+
+def loop_k_w(ods, epsilon):
+    return [max(1, math.ceil(len(ods) * math.sqrt(n) * d / epsilon)) for n, d in ods]
+
+
+def loop_flow_polytope_cover(ods, epsilon):
+    """The per-OD lattices and the product loop that flow_polytope_cover's comprehension replaced."""
+    block_covers = [loop_simplex_lattice(n, d, k) for (n, d), k in zip(ods, loop_k_w(ods, epsilon))]
+    rows = []
+    for combo in itertools.product(*[range(len(c)) for c in block_covers]):
+        rows.append(np.concatenate([block_covers[w][i] for w, i in enumerate(combo)]))
+    return np.asarray(rows)
+
+
+def loop_covering_number_simplex(n, d, epsilon):
+    k = max(1, math.ceil(math.sqrt(n) * d / epsilon))  # the former _simplex_k
+    return math.comb(n + k - 1, k - 1)
+
+
+def loop_covering_number_flow_polytope(ods, epsilon):
+    total = 1
+    for (n, _), k in zip(ods, loop_k_w(ods, epsilon)):
+        total *= math.comb(n + k - 1, k - 1)
+    return total
+
+
+DEMANDS = (0.5, 1.0, 2.0, 600.0)
+EPSILONS = (0.1, 0.5, 0.71, 1.0, math.sqrt(2.0), 1.5, 2.0, 1e9)
+OD_LISTS = ([(2, 1.0)], [(2, 1.0), (3, 2.0)], [(2, 1.0), (2, 1.0)], [(5, 1.0), (3, 2.0)],
+            [(3, 0.7), (2, 1.3), (1, 0.4)])
+OD_EPSILONS = (0.5, 1.0, 1.5, 2.0, 3.0, 1e9)
+
+
+class TestLatticeParity:
+    """The single K_w rule and the array-built lattices give the loops' bits."""
+
+    @pytest.mark.parametrize("d", DEMANDS)
+    def test_simplex_lattice(self, d):
+        for n in range(1, 6):
+            for k in range(1, 8):
+                new, old = simplex_lattice_cover(n, d, k), loop_simplex_lattice(n, d, k)
+                assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes())
+
+    @pytest.mark.parametrize("d", DEMANDS)
+    def test_covering_number_simplex(self, d):
+        for n in range(1, 6):
+            for eps in EPSILONS:
+                assert covering_number_simplex(n, d, eps) == loop_covering_number_simplex(n, d, eps)
+
+    @pytest.mark.parametrize("ods", OD_LISTS, ids=str)
+    def test_flow_polytope(self, ods):
+        for eps in OD_EPSILONS:
+            assert covering_number_flow_polytope(ods, eps) == loop_covering_number_flow_polytope(ods, eps)
+            new, old = flow_polytope_cover(ods, eps), loop_flow_polytope_cover(ods, eps)
+            assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes())
+
+
+class TestCoverInputChecks:
+    @pytest.mark.parametrize("function", [covering_number_flow_polytope, flow_polytope_cover])
+    @pytest.mark.parametrize("ods, epsilon, message", [
+        ([], 0.5, "^need at least one OD pair$"),
+        ([(3, 1.0)], 0.0, "^eps must be positive, got 0.0$"),
+        ([(3, 1.0)], float("nan"), "^eps must be positive, got nan$"),
+        ([(0, 1.0)], 0.5, r"^OD pair 0 needs n >= 1 paths and demand d > 0, got n = 0, d = 1.0$"),
+        ([(2, 1.0), (3, -1.0)], 0.5, r"^OD pair 1 needs n >= 1 paths and demand d > 0, got n = 3, d = -1.0$"),
+        ([(3, 0.0)], 0.5, r"^OD pair 0 needs .*, d = 0.0$"),
+    ], ids=["no-ods", "zero-eps", "nan-eps", "no-paths", "negative-demand", "zero-demand"])
+    def test_rejects(self, function, ods, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            function(ods, epsilon)
+
+    def test_simplex_is_the_one_od_call(self):
+        with pytest.raises(ValueError, match="^OD pair 0 needs"):
+            covering_number_simplex(0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            covering_number_simplex(2, 1.0, -0.5)
 
 
 class TestExponentialBounds:
@@ -190,10 +280,26 @@ class TestInputChecks:
         # ell = L would divide beta by zero; separable reads no cost range.
         (_general, dict(ell=1.0), "need ell < L"),
         (_routing, dict(ell=1.0), "need ell < L"),
+        # gamma takes the log of M in the general formula; routing's factors are at least 1.
+        (_general, dict(m_lip=0.0), "^Lipschitz constant M must be finite and positive, got 0.0$"),
+        (_general, dict(m_lip=-1.0), "^Lipschitz constant M must be finite and positive, got -1.0$"),
+        (_general, dict(m_lip=math.nan), "^Lipschitz constant M must be finite and positive, got nan$"),
+        (_routing, dict(m_lip=-1.0), "^Lipschitz constant M must be finite and nonnegative, got -1.0$"),
+        (_routing, dict(m_lip=math.nan), "^Lipschitz constant M must be finite and nonnegative, got nan$"),
+        (_routing, dict(m_lip=math.inf), "^Lipschitz constant M must be finite and nonnegative, got inf$"),
+        (_routing, dict(path_counts=[0]), r"^every OD pair needs a path, got path counts \[0\]$"),
+        (_routing, dict(path_counts=[2, 0, 3]), r"^every OD pair needs a path, got path counts \[2, 0, 3\]$"),
     ])
     def test_rejects(self, formula, change, message):
         with pytest.raises(ValueError, match=message):
             formula(**change)
+
+    def test_routing_at_zero_lipschitz_constant(self):
+        # One point covers each OD's simplex when the cost does not vary: factor 1 per OD.
+        report = _routing(path_counts=[10, 10, 10], m_lip=0.0, zeta=0.05)
+        assert report.gamma_exact == 6 * 30
+        assert report.ln_gamma == math.log(180)
+        assert report.n_samples == math.ceil((math.log(180) - math.log(0.05)) / report.beta)
 
     def test_accepts_the_edges(self):
         # n = 1, delta just below diam/2 and tiny positive scales are valid.

@@ -428,6 +428,15 @@ class TestBoundComparison:
             assert row.consistent
 
 
+    def test_compare_on_an_uncongested_game(self, tmp_path):
+        # b_e = 0: the cost matrix is zero, so M = 0 and each OD's factor of gamma is 1.
+        config = parse_config("b_e = 0\nreplications = 200\nsample_sizes = 50\nref_samples = 100000\n")
+        (row,) = compare_bounds(run_experiment(config, tmp_path))
+        assert row.report.gamma_exact == 6 * 30
+        assert row.bound_value == 1.0
+        assert row.consistent
+
+
 def child_env(**extra):
     """This process's environment with the directory it imported cvarvi
     from first on PYTHONPATH, so a child runs the package under test from
@@ -479,6 +488,21 @@ class TestCli:
         assert header == "formula,gamma,ln_gamma,beta,n_samples"
         assert row.split(",")[0] == "separable"
         assert float(row.split(",")[1]) == pytest.approx(6.0)
+
+    def test_bounds_routing_on_an_uncongested_config(self, tmp_path, capsys):
+        (tmp_path / "free.cfg").write_text("b_e = 0\n")
+        assert cli.main(["bounds", "routing", "--config", str(tmp_path / "free.cfg")]) == 0
+        ((formula, gamma, _, _, n_samples),) = read_table(
+            capsys.readouterr().out, ("formula", "gamma", "ln_gamma", "beta", "n_samples"), "stdout")
+        assert (formula, gamma, n_samples) == ("routing", "180", "51937580")
+
+    def test_bounds_general_zero_lipschitz_constant_is_an_error(self):
+        proc = self.run_cli(
+            "bounds", "general", "--n", "1", "--alpha", "0.5", "--ell", "0",
+            "--big-l", "1", "--m", "0", "--diam", "1", "--delta", "0.1",
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: Lipschitz constant M must be finite and positive, got 0.0\n"
 
     def test_bounds_empty_cost_range_is_an_error(self):
         proc = self.run_cli(

@@ -459,6 +459,13 @@ class TestExtragradient:
         sol = extragradient_solve(sp, lambda x: np.array([3.0, 1.0, 2.0]), 0.0)
         assert sol.converged and sol.iterations == 2 and sol.x_star.tolist() == [0.0, 2.0, 0.0]
 
+    def test_an_infeasible_returned_point_is_never_solved(self):
+        # A step of 1e15 rounds the projected block sum to 7.25: the residual reads 0
+        # at a point outside the set, so the solve must fail, not report convergence.
+        sp = SimplexProduct(blocks=[(2, 7.3)])
+        with pytest.raises(ValueError, match=r"^point is infeasible: block 0 sums to 7\.25, not its demand 7\.3$"):
+            extragradient_solve(sp, lambda x: np.array([1e15, 2e15]), 0.0)
+
     @pytest.mark.parametrize("lipschitz", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     def test_lipschitz_not_finite_and_positive_rejected(self, lipschitz):
         box = Box(lo=[0.0], hi=[1.0])
