@@ -49,10 +49,10 @@ def pointwise_deviation_bound(ell: float, big_l: float, alpha: RiskLevel, epsilo
     Returned raw, so terms can be summed in a union bound; a value above
     one is vacuous.
     """
-    if big_l <= ell:
-        raise ValueError("degenerate cost support: need L > ell")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not -math.inf < ell < big_l < math.inf:  # NaN fails too
+        raise ValueError(f"cost support [{ell}, {big_l}] must be finite with L > ell")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     return 6.0 * math.exp(-alpha.alpha * epsilon**2 * n_samples / (11.0 * (big_l - ell) ** 2))
@@ -74,6 +74,8 @@ def _lattice_sizes(ods: Sequence[tuple[int, float]], epsilon: float) -> list[int
     for i, (n, d) in enumerate(ods):
         if not (n >= 1 and d > 0):
             raise ValueError(f"OD pair {i} needs n >= 1 paths and demand d > 0, got n = {n}, d = {d}")
+        if not d < math.inf:
+            raise ValueError(f"OD pair {i} has demand {d}: need a finite demand")
     return [max(1, math.ceil(len(ods) * math.sqrt(n) * d / epsilon)) for n, d in ods]
 
 
@@ -132,19 +134,21 @@ def _finalize(ln_gamma: float, beta: float, formula_id: str, zeta: Optional[floa
     return report
 
 
-def _check_bound_inputs(n: int, delta: float, ell: float = 0.0, big_l: float = math.inf,
+def _check_bound_inputs(n: int, delta: float, ell: float = 0.0, big_l: float = 1.0,
                         diam_x: float = math.inf, f_max: float = 1.0, g_rge: float = 1.0) -> None:
-    """The checks shared by the three formulas; each passes what it reads."""
+    """The checks shared by the three formulas; each passes what it reads, and the defaults pass."""
     if n < 1:
         raise ValueError("decision dimension must be positive")
+    if not (math.isfinite(ell) and math.isfinite(big_l)):
+        raise ValueError(f"cost range [{ell}, {big_l}] must be finite")
     if not ell < big_l:
         raise ValueError(f"cost range [{ell}, {big_l}] is inverted or empty: need ell < L")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not delta < diam_x / 2:
         raise ValueError("accuracy level must be below diam(X)/2")
-    if not (f_max > 0 and g_rge > 0):
-        raise ValueError("separable bound needs positive f_max and g_rge")
+    if not (0 < f_max < math.inf and 0 < g_rge < math.inf):
+        raise ValueError(f"separable bound needs finite positive f_max and g_rge, got {f_max} and {g_rge}")
 
 
 def exponential_bound_general(
@@ -157,8 +161,9 @@ def exponential_bound_general(
     0 < delta < diam_x/2. Given zeta, n_samples is the N with
     gamma exp(-beta N) <= zeta."""
     _check_bound_inputs(n, delta, ell=ell, big_l=big_l, diam_x=diam_x)
-    if not 0 < m_lip < math.inf:  # gamma takes the log of 12 M diam / (delta alpha)
-        raise ValueError(f"Lipschitz constant M must be finite and positive, got {m_lip}")
+    for name, value in (("Lipschitz constant M", m_lip), ("diam(X)", diam_x)):
+        if not 0 < value < math.inf:  # gamma takes the log of 12 M diam / (delta alpha)
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     a = alpha.alpha
     ln_gamma = (
         math.log(6 * n)

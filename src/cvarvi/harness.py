@@ -5,13 +5,13 @@ empirical per-path CVaR offsets, solves each replication's equilibrium,
 and records the distance to a high-accuracy reference equilibrium. Both
 flows are the minimum-norm points of their equilibrium sets, as
 `solve_cwe` returns them, so the distance does not depend on which
-equilibrium a solver happens to reach. Replications run in blocks: a
-block's kappa-hat are reduced together, and its region hits certified as
-stacked arrays (`solve_cwe_block`) from the one table of certified
-equilibrium regions that each worker holds (`run_experiment`). Output is
-a results table, its config.cfg and one empirical-CDF table per sample
-size, byte-identical across runs with the same configuration (worker
-count, block size and scheduling order do not affect the files).
+equilibrium a solver reaches. Replications run in blocks: a block's
+kappa-hat are reduced together, its region hits certified as stacked
+arrays (`solve_cwe_block`) from each worker's table of certified regions,
+and its misses solved by Lemke (`ExperimentConfig.solver`). Output is a
+results table, its config.cfg and one empirical-CDF table per sample size,
+byte-identical across runs with the same configuration (worker count,
+block size and scheduling order do not affect the files).
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .bounds import BoundReport, exponential_bound_routing
 from .cvar import RiskLevel
 from .routing import (
-    SOLVE_METHODS,
     EquilibriumRegion,
     OdPair,
     OdSpec,
@@ -84,7 +83,9 @@ class ExperimentConfig:
     epsilon: float = 1.0
     ref_samples: int = 10**6
     ref_seed: int = 42
-    solver: str = "lemke"
+    # Not a field: every returned flow is its region's certified closed form, so the
+    # method solving the reference and each region miss changes no output bit.
+    solver: ClassVar[str] = "lemke"
 
     def __post_init__(self):
         if self.replications < 200:
@@ -105,10 +106,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.ods:
             raise ConfigError("need at least one od line")
-        if self.solver not in SOLVE_METHODS:
-            raise ConfigError(
-                f"unknown solver {self.solver!r}; choose one of {', '.join(SOLVE_METHODS)}"
-            )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -137,6 +134,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 if len(parts) != 4:
                     raise ValueError("od takes: origin destination demand paths")
                 ods.append((int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])))
+            elif key == "solver":
+                raise ValueError("the solver key was removed: every run solves its misses with lemke")
             elif key not in defaults:
                 raise ValueError(f"unknown key {key!r}")
             elif key in kwargs:
@@ -226,9 +225,9 @@ class ExperimentResult:
 _BLOCK_REPS = 25
 
 # What every block of one run shares, set by _install_worker in each pool
-# worker (or in this process at workers=1): game, master seed, h_ref,
-# solver and the region table, which the worker's blocks grow in turn.
-_worker: Optional[tuple[RoutingGame, int, np.ndarray, str, list[EquilibriumRegion]]] = None
+# worker (or in this process at workers=1): game, master seed, h_ref and
+# the region table, which the worker's blocks grow in turn.
+_worker: Optional[tuple[RoutingGame, int, np.ndarray, list[EquilibriumRegion]]] = None
 
 
 def _install_worker(*shared) -> None:
@@ -244,7 +243,7 @@ def _run_block(n_samples: int, n_index: int, reps: range) -> list[RepRecord]:
     the minimum-norm equilibrium flow h_N under it (`solve_cwe_block` on
     the worker's region table, which grows on each miss), and
     ||h_N - h_ref|| against the minimum-norm reference flow."""
-    game, master_seed, h_ref, solver, regions = _worker
+    game, master_seed, h_ref, regions = _worker
 
     def failed(rep: int, exc: Exception) -> RepRecord:
         return RepRecord(n_samples, rep, math.nan, math.nan, f"fail:{type(exc).__name__}")
@@ -252,7 +251,7 @@ def _run_block(n_samples: int, n_index: int, reps: range) -> list[RepRecord]:
     # Errors are recorded per replication and judged in bulk.
     try:
         kappas = sample_kappa_block(game, n_samples, master_seed, [(n_index, rep) for rep in reps])
-        solutions = solve_cwe_block(game, kappas, solver, regions)
+        solutions = solve_cwe_block(game, kappas, ExperimentConfig.solver, regions)
     except Exception as exc:
         return [failed(rep, exc) for rep in reps]
     records = []
@@ -294,12 +293,12 @@ def run_experiment(
 
     Replications run in blocks of _BLOCK_REPS at one sample size, each
     task carrying only (N, its index, the block's replications). The game,
-    master seed, h_ref, solver and the region table of the reference solve
-    are installed once per process (`_install_worker`): as each pool
-    worker starts, or in this process at workers=1. A block certifies its
-    region hits as stacked arrays (`solve_cwe_block`) and runs
-    config.solver only where no region certifies the flow; such a miss adds
-    its region to the worker's table, which its later blocks reuse. A
+    master seed, h_ref and the region table of the reference solve are
+    installed once per process (`_install_worker`): as each pool worker
+    starts, or in this process at workers=1. A block certifies its region
+    hits as stacked arrays (`solve_cwe_block`) and runs Lemke
+    (ExperimentConfig.solver, as the reference solve does) only on a miss,
+    which adds its region to the worker's table for its later blocks. A
     table never changes a flow's bits, so output bytes depend only on the
     configuration, never on `workers` (at least 1; 1 runs the grid in this
     process). `progress(done, total)`, if given, is called once per
@@ -319,13 +318,13 @@ def run_experiment(
 
     kappa_ref = true_path_kappa(game, config.ref_samples, config.ref_seed, cache_dir=cache_dir)
     regions: list[EquilibriumRegion] = []
-    h_ref = solve_cwe(game, kappa_ref, method=config.solver, regions=regions).x_star
+    h_ref = solve_cwe(game, kappa_ref, method=ExperimentConfig.solver, regions=regions).x_star
 
     reps = config.replications
     tasks = [(n, n_index, range(start, min(start + _BLOCK_REPS, reps)))
              for n_index, n in enumerate(config.sample_sizes)
              for start in range(0, reps, _BLOCK_REPS)]
-    shared = (game, config.master_seed, h_ref, config.solver, regions)
+    shared = (game, config.master_seed, h_ref, regions)
     total = len(config.sample_sizes) * reps
     records = []
     with contextlib.ExitStack() as stack:

@@ -224,13 +224,13 @@ def extragradient_solve(
     Converges for monotone fields and s < 1/L, where L = `lipschitz`
     bounds the field's variation on the set modulo what the set's
     projection ignores (for a product of simplices, a constant added to
-    each block); the step is s = 0.9 / lipschitz, or 1.0 for a field that
-    is constant in that sense (lipschitz 0), so a constant that is not
-    finite and nonnegative is a ValueError. A non-finite field value is a
+    each block); s = 0.9 / lipschitz, or for a field constant in that
+    sense (lipschitz 0) 1.0, doubled after each step. A `lipschitz` that is
+    not finite and nonnegative is a ValueError, a non-finite field value a
     FloatingPointError. Stops once the natural residual is at most _EG_TOL
     or after _EG_MAX_ITER steps. The iteration starts at the set's
     `default_start`. A returned point the set does not contain (rounding
-    in the projection of a huge step) is natural_residual's ValueError.
+    in the projection of a huge step) is a ValueError.
     """
     if not 0 <= lipschitz < np.inf:  # NaN fails too
         raise ValueError(f"Lipschitz constant must be finite and nonnegative, got {lipschitz}")
@@ -252,5 +252,8 @@ def extragradient_solve(
         if not np.isfinite(fy).all():
             raise FloatingPointError(f"field returned non-finite values at iteration {it}: y={projected[1]}")
         x = feasible.project(x - step * fy)
+        if lipschitz == 0:
+            step *= 2.0
+            steps[1, 0] = step
     _require_feasible(feasible, x)
     return ViSolution(x_star=x, residual=residual, iterations=it, converged=residual <= _EG_TOL)

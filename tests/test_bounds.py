@@ -32,6 +32,22 @@ class TestPointwiseBound:
         vals = [pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.1), 0.2, n) for n in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2]
 
+    @pytest.mark.parametrize("ell, big_l, epsilon, message", [
+        (0.0, 1.0, math.nan, r"^epsilon must be positive, got nan$"),
+        (0.0, 1.0, 0.0, r"^epsilon must be positive, got 0.0$"),
+        (math.nan, 1.0, 0.5, r"^cost support \[nan, 1.0\] must be finite with L > ell$"),
+        (0.0, math.nan, 0.5, r"^cost support \[0.0, nan\] must be finite with L > ell$"),
+        (0.0, math.inf, 0.5, r"^cost support \[0.0, inf\] must be finite with L > ell$"),
+        (-math.inf, 1.0, 0.5, r"^cost support \[-inf, 1.0\] must be finite with L > ell$"),
+        (1.0, 1.0, 0.5, r"^cost support \[1.0, 1.0\] must be finite with L > ell$"),
+    ], ids=["nan-eps", "zero-eps", "nan-ell", "nan-L", "infinite-L", "infinite-ell", "empty-range"])
+    def test_rejects(self, ell, big_l, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            pointwise_deviation_bound(ell, big_l, RiskLevel(0.5), epsilon, 10)
+
+    def test_infinite_epsilon_is_zero(self):
+        assert pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.5), math.inf, 10) == 0.0
+
 
 class TestCoveringNumbers:
     def test_simplex_hand_binomials(self):
@@ -173,10 +189,16 @@ class TestCoverInputChecks:
         ([(0, 1.0)], 0.5, r"^OD pair 0 needs n >= 1 paths and demand d > 0, got n = 0, d = 1.0$"),
         ([(2, 1.0), (3, -1.0)], 0.5, r"^OD pair 1 needs n >= 1 paths and demand d > 0, got n = 3, d = -1.0$"),
         ([(3, 0.0)], 0.5, r"^OD pair 0 needs .*, d = 0.0$"),
-    ], ids=["no-ods", "zero-eps", "nan-eps", "no-paths", "negative-demand", "zero-demand"])
+        ([(2, math.inf)], 0.5, r"^OD pair 0 has demand inf: need a finite demand$"),
+        ([(2, 1.0), (3, math.nan)], 0.5, r"^OD pair 1 needs .*, d = nan$"),
+    ], ids=["no-ods", "zero-eps", "nan-eps", "no-paths", "negative-demand", "zero-demand",
+            "infinite-demand", "nan-demand"])
     def test_rejects(self, function, ods, epsilon, message):
         with pytest.raises(ValueError, match=message):
             function(ods, epsilon)
+
+    def test_infinite_epsilon_is_one_point(self):
+        assert covering_number_flow_polytope([(5, 1.0), (3, 2.0)], math.inf) == 1
 
     def test_simplex_is_the_one_od_call(self):
         with pytest.raises(ValueError, match="^OD pair 0 needs"):
@@ -289,6 +311,15 @@ class TestInputChecks:
         (_routing, dict(m_lip=math.inf), "^Lipschitz constant M must be finite and nonnegative, got inf$"),
         (_routing, dict(path_counts=[0]), r"^every OD pair needs a path, got path counts \[0\]$"),
         (_routing, dict(path_counts=[2, 0, 3]), r"^every OD pair needs a path, got path counts \[2, 0, 3\]$"),
+        # A range or scale that is not finite makes beta 0 or NaN; a NaN delta is named as delta.
+        (_general, dict(big_l=math.inf), r"^cost range \[0.0, inf\] must be finite$"),
+        (_routing, dict(ell=-math.inf), r"^cost range \[-inf, 1.0\] must be finite$"),
+        (_general, dict(ell=math.nan), r"^cost range \[nan, 1.0\] must be finite$"),
+        (_separable, dict(g_rge=math.inf), "^separable bound needs finite positive f_max and g_rge, got 1.0 and inf$"),
+        (_separable, dict(f_max=math.nan), "^separable bound needs finite positive f_max and g_rge, got nan and 1.0$"),
+        (_general, dict(delta=math.nan), "^delta must be positive and finite, got nan$"),
+        (_routing, dict(delta=math.inf), "^delta must be positive and finite, got inf$"),
+        (_general, dict(diam_x=math.inf), r"^diam\(X\) must be finite and positive, got inf$"),
     ])
     def test_rejects(self, formula, change, message):
         with pytest.raises(ValueError, match=message):

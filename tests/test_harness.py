@@ -31,7 +31,7 @@ from cvarvi.harness import (
     routing_bound,
     run_experiment,
 )
-from cvarvi.routing import SOLVE_METHODS, sample_path_kappa, solve_cwe, true_path_kappa
+from cvarvi.routing import sample_path_kappa, solve_cwe, true_path_kappa
 from cvarvi.tables import fmt, format_table, read_table
 
 RESULTS_HEADER = ("n_samples", "rep", "deviation", "residual", "status")
@@ -110,9 +110,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig(sample_sizes=(50, 50))
 
-    def test_unknown_solver(self):
-        with pytest.raises(ConfigError, match="'foo'.*extragradient, lemke, qp"):
-            parse_config("solver = foo\nod = 1 2 5 1\n")
+    @pytest.mark.parametrize("value", ["foo", "lemke", "qp"])
+    def test_solver_key_refused(self, value):
+        # Every run solves its misses with lemke; an older config.cfg names the key.
+        with pytest.raises(ConfigError, match="^line 2: the solver key was removed: "
+                                              "every run solves its misses with lemke$"):
+            parse_config(f"od = 1 2 5 1\nsolver = {value}\n")
+        assert ExperimentConfig.solver == "lemke"
+        assert "solver" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     def test_default_file_is_the_dataclass_default(self):
         cfg = parse_config(default_config_text())
@@ -158,7 +163,6 @@ class TestConfigParsing:
         epsilon=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         ref_samples=st.integers(),
         ref_seed=st.integers(min_value=0),
-        solver=st.sampled_from(SOLVE_METHODS),
     ))
     def test_format_config_round_trips(self, config):
         text = format_config(config)
@@ -207,10 +211,10 @@ class TestExperiment:
 
     @pytest.fixture
     def installed(self, small_config, small_result):
-        """The small run's game, master seed, h_ref, solver and an empty
-        table, installed as a worker's."""
+        """The small run's game, master seed, h_ref and an empty table,
+        installed as a worker's."""
         harness._install_worker(build_configured_game(small_config), small_config.master_seed,
-                                small_result.h_ref, small_config.solver, [])
+                                small_result.h_ref, [])
         yield
         harness._install_worker()
 
@@ -245,7 +249,7 @@ class TestExperiment:
         assert len(calls) == 2 and result.failure_fraction() == 0.0
 
     def test_pool_tasks_carry_only_their_block(self, small_config, small_result, tmp_path, monkeypatch):
-        # Game, h_ref, solver and table go to each worker once, at start-up.
+        # Game, h_ref and table go to each worker once, at start-up.
         seen = {}
 
         class RecordingPool(harness.ProcessPoolExecutor):
@@ -262,8 +266,8 @@ class TestExperiment:
                                cache_dir=small_result.results_path.parent / "cache")
         assert seen["kwargs"]["initializer"] is harness._install_worker
         assert seen["kwargs"]["max_workers"] == 2
-        game, seed, h_ref, solver, regions = seen["kwargs"]["initargs"]
-        assert (seed, solver, len(regions)) == (small_config.master_seed, small_config.solver, 1)
+        game, seed, h_ref, regions = seen["kwargs"]["initargs"]
+        assert (seed, len(regions)) == (small_config.master_seed, 1)
         assert seen["tasks"][:2] == [(50, 0, range(0, 25)), (50, 0, range(25, 50))]
         assert len(seen["tasks"]) == 16
         assert again.results_path.read_bytes() == small_result.results_path.read_bytes()
@@ -431,7 +435,10 @@ class TestBoundComparison:
     def test_compare_on_an_uncongested_game(self, tmp_path):
         # b_e = 0: the cost matrix is zero, so M = 0 and each OD's factor of gamma is 1.
         config = parse_config("b_e = 0\nreplications = 200\nsample_sizes = 50\nref_samples = 100000\n")
-        (row,) = compare_bounds(run_experiment(config, tmp_path))
+        result = run_experiment(config, tmp_path)
+        # Replication 121 stalls qp; the run's Lemke solves every miss.
+        assert result.failure_fraction() == 0.0
+        (row,) = compare_bounds(result)
         assert row.report.gamma_exact == 6 * 30
         assert row.bound_value == 1.0
         assert row.consistent
@@ -512,6 +519,19 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: cost range [1.0, 1.0] is inverted or empty: need ell < L\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["separable", "--n", "1", "--alpha", "0.05", "--f-max", "1", "--g-rge", "inf", "--delta", "0.1"],
+         "separable bound needs finite positive f_max and g_rge, got 1.0 and inf"),
+        (["general", "--n", "1", "--alpha", "0.5", "--ell", "0", "--big-l", "inf", "--m", "1",
+          "--diam", "1", "--delta", "0.1"], "cost range [0.0, inf] must be finite"),
+    ], ids=["separable-infinite-g-rge", "general-infinite-big-l"])
+    def test_bounds_infinite_input_is_an_error(self, args, message):
+        # beta would be 0, and the sample size N(zeta) would divide by it.
+        proc = self.run_cli("bounds", *args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
     def test_bounds_sigma_epsilon_gives_delta(self, capsys):
         flags = ["bounds", "separable", "--n", "1", "--alpha", "0.05",

@@ -1054,10 +1054,11 @@ class TestEquilibriumRegions:
         assert hit.x_star.tobytes() == sol.x_star.tobytes() and hit.residual == sol.residual
 
     def test_extragradient_solves_the_uncongested_game(self):
-        # The field is constant and game.lipschitz 0: extragradient steps by
-        # 1.0. Where each OD's cheapest path is unique, that path takes the
-        # demand; on a tie (paths 3, 5, 6 and 7 of replication 3) no load is
-        # pinned, and every method returns the even split of minimum norm.
+        # The field is constant and game.lipschitz 0: extragradient's step
+        # starts at 1.0 and doubles. Where each OD's cheapest path is unique,
+        # that path takes the demand; on a tie (paths 3, 5, 6 and 7 of
+        # replication 3) no load is pinned, and every method returns the even
+        # split of minimum norm.
         config = dataclasses.replace(ExperimentConfig(), b_e=0.0)
         game = build_configured_game(config)
         assert game.lipschitz == 0.0
@@ -1073,6 +1074,12 @@ class TestEquilibriumRegions:
             tied.append(bool(np.any(np.bincount(ps.od_of_path, weights=cheapest) > 1)))
         assert tied == [False, False, False, True]
         assert eg.x_star[[3, 5, 6, 7]] == pytest.approx([75.0] * 4, rel=1e-12)
+        # Replication 121: a path 2e-4 above its OD's minimum still carried
+        # 33.6 after 200,000 steps of 1.0.
+        kappa = sample_kappa_block(game, 50, config.master_seed, [(0, 121)])[0]
+        eg, lemke = (solve_cwe(game, kappa, method) for method in ("extragradient", "lemke"))
+        assert eg.converged and 0 < eg.iterations <= 32
+        assert eg.x_star.tobytes() == lemke.x_star.tobytes()
 
 
 def same_solution(got, want) -> bool:
