@@ -63,7 +63,6 @@ from .vi import (
     ViSolution,
     extragradient_solve,
     natural_residual,
-    project_simplex,
     spectral_norm,
 )
 

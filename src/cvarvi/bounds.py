@@ -6,6 +6,11 @@ separate into a decision factor and an uncertainty factor, and the routing
 specialization over the flow polytope. Covering numbers of simplices and
 the flow polytope are exact big-integer binomials; the general gamma
 constant is tracked in log-space because it overflows doubles quickly.
+
+Each tail is gamma exp(-beta N), beta = alpha delta^2 / (c n w^2), formed
+once (`_finalize`) from products, so an overflow gives inf, not an error; a
+rate with no finite N bringing it below 1 is a ValueError, as is a count or
+division by delta alpha that overflows (`_ratio`, the one checked rule).
 """
 
 from __future__ import annotations
@@ -53,15 +58,20 @@ def pointwise_deviation_bound(ell: float, big_l: float, alpha: RiskLevel, epsilo
         raise ValueError(f"cost support [{ell}, {big_l}] must be finite with L > ell")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    return 6.0 * math.exp(-alpha.alpha * epsilon**2 * n_samples / (11.0 * (big_l - ell) ** 2))
+    if not 1 <= n_samples <= 2**53:  # a count the exponent multiplies as a double
+        raise ValueError(f"need 1 to 2^53 samples, got {n_samples}")
+    w = big_l - ell
+    # Squares as products: a huge epsilon gives 0.0, a huge range 6.0, both (inf / inf, or 0 / 0) the vacuous 6.0.
+    num, den = alpha.alpha * (epsilon * epsilon) * n_samples, 11.0 * (w * w)
+    exponent = num / den if den else math.inf * num  # IEEE's num / +0
+    return 6.0 if math.isnan(exponent) else 6.0 * math.exp(-exponent)
 
 
-def _log_inv_ball_volume(n: int) -> float:
-    # The compact-set covering term of the general bound, from the lower
-    # bound vol(B) >= 2 pi^(n/2) / ceil(n/2)!, so gamma matches the printed formula.
-    return math.lgamma(math.ceil(n / 2) + 1) - math.log(2.0) - 0.5 * n * math.log(math.pi)
+def _ratio(num: float, den: float, what: str) -> float:
+    """num / den, or a ValueError naming `what` where it overflows (den = 0: an underflowed delta alpha)."""
+    if den > 0 and -math.inf < num / den < math.inf:
+        return num / den
+    raise ValueError(f"{what} = {num!r} / {den!r} overflows a double")
 
 
 def _lattice_sizes(ods: Sequence[tuple[int, float]], epsilon: float) -> list[int]:
@@ -76,7 +86,8 @@ def _lattice_sizes(ods: Sequence[tuple[int, float]], epsilon: float) -> list[int
             raise ValueError(f"OD pair {i} needs n >= 1 paths and demand d > 0, got n = {n}, d = {d}")
         if not d < math.inf:
             raise ValueError(f"OD pair {i} has demand {d}: need a finite demand")
-    return [max(1, math.ceil(len(ods) * math.sqrt(n) * d / epsilon)) for n, d in ods]
+    return [max(1, math.ceil(_ratio(len(ods) * math.sqrt(n) * d, epsilon, f"K_w of OD pair {i}")))
+            for i, (n, d) in enumerate(ods)]
 
 
 def covering_number_simplex(n: int, d: float, epsilon: float) -> int:
@@ -121,24 +132,25 @@ def flow_polytope_cover(ods: Sequence[tuple[int, float]], epsilon: float) -> np.
     return np.array([np.concatenate(rows) for rows in itertools.product(*covers)])
 
 
-def _finalize(ln_gamma: float, beta: float, formula_id: str, zeta: Optional[float],
-              gamma_exact: Optional[int] = None) -> BoundReport:
+def _finalize(formula_id: str, ln_gamma: float, alpha: RiskLevel, delta: float, c: float, n: int, w: float,
+              zeta: Optional[float], gamma_exact: Optional[int] = None) -> BoundReport:
+    """The report of gamma exp(-beta N), beta = alpha delta^2 / (c n w^2), with N(zeta) given zeta."""
+    num, den = alpha.alpha * (delta * delta), c * n * (w * w)
+    beta = num / den if den else math.inf * num  # IEEE's num / +0: inf, or NaN (refused) at 0 / 0
+    if not (beta > 0 and math.isfinite(ln_gamma / beta)):
+        raise ValueError(f"no finite N brings gamma exp(-beta N) below 1: ln gamma = {ln_gamma}, beta = {beta}")
+    if zeta is not None and not 0 < zeta < 1:
+        raise ValueError("confidence parameter zeta must lie in (0, 1)")
+    n_samples = None if zeta is None else max(1, math.ceil(_ratio(ln_gamma - math.log(zeta), beta, "N(zeta)")))
     gamma = math.exp(ln_gamma) if ln_gamma < 700 else math.inf
-    report = BoundReport(
-        gamma=gamma, ln_gamma=ln_gamma, beta=beta, formula_id=formula_id, gamma_exact=gamma_exact
-    )
-    if zeta is not None:
-        if not 0 < zeta < 1:
-            raise ValueError("confidence parameter zeta must lie in (0, 1)")
-        report.n_samples = max(1, math.ceil((ln_gamma - math.log(zeta)) / beta))
-    return report
+    return BoundReport(gamma, ln_gamma, beta, formula_id, n_samples, gamma_exact)
 
 
 def _check_bound_inputs(n: int, delta: float, ell: float = 0.0, big_l: float = 1.0,
                         diam_x: float = math.inf, f_max: float = 1.0, g_rge: float = 1.0) -> None:
     """The checks shared by the three formulas; each passes what it reads, and the defaults pass."""
-    if n < 1:
-        raise ValueError("decision dimension must be positive")
+    if not 1 <= n <= 2**53:  # every formula also computes with n as a double
+        raise ValueError(f"decision dimension must be positive and at most 2^53, got {n}")
     if not (math.isfinite(ell) and math.isfinite(big_l)):
         raise ValueError(f"cost range [{ell}, {big_l}] must be finite")
     if not ell < big_l:
@@ -164,14 +176,11 @@ def exponential_bound_general(
     for name, value in (("Lipschitz constant M", m_lip), ("diam(X)", diam_x)):
         if not 0 < value < math.inf:  # gamma takes the log of 12 M diam / (delta alpha)
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    a = alpha.alpha
-    ln_gamma = (
-        math.log(6 * n)
-        + n * math.log(12.0 * m_lip * diam_x / (delta * a))
-        + _log_inv_ball_volume(n)
-    )
-    beta = a * delta**2 / (44.0 * n * (big_l - ell) ** 2)
-    return _finalize(ln_gamma, beta, "general", zeta)
+    base = _ratio(12.0 * m_lip * diam_x, delta * alpha.alpha, "12 M diam / (delta alpha)")
+    # The compact-set covering term, from vol(B) >= 2 pi^(n/2) / ceil(n/2)!, as in the printed formula.
+    ln_inv_ball = math.lgamma(math.ceil(n / 2) + 1) - math.log(2.0) - 0.5 * n * math.log(math.pi)
+    ln_gamma = math.log(6 * n) + n * math.log(base) + ln_inv_ball
+    return _finalize("general", ln_gamma, alpha, delta, 44.0, n, big_l - ell, zeta)
 
 
 def exponential_bound_separable(
@@ -183,10 +192,7 @@ def exponential_bound_separable(
     g_rge, f_max g_rge replaces the cost range L - l, and nothing depends
     on the size of the decision set."""
     _check_bound_inputs(n, delta, f_max=f_max, g_rge=g_rge)
-    a = alpha.alpha
-    ln_gamma = math.log(6 * n)
-    beta = a * delta**2 / (11.0 * n * (f_max * g_rge) ** 2)
-    return _finalize(ln_gamma, beta, "separable", zeta)
+    return _finalize("separable", math.log(6 * n), alpha, delta, 11.0, n, f_max * g_rge, zeta)
 
 
 def exponential_bound_routing(
@@ -200,15 +206,12 @@ def exponential_bound_routing(
     so one point covers each OD's simplex: its factor is 1."""
     if any(path_count < 1 for path_count in path_counts):
         raise ValueError(f"every OD pair needs a path, got path counts {list(path_counts)}")
-    w_count = len(path_counts)
-    p_total = sum(path_counts)
+    w_count, p_total = len(path_counts), sum(path_counts)
     _check_bound_inputs(p_total, delta, ell=ell, big_l=big_l)
     if not 0 <= m_lip < math.inf:  # NaN fails too
         raise ValueError(f"Lipschitz constant M must be finite and nonnegative, got {m_lip}")
-    a = alpha.alpha
     gamma_exact = 6 * p_total
-    for path_count in path_counts:
-        gamma_exact *= max(1, math.ceil(4.0 * m_lip * w_count * math.sqrt(path_count) / (delta * a)))
-    beta = a * delta**2 / (44.0 * p_total * (big_l - ell) ** 2)
-    ln_gamma = float(math.log(gamma_exact))
-    return _finalize(ln_gamma, beta, "routing", zeta, gamma_exact=gamma_exact)
+    for w, path_count in enumerate(path_counts):
+        factor = _ratio(4.0 * m_lip * w_count * math.sqrt(path_count), delta * alpha.alpha, f"gamma's factor of OD {w}")
+        gamma_exact *= max(1, math.ceil(factor))
+    return _finalize("routing", math.log(gamma_exact), alpha, delta, 44.0, p_total, big_l - ell, zeta, gamma_exact)

@@ -88,6 +88,10 @@ class ExperimentConfig:
     solver: ClassVar[str] = "lemke"
 
     def __post_init__(self):
+        # format_config writes network verbatim; parse_config cuts each line at '#' and strips it.
+        if "#" in self.network or len(self.network.splitlines()) > 1 or self.network != self.network.strip():
+            raise ConfigError(f"network {self.network!r} would not read back from config.cfg: "
+                              "it must hold no '#' or line break, and no surrounding whitespace")
         if self.replications < 200:
             raise ConfigError(f"need at least 200 replications, got {self.replications}")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
@@ -301,8 +305,9 @@ def run_experiment(
     which adds its region to the worker's table for its later blocks. A
     table never changes a flow's bits, so output bytes depend only on the
     configuration, never on `workers` (at least 1; 1 runs the grid in this
-    process). `progress(done, total)`, if given, is called once per
-    replication, as its block's records arrive, at any worker count.
+    process, and a pool starts no more workers than there are blocks).
+    `progress(done, total)`, if given, is called once per replication, as
+    its block's records arrive, at any worker count.
     Raises RuntimeError when more than 1% of replications fail.
     """
     if workers < 1:
@@ -330,7 +335,7 @@ def run_experiment(
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, initializer=_install_worker, initargs=shared))
+                ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_install_worker, initargs=shared))
             outcomes = pool.map(_run_block, *zip(*tasks))
         else:
             stack.callback(_install_worker, *(_worker or ()))  # puts back what was installed

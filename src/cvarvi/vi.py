@@ -24,7 +24,6 @@ __all__ = [
     "SimplexProduct",
     "ViSolution",
     "spectral_norm",
-    "project_simplex",
     "natural_residual",
     "extragradient_solve",
 ]
@@ -36,9 +35,10 @@ _EG_TOL = 1e-9
 _EG_MAX_ITER = 200000
 
 
-def project_simplex(y: np.ndarray, demand: float | np.ndarray) -> np.ndarray:
-    """Euclidean projection of y onto {h >= 0, sum(h) = demand}, row by row
-    for a stack of equal-length blocks with one demand each.
+def _project_blocks(blocks: np.ndarray, demand: np.ndarray, ranks: np.ndarray, zero_demand: bool) -> np.ndarray:
+    """Euclidean projection of each of a (..., n) stack of blocks onto
+    {h >= 0, sum(h) = demand}, with demand broadcast to (..., 1), float
+    ranks = arange(1, n + 1) and whether some demand is 0.
 
     Sort-threshold algorithm: sort, cumulative sums from the largest entry
     down, the last index k that passes the threshold test (the block length
@@ -46,15 +46,6 @@ def project_simplex(y: np.ndarray, demand: float | np.ndarray) -> np.ndarray:
     not depend on the order of tied entries; zero demand gives exactly 0,
     and a row holding a NaN (with nonzero demand) comes out all NaN.
     """
-    y = np.asarray(y, dtype=float)
-    rows = y.reshape(-1, y.shape[-1])
-    demand = np.asarray(demand, dtype=float).reshape(-1, 1)
-    return _project_blocks(rows, demand, np.arange(1.0, rows.shape[1] + 1), 0.0 in demand).reshape(y.shape)
-
-
-def _project_blocks(blocks: np.ndarray, demand: np.ndarray, ranks: np.ndarray, zero_demand: bool) -> np.ndarray:
-    """project_simplex of a (..., n) stack of blocks, with demand broadcast
-    to (..., 1), float ranks = arange(1, n + 1) and whether some demand is 0."""
     u = np.sort(blocks, axis=-1)[..., ::-1]
     # Thresholds t_j = (css_j - demand) / j; tau is t at the last passing index.
     t = np.add.accumulate(u, axis=-1)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvarvi.bounds import (
     covering_number_flow_polytope,
@@ -15,6 +17,7 @@ from cvarvi.bounds import (
     simplex_lattice_cover,
 )
 from cvarvi.cvar import RiskLevel
+from cvarvi.harness import ExperimentConfig, build_configured_game, routing_bound
 
 
 class TestPointwiseBound:
@@ -47,6 +50,16 @@ class TestPointwiseBound:
 
     def test_infinite_epsilon_is_zero(self):
         assert pointwise_deviation_bound(0.0, 1.0, RiskLevel(0.5), math.inf, 10) == 0.0
+
+    @pytest.mark.parametrize("ell, big_l, epsilon, term", [
+        (0.0, 1.0, 1e200, 0.0),  # epsilon^2 overflows, as epsilon = inf
+        (0.0, 1e200, 1.0, 6.0),  # (L - ell)^2 overflows
+        (0.0, 1e-200, 1.0, 0.0),  # (L - ell)^2 underflows to 0
+        (0.0, 1e200, 1e200, 6.0),  # both squares overflow: the exponent is inf / inf, the term vacuous
+        (0.0, 1e-200, 1e-200, 6.0),  # both squares underflow: 0 / 0
+    ])
+    def test_squares_leaving_the_double_range(self, ell, big_l, epsilon, term):
+        assert pointwise_deviation_bound(ell, big_l, RiskLevel(0.05), epsilon, 10) == term
 
 
 class TestCoveringNumbers:
@@ -360,3 +373,121 @@ class TestSampleSize:
             n=1, alpha=RiskLevel(0.5), f_max=1.0, g_rge=1.0, delta=1.0, zeta=6.0 / 6.0001
         )
         assert report.n_samples >= 1
+
+
+# Finite floats, with the magnitudes at which a square, a product or a
+# quotient leaves the double range put in by hand.
+EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 1e200, 1e-200, 1e-153, 1e-158, 2e-149, 1e-310, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 1.0, 2.0)
+REALS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+LEVELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from((5e-324, 1e-300, 0.05, 0.5))
+ZETAS = st.none() | REALS | st.sampled_from((0.05, 1e-300))
+COUNTS = st.integers(-1, 40) | st.sampled_from((2**53, 2**53 + 1, 10**400))
+
+
+def value_or_value_error(call):
+    """call(), or None where it raises ValueError; any other exception fails the test."""
+    try:
+        return call()
+    except ValueError:
+        return None
+
+
+def assert_rate(report, zeta):
+    """Some finite N brings gamma exp(-beta N) below 1, and N(zeta) is a count."""
+    assert report.beta > 0 and math.isfinite(report.ln_gamma / report.beta)
+    if zeta is not None:
+        assert type(report.n_samples) is int and report.n_samples >= 1
+
+
+class TestFiniteInputs:
+    """Every finite input gives a result or a ValueError, never another
+    exception: no square, product, quotient or count overflows into an
+    OverflowError or ZeroDivisionError. The explicit lattice covers are
+    left out, as their size is the covering number itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ell=REALS, big_l=REALS, alpha=LEVELS, epsilon=REALS, n_samples=COUNTS | st.integers(1, 10**12))
+    def test_pointwise(self, ell, big_l, alpha, epsilon, n_samples):
+        term = value_or_value_error(
+            lambda: pointwise_deviation_bound(ell, big_l, RiskLevel(alpha), epsilon, n_samples))
+        assert term is None or (type(term) is float and 0.0 <= term <= 6.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ods=st.lists(st.tuples(COUNTS.filter(lambda n: n < 8), REALS), max_size=3), epsilon=REALS)
+    def test_covering_numbers(self, ods, epsilon):
+        count = value_or_value_error(lambda: covering_number_flow_polytope(ods, epsilon))
+        assert count is None or (type(count) is int and count >= 1)
+        if len(ods) == 1:
+            assert value_or_value_error(lambda: covering_number_simplex(*ods[0], epsilon)) == count
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=COUNTS, alpha=LEVELS, ell=REALS, big_l=REALS, m_lip=REALS, diam_x=REALS, delta=REALS, zeta=ZETAS)
+    def test_general(self, n, alpha, ell, big_l, m_lip, diam_x, delta, zeta):
+        report = value_or_value_error(
+            lambda: exponential_bound_general(n, RiskLevel(alpha), ell, big_l, m_lip, diam_x, delta, zeta))
+        if report is not None:
+            assert_rate(report, zeta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=COUNTS, alpha=LEVELS, f_max=REALS, g_rge=REALS, delta=REALS, zeta=ZETAS)
+    def test_separable(self, n, alpha, f_max, g_rge, delta, zeta):
+        report = value_or_value_error(
+            lambda: exponential_bound_separable(n, RiskLevel(alpha), f_max, g_rge, delta, zeta))
+        if report is not None:
+            assert_rate(report, zeta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_counts=st.lists(COUNTS, max_size=4), alpha=LEVELS, ell=REALS, big_l=REALS,
+           m_lip=REALS | st.just(0.0), delta=REALS, zeta=ZETAS)
+    def test_routing(self, path_counts, alpha, ell, big_l, m_lip, delta, zeta):
+        report = value_or_value_error(
+            lambda: exponential_bound_routing(path_counts, RiskLevel(alpha), ell, big_l, m_lip, delta, zeta))
+        if report is not None:
+            assert_rate(report, zeta)
+            assert report.ln_gamma == math.log(report.gamma_exact)
+
+    @settings(max_examples=100, deadline=None)
+    @given(delta=REALS, zeta=ZETAS)
+    def test_routing_bound_of_the_default_game(self, default_game, delta, zeta):
+        report = value_or_value_error(lambda: routing_bound(default_game, delta, zeta))
+        if report is not None:
+            assert_rate(report, zeta)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: covering_number_flow_polytope([(3, 1e300)], 1e-300),
+         r"K_w of OD pair 0 = 1.7320508075688774e\+300 / 1e-300 overflows a double"),
+        (lambda: flow_polytope_cover([(3, 1e300)], 1e-300),
+         r"K_w of OD pair 0 = 1.7320508075688774e\+300 / 1e-300 overflows a double"),
+        (lambda: _routing(path_counts=[10, 10, 10], alpha=RiskLevel(0.05), delta=1e-310),
+         r"gamma's factor of OD 0 = 37.94733192202055 / 5e-312 overflows a double"),
+        (lambda: _routing(delta=5e-324), r"gamma's factor of OD 0 = 5.656854249492381 / 0.0 overflows a double"),
+        (lambda: _general(delta=5e-324), r"12 M diam / \(delta alpha\) = 12.0 / 0.0 overflows a double"),
+        (lambda: _general(big_l=1e200), r"no finite N brings gamma exp\(-beta N\) below 1: "
+                                        r"ln gamma = \S+, beta = 0.0"),
+        (lambda: _separable(alpha=RiskLevel(0.5), delta=1e-200),
+         r"no finite N brings gamma exp\(-beta N\) below 1: ln gamma = 1.791759469228055, beta = 0.0"),
+        # beta is positive, but ln gamma / beta overflows.
+        (lambda: _separable(alpha=RiskLevel(0.5), delta=1e-158),
+         r"no finite N brings gamma exp\(-beta N\) below 1: ln gamma = 1.791759469228055, beta = 4.5\d*e-318"),
+        # ln gamma / beta is finite, but (ln gamma - ln zeta) / beta overflows.
+        (lambda: _separable(alpha=RiskLevel(0.5), delta=1e-153, zeta=1e-300),
+         r"N\(zeta\) = \S+ / \S+ overflows a double"),
+        (lambda: _separable(n=2**53 + 1),
+         r"decision dimension must be positive and at most 2\^53, got 9007199254740993"),
+    ], ids=["cover-count", "cover-lattice", "routing-factor", "routing-subnormal-delta", "general-subnormal-delta",
+            "general-huge-range", "separable-beta-underflows", "separable-rate-overflows", "separable-n-zeta-overflows",
+            "separable-huge-n"])
+    def test_refused_with_what_overflowed(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_beta_overflowing_to_inf_needs_one_sample(self):
+        # alpha delta^2 overflows, or c n w^2 underflows to 0: the tail is 0 from N = 1.
+        for report in (_separable(delta=1e200, zeta=0.05), _separable(f_max=1e-200, g_rge=1e-200, zeta=0.05)):
+            assert (report.beta, report.n_samples, report.gamma) == (math.inf, 1, pytest.approx(6.0))
+
+
+@pytest.fixture(scope="module")
+def default_game():
+    return build_configured_game(ExperimentConfig())

@@ -169,6 +169,13 @@ class TestConfigParsing:
         assert parse_config(text) == config
         assert format_config(parse_config(text)) == text  # the float bits, -0.0 included
 
+    @pytest.mark.parametrize("network", ["/tmp/a#b/net.tntp", "net.tntp\nalpha = 0.5", "a\rb", " net.tntp",
+                                         "net.tntp\t", "net.tntp\u2028"])
+    def test_network_that_would_not_read_back_rejected(self, network):
+        # config.cfg writes network verbatim; parse_config cuts at '#', splits lines and strips.
+        with pytest.raises(ConfigError, match=f"^network {re.escape(repr(network))} would not read back"):
+            ExperimentConfig(network=network)
+
     def test_readme_default_block_is_the_dataclass_default(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("### Config format", 1)[1]
@@ -270,6 +277,33 @@ class TestExperiment:
         assert (seed, len(regions)) == (small_config.master_seed, 1)
         assert seen["tasks"][:2] == [(50, 0, range(0, 25)), (50, 0, range(25, 50))]
         assert len(seen["tasks"]) == 16
+        assert again.results_path.read_bytes() == small_result.results_path.read_bytes()
+
+    def test_pool_starts_no_more_workers_than_tasks(self, small_config, small_result, tmp_path, monkeypatch):
+        # A stand-in pool that records max_workers and runs the blocks here,
+        # so a huge worker count starts no process.
+        seen = {}
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen["max_workers"] = max_workers
+                self.initializer, self.initargs = initializer, initargs
+
+            def __enter__(self):
+                self.installed = harness._worker
+                self.initializer(*self.initargs)
+                return self
+
+            def __exit__(self, *exc_info):
+                harness._install_worker(*(self.installed or ()))
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        again = run_experiment(small_config, tmp_path, workers=10**6,
+                               cache_dir=small_result.results_path.parent / "cache")
+        assert seen["max_workers"] == 16  # 2 sample sizes x 8 blocks of 25 replications
         assert again.results_path.read_bytes() == small_result.results_path.read_bytes()
 
     def test_results_schema(self, small_config, small_result):
@@ -532,6 +566,40 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["general", "--n", "1", "--alpha", "0.5", "--ell", "0", "--big-l", "1e200", "--m", "1", "--diam", "1",
+          "--delta", "0.1"], r"no finite N brings gamma exp\(-beta N\) below 1: ln gamma = \S+, beta = 0.0"),
+        (["separable", "--n", "1", "--alpha", "0.5", "--f-max", "1", "--g-rge", "1", "--delta", "1e-200"],
+         r"no finite N brings gamma exp\(-beta N\) below 1: ln gamma = \S+, beta = 0.0"),
+        (["separable", "--n", "1", "--alpha", "0.5", "--f-max", "1", "--g-rge", "1", "--delta", "1e-158"],
+         r"no finite N brings gamma exp\(-beta N\) below 1: ln gamma = \S+, beta = 4.5\d*e-318"),
+        (["general", "--n", "1" + "0" * 400, "--alpha", "0.5", "--ell", "0", "--big-l", "1", "--m", "1",
+          "--diam", "1", "--delta", "0.1"], r"decision dimension must be positive and at most 2\^53, got 10{400}"),
+    ], ids=["general-range-squared-overflows", "separable-rate-underflows", "separable-rate-overflows-n",
+            "general-n-beyond-doubles"])
+    def test_bounds_beyond_the_double_range_is_an_error(self, args, message, capsys):
+        # Each printed an OverflowError or ZeroDivisionError traceback.
+        assert cli.main(["bounds", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(f"error: {message}\n", err)
+
+    @pytest.mark.parametrize("epsilon, commands", [("1e-200", ["bounds", "compare"]), ("2e-149", ["compare"])])
+    def test_epsilon_whose_rate_underflows_is_an_error(self, epsilon, commands, small_result, tmp_path, capsys):
+        # beta underflows to 0 at 1e-200; at 2e-149 ln gamma / beta overflows,
+        # where compare's "below 1 from N" line took the floor of inf.
+        run = small_result.results_path.parent
+        (tmp_path / "results.csv").write_bytes(small_result.results_path.read_bytes())
+        config_text = (run / "config.cfg").read_text()
+        assert "\nepsilon = 1.0\n" in config_text
+        (tmp_path / "config.cfg").write_text(config_text.replace("\nepsilon = 1.0\n", f"\nepsilon = {epsilon}\n"))
+        argv = {"bounds": ["bounds", "routing", "--config", str(tmp_path / "config.cfg")],
+                "compare": ["compare", "--output-dir", str(tmp_path)]}
+        for command in commands:
+            assert cli.main(argv[command]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and re.fullmatch(r"error: no finite N brings gamma exp\(-beta N\) below 1: "
+                                              r"ln gamma = \S+, beta = \S+\n", err)
 
     def test_bounds_sigma_epsilon_gives_delta(self, capsys):
         flags = ["bounds", "separable", "--n", "1", "--alpha", "0.05",

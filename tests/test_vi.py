@@ -9,9 +9,16 @@ from cvarvi.vi import (
     SimplexProduct,
     extragradient_solve,
     natural_residual,
-    project_simplex,
     spectral_norm,
 )
+
+
+def project_rows(y, demand):
+    """The projection of y onto {h >= 0, sum(h) = demand}, row by row for a
+    stack of equal-length rows with one demand each, through SimplexProduct."""
+    y = np.asarray(y, dtype=float)
+    blocks = [(y.shape[-1], d) for d in np.atleast_1d(demand)]
+    return SimplexProduct(blocks=blocks).project(y.ravel()).reshape(y.shape)
 
 
 def brute_force_simplex_projection(y, demand, grid=200):
@@ -36,14 +43,14 @@ def brute_force_simplex_projection(y, demand, grid=200):
 
 class TestSimplexProjection:
     def test_pinned_example(self):
-        out = project_simplex(np.array([1.0, 1.0, -2.0]), 1.0)
+        out = project_rows(np.array([1.0, 1.0, -2.0]), 1.0)
         assert out == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             y = rng.normal(size=3) * 2
-            exact = project_simplex(y, 1.0)
+            exact = project_rows(y, 1.0)
             approx = brute_force_simplex_projection(y, 1.0)
             assert np.linalg.norm(exact - approx) < 2e-2
 
@@ -53,7 +60,7 @@ class TestSimplexProjection:
         demand=st.floats(min_value=1e-6, max_value=100.0),
     )
     def test_feasibility_property(self, y, demand):
-        out = project_simplex(np.array(y), demand)
+        out = project_rows(np.array(y), demand)
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(demand, abs=1e-8 * (1 + demand))
 
@@ -71,18 +78,18 @@ class TestSimplexProjection:
         assert np.abs(sp.project(y + shift) - sp.project(y)).max() <= 1e-12 * scale
 
     def test_zero_demand(self):
-        assert project_simplex(np.array([3.0, -1.0]), 0.0) == pytest.approx([0.0, 0.0])
+        assert project_rows(np.array([3.0, -1.0]), 0.0) == pytest.approx([0.0, 0.0])
 
     @settings(max_examples=100, deadline=None)
     @given(y=st.lists(st.floats(-50, 50), min_size=2, max_size=8))
     def test_idempotent(self, y):
-        once = project_simplex(np.array(y), 1.0)
-        twice = project_simplex(once, 1.0)
+        once = project_rows(np.array(y), 1.0)
+        twice = project_rows(once, 1.0)
         assert np.linalg.norm(once - twice) < 1e-10
 
     def test_interior_point_fixed(self):
         x = np.array([0.2, 0.3, 0.5])
-        assert project_simplex(x, 1.0) == pytest.approx(x, abs=1e-14)
+        assert project_rows(x, 1.0) == pytest.approx(x, abs=1e-14)
 
 
 def loop_project_simplex(y, demand):
@@ -106,7 +113,7 @@ def block_values(n):
 
 
 class TestBatchedProjection:
-    """SimplexProduct groups equal-length blocks into one project_simplex
+    """SimplexProduct groups equal-length blocks into one projection-kernel
     call; every block must come out as its own projection, byte for byte."""
 
     @staticmethod
@@ -117,7 +124,7 @@ class TestBatchedProjection:
         for n, d in blocks:
             want = loop_project_simplex(y[start:start + n], d)
             assert got[start:start + n].tobytes() == want.tobytes(), (n, d, y[start:start + n])
-            assert project_simplex(y[start:start + n], d).tobytes() == want.tobytes()
+            assert project_rows(y[start:start + n], d).tobytes() == want.tobytes()
             start += n
 
     @settings(max_examples=300, deadline=None)
@@ -141,14 +148,14 @@ class TestBatchedProjection:
 
     def test_stack_of_rows(self):
         rows = np.array([[1.0, 1.0, -2.0], [1e20, 0.0, 1.0], [3.0, -1.0, 5.0]])
-        got = project_simplex(rows, np.array([1.0, 1.0, 0.0]))
+        got = project_rows(rows, np.array([1.0, 1.0, 0.0]))
         for row, d, out in zip(rows, [1.0, 1.0, 0.0], got):
             assert out.tobytes() == loop_project_simplex(row, d).tobytes()
         assert not got[2].any()
 
 
 def negate_and_sort_project(y, demand):
-    """Oracle: project_simplex as it was before the simplex product kept its
+    """Oracle: the simplex projection as it was before the simplex product kept its
     constants, negating before and after a stable sort."""
     y = np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
@@ -197,7 +204,7 @@ class TestProjectionMatchesNegateAndSort:
                 start += n
         stacked = np.round(rng.normal(size=(4, 6)))
         demands = np.array([0.0, 1.0, 2.0, 3.0])
-        assert project_simplex(stacked, demands).tobytes() == negate_and_sort_project(stacked, demands).tobytes()
+        assert project_rows(stacked, demands).tobytes() == negate_and_sort_project(stacked, demands).tobytes()
 
 
 def css_tau_project_blocks(blocks, demand, ranks, zero_demand):
