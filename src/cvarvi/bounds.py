@@ -84,6 +84,8 @@ def _lattice_sizes(ods: Sequence[tuple[int, float]], epsilon: float) -> list[int
     for i, (n, d) in enumerate(ods):
         if not (n >= 1 and d > 0):
             raise ValueError(f"OD pair {i} needs n >= 1 paths and demand d > 0, got n = {n}, d = {d}")
+        if not n <= 2**53:  # math.sqrt takes the count as a double
+            raise ValueError(f"OD pair {i} has {n} paths: need at most 2^53")
         if not d < math.inf:
             raise ValueError(f"OD pair {i} has demand {d}: need a finite demand")
     return [max(1, math.ceil(_ratio(len(ods) * math.sqrt(n) * d, epsilon, f"K_w of OD pair {i}")))
@@ -177,6 +179,8 @@ def exponential_bound_general(
         if not 0 < value < math.inf:  # gamma takes the log of 12 M diam / (delta alpha)
             raise ValueError(f"{name} must be finite and positive, got {value}")
     base = _ratio(12.0 * m_lip * diam_x, delta * alpha.alpha, "12 M diam / (delta alpha)")
+    if base == 0.0:  # 12 M diam underflowed, and gamma takes its log
+        raise ValueError(f"12 M diam / (delta alpha) underflows to 0 at M = {m_lip!r}, diam = {diam_x!r}")
     # The compact-set covering term, from vol(B) >= 2 pi^(n/2) / ceil(n/2)!, as in the printed formula.
     ln_inv_ball = math.lgamma(math.ceil(n / 2) + 1) - math.log(2.0) - 0.5 * n * math.log(math.pi)
     ln_gamma = math.log(6 * n) + n * math.log(base) + ln_inv_ball

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,42 +106,66 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
     return float(value), t_star
 
 
-def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alpha: float) -> np.ndarray:
-    """cvar_from_values' value of each row set's sum in each draw matrix, bit
-    for bit, without t*: an (R, U) array for draws of shape (R, E, N) and U
-    row sets, each a nonempty tuple of row indices. One (R, N) sum buffer is
-    reused for one row set at a time: the set's rows are added left to right
-    (a lone row plus 0.0), one partition moves the top ceil(alpha N) entries
-    of every sum row to its end, one sort orders those tails, and one
-    stacked product of the weights with the descending tails gives each
-    row's tail sum as its own dot product, with np.dot's bits; the boundary
-    term and the division by alpha run once over all values after the
-    loop. The draws stay unchanged; a zero value, whose sign depends on the
+def cvar_of_row_stream(rows: Iterator[np.ndarray], shape: tuple[int, int], row_sets: Sequence[tuple[int, ...]],
+                       schedule: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], alpha: float) -> np.ndarray:
+    """cvar_from_values' value of each row set's sum in each of R draw
+    matrices, bit for bit, without t*: an (R, U) array for U row sets, from
+    the matrices' rows, shape = (R, N) each, taken in order from `rows`.
+    schedule[i] = (due, done): when row i has arrived, the sets indexed by
+    due are reduced, then the rows in done are dropped; no other name holds
+    a row, so a dropped one is freed before the next arrives. One (R, N) sum
+    buffer is reused for one row set at a time: the set's rows are added
+    left to right (a lone row plus 0.0), one partition moves the top
+    ceil(alpha N) entries of every sum row to its end, one sort orders
+    those tails, and one stacked product of the weights with the descending
+    tails gives each row's tail sum as its own dot product, with np.dot's
+    bits; the boundary term and the division by alpha run once over the due
+    sets. The rows stay unchanged; a zero value, whose sign depends on the
     index order of tied +-0 sums, is recomputed by the sort route."""
-    draws = np.asarray(draws)
-    if draws.ndim != 3:
-        raise ValueError(f"draws of shape {draws.shape} is not a stack of draw matrices (R, E, N)")
-    n_reps, _, n = draws.shape
+    n_reps, n = shape
     k, mass_before = _tail_index(n, alpha)
     weights = np.full(k, 1.0 / n)
     sums = np.empty((n_reps, n))
-    dots = np.empty((len(row_sets), n_reps))
-    boundary = np.empty((len(row_sets), n_reps))
-    for rows, dot, bound in zip(row_sets, dots, boundary):
-        # + 0.0 changes only a -0.0
-        np.add(draws[:, rows[0]], draws[:, rows[1]] if len(rows) > 1 else 0.0, out=sums)
-        for row in rows[2:]:
-            np.add(sums, draws[:, row], out=sums)
-        sums.partition(n - k - 1, axis=1)
-        tail = sums[:, n - k:]
-        tail.sort(axis=1)
-        dot[:] = (weights @ np.ascontiguousarray(tail[:, ::-1])[..., None])[:, 0]
-        bound[:] = sums[:, n - k - 1]
-    values = (dots + (alpha - mass_before) * boundary) / alpha
-    for u, i in zip(*np.nonzero(values == 0.0)):
-        total = functools.reduce(np.add, [draws[i, row] for row in row_sets[u]])
-        values[u, i] = cvar_from_values(total, alpha)[0]
+    values = np.empty((len(row_sets), n_reps))
+    held = {}
+    for i, (due, done) in enumerate(schedule):
+        held[i] = next(rows)
+        if due:
+            dots, boundary = np.empty((2, len(due), n_reps))
+            for u, dot, bound in zip(due, dots, boundary):
+                set_rows = row_sets[u]
+                # + 0.0 changes only a -0.0
+                np.add(held[set_rows[0]], held[set_rows[1]] if len(set_rows) > 1 else 0.0, out=sums)
+                for row in set_rows[2:]:
+                    np.add(sums, held[row], out=sums)
+                sums.partition(n - k - 1, axis=1)
+                tail = sums[:, n - k:]
+                tail.sort(axis=1)
+                dot[:] = (weights @ np.ascontiguousarray(tail[:, ::-1])[..., None])[:, 0]
+                bound[:] = sums[:, n - k - 1]
+            due_values = (dots + (alpha - mass_before) * boundary) / alpha
+            for v, j in zip(*np.nonzero(due_values == 0.0)):
+                total = functools.reduce(np.add, [held[row][j] for row in row_sets[due[v]]])
+                due_values[v, j] = cvar_from_values(total, alpha)[0]
+            values[list(due)] = due_values
+        for row in done:
+            del held[row]
     return values.T
+
+
+def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alpha: float) -> np.ndarray:
+    """`cvar_of_row_stream` of a stack of draw matrices (R, E, N): an (R, U)
+    array. Its rows are views, so holding them frees nothing: every set is
+    reduced after the last row. The draws stay unchanged."""
+    draws = np.asarray(draws)
+    if draws.ndim != 3:
+        raise ValueError(f"draws of shape {draws.shape} is not a stack of draw matrices (R, E, N)")
+    n_reps, n_rows, n = draws.shape
+    # min() of an empty set raises too.
+    if row_sets and not 0 <= min(map(min, row_sets)) <= max(map(max, row_sets)) < n_rows:
+        raise ValueError(f"row sets {list(row_sets)} index rows outside 0..{n_rows - 1}")
+    schedule = [(tuple(range(len(row_sets))) if i == n_rows - 1 else (), ()) for i in range(n_rows)]
+    return cvar_of_row_stream((draws[:, r] for r in range(n_rows)), (n_reps, n), row_sets, schedule, alpha)
 
 
 def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:

@@ -376,7 +376,8 @@ def routing_bound(game: RoutingGame, delta: float, zeta: Optional[float] = None)
     top of the noise support.
     """
     a_mat = game.cost_matrix
-    m_lip = float(np.max(np.linalg.norm(a_mat, axis=1)))
+    with np.errstate(over="ignore"):  # a huge b_e: M = inf, which exponential_bound_routing refuses by name
+        m_lip = float(np.max(np.linalg.norm(a_mat, axis=1)))
     base = game.free_flow_costs
     demand_of_path = game.demands[game.path_set.od_of_path]
     noise_top = game.path_set.edge_incidence.T @ game.noise_hi

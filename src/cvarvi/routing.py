@@ -24,6 +24,7 @@ import functools
 import hashlib
 import heapq
 import math
+import operator
 import re
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -34,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import lcp as lcp_mod
-from .cvar import RiskLevel, cvar_of_row_sums
+from .cvar import RiskLevel, cvar_of_row_stream, cvar_of_row_sums
 from .vi import SimplexProduct, ViSolution, extragradient_solve, natural_residual, spectral_norm
 
 __all__ = [
@@ -444,6 +445,16 @@ class RoutingGame:
         return tuple(rows for rows in dict.fromkeys(self.path_noise_rows) if rows)
 
     @cached_property
+    def noise_schedule(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per noise_edges row, in draw order: the noise_row_sets (by index)
+        whose last row it is, and the rows whose last use those sets are."""
+        sets = self.noise_row_sets
+        last = [max(rows) for rows in sets]
+        use = [max(t for rows, t in zip(sets, last) if r in rows) for r in range(len(self.noise_edges))]
+        return tuple((tuple(u for u, t in enumerate(last) if t == i),
+                      tuple(r for r, t in enumerate(use) if t == i)) for i in range(len(use)))
+
+    @cached_property
     def cost_matrix(self) -> np.ndarray:
         """A = Q^T R Q, the Jacobian of the path-cost map."""
         q_inc = self.path_set.edge_incidence
@@ -560,21 +571,26 @@ _DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
 
 
 # Scratch of one sample_kappa_block pass in bytes: its draw matrices and the
-# reducer's one sum row per matrix. A pass always holds one of each.
+# reducer's one sum row per matrix. A key over it is drawn row by row.
 _KAPPA_BLOCK_BYTES = 1 << 21
+
+
+def _path_kappa(game: RoutingGame, values: np.ndarray) -> np.ndarray:
+    """Per-path kappa, (R, P), from the (R, U) CVaR values of R draws' sums
+    over game.noise_row_sets: each set's value is shared by the paths that
+    cross those edges; other paths get 0."""
+    kappa = np.zeros((len(values), game.path_set.n_paths))
+    column = {rows: u for u, rows in enumerate(game.noise_row_sets)}
+    noisy = [p for p, rows in enumerate(game.path_noise_rows) if rows]
+    kappa[:, noisy] = values[:, [column[game.path_noise_rows[p]] for p in noisy]]
+    return kappa
 
 
 def _kappa_from_noise(game: RoutingGame, draws: np.ndarray) -> np.ndarray:
     """Per-path empirical CVaR of noise sums, (R, P), for R edge-major draw
     matrices of shape (len(game.noise_edges), N): each of game.noise_row_sets
-    is summed in edge order and reduced once (`cvar_of_row_sums`), shared by
-    the paths that cross those edges; other paths get 0."""
-    kappa = np.zeros((len(draws), game.path_set.n_paths))
-    column = {rows: u for u, rows in enumerate(game.noise_row_sets)}
-    noisy = [p for p, rows in enumerate(game.path_noise_rows) if rows]
-    values = cvar_of_row_sums(draws, game.noise_row_sets, game.alpha.alpha)
-    kappa[:, noisy] = values[:, [column[game.path_noise_rows[p]] for p in noisy]]
-    return kappa
+    is summed in edge order and reduced once (`cvar_of_row_sums`)."""
+    return _path_kappa(game, cvar_of_row_sums(draws, game.noise_row_sets, game.alpha.alpha))
 
 
 def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
@@ -582,27 +598,37 @@ def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
     """`sample_path_kappa` of each stream key at one N, bit for bit, as an
     (R, P) array with one row per key.
 
-    The keys' draw matrices fill a reused (r, E, N) buffer, r at a time, and
-    are scaled to [0, hi - lo) by one multiply; all r are then reduced
-    together (`_kappa_from_noise`). r keeps the draws and the reducer's one
-    sum row per matrix within _KAPPA_BLOCK_BYTES, but for one of each. Each
-    path's sum of noise_lo over its noise edges is added after the
-    reduction, as CVaR is translation-equivariant.
+    A key takes one of two sources of the same bits, by whether its (E, N)
+    draw matrix and the reducer's sum row fit in _KAPPA_BLOCK_BYTES. If they
+    do, the keys' matrices fill a reused (r, E, N) buffer, r at a time within
+    the budget, are scaled to [0, hi - lo) by one multiply and are reduced
+    together (`_kappa_from_noise`). If not (the reference batch), the key's
+    rows are drawn one at a time from its stream and each scaled in place,
+    and the reducer holds a row only until its last use (game.noise_schedule;
+    no other name holds one). Each path's sum of noise_lo over its noise
+    edges is added after the reduction, as CVaR is translation-equivariant.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     keys = [tuple(key) for key in stream_keys]
     edges = game.noise_edges
     kappa = np.zeros((len(keys), game.path_set.n_paths))
-    if keys and len(edges):
-        per_key = 8 * n_samples * (len(edges) + 1)
-        draws = np.empty((max(1, min(len(keys), _KAPPA_BLOCK_BYTES // per_key)), len(edges), n_samples))
-        scale = (game.noise_hi - game.noise_lo)[edges][:, None]
+    widths = (game.noise_hi - game.noise_lo)[edges]
+    per_key = 8 * n_samples * (len(edges) + 1)
+    if per_key > _KAPPA_BLOCK_BYTES:
+        for out, key in zip(kappa, keys):
+            rng = replication_rng(seed, *key)
+            rows = (operator.imul(rng.random((1, n_samples)), width) for width in widths)
+            values = cvar_of_row_stream(rows, (1, n_samples), game.noise_row_sets, game.noise_schedule,
+                                        game.alpha.alpha)
+            out[:] = _path_kappa(game, values)[0]
+    elif keys:
+        draws = np.empty((min(len(keys), _KAPPA_BLOCK_BYTES // per_key), len(edges), n_samples))
         for start in range(0, len(keys), len(draws)):
             block = draws[:len(keys) - start]
             for matrix, key in zip(block, keys[start:]):
                 replication_rng(seed, *key).random(out=matrix)
-            block *= scale
+            block *= widths[:, None]
             kappa[start:start + len(block)] = _kappa_from_noise(game, block)
     kappa += game.path_set.edge_incidence[edges].T @ game.noise_lo[edges]
     return kappa

@@ -204,8 +204,9 @@ class TestCoverInputChecks:
         ([(3, 0.0)], 0.5, r"^OD pair 0 needs .*, d = 0.0$"),
         ([(2, math.inf)], 0.5, r"^OD pair 0 has demand inf: need a finite demand$"),
         ([(2, 1.0), (3, math.nan)], 0.5, r"^OD pair 1 needs .*, d = nan$"),
+        ([(2, 1.0), (10**400, 1.0)], 0.5, r"^OD pair 1 has 10{400} paths: need at most 2\^53$"),
     ], ids=["no-ods", "zero-eps", "nan-eps", "no-paths", "negative-demand", "zero-demand",
-            "infinite-demand", "nan-demand"])
+            "infinite-demand", "nan-demand", "paths-beyond-doubles"])
     def test_rejects(self, function, ods, epsilon, message):
         with pytest.raises(ValueError, match=message):
             function(ods, epsilon)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cvarvi.cvar import (
     RiskLevel,
     SampleBatch,
     cvar_from_values,
+    cvar_of_row_stream,
     cvar_of_row_sums,
     cvar_uniform_interval,
     empirical_cvar,
@@ -278,6 +280,50 @@ class TestReducerScratchBuffer:
     def test_empty_input_gives_an_empty_array(self, draws, row_sets, shape):
         got = cvar_of_row_sums(draws, row_sets, 0.05)
         assert got.shape == shape and got.dtype == np.float64
+
+
+class TestRowStream:
+    """Rows arrive one at a time; each is held until its last row set is reduced, and no longer."""
+
+    # (0, 1) is a prefix of (0, 1, 3); (2,) is a lone row; (1, 4) ends the stream.
+    ROW_SETS = [(0, 1, 3), (2,), (0, 1), (1, 4)]
+    # Per row: the sets its arrival completes, then the rows no later set reads.
+    SCHEDULE = [((), ()), ((2,), ()), ((1,), (2,)), ((0,), (0, 3)), ((3,), (1, 4))]
+    # Before row i arrives, the earlier rows some set still needs.
+    HELD_BEFORE = [set(), {0}, {0, 1}, {0, 1}, {1}]
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_rows_held_until_their_last_use(self, n):
+        data = np.random.default_rng(n + 3).uniform(0.0, 4.0, (5, 2, n))
+        data[:, 1] = np.round(data[:, 1])  # tied sums in the second matrix
+        refs, held_before = [], []
+
+        def stream():
+            for row in data:
+                held_before.append({i for i, ref in enumerate(refs) if ref() is not None})
+                fresh = row.copy()
+                refs.append(weakref.ref(fresh))
+                yield fresh
+                del fresh
+
+        got = cvar_of_row_stream(stream(), (2, n), self.ROW_SETS, self.SCHEDULE, 0.05)
+        assert held_before == self.HELD_BEFORE
+        assert all(ref() is None for ref in refs)
+        assert bits(got) == bits(cvar_of_row_sums(data.transpose(1, 0, 2), self.ROW_SETS, 0.05))
+        want = [[cvar_from_values((matrix[0] + matrix[1]) + matrix[3], 0.05)[0], cvar_from_values(matrix[2], 0.05)[0],
+                 cvar_from_values(matrix[0] + matrix[1], 0.05)[0], cvar_from_values(matrix[1] + matrix[4], 0.05)[0]]
+                for matrix in data.transpose(1, 0, 2)]
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("n_rows, row_sets, message", [
+        (2, [(0,), ()], "empty sequence"),
+        (2, [(0, 2)], r"^row sets \[\(0, 2\)\] index rows outside 0\.\.1$"),
+        (2, [(1,), (-1,)], r"^row sets \[\(1,\), \(-1,\)\] index rows outside 0\.\.1$"),
+        (0, [(0,)], r"^row sets \[\(0,\)\] index rows outside 0\.\.-1$"),
+    ], ids=["empty set", "past the rows", "negative", "no rows"])
+    def test_rejects_a_set_that_is_not_rows_of_the_stack(self, n_rows, row_sets, message):
+        with pytest.raises(ValueError, match=message):
+            cvar_of_row_sums(np.zeros((1, n_rows, 5)), row_sets, 0.05)
 
 
 class TestLpMemory:

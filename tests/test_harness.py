@@ -576,8 +576,10 @@ class TestCli:
          r"no finite N brings gamma exp\(-beta N\) below 1: ln gamma = \S+, beta = 4.5\d*e-318"),
         (["general", "--n", "1" + "0" * 400, "--alpha", "0.5", "--ell", "0", "--big-l", "1", "--m", "1",
           "--diam", "1", "--delta", "0.1"], r"decision dimension must be positive and at most 2\^53, got 10{400}"),
+        (["general", "--n", "1", "--alpha", "0.5", "--ell", "0", "--big-l", "1", "--m", "1e-320", "--diam", "1e-5",
+          "--delta", "1e-6"], r"12 M diam / \(delta alpha\) underflows to 0 at M = 1e-320, diam = 1e-05"),
     ], ids=["general-range-squared-overflows", "separable-rate-underflows", "separable-rate-overflows-n",
-            "general-n-beyond-doubles"])
+            "general-n-beyond-doubles", "general-gamma-base-underflows"])
     def test_bounds_beyond_the_double_range_is_an_error(self, args, message, capsys):
         # Each printed an OverflowError or ZeroDivisionError traceback.
         assert cli.main(["bounds", *args]) == 1
@@ -600,6 +602,22 @@ class TestCli:
             out, err = capsys.readouterr()
             assert out == "" and re.fullmatch(r"error: no finite N brings gamma exp\(-beta N\) below 1: "
                                               r"ln gamma = \S+, beta = \S+\n", err)
+
+    def test_routing_bound_of_a_huge_b_e_is_a_named_error(self, small_result, tmp_path):
+        # Squaring A's rows overflowed: numpy's RuntimeWarning came first (or,
+        # under this suite's warning filter, in place of the ValueError).
+        message = "Lipschitz constant M must be finite and nonnegative, got inf"
+        config_text = (small_result.results_path.parent / "config.cfg").read_text()
+        assert "\nb_e = 100.0\n" in config_text
+        config = parse_config(config_text.replace("\nb_e = 100.0\n", "\nb_e = 1e300\n"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            routing_bound(build_configured_game(config), 1.0)
+        (tmp_path / "results.csv").write_bytes(small_result.results_path.read_bytes())
+        (tmp_path / "config.cfg").write_text(format_config(config))
+        for args in (["bounds", "routing", "--config", str(tmp_path / "config.cfg")],
+                     ["compare", "--output-dir", str(tmp_path)]):
+            proc = self.run_cli(*args)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
     def test_bounds_sigma_epsilon_gives_delta(self, capsys):
         flags = ["bounds", "separable", "--n", "1", "--alpha", "0.05",

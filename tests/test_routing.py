@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls
 
 from cvarvi import lcp, routing
-from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_uniform_interval
+from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_of_row_stream, cvar_uniform_interval
 from cvarvi.harness import ExperimentConfig, build_configured_game, default_config_text, parse_config
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke, solve_lcp_qp
 from cvarvi.routing import (
@@ -874,8 +874,17 @@ class TestKappaBlock:
         with pytest.raises(ValueError, match="at least one sample"):
             sample_kappa_block(sioux_game, 0, 13, [(0,)])
 
-    def test_peak_memory_is_one_draw_matrix_and_one_sum_row(self, sioux_game):
+    def test_peak_memory_is_the_live_rows_and_one_sum_row(self, sioux_game):
+        # One key's matrix is over the budget, so its rows are drawn one at a
+        # time and each is dropped after its last use: at most 9 of the 13
+        # rows are held at once, and the whole matrix never is.
         n = 10**5
+        assert self.key_bytes(sioux_game, n) > routing._KAPPA_BLOCK_BYTES
+        held = most = 0
+        for _, done in sioux_game.noise_schedule:
+            most = max(most, held + 1)
+            held += 1 - len(done)
+        assert (most, held) == (9, 0)
         sample_path_kappa(sioux_game, n, 3)  # fills the per-(N, alpha) tail index cache
         tracemalloc.start()
         try:
@@ -883,10 +892,9 @@ class TestKappaBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        draw_matrix = 8 * n * len(sioux_game.noise_edges)
         # Slack: the tail weights and one sort buffer, each alpha N long, and 16 KiB.
         slack = 2 * 8 * int(0.05 * n) + 16 * 1024
-        assert draw_matrix < peak <= draw_matrix + 8 * n + slack
+        assert peak <= (most + 1) * 8 * n + slack
 
     @pytest.mark.parametrize("n", [1, 50, 5000])
     def test_noise_floor_added_after_the_reduction(self, sioux_game, n):
@@ -901,6 +909,53 @@ class TestKappaBlock:
         noisy = np.array([bool(rows) for rows in game.path_noise_rows])
         assert np.all(kappa[noisy] > sample_path_kappa(sioux_game, n, 21, 1, n)[noisy])
         assert not kappa[~noisy].any()
+
+
+class TestRowByRowSource:
+    """A key whose draw matrix is over the budget is drawn and reduced row by
+    row, with the bits of the matrix source."""
+
+    @pytest.fixture(scope="class", params=["sioux", "distinct rows", "noiseless", "noise floor"])
+    def game(self, request, sioux_game):
+        if request.param == "distinct rows":
+            return build_game(builtin_network(), OdSpec(pairs=[OdPair(12, 18, 200, 10)]), RiskLevel(0.05))
+        if request.param == "noiseless":
+            return build_game(builtin_network(), sioux_game.od_spec, RiskLevel(0.05), uncertain_nodes=())
+        if request.param == "noise floor":
+            lo = np.where(sioux_game.noise_hi > 0.0, 0.3 * sioux_game.noise_hi, 0.0)
+            return dataclasses.replace(sioux_game, noise_lo=lo)
+        return sioux_game
+
+    def test_schedule_reduces_each_set_at_its_last_row_and_drops_each_row_after_its_last_use(self, game):
+        sets, n_rows = game.noise_row_sets, len(game.noise_edges)
+        assert len(game.noise_schedule) == n_rows
+        for i, (due, done) in enumerate(game.noise_schedule):
+            assert due == tuple(u for u, rows in enumerate(sets) if max(rows) == i)
+            assert done == tuple(r for r in range(n_rows) if max(max(rows) for rows in sets if r in rows) == i)
+
+    @pytest.mark.parametrize("n", TestKappaBlock.SIZES)
+    def test_equals_the_matrix_source_bitwise(self, game, monkeypatch, n):
+        keys = [(4, rep) for rep in range(3)]
+        passes = []
+        original = routing._kappa_from_noise
+        monkeypatch.setattr(routing, "_kappa_from_noise", lambda g, draws: passes.append(1) or original(g, draws))
+        want = sample_kappa_block(game, n, 17, keys)
+        assert passes  # at the default budget, these N take the matrix source
+        passes.clear()
+        monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 8 * n * len(game.noise_edges) - 1)
+        assert sample_kappa_block(game, n, 17, keys).tobytes() == want.tobytes()
+        assert not passes
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 50, 500, 5000])
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_tied_draws_bitwise(self, sioux_game, n, decimals):
+        # Each row a fresh (1, N) array, as the row source draws it.
+        draws = np.round(same_draws(sioux_game, n, 9, n), decimals)
+        values = cvar_of_row_stream((row[None].copy() for row in draws), (1, n), sioux_game.noise_row_sets,
+                                    sioux_game.noise_schedule, 0.05)
+        kappa = routing._path_kappa(sioux_game, values)[0]
+        assert kappa.tobytes() == routing._kappa_from_noise(sioux_game, draws[None])[0].tobytes()
+        assert kappa.tobytes() == sort_route_kappa(sioux_game, draws).tobytes()
 
 
 def below_the_margin_kappa(game, table):
