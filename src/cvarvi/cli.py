@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_estimate(args) -> int:
     text = sys.stdin.read() if args.samples == "-" else Path(args.samples).read_text()
-    rows = read_table(text, ("value",), "stdin" if args.samples == "-" else args.samples)
-    batch = SampleBatch(values=[float(value) for (value,) in rows])
+    rows = read_table(text, ("value",), "stdin" if args.samples == "-" else args.samples, (float,))
+    batch = SampleBatch(values=[value for (value,) in rows])
     alpha = RiskLevel(args.alpha)
     est = empirical_cvar_lp(batch, alpha) if args.method == "lp" else empirical_cvar(batch, alpha)
     sys.stdout.write(format_table(("cvar", "t_star"), [(est.value, est.t_star)]))

@@ -4,7 +4,7 @@ The empirical CVaR is the minimum over t of the piecewise-linear convex
 objective t + (1/(N*alpha)) * sum([v_j - t]_+). We solve it exactly by the
 order-statistic closed form: the mean of the worst alpha-fraction, with an
 interpolated term when N*alpha is fractional. Per-path offsets select that
-top-ceil(alpha N) tail in O(N) per path, bitwise equal to sorting all N
+top-ceil(alpha N) tail in O(N) per row set, bitwise equal to sorting all N
 draws. A linear-programming route, `empirical_cvar_lp`, is provided for
 cross-checking; it is the package's only user of SciPy and imports
 SciPy's optimizer on its first call.
@@ -70,17 +70,10 @@ class CvarEstimate:
 def _tail_index(n: int, alpha: float) -> tuple[int, float]:
     """First index k at which n equal draws' descending tail mass reaches alpha, and the mass before k.
 
-    The masses are the running sums of 1/n. Only a prefix of them is formed,
-    doubled until it reaches alpha: a running sum's prefix is the same
-    whatever follows it, and the reference batch holds its draws meanwhile."""
-    head = min(n, int(alpha * n) + 2)
-    while True:
-        cum = np.cumsum(np.full(head, 1.0 / n))
-        k = int(np.searchsorted(cum, alpha - _PROB_TOL, side="left"))
-        if k < head or head == n:
-            break
-        head = min(n, 2 * head)
-    k = min(k, n - 1)
+    The masses are all n running sums of 1/n; the reducer asks before it
+    takes a row, so they never coincide with a held batch."""
+    cum = np.cumsum(np.full(n, 1.0 / n))
+    k = min(int(np.searchsorted(cum, alpha - _PROB_TOL, side="left")), n - 1)
     return k, float(cum[k - 1]) if k > 0 else 0.0
 
 
@@ -151,21 +144,6 @@ def cvar_of_row_stream(rows: Iterator[np.ndarray], shape: tuple[int, int], row_s
         for row in done:
             del held[row]
     return values.T
-
-
-def cvar_of_row_sums(draws: np.ndarray, row_sets: Sequence[tuple[int, ...]], alpha: float) -> np.ndarray:
-    """`cvar_of_row_stream` of a stack of draw matrices (R, E, N): an (R, U)
-    array. Its rows are views, so holding them frees nothing: every set is
-    reduced after the last row. The draws stay unchanged."""
-    draws = np.asarray(draws)
-    if draws.ndim != 3:
-        raise ValueError(f"draws of shape {draws.shape} is not a stack of draw matrices (R, E, N)")
-    n_reps, n_rows, n = draws.shape
-    # min() of an empty set raises too.
-    if row_sets and not 0 <= min(map(min, row_sets)) <= max(map(max, row_sets)) < n_rows:
-        raise ValueError(f"row sets {list(row_sets)} index rows outside 0..{n_rows - 1}")
-    schedule = [(tuple(range(len(row_sets))) if i == n_rows - 1 else (), ()) for i in range(n_rows)]
-    return cvar_of_row_stream((draws[:, r] for r in range(n_rows)), (n_reps, n), row_sets, schedule, alpha)
 
 
 def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:

@@ -273,9 +273,8 @@ _RESULTS_HEADER = ("n_samples", "rep", "deviation", "residual", "status")
 
 def read_results_csv(path) -> list[RepRecord]:
     """The replication records of a results.csv that `run_experiment` wrote."""
-    rows = read_table(Path(path).read_text(), _RESULTS_HEADER, str(path))
-    return [RepRecord(int(n), int(rep), float(dev), float(res), status)
-            for n, rep, dev, res, status in rows]
+    rows = read_table(Path(path).read_text(), _RESULTS_HEADER, str(path), (int, int, float, float, str))
+    return [RepRecord(*row) for row in rows]
 
 
 def run_experiment(

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import lcp as lcp_mod
-from .cvar import RiskLevel, cvar_of_row_stream, cvar_of_row_sums
+from .cvar import RiskLevel, cvar_of_row_stream
 from .vi import SimplexProduct, ViSolution, extragradient_solve, natural_residual, spectral_norm
 
 __all__ = [
@@ -571,7 +571,7 @@ _DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
 
 
 # Scratch of one sample_kappa_block pass in bytes: its draw matrices and the
-# reducer's one sum row per matrix. A key over it is drawn row by row.
+# reducer's one sum row per matrix. A key over it is a pass of its own.
 _KAPPA_BLOCK_BYTES = 1 << 21
 
 
@@ -586,50 +586,47 @@ def _path_kappa(game: RoutingGame, values: np.ndarray) -> np.ndarray:
     return kappa
 
 
-def _kappa_from_noise(game: RoutingGame, draws: np.ndarray) -> np.ndarray:
-    """Per-path empirical CVaR of noise sums, (R, P), for R edge-major draw
-    matrices of shape (len(game.noise_edges), N): each of game.noise_row_sets
-    is summed in edge order and reduced once (`cvar_of_row_sums`)."""
-    return _path_kappa(game, cvar_of_row_sums(draws, game.noise_row_sets, game.alpha.alpha))
-
-
 def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
                        stream_keys: Sequence[Sequence[int]]) -> np.ndarray:
     """`sample_path_kappa` of each stream key at one N, bit for bit, as an
     (R, P) array with one row per key.
 
-    A key takes one of two sources of the same bits, by whether its (E, N)
-    draw matrix and the reducer's sum row fit in _KAPPA_BLOCK_BYTES. If they
-    do, the keys' matrices fill a reused (r, E, N) buffer, r at a time within
-    the budget, are scaled to [0, hi - lo) by one multiply and are reduced
-    together (`_kappa_from_noise`). If not (the reference batch), the key's
-    rows are drawn one at a time from its stream and each scaled in place,
-    and the reducer holds a row only until its last use (game.noise_schedule;
-    no other name holds one). Each path's sum of noise_lo over its noise
-    edges is added after the reduction, as CVaR is translation-equivariant.
+    Each pass makes one `cvar_of_row_stream` call on its keys' rows. Keys
+    whose (E, N) draw matrix and the reducer's sum row fit in
+    _KAPPA_BLOCK_BYTES are stacked: their matrices fill a reused (r, E, N)
+    buffer, r at a time, are scaled to [0, hi - lo) by one multiply and go
+    in as views of its rows, every set due at the last row (holding a view
+    frees nothing). A larger key (the reference batch) is a pass of its
+    own: its rows are drawn one at a time and each scaled in place, and the
+    reducer holds a row only until its last use (game.noise_schedule; no
+    other name holds one). Each path's sum of noise_lo over its noise edges
+    is added after the reduction, as CVaR is translation-equivariant.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     keys = [tuple(key) for key in stream_keys]
-    edges = game.noise_edges
+    edges, sets = game.noise_edges, game.noise_row_sets
     kappa = np.zeros((len(keys), game.path_set.n_paths))
     widths = (game.noise_hi - game.noise_lo)[edges]
     per_key = 8 * n_samples * (len(edges) + 1)
-    if per_key > _KAPPA_BLOCK_BYTES:
-        for out, key in zip(kappa, keys):
-            rng = replication_rng(seed, *key)
-            rows = (operator.imul(rng.random((1, n_samples)), width) for width in widths)
-            values = cvar_of_row_stream(rows, (1, n_samples), game.noise_row_sets, game.noise_schedule,
-                                        game.alpha.alpha)
-            out[:] = _path_kappa(game, values)[0]
-    elif keys:
-        draws = np.empty((min(len(keys), _KAPPA_BLOCK_BYTES // per_key), len(edges), n_samples))
-        for start in range(0, len(keys), len(draws)):
-            block = draws[:len(keys) - start]
+    stacked, step = per_key <= _KAPPA_BLOCK_BYTES, max(1, _KAPPA_BLOCK_BYTES // per_key)
+    schedule = game.noise_schedule
+    if stacked:
+        draws = np.empty((min(len(keys), step), len(edges), n_samples))
+        schedule = [(tuple(range(len(sets))) if i == len(edges) - 1 else (), ()) for i in range(len(edges))]
+    for start in range(0, len(keys), step):
+        shape = (min(step, len(keys) - start), n_samples)
+        if stacked:
+            block = draws[:shape[0]]
             for matrix, key in zip(block, keys[start:]):
                 replication_rng(seed, *key).random(out=matrix)
             block *= widths[:, None]
-            kappa[start:start + len(block)] = _kappa_from_noise(game, block)
+            rows = (block[:, i] for i in range(len(edges)))
+        else:
+            rng = replication_rng(seed, *keys[start])
+            rows = (operator.imul(rng.random((1, n_samples)), width) for width in widths)
+        values = cvar_of_row_stream(rows, shape, sets, schedule, game.alpha.alpha)
+        kappa[start:start + shape[0]] = _path_kappa(game, values)
     kappa += game.path_set.edge_incidence[edges].T @ game.noise_lo[edges]
     return kappa
 

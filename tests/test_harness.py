@@ -515,6 +515,11 @@ class TestCli:
         assert proc.returncode == 1
         assert "error" in proc.stderr
 
+    def test_estimate_names_the_line_of_a_malformed_number(self):
+        proc = self.run_cli("estimate", "-", "--alpha", "0.5", stdin="value\n1\nabc\n")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: stdin, line 3: could not convert string to float: 'abc'\n"
+
     def test_usage_error(self):
         proc = self.run_cli("frobnicate")
         assert proc.returncode == 2
@@ -754,6 +759,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: no config at {tmp_path / 'config.cfg'}; run `cvarvi experiment` first\n"
+
+    def test_compare_names_the_line_of_a_malformed_number(self, small_result, tmp_path, capsys):
+        run = small_result.results_path.parent
+        lines = run.joinpath("results.csv").read_text().splitlines(keepends=True)
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:2] + ["x1"] + cells[3:])
+        (tmp_path / "results.csv").write_text("".join(lines))
+        (tmp_path / "config.cfg").write_bytes(run.joinpath("config.cfg").read_bytes())
+        assert cli.main(["compare", "--output-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / 'results.csv'}, line 4: could not convert string to float: 'x1'\n"
 
     def test_compare_config_flag_is_gone(self, small_result, capsys):
         with pytest.raises(SystemExit) as exit_info:

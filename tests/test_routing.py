@@ -762,6 +762,31 @@ def sort_route_kappa(game, draws):
     return kappa
 
 
+def stack_schedule(game):
+    """The stacked source's schedule: every row set due at the last row, no row dropped."""
+    n_rows = len(game.noise_edges)
+    return [(tuple(range(len(game.noise_row_sets))) if i == n_rows - 1 else (), ()) for i in range(n_rows)]
+
+
+def stacked_kappa(game, draws):
+    """kappa of one edge-major draw matrix as the stacked source reduces it: one call on views of its rows."""
+    values = cvar_of_row_stream((row[None] for row in draws), (1, draws.shape[1]), game.noise_row_sets,
+                                stack_schedule(game), game.alpha.alpha)
+    return routing._path_kappa(game, values)[0]
+
+
+def spy_on_reducer(monkeypatch):
+    """The (R, schedule) of each cvar_of_row_stream call sample_kappa_block makes from now on."""
+    calls, original = [], routing.cvar_of_row_stream
+
+    def spy(rows, shape, row_sets, schedule, alpha):
+        calls.append((shape[0], list(schedule)))
+        return original(rows, shape, row_sets, schedule, alpha)
+
+    monkeypatch.setattr(routing, "cvar_of_row_stream", spy)
+    return calls
+
+
 def same_draws(game, n, seed, *stream_key):
     rng = routing.replication_rng(seed, *stream_key)
     lo, hi = game.noise_lo[game.noise_edges], game.noise_hi[game.noise_edges]
@@ -779,7 +804,7 @@ class TestKappaSelectionMatchesSort:
     @pytest.mark.parametrize("decimals", [0, 1])
     def test_tied_draws_bitwise(self, sioux_game, n, decimals):
         draws = np.round(same_draws(sioux_game, n, 9, n), decimals)
-        kappa = routing._kappa_from_noise(sioux_game, draws[None])[0]
+        kappa = stacked_kappa(sioux_game, draws)
         assert kappa.tobytes() == sort_route_kappa(sioux_game, draws).tobytes()
 
     def test_reference_bitwise(self, sioux_game):
@@ -822,12 +847,12 @@ class TestSharedRowsReducedOnce:
     @pytest.mark.parametrize("n", [1, 50, 5000])
     @pytest.mark.parametrize("game_name, repeats",
                              [("sioux_game", 3), ("distinct_game", 0), ("noiseless_game", 0)])
-    def test_equals_per_path_loop_bitwise(self, request, monkeypatch, game_name, repeats, n):
+    def test_equals_per_path_loop_bitwise(self, request, game_name, repeats, n):
         game = request.getfixturevalue(game_name)
         assert self.repeated_rows(game) == repeats
+        assert not game.noise_lo.any()  # the draws below carry no floor to add
         kappa = sample_path_kappa(game, n, 5, 1, n)
-        monkeypatch.setattr(routing, "_kappa_from_noise", per_path_kappa)
-        assert kappa.tobytes() == sample_path_kappa(game, n, 5, 1, n).tobytes()
+        assert kappa.tobytes() == per_path_kappa(game, same_draws(game, n, 5, 1, n)[None])[0].tobytes()
 
 
 class TestKappaBlock:
@@ -845,7 +870,9 @@ class TestKappaBlock:
         want = np.array([sample_path_kappa(sioux_game, n, 13, *key) for key in keys])
         # Two keys per pass, so the five keys cross two pass boundaries.
         monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 2 * self.key_bytes(sioux_game, n) + 8 * n)
+        calls = spy_on_reducer(monkeypatch)
         got = sample_kappa_block(sioux_game, n, 13, keys)
+        assert calls == [(r, stack_schedule(sioux_game)) for r in (2, 2, 1)]
         assert got.shape == (5, sioux_game.path_set.n_paths)
         assert got.tobytes() == want.tobytes()
         sorted_route = [sort_route_kappa(sioux_game, same_draws(sioux_game, n, 13, *key)) for key in keys]
@@ -856,16 +883,10 @@ class TestKappaBlock:
         # A byte short of two keys' draw matrices and sum rows: three passes of one key.
         keys = [(2, rep) for rep in range(3)]
         want = sample_kappa_block(sioux_game, n, 13, keys)
-        original, passes = routing._kappa_from_noise, []
-
-        def spy(game, draws):
-            passes.append(len(draws))
-            return original(game, draws)
-
         monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 2 * self.key_bytes(sioux_game, n) - 1)
-        monkeypatch.setattr(routing, "_kappa_from_noise", spy)
+        calls = spy_on_reducer(monkeypatch)
         assert sample_kappa_block(sioux_game, n, 13, keys).tobytes() == want.tobytes()
-        assert passes == [1, 1, 1]
+        assert calls == [(1, stack_schedule(sioux_game))] * 3
 
     def test_no_keys_and_no_noise(self, sioux_game):
         assert sample_kappa_block(sioux_game, 50, 13, []).shape == (0, sioux_game.path_set.n_paths)
@@ -936,15 +957,14 @@ class TestRowByRowSource:
     @pytest.mark.parametrize("n", TestKappaBlock.SIZES)
     def test_equals_the_matrix_source_bitwise(self, game, monkeypatch, n):
         keys = [(4, rep) for rep in range(3)]
-        passes = []
-        original = routing._kappa_from_noise
-        monkeypatch.setattr(routing, "_kappa_from_noise", lambda g, draws: passes.append(1) or original(g, draws))
+        calls = spy_on_reducer(monkeypatch)
         want = sample_kappa_block(game, n, 17, keys)
-        assert passes  # at the default budget, these N take the matrix source
-        passes.clear()
+        # At the default budget these N take the matrix source: one pass for the three keys.
+        assert calls == [(3, stack_schedule(game))]
+        calls.clear()
         monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 8 * n * len(game.noise_edges) - 1)
         assert sample_kappa_block(game, n, 17, keys).tobytes() == want.tobytes()
-        assert not passes
+        assert calls == [(1, list(game.noise_schedule))] * 3
 
     @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 50, 500, 5000])
     @pytest.mark.parametrize("decimals", [0, 1])
@@ -954,7 +974,7 @@ class TestRowByRowSource:
         values = cvar_of_row_stream((row[None].copy() for row in draws), (1, n), sioux_game.noise_row_sets,
                                     sioux_game.noise_schedule, 0.05)
         kappa = routing._path_kappa(sioux_game, values)[0]
-        assert kappa.tobytes() == routing._kappa_from_noise(sioux_game, draws[None])[0].tobytes()
+        assert kappa.tobytes() == stacked_kappa(sioux_game, draws).tobytes()
         assert kappa.tobytes() == sort_route_kappa(sioux_game, draws).tobytes()
 
 
