@@ -177,7 +177,11 @@ def solve_lcp_qp(lcp: AffineLcp) -> LcpSolution:
     by extragradient iteration on the equivalent orthant VI, from x = 0.
 
     For monotone M the iteration converges to an LCP solution, at which the
-    gap objective attains its minimum of zero.
+    gap objective attains its minimum of zero, but on a skew M (that of an
+    uncongested routing game, b_e = 0) it can stall short of the gap
+    tolerance and raise RuntimeError after _QP_MAX_ITER steps: kappa-hat key
+    (0, 121) at N = 50 of the default config with b_e = 0 does, where Lemke
+    takes 7 pivots.
     """
     m_mat, q = lcp.m_mat, lcp.q_vec
     lip = spectral_norm(m_mat)

@@ -13,6 +13,7 @@ natural residual ||x - proj(x - F(x))|| vanishes at solutions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -35,6 +36,16 @@ _EG_TOL = 1e-9
 _EG_MAX_ITER = 200000
 
 
+@functools.lru_cache(maxsize=64)
+def _last_entries(shape: tuple[int, ...]) -> np.ndarray:
+    """The flat index of each block's last entry in a C-ordered (..., n)
+    stack of the shape, as a read-only (..., 1) table."""
+    n = shape[-1]
+    table = np.arange(n - 1, math.prod(shape), n).reshape(shape[:-1] + (1,))
+    table.flags.writeable = False
+    return table
+
+
 def _project_blocks(blocks: np.ndarray, demand: np.ndarray, ranks: np.ndarray, zero_demand: bool) -> np.ndarray:
     """Euclidean projection of each of a (..., n) stack of blocks onto
     {h >= 0, sum(h) = demand}, with demand broadcast to (..., 1), float
@@ -51,12 +62,10 @@ def _project_blocks(blocks: np.ndarray, demand: np.ndarray, ranks: np.ndarray, z
     t = np.add.accumulate(u, axis=-1)
     t -= demand
     t /= ranks
-    n = len(ranks)
     # Under gradual underflow u > t exactly when u - t > 0, NaN included.
     # argmax finds the first True of the reversed rows, and 0 when none is.
-    back = np.argmax((u > t)[..., ::-1], axis=-1, keepdims=True)
-    last = np.arange(n - 1, t.size, n).reshape(back.shape) - back  # flat index into t
-    out = blocks - t.ravel()[last]
+    back = (u > t)[..., ::-1].argmax(axis=-1, keepdims=True)
+    out = blocks - t.ravel()[_last_entries(t.shape) - back]  # flat index into t
     np.maximum(out, 0.0, out=out)
     if zero_demand:
         np.copyto(out, 0.0, where=demand == 0.0)
@@ -138,11 +147,11 @@ class SimplexProduct:
 
     def project(self, y):
         y = _check_dimension(y, self.dimension, stacked=True)
-        points = y.reshape(-1, self.dimension)  # a point is a stack of one
         coords, demand, ranks, zero_demand = self._groups[0]
         if coords is None:  # the only group: its blocks are a reshape view of the points
-            blocks = points.reshape(len(points), len(demand), len(ranks))
+            blocks = y.reshape(-1, len(demand), len(ranks))  # a point is a stack of one
             return _project_blocks(blocks, demand, ranks, zero_demand).reshape(y.shape)
+        points = y.reshape(-1, self.dimension)
         out = np.empty(points.shape)
         for coords, demand, ranks, zero_demand in self._groups:
             out[:, coords] = _project_blocks(points[:, coords], demand, ranks, zero_demand)

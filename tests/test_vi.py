@@ -283,6 +283,37 @@ class TestStackedPoints:
                 method(np.zeros((1, 1, 2)))
 
 
+class TestLastEntryTable:
+    """The kernel's index table, cached per stack shape, gives every row of
+    stacks of changing height its one-point and its oracle bits; an empty
+    stack is one the block certificate projects when no row passes."""
+
+    @pytest.mark.parametrize("blocks", [[(10, 300.0), (10, 600.0), (10, 200.0)],
+                                        [(3, 2.0), (5, 0.0), (3, 1.0), (1, 4.0)]])
+    def test_stacks_of_changing_height(self, blocks):
+        sp = SimplexProduct(blocks=blocks)
+        rng = np.random.default_rng(11)
+        for m in (0, 1, 2, 25, 2, 0, 1):
+            ys = rng.normal(size=(m, sp.dimension)) * 100
+            ys[1::2] = np.round(ys[1::2] / 100)  # ties
+            got = sp.project(ys)
+            assert got.shape == ys.shape
+            assert got.tobytes() == np.array([sp.project(y) for y in ys]).reshape(ys.shape).tobytes()
+            start = 0
+            for n, d in blocks:
+                want = negate_and_sort_project(ys[:, start:start + n], np.full(m, d))
+                assert got[:, start:start + n].tobytes() == want.tobytes(), (m, n, d)
+                start += n
+
+    def test_cached_table_is_read_only(self):
+        SimplexProduct(blocks=[(10, 300.0), (10, 600.0), (10, 200.0)]).project(np.zeros((2, 30)))
+        table = vi._last_entries((2, 3, 10))
+        assert table is vi._last_entries((2, 3, 10))
+        assert table.tolist() == [[[9], [19], [29]], [[39], [49], [59]]]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0
+
+
 class TestFeasibleSets:
     def test_box_project_rows_equal_one_point_calls(self):
         box = Box(lo=[0.0, -1.0, 2.0], hi=[1.0, 1.0, 2.0])
