@@ -3,11 +3,13 @@
 The empirical CVaR is the minimum over t of the piecewise-linear convex
 objective t + (1/(N*alpha)) * sum([v_j - t]_+). We solve it exactly by the
 order-statistic closed form: the mean of the worst alpha-fraction, with an
-interpolated term when N*alpha is fractional. Per-path offsets select that
-top-ceil(alpha N) tail in O(N) per row set, bitwise equal to sorting all N
-draws. A linear-programming route, `empirical_cvar_lp`, is provided for
-cross-checking; it is the package's only user of SciPy and imports
-SciPy's optimizer on its first call.
+interpolated term when N*alpha is fractional. The tail is summed in
+ascending order by numpy's pairwise `np.add.reduce` and divided by N once,
+with no BLAS call, so the bits do not depend on the BLAS thread count.
+Per-path offsets select that top-ceil(alpha N) tail in O(N) per row set,
+bitwise equal to sorting all N draws. A linear-programming route,
+`empirical_cvar_lp`, is provided for cross-checking; it is the package's
+only user of SciPy and imports SciPy's optimizer on its first call.
 """
 
 from __future__ import annotations
@@ -81,21 +83,18 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
     """Empirical CVaR (value, t*) of raw draws at level alpha.
 
     The value is the mean of the upper-alpha tail: sort the draws
-    descending, accumulate mass 1/N per draw until alpha is reached,
-    splitting the boundary draw proportionally. t* is the smallest draw v
-    with P(Z <= v) >= 1 - alpha.
+    descending, take mass 1/N per draw until alpha is reached (the tail's
+    ascending pairwise sum over N), splitting the boundary draw
+    proportionally. t* is the smallest draw v with P(Z <= v) >= 1 - alpha.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
-    probs = np.full(n, 1.0 / n)
-    order = np.argsort(-values, kind="stable")
-    v = values[order]
+    v = values[np.argsort(-values, kind="stable")]
     k, mass_before = _tail_index(n, alpha)
-    value = (float(np.dot(probs[:k], v[:k])) + (alpha - mass_before) * v[k]) / alpha
-
+    # The tail in ascending order, as cvar_of_row_stream sums it; empty when k = 0.
+    value = (np.add.reduce(v[:k][::-1]) / n + (alpha - mass_before) * v[k]) / alpha
     # Left-side (1 - alpha)-quantile from the ascending CDF.
-    j = min(int(np.searchsorted(np.cumsum(probs), 1.0 - alpha - _PROB_TOL, side="left")), n - 1)
-    t_star = float(v[n - 1 - j])
+    t_star = float(v[n - 1 - _tail_index(n, 1.0 - alpha)[0]])
     return float(value), t_star
 
 
@@ -110,22 +109,21 @@ def cvar_of_row_stream(rows: Iterator[np.ndarray], shape: tuple[int, int], row_s
     buffer is reused for one row set at a time: the set's rows are added
     left to right (a lone row plus 0.0), one partition moves the top
     ceil(alpha N) entries of every sum row to its end, one sort orders
-    those tails, and one stacked product of the weights with the descending
-    tails gives each row's tail sum as its own dot product, with np.dot's
-    bits; the boundary term and the division by alpha run once over the due
+    those tails ascending, and one np.add.reduce over the (R, k) tail view
+    gives each row's pairwise tail sum with its one-row bits; the division
+    by N, the boundary term and the division by alpha run once over the due
     sets. The rows stay unchanged; a zero value, whose sign depends on the
     index order of tied +-0 sums, is recomputed by the sort route."""
     n_reps, n = shape
     k, mass_before = _tail_index(n, alpha)
-    weights = np.full(k, 1.0 / n)
     sums = np.empty((n_reps, n))
     values = np.empty((len(row_sets), n_reps))
     held = {}
     for i, (due, done) in enumerate(schedule):
         held[i] = next(rows)
         if due:
-            dots, boundary = np.empty((2, len(due), n_reps))
-            for u, dot, bound in zip(due, dots, boundary):
+            tail_sums, boundary = np.empty((2, len(due), n_reps))
+            for u, tail_sum, bound in zip(due, tail_sums, boundary):
                 set_rows = row_sets[u]
                 # + 0.0 changes only a -0.0
                 np.add(held[set_rows[0]], held[set_rows[1]] if len(set_rows) > 1 else 0.0, out=sums)
@@ -134,9 +132,9 @@ def cvar_of_row_stream(rows: Iterator[np.ndarray], shape: tuple[int, int], row_s
                 sums.partition(n - k - 1, axis=1)
                 tail = sums[:, n - k:]
                 tail.sort(axis=1)
-                dot[:] = (weights @ np.ascontiguousarray(tail[:, ::-1])[..., None])[:, 0]
+                np.add.reduce(tail, axis=1, out=tail_sum)
                 bound[:] = sums[:, n - k - 1]
-            due_values = (dots + (alpha - mass_before) * boundary) / alpha
+            due_values = (tail_sums / n + (alpha - mass_before) * boundary) / alpha
             for v, j in zip(*np.nonzero(due_values == 0.0)):
                 total = functools.reduce(np.add, [held[row][j] for row in row_sets[due[v]]])
                 due_values[v, j] = cvar_from_values(total, alpha)[0]

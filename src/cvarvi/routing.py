@@ -566,8 +566,8 @@ def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-# Names the stream the reference batch is drawn from; part of its cache key.
-_DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major"
+# Names the reference batch's stream and tail-sum rule; part of its cache key.
+_DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major, ascending pairwise tail sums"
 
 
 # Scratch of one sample_kappa_block pass in bytes: its draw matrices and the
@@ -653,9 +653,10 @@ def true_path_kappa(game: RoutingGame, n_ref: int, seed_ref: int,
     reference is sample_path_kappa at n_ref draws on the unkeyed stream of
     seed_ref, cached to disk when a cache directory is given. The cache key
     covers the game, (n_ref, seed_ref, alpha) and the draw layout (bit
-    generator, drawn edges, edge-major rows); the file stores all but the
-    game. It is renamed into place once written, so overlapping runs never
-    read a partial one; one stored for other parameters raises ValueError.
+    generator, drawn edges, edge-major rows, the tail-sum rule of
+    `cvar_of_row_stream`); the file stores all but the game. It is renamed
+    into place once written, so overlapping runs never read a partial one;
+    one stored for other parameters raises ValueError.
     """
     if n_ref < 10**5:
         raise ValueError("reference batch must use at least 1e5 samples")

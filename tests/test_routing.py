@@ -677,20 +677,31 @@ class TestReferenceCache:
         with pytest.raises(ValueError, match="stored for"):
             true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
 
-    def test_file_under_the_philox_key_is_never_read(self, tmp_path):
-        # The key before the draw layout was part of it: Philox, every
-        # uncertain edge, sample-major draws.
+    def check_old_key_is_never_read(self, tmp_path, layout):
+        # A poisoned file under an earlier key, stored with that key's layout
+        # (none before the layout was part of the key): a fresh batch is drawn.
         game = self.small_game()
         digest = hashlib.sha256()
         digest.update(np.asarray([10**5, 42, 0.05]).tobytes())
+        digest.update(b"" if layout is None else layout.encode())
         for arr in (game.noise_lo, game.noise_hi, game.path_set.edge_incidence):
             digest.update(arr.tobytes())
         old_key = tmp_path / f"kappa_ref_{digest.hexdigest()[:16]}.npz"
         poison = np.full(game.path_set.n_paths, 123.0)
-        np.savez(old_key, kappa=poison, n_ref=10**5, seed_ref=42, alpha=0.05)
+        stored = {} if layout is None else {"layout": layout}
+        np.savez(old_key, kappa=poison, n_ref=10**5, seed_ref=42, alpha=0.05, **stored)
         kappa = true_path_kappa(game, 10**5, 42, cache_dir=tmp_path)
         assert kappa.tobytes() == true_path_kappa(game, 10**5, 42).tobytes()
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_file_under_the_philox_key_is_never_read(self, tmp_path):
+        # Philox, every uncertain edge, sample-major draws.
+        self.check_old_key_is_never_read(tmp_path, None)
+
+    def test_file_under_the_dot_product_key_is_never_read(self, tmp_path):
+        # SFC64 draws as today, with each CVaR tail summed by a BLAS dot
+        # product, whose bits moved with the tail-sum rule.
+        self.check_old_key_is_never_read(tmp_path, "SFC64, noise_edges rows, edge-major")
 
 
 class TestKappaSampling:
@@ -913,8 +924,9 @@ class TestKappaBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Slack: the tail weights and one sort buffer, each alpha N long, and 16 KiB.
-        slack = 2 * 8 * int(0.05 * n) + 16 * 1024
+        # Slack: one sort buffer alpha N long and 16 KiB; the tails are summed
+        # where they lie, with no weight vector and no reversed copy.
+        slack = 8 * int(0.05 * n) + 16 * 1024
         assert peak <= (most + 1) * 8 * n + slack
 
     @pytest.mark.parametrize("n", [1, 50, 5000])

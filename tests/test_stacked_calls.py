@@ -4,13 +4,22 @@ reduction call per row, so each row has the bits of its one-row call.
 
 A numpy that dispatched stacks differently (one gemm for a stack of
 gemvs, say) would change result bits silently; it fails here instead.
-CI runs this module once at one BLAS thread and once at OpenBLAS's
-default thread count, which splits a long dot product across threads.
+The kappa-hat reducer sums each CVaR tail by numpy's pairwise reduction,
+not by BLAS, so the reference kappa has the same bits at one BLAS thread
+and at two, which a test checks in child processes. CI runs this module
+once at one BLAS thread and once at OpenBLAS's default thread count, at
+which the certificate's stacked products may be split across threads.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvarvi
 from cvarvi.harness import ExperimentConfig, build_configured_game
 from cvarvi.routing import sample_path_kappa, solve_cwe
 from cvarvi.vi import SimplexProduct
@@ -77,13 +86,37 @@ def test_row_norms_are_linalg_norm(cols):
 
 # k = 250 is N = 5000 at alpha = 0.05; 50,000 the 10^6-draw reference batch.
 @pytest.mark.parametrize("k", [3, 250, 50_000])
-def test_weighted_tail_sums_are_one_dot_per_row(k):
+def test_tail_sums_are_one_reduction_per_row(k):
+    # As the reducer forms them: the ascending top-k tails of a partitioned
+    # (R, N) buffer, a strided view, summed into a row of another buffer.
     n = 20 * k
-    weights = np.full(k, 1.0 / n)
-    tail = np.sort(np.random.default_rng(k).random((3, k)) * 4.0, axis=1)
-    got = (weights @ np.ascontiguousarray(tail[:, ::-1])[..., None])[:, 0]
-    assert got.shape == (3,)
-    assert got.tobytes() == np.array([np.dot(weights, descending) for descending in tail[:, ::-1]]).tobytes()
+    sums = np.random.default_rng(k).random((3, n)) * 4.0
+    sums.partition(n - k - 1, axis=1)
+    tail = sums[:, n - k:]
+    tail.sort(axis=1)
+    got = np.empty((2, 3))[1]
+    np.add.reduce(tail, axis=1, out=got)
+    assert got.tobytes() == np.array([np.add.reduce(row) for row in tail]).tobytes()
+    # cvar_from_values sums a reversed view of its descending draws: the same
+    # ascending order, so the same bits.
+    descending = np.ascontiguousarray(tail[:, ::-1])
+    assert got.tobytes() == np.array([np.add.reduce(row[::-1]) for row in descending]).tobytes()
+
+
+def test_reference_kappa_is_the_same_at_one_and_two_blas_threads():
+    script = ("import hashlib; from cvarvi.harness import ExperimentConfig, build_configured_game; "
+              "from cvarvi.routing import sample_path_kappa; "
+              "game = build_configured_game(ExperimentConfig()); "
+              "print(hashlib.sha256(sample_path_kappa(game, 10**6, 42).tobytes()).hexdigest())")
+    src_dir = str(Path(cvarvi.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("lengths", [[10, 10, 10], [3, 12, 1, 20, 9]], ids=["equal", "unequal"])
