@@ -287,8 +287,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full replication grid and write results.csv, config.cfg
     (`format_config`) and one cdf_{N}.csv per sample size into output_dir.
-    The config.cfg and every cdf_*.csv of an earlier run are removed first,
-    so none describes another run's results.
+    The config.cfg and every cdf_*.csv of an earlier run are removed after
+    the reference solve, so none describes another run's results and a
+    config that the game or the reference refuses leaves them in place.
 
     The deviation of a replication is the Euclidean distance between the
     minimum-norm equilibrium flow of its sampled game and that of the
@@ -312,9 +313,6 @@ def run_experiment(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    for stale in [output_dir / "config.cfg", *output_dir.glob("cdf_*.csv")]:
-        stale.unlink(missing_ok=True)
     if cache_dir is None:
         cache_dir = output_dir / "cache"
     if game is None:
@@ -323,6 +321,9 @@ def run_experiment(
     kappa_ref = true_path_kappa(game, config.ref_samples, config.ref_seed, cache_dir=cache_dir)
     regions: list[EquilibriumRegion] = []
     h_ref = solve_cwe(game, kappa_ref, method=ExperimentConfig.solver, regions=regions).x_star
+    output_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [output_dir / "config.cfg", *output_dir.glob("cdf_*.csv")]:
+        stale.unlink(missing_ok=True)
 
     reps = config.replications
     tasks = [(n, n_index, range(start, min(start + _BLOCK_REPS, reps)))

@@ -6,8 +6,8 @@ x >= 0, M x + q >= 0 and x^T (M x + q) = 0, where M has the block form
 copositive-plus (the top-left block is PSD and the rest is skew), so
 Lemke's complementary pivoting terminates with a solution whenever the
 demands are satisfiable. M is the game's own (`RoutingGame.lcp_matrix`);
-only q depends on kappa_hat. A second route minimizes the complementarity
-gap by extragradient iteration on the nonnegative orthant, a cross-check.
+only q depends on kappa_hat. A cross-check, `solve_lcp_qp`, solves the
+Beckmann program whose KKT system the LCP is by `active_set_qp`.
 
 Lemke picks every pivot row, the first included, by one sequential
 lexicographic scan (`_lex_argmin`) at tolerance 1e-14 that keeps the
@@ -18,17 +18,15 @@ would pick other rows on the near ties of the degenerate routing LCPs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .vi import spectral_norm
 
 __all__ = [
     "AffineLcp",
     "LcpSolution",
     "LcpRayTermination",
+    "active_set_qp",
     "assemble_lcp",
     "solve_lcp_lemke",
     "solve_lcp_qp",
@@ -39,8 +37,8 @@ _LEX_TOL = 1e-14
 # Row blocks of the rank-1 tableau update: cache-sized temporaries; one
 # tableau-sized temporary per pivot was 2-3x slower at 404 rows.
 _UPDATE_BLOCK_BYTES = 1 << 18
-_QP_TOL = 1e-8  # gap-minimization route: gap tolerance and iteration cap
-_QP_MAX_ITER = 1000000
+_ACTIVE_SET_TOL = 1e-10  # relative to the largest gradient entry, or to the largest of z or d where it blocks
+_ACTIVE_SET_MAX_ITER = 10000
 
 
 class LcpRayTermination(RuntimeError):
@@ -73,7 +71,7 @@ class AffineLcp:
 
 @dataclass
 class LcpSolution:
-    """Solution, certificate and solver work (Lemke pivots or qp steps)."""
+    """Solution, certificate and solver work (Lemke pivots or active-set iterations)."""
 
     x: np.ndarray
     complementarity_gap: float
@@ -172,36 +170,98 @@ def _lex_argmin(first: list[float], rest) -> int:
     return best
 
 
+def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.ndarray,
+                  x0: np.ndarray) -> tuple[np.ndarray, int]:
+    """argmin 1/2 x^T H x + g^T x over {E x = f, x >= 0} (H symmetric PSD,
+    E's rows possibly dependent) from a feasible x0, by the primal active-set
+    method (Nocedal & Wright, Numerical Optimization, 2nd ed., 16.5); the
+    minimizer and the iteration count. The working set W of entries held at
+    0 starts as x0's zeros. Each iteration solves the KKT system of the free
+    entries F, [[H_FF, E_F^T], [E_F, 0]] [z; nu] = [-g_F; f], by least
+    squares and steps towards z; if it is inconsistent, the top block of its
+    right side's null-space part is a descent direction d with H d = 0 and
+    E d = 0, followed to the next bound. A blocking bound joins W; at z, an
+    entry whose multiplier grad + E^T nu is below -tol leaves W. Bland's
+    rule (1977) takes the smallest index of either set. tol, for the
+    multipliers and for d, is relative to the largest gradient entry; z
+    depends on its face and f alone, not on the path from x0. In exact
+    arithmetic an entry that leaves W rises at once (N&W, Theorem 16.5); one
+    that blocks its own first step rejoins W, and its multiplier, rounding
+    alone, is passed over until x moves. RuntimeError past
+    _ACTIVE_SET_MAX_ITER iterations or when unbounded below."""
+    x = np.maximum(np.asarray(x0, dtype=float), 0.0)
+    free, n_rows = x > 0.0, len(e_mat)
+    passed_over, freed = np.zeros_like(free), -1
+    grad = h_mat @ x + g
+    for it in range(1, _ACTIVE_SET_MAX_ITER + 1):
+        tol = _ACTIVE_SET_TOL * np.abs(grad).max(initial=0.0)
+        cols = np.flatnonzero(free)
+        k = len(cols)
+        kkt = np.zeros((k + n_rows, k + n_rows))
+        kkt[:k, :k], kkt[k:, :k] = h_mat[np.ix_(cols, cols)], e_mat[:, cols]
+        kkt[:k, k:] = kkt[k:, :k].T
+        # kkt is symmetric: eigh gives its least-squares solution and null space.
+        lam, vec = np.linalg.eigh(kkt)
+        cut = len(lam) * np.finfo(float).eps * np.abs(lam).max(initial=0.0)
+        keep = np.abs(lam) > cut
+        coef = vec.T @ np.concatenate([-g[cols], f])
+        sol = vec[:, keep] @ (coef[keep] / lam[keep])
+        d = -vec[:k, ~keep] @ (vec[:k, ~keep].T @ g[cols])  # f has no null-space part
+        full = not np.abs(d).max(initial=0.0) > tol
+        p, level = (sol[:k] - x[cols], sol[:k]) if full else (d, d)
+        # Only entries below 0 beyond rounding, which grows with kkt's condition number, block.
+        noise = max(_ACTIVE_SET_TOL, cut / np.abs(lam[keep]).min(initial=np.inf))
+        falling = np.flatnonzero(level < -noise * np.abs(level).max(initial=0.0))
+        ratios = x[cols[falling]] / -p[falling]
+        step = ratios.min(initial=np.inf)
+        if not full and step == np.inf:
+            raise RuntimeError("the quadratic program is unbounded below")
+        if step < 1.0 or not full:
+            leaving = cols[falling[np.argmin(ratios)]]  # the first minimum: Bland's rule
+            if step > 0.0:
+                passed_over[:] = False
+            elif leaving == freed:
+                passed_over[leaving] = True  # else W and x would repeat, and the iteration cycle
+            x[cols] = np.maximum(x[cols] + step * p, 0.0)
+            x[leaving], free[leaving], freed = 0.0, False, -1
+            grad = h_mat @ x + g
+            continue
+        z = np.maximum(sol[:k], 0.0)
+        if (z != x[cols]).any():
+            passed_over[:] = False
+        x[cols] = z
+        grad = h_mat @ x + g
+        entering = np.flatnonzero(~free & ~passed_over & (grad + e_mat.T @ sol[k:] < -tol))
+        if not len(entering):
+            return x, it
+        freed = entering[0]
+        free[freed] = True
+    raise RuntimeError(f"active-set QP did not finish in {_ACTIVE_SET_MAX_ITER} iterations")
+
+
 def solve_lcp_qp(lcp: AffineLcp) -> LcpSolution:
-    """Minimize the complementarity gap x^T(Mx + q) over the feasible cone
-    by extragradient iteration on the equivalent orthant VI, from x = 0.
-
-    For monotone M the iteration converges to an LCP solution, at which the
-    gap objective attains its minimum of zero, but on a skew M (that of an
-    uncongested routing game, b_e = 0) it can stall short of the gap
-    tolerance and raise RuntimeError after _QP_MAX_ITER steps: kappa-hat key
-    (0, 121) at N = 50 of the default config with b_e = 0 does, where Lemke
-    takes 7 pivots.
-    """
-    m_mat, q = lcp.m_mat, lcp.q_vec
-    lip = spectral_norm(m_mat)
-    step = 0.9 / lip if lip > 0 else 1.0
-
-    x = np.zeros(lcp.size)
-    # Natural-residual tolerance driving the gap below _QP_TOL at problem scale.
-    res_tol = min(1e-10, np.sqrt(_QP_TOL) * 1e-3)
-    for it in range(_QP_MAX_ITER + 1):
-        fx = m_mat @ x + q
-        r = np.minimum(x, fx)
-        if it == _QP_MAX_ITER or math.sqrt(r.dot(r)) <= res_tol:  # np.linalg.norm's arithmetic
-            break
-        y = np.maximum(x - step * fx, 0.0)
-        fy = m_mat @ y + q
-        x = np.maximum(x - step * fy, 0.0)
-    sol = _make_solution(lcp, x, it)
-    gap_tol = _QP_TOL * (1.0 + float(np.linalg.norm(q)))
-    if not abs(sol.complementarity_gap) <= gap_tol:
-        raise RuntimeError(
-            f"gap minimization stalled at {sol.complementarity_gap:.3e} (tolerance {gap_tol:.1e})"
-        )
-    return sol
+    """The LCP as the convex program whose KKT system it is, solved by
+    `active_set_qp` (`iterations` counts its iterations): for M = [[A, -B^T],
+    [B, 0]] and q = (c; -d), B's rows those of M's zero trailing block, the
+    Beckmann program min 1/2 h^T A h + c^T h over B h = d, h >= 0 (Beckmann,
+    McGuire & Winsten 1956) from the vertex that puts each OD's demand on its
+    first path; each OD's potential is its minimum cost. A symmetric M has
+    no B: x >= 0, from 0. A must be PSD. ValueError unless A is symmetric and
+    B is 0/1 with a 1 in each row and at most one in each column, or on a
+    negative demand."""
+    m_mat, n_paths = lcp.m_mat, lcp.size
+    if not np.array_equal(m_mat, m_mat.T):
+        while n_paths and not m_mat[n_paths - 1:, n_paths - 1:].any():
+            n_paths -= 1
+    a_mat, b_inc = m_mat[:n_paths, :n_paths], m_mat[n_paths:, :n_paths]
+    if not (np.array_equal(a_mat, a_mat.T) and np.array_equal(m_mat[:n_paths, n_paths:], -b_inc.T)
+            and np.isin(b_inc, (0.0, 1.0)).all() and b_inc.any(axis=1).all() and (b_inc.sum(axis=0) <= 1.0).all()):
+        raise ValueError("M lacks the block form [[A, -B^T], [B, 0]] with A symmetric and B an OD incidence")
+    costs, demands = lcp.q_vec[:n_paths], -lcp.q_vec[n_paths:]
+    if not (demands >= 0.0).all():
+        raise ValueError(f"negative demand {demands.min():.3e}")
+    h0 = np.zeros(n_paths)
+    h0[b_inc.argmax(axis=1)] = demands
+    h, iterations = active_set_qp(a_mat, costs, b_inc, demands, h0)
+    potentials = np.where(b_inc > 0.0, a_mat @ h + costs, np.inf).min(axis=1)
+    return _make_solution(lcp, np.concatenate([h, potentials]), iterations)

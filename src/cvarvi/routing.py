@@ -7,7 +7,8 @@ Path costs are edge sums, so the per-path cost field is the affine map
 h -> Q^T R Q h + Q^T t + kappa where kappa collects per-path CVaR offsets
 of the noise. The risk-averse Wardrop equilibrium is the solution of the
 VI over the flow polytope, solvable by extragradient, Lemke pivoting, or
-the complementarity-gap program; only kappa changes between solves.
+an active-set method on the Beckmann program; only kappa changes between
+solves.
 Equilibrium loads on congested edges (b_e > 0) are unique (Beckmann, McGuire
 & Winsten 1956), but path flows and uncongested loads are not, so every
 solve returns the minimum-norm point of the equilibrium set.
@@ -710,48 +711,6 @@ def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
     return float(_used_gap(game.path_set, path_cost_field(game, kappa)(h), h))
 
 
-def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin ||a x - b|| over x >= 0, by the active-set method of Lawson &
-    Hanson (1974, ch. 23). Each round moves the column of largest gradient
-    a^T (b - a x) into the passive set and solves least squares on that
-    set; while the solution has a nonpositive entry, x steps to the last
-    feasible point on the segment towards it and the column that reached
-    zero leaves the set. A gradient within rounding of zero ends the loop;
-    more than 3n rounds is a RuntimeError."""
-    m, n = a.shape
-    tol = 10 * max(m, n) * np.finfo(float).eps * np.linalg.norm(a, axis=0).max() * np.linalg.norm(b)
-
-    def solve(cols: np.ndarray) -> np.ndarray:
-        z = np.zeros(n)
-        z[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-        return z
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = a.T @ b
-    for _ in range(3 * n):
-        gain = np.where(passive, -np.inf, w)
-        j = np.argmax(gain)
-        if not gain[j] > tol:
-            return x
-        passive[j] = True
-        z = solve(passive)
-        if not z[j] > 0.0:
-            # Column j lowers the residual by rounding only: skip it until x moves.
-            passive[j], w[j] = False, 0.0
-            continue
-        while not np.all(z[passive] > 0.0):
-            back = np.flatnonzero(passive & (z <= 0.0))
-            steps = x[back] / (x[back] - z[back])
-            x += steps.min() * (z - x)
-            x[back[np.argmin(steps)]] = 0.0
-            passive &= x > 0.0
-            z = solve(passive)
-        x = z
-        w = a.T @ (b - a @ x)
-    raise RuntimeError(f"NNLS did not converge in {3 * n} rounds")
-
-
 def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
                           h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm path flow among the equilibria that share h0's loads
@@ -761,36 +720,26 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
     Costs depend on those loads only, l* = Q_c h0 with Q_c the rows of Q
     where congestion_diag > 0, and all equilibria share them; the
     equilibrium set is the polytope {h >= 0, B h = d, Q_c h = l*, h = 0 off
-    the minimum-cost paths}. With h = h_p + N z, h_p the minimum-norm
-    solution of the equalities and N an orthonormal basis of their null
-    space, min ||h|| becomes the least-distance program min ||z|| s.t.
-    N z >= -h_p, solved by one nonnegative least-squares problem (`_nnls`;
-    Lawson & Hanson 1974, ch. 23). The paths of a zero-demand OD are held
-    at exactly 0, as B h = 0 with h >= 0 forces; h0 on the other minimum-cost
-    paths is then feasible, so the program is never empty.
+    the minimum-cost paths}. Its minimum-norm point minimizes 1/2 ||h||^2
+    over that set (`active_set_qp`, from h0), with the equality rows reduced
+    to an orthonormal basis of their row space by one SVD. The paths of a
+    zero-demand OD are held at exactly 0, as B h = 0 with h >= 0 forces; h0
+    on the other minimum-cost paths is then feasible.
     """
     ps = game.path_set
     floor = _od_min_cost(ps, costs)
     active = costs <= floor + _TIE_TOL * (1.0 + np.abs(floor))
     free = active & (game.demands[ps.od_of_path] > 0.0)
+    h = np.zeros(ps.n_paths)
     if not free.any():
-        return np.zeros(ps.n_paths), active
+        return h, active
     a_mat = np.vstack([ps.edge_incidence[game.congestion_diag > 0.0], ps.od_incidence])[:, free]
     a_mat = a_mat[a_mat.any(axis=1)]
-    u, sv, vt = np.linalg.svd(a_mat)
+    u, sv, vt = np.linalg.svd(a_mat, full_matrices=False)
     rank = int(np.sum(sv > sv[0] * max(a_mat.shape) * np.finfo(float).eps))
-    h_act = vt[:rank].T @ (u[:, :rank].T @ (a_mat @ h0[free]) / sv[:rank])
-    null = vt[rank:]
-    if len(null):
-        # LDP min ||z|| s.t. G z >= g as NNLS on [G^T; g^T] u ~ e_last.
-        e_mat = np.vstack([null, -h_act])
-        target = np.zeros(len(e_mat))
-        target[-1] = 1.0
-        u_ldp = _nnls(e_mat, target)
-        r = e_mat @ u_ldp - target
-        h_act = h_act - null.T @ (r[:-1] / r[-1])
-    h = np.zeros(ps.n_paths)
-    h[free] = np.maximum(h_act, 0.0)
+    n_free = a_mat.shape[1]
+    rows = u[:, :rank].T @ (a_mat @ h0[free]) / sv[:rank]
+    h[free] = lcp_mod.active_set_qp(np.eye(n_free), np.zeros(n_free), vt[:rank], rows, h0[free])[0]
     return h, active
 
 
@@ -890,7 +839,7 @@ def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
     equilibrium (`_min_norm_equilibrium`), and if that region certifies
     the kappa (`_certify`), its flow and residual are returned and the
     region is appended to `regions`. Where the certificate fails, the
-    least-distance flow itself is projected and returned with its
+    minimum-norm flow itself is projected and returned with its
     `natural_residual`. Either flow is checked against the equilibrium
     condition at _WARDROP_TOL (RuntimeError if violated)."""
     feasible = game.feasible_flows
@@ -925,7 +874,8 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
 
     Methods: `extragradient` on the flow polytope VI (step from
     `game.lipschitz`), `lemke` complementary pivoting on the LCP, or `qp`
-    complementarity-gap minimization. Path flows at equilibrium are not
+    the primal active-set method on the Beckmann program the LCP is the KKT
+    system of (`lcp.solve_lcp_qp`). Path flows at equilibrium are not
     unique when paths share edges, and each method reaches its own point of
     the equilibrium set; the returned flow is the unique minimum-norm point
     of that set.
@@ -935,7 +885,7 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
     reports `iterations` 0; a miss runs the method and may append its
     region to `regions` (none is kept without a table). The natural
     residual describes the returned flow; `iterations` (extragradient
-    steps, Lemke pivots or gap-minimization steps) and `converged` the
+    steps, Lemke pivots or active-set iterations) and `converged` the
     solver run.
     """
     table = [] if regions is None else regions

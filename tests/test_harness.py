@@ -216,6 +216,22 @@ class TestExperiment:
         assert sorted(p.name for p in tmp_path.glob("cdf_*.csv")) == ["cdf_50.csv"]
         assert again.cdf_paths[50].read_bytes() == small_result.cdf_paths[50].read_bytes()
 
+    @pytest.mark.parametrize("change, error", [
+        ({"ref_samples": 1000}, "at least 1e5 samples"),
+        ({"b_e": -1.0}, "b_e must be finite and nonnegative"),
+        ({"uncertain_nodes": (99,)}, "outside the node range"),
+    ])
+    def test_rejected_config_keeps_the_earlier_run(self, small_config, small_result, tmp_path, change, error):
+        # The game build or the reference refuses the config before any
+        # file of the earlier run is removed, so `compare` can still read it.
+        shutil.copytree(small_result.results_path.parent, tmp_path, dirs_exist_ok=True,
+                        ignore=shutil.ignore_patterns("cache"))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert {"results.csv", "config.cfg", "cdf_50.csv", "cdf_200.csv"} <= set(before)
+        with pytest.raises(ValueError, match=error):
+            run_experiment(dataclasses.replace(small_config, **change), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.fixture
     def installed(self, small_config, small_result):
         """The small run's game, master seed, h_ref and an empty table,
@@ -470,7 +486,6 @@ class TestBoundComparison:
         # b_e = 0: the cost matrix is zero, so M = 0 and each OD's factor of gamma is 1.
         config = parse_config("b_e = 0\nreplications = 200\nsample_sizes = 50\nref_samples = 100000\n")
         result = run_experiment(config, tmp_path)
-        # Replication 121 stalls qp; the run's Lemke solves every miss.
         assert result.failure_fraction() == 0.0
         (row,) = compare_bounds(result)
         assert row.report.gamma_exact == 6 * 30

@@ -332,12 +332,38 @@ class TestQpRoute:
         assert h == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-6)
         assert sol.iterations > 0
 
-    # The toy's gap is negative (w < 0) after 2 steps and positive after 8.
+    # The Sioux Falls LCP below takes more than 8 active-set iterations.
     @pytest.mark.parametrize("cap", [2, 8])
     def test_iteration_cap_raises_stalled(self, cap, monkeypatch):
-        monkeypatch.setattr(lcp_mod, "_QP_MAX_ITER", cap)
-        with pytest.raises(RuntimeError, match="stalled"):
-            solve_lcp_qp(two_path_toy())
+        game = build_game(builtin_network(), SIOUX_ODS, RiskLevel(0.05))
+        lcp = assemble_lcp(game, sample_path_kappa(game, 500, 123))
+        assert solve_lcp_qp(lcp).iterations > 8
+        monkeypatch.setattr(lcp_mod, "_ACTIVE_SET_MAX_ITER", cap)
+        with pytest.raises(RuntimeError, match=f"did not finish in {cap} iterations"):
+            solve_lcp_qp(lcp)
+
+    def test_starts_at_the_first_path_vertex(self, monkeypatch):
+        starts = []
+        original = lcp_mod.active_set_qp
+        monkeypatch.setattr(lcp_mod, "active_set_qp", lambda *args: starts.append(args[-1]) or original(*args))
+        sol = solve_lcp_qp(AffineLcp(m_mat=two_path_toy().m_mat, q_vec=[0.0, 0.0, -3.0]))
+        assert [list(x0) for x0 in starts] == [[3.0, 0.0]]
+        # The OD potential is the minimum path cost, here both paths' 2.
+        assert sol.x == pytest.approx([2.0, 1.0, 2.0]) and sol.feasible
+
+    @pytest.mark.parametrize("m_mat", [
+        [[1.0, 2.0], [0.0, 1.0]],  # neither symmetric nor with a zero trailing block
+        [[1.0, 0.0, -2.0], [0.0, 1.0, -2.0], [2.0, 2.0, 0.0]],  # B is not an OD incidence
+        [[1.0, 1.0, -1.0], [0.0, 1.0, -1.0], [1.0, 1.0, 0.0]],  # A is not symmetric
+        [[1.0, 0.0, -1.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]],  # the B blocks disagree
+    ])
+    def test_rejects_an_lcp_of_neither_form(self, m_mat):
+        with pytest.raises(ValueError, match="block form"):
+            solve_lcp_qp(AffineLcp(m_mat=m_mat, q_vec=np.full(len(m_mat), -1.0)))
+
+    def test_rejects_a_negative_demand(self):
+        with pytest.raises(ValueError, match="negative demand"):
+            solve_lcp_qp(AffineLcp(m_mat=two_path_toy().m_mat, q_vec=[0.0, 0.0, 1.0]))
 
     def test_agrees_with_lemke_on_random_monotone(self):
         rng = np.random.default_rng(12)
@@ -350,39 +376,6 @@ class TestQpRoute:
             c = solve_lcp_qp(AffineLcp(m_mat=m, q_vec=q))
             # Strictly monotone M: the solution is unique.
             assert a.x == pytest.approx(c.x, abs=1e-5)
-
-
-def norm_stop_qp_loop(lcp):
-    """Oracle: the gap-minimization loop with its stop test through
-    np.linalg.norm; (x, iterations)."""
-    m_mat, q = lcp.m_mat, lcp.q_vec
-    lip = np.linalg.norm(m_mat, 2)
-    step = 0.9 / lip if lip > 0 else 1.0
-    x = np.zeros(lcp.size)
-    res_tol = min(1e-10, np.sqrt(lcp_mod._QP_TOL) * 1e-3)
-    for it in range(lcp_mod._QP_MAX_ITER + 1):
-        fx = m_mat @ x + q
-        if it == lcp_mod._QP_MAX_ITER or np.linalg.norm(np.minimum(x, fx)) <= res_tol:
-            break
-        y = np.maximum(x - step * fx, 0.0)
-        fy = m_mat @ y + q
-        x = np.maximum(x - step * fy, 0.0)
-    return x, it
-
-
-class TestQpMatchesNormLoop:
-    """The stop test as sqrt(r . r) keeps every bit of the loop."""
-
-    @pytest.mark.parametrize("n_index, n, rep", [(0, 50, 0), (1, 500, 1), (2, 5000, 2)])
-    def test_default_lcp(self, n_index, n, rep):
-        config = parse_config(default_config_text())
-        game = build_configured_game(config)
-        lcp = assemble_lcp(game, sample_path_kappa(game, n, config.master_seed, n_index, rep))
-        x, iterations = norm_stop_qp_loop(lcp)
-        sol = solve_lcp_qp(lcp)
-        assert sol.x.tobytes() == x.tobytes()
-        assert sol.iterations == iterations > 0
-        assert sol.complementarity_gap == float(np.dot(x, lcp.m_mat @ x + lcp.q_vec))
 
 
 class TestSiouxFallsCross:

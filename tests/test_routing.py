@@ -617,8 +617,7 @@ class TestCostModel:
         kappa = sample_path_kappa(game, 200, 1)
         solve_cwe(game, kappa, method="lemke")
         calls = []
-        for module in (routing, lcp):
-            monkeypatch.setattr(module, "spectral_norm", lambda a: calls.append(a))
+        monkeypatch.setattr(routing, "spectral_norm", lambda a: calls.append(a))
         solve_cwe(game, kappa, method="lemke")
         assert calls == []
 
@@ -1168,6 +1167,21 @@ class TestEquilibriumRegions:
         assert eg.converged and 0 < eg.iterations <= 32
         assert eg.x_star.tobytes() == lemke.x_star.tobytes()
 
+    def test_qp_finishes_on_the_uncongested_replication_121(self):
+        # With b_e = 0, A = 0 and the Beckmann program is a linear program.
+        # On this key the gap-minimization route stalled after 10^6 steps;
+        # the active set finishes in a few iterations. No region certifies
+        # the flow, so qp's and Lemke's both take the fallback.
+        config = dataclasses.replace(ExperimentConfig(), b_e=0.0)
+        game = build_configured_game(config)
+        kappa = sample_kappa_block(game, 50, config.master_seed, [(0, 121)])[0]
+        table = []
+        qp, lemke = (solve_cwe(game, kappa, method, regions=table) for method in ("qp", "lemke"))
+        assert table == []
+        assert qp.converged and 0 < qp.iterations <= 8
+        assert wardrop_gap(game, kappa, qp.x_star) <= 1e-5
+        assert np.abs(qp.x_star - lemke.x_star).max() <= 1e-9 * np.abs(lemke.x_star).max()
+
 
 def same_solution(got, want) -> bool:
     return (got.x_star.tobytes() == want.x_star.tobytes() and fmt(got.residual) == fmt(want.residual)
@@ -1398,8 +1412,53 @@ def assert_min_norm_equilibrium(game, kappa, h, raw):
     assert lp.fun >= (h @ h) * (1.0 - 1e-7)
 
 
+def least_distance_oracle(e_mat, f):
+    """The point of {E x = f, x >= 0} nearest the origin by the route
+    active_set_qp replaced in _min_norm_equilibrium: the minimum-norm
+    solution x_p of E x = f from an SVD, then the least-distance program
+    min ||z|| s.t. x_p + N^T z >= 0 (N an orthonormal basis of null(E)) as
+    SciPy's NNLS on [N; -x_p^T] u ~ e_last (Lawson & Hanson 1974, ch. 23)."""
+    u, sv, vt = np.linalg.svd(e_mat)
+    rank = int(np.sum(sv > sv[0] * max(e_mat.shape) * np.finfo(float).eps))
+    x_p = vt[:rank].T @ (u[:, :rank].T @ f / sv[:rank])
+    null = vt[rank:]
+    if len(null):
+        stack = np.vstack([null, -x_p])
+        target = np.zeros(len(stack))
+        target[-1] = 1.0
+        r = stack @ nnls(stack, target)[0] - target
+        x_p = x_p - null.T @ (r[:-1] / r[-1])
+    return np.maximum(x_p, 0.0)
+
+
+def random_program(rng, n=12):
+    """Rows E of rank 5 with two dependent rows, and a feasible x0 >= 0
+    with some zeros; a row of ones keeps {E x = E x0, x >= 0} bounded."""
+    e_mat = np.vstack([np.ones(n), rng.standard_normal((4, n))])
+    e_mat = np.vstack([e_mat, e_mat[1] + e_mat[2], 2.0 * e_mat[0]])
+    x0 = rng.random(n) * (rng.random(n) < 0.7)
+    return e_mat, e_mat @ x0, x0
+
+
+def assert_kkt_point(h_mat, g, e_mat, f, x):
+    """x minimizes 1/2 x^T H x + g^T x over {E x = f, x >= 0} (H PSD): it
+    is feasible, and some y gives bound multipliers s = H x + g - E^T y
+    that vanish on x's support and are nonnegative off it (to 1e-8 of the
+    gradient), which a linear program finds; y need not be unique."""
+    assert np.all(x >= 0.0)
+    assert np.abs(e_mat @ x - f).max() <= 1e-9 * (1.0 + np.abs(f).max())
+    grad = h_mat @ x + g
+    support = x > 1e-9 * max(1.0, x.max())
+    tol = 1e-8 * (1.0 + np.abs(grad).max())
+    certificate = linprog(np.zeros(len(e_mat)), A_eq=e_mat[:, support].T, b_eq=grad[support],
+                          A_ub=e_mat[:, ~support].T, b_ub=grad[~support] + tol, bounds=(None, None))
+    assert certificate.status == 0, certificate.message
+
+
 class TestNnls:
-    """routing._nnls against SciPy's NNLS, the reference it replaces."""
+    """Nonnegative least squares, min ||A x - b|| over x >= 0, as the
+    program 1/2 x^T A^T A x - (A^T b)^T x with no equality rows, through
+    lcp.active_set_qp from 0, against SciPy's NNLS."""
 
     @pytest.mark.parametrize("kind", ["wide", "tall", "duplicate_columns", "in_cone", "zero_solution"])
     def test_residual_matches_scipy(self, kind):
@@ -1413,7 +1472,7 @@ class TestNnls:
                 b = a @ rng.random(n)
             elif kind == "zero_solution":
                 a, b = rng.random((m, n)), -rng.random(m)
-            x = routing._nnls(a, b)
+            x = lcp.active_set_qp(a.T @ a, -(a.T @ b), np.zeros((0, n)), np.zeros(0), np.zeros(n))[0]
             want = nnls(a, b)[0]
             assert np.all(x >= 0.0)
             assert (abs(np.linalg.norm(a @ x - b) - np.linalg.norm(a @ want - b))
@@ -1421,25 +1480,102 @@ class TestNnls:
             if kind == "zero_solution":
                 assert not x.any()
 
-    def test_round_cap_raises(self, monkeypatch):
-        # Least squares that alternately rejects each of two columns would
-        # cycle for ever; the cap is 3n rounds.
-        answers = itertools.cycle([[1.0], [-1.0, 1.0], [1.0], [1.0, -1.0]])
-        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (np.array(next(answers)),))
-        with pytest.raises(RuntimeError, match="6 rounds"):
-            routing._nnls(np.eye(2), np.ones(2))
+
+class TestActiveSetQp:
+    """lcp.active_set_qp on random programs whose equality rows are
+    dependent, each result checked by its KKT certificate."""
+
+    def test_unit_hessian_matches_least_distance_oracle(self):
+        rng = np.random.default_rng(2201)
+        for _ in range(40):
+            e_mat, f, x0 = random_program(rng)
+            x, iterations = lcp.active_set_qp(np.eye(len(x0)), np.zeros(len(x0)), e_mat, f, x0)
+            assert iterations > 0
+            assert_kkt_point(np.eye(len(x0)), np.zeros(len(x0)), e_mat, f, x)
+            assert np.abs(x - least_distance_oracle(e_mat, f)).max() <= 1e-9 * x.max()
+
+    def test_rank_deficient_hessian(self):
+        rng = np.random.default_rng(2202)
+        for _ in range(40):
+            e_mat, f, x0 = random_program(rng)
+            root = rng.standard_normal((len(x0), 3))
+            h_mat, g = root @ root.T, rng.standard_normal(len(x0))
+            x = lcp.active_set_qp(h_mat, g, e_mat, f, x0)[0]
+            assert_kkt_point(h_mat, g, e_mat, f, x)
+
+    def test_zero_hessian_matches_linprog(self):
+        rng = np.random.default_rng(2203)
+        for _ in range(40):
+            e_mat, f, x0 = random_program(rng)
+            g = rng.standard_normal(len(x0))
+            x = lcp.active_set_qp(np.zeros((len(x0), len(x0))), g, e_mat, f, x0)[0]
+            assert_kkt_point(np.zeros((len(x0), len(x0))), g, e_mat, f, x)
+            lp = linprog(g, A_eq=e_mat, b_eq=f, bounds=(0, None))
+            assert lp.status == 0
+            assert abs(g @ x - lp.fun) <= 1e-9 * (1.0 + abs(lp.fun))
+
+    def test_degenerate_integer_programs(self):
+        # Small integers make tied costs, dependent working sets and
+        # degenerate vertices, where a step blocked by rounding cycled.
+        rng = np.random.default_rng(7)
+        for trial in range(150):
+            n = int(rng.integers(2, 15))
+            e_mat = np.vstack([np.ones(n), rng.integers(-2, 3, size=(int(rng.integers(1, n)), n))])
+            x0 = rng.integers(0, 3, size=n) * (rng.random(n) < 0.6) + np.eye(n)[0]
+            root = rng.integers(-1, 2, size=(n, 2)) * (trial % 3 == 1)
+            h_mat = root @ root.T + np.eye(n) * (trial % 3 == 2)
+            g = rng.integers(-3, 4, size=n) * (trial % 3 != 2)
+            x = lcp.active_set_qp(h_mat, g, e_mat, e_mat @ x0, x0)[0]
+            assert_kkt_point(h_mat, g, e_mat, e_mat @ x0, x)
+
+    def test_nearly_singular_face(self):
+        # Holding entries 0 and 4 leaves a KKT matrix of condition 4e6, whose
+        # rounding put entry 6 of z at -1.6e-10: read as a block, it made
+        # the working set dependent and the iteration cycle.
+        e_mat = np.array([[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], [-1, -1, -1, -2, 0, -1, -2, -2, 1, 1, 0, -2],
+                          [1, 2, -1, -2, -2, 1, 1, 0, 2, -1, 0, -1], [0, 1, -1, -1, -1, -1, 1, -2, 0, -2, 2, 1],
+                          [1, -1, -2, 2, -1, 0, 1, -2, -1, -2, 1, 2], [1, 1, 1, 1, 1, -2, 0, 1, 0, -2, -1, -2],
+                          [-2, -2, 2, 0, 1, -1, 0, -1, 1, -2, -2, 2], [0, 2, 2, -2, 0, 0, 2, -2, -2, -2, 2, 1],
+                          [-1, 1, 1, -1, 2, -2, 0, 0, -1, -2, 2, 1], [-1, 2, 1, 2, 0, -2, 0, 2, 1, 2, 2, -1]])
+        x0 = np.array([0.0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1])
+        x = lcp.active_set_qp(np.eye(12), np.zeros(12), e_mat, e_mat @ x0, x0)[0]
+        assert_kkt_point(np.eye(12), np.zeros(12), e_mat, e_mat @ x0, x)
+
+    def test_constant_objective(self):
+        # Every feasible point is optimal: the rounding of f, which has no
+        # part in the KKT null space, must not read as a descent direction.
+        e_mat = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        x0 = np.array([1.0, 2.0])
+        x, iterations = lcp.active_set_qp(np.zeros((2, 2)), np.zeros(2), e_mat, e_mat @ x0, x0)
+        assert iterations == 1 and x == pytest.approx([1.5, 1.5], rel=1e-12)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        e_mat, f, x0 = random_program(np.random.default_rng(2204))
+        g = np.arange(len(x0), dtype=float)
+        iterations = lcp.active_set_qp(np.zeros((len(x0), len(x0))), g, e_mat, f, x0)[1]
+        assert iterations > 2
+        monkeypatch.setattr(lcp, "_ACTIVE_SET_MAX_ITER", iterations - 1)
+        with pytest.raises(RuntimeError, match=f"{iterations - 1} iterations"):
+            lcp.active_set_qp(np.zeros((len(x0), len(x0))), g, e_mat, f, x0)
+
+    def test_unbounded_program_raises(self):
+        # x = (t, t) is feasible for every t >= 0 and the objective is -t.
+        with pytest.raises(RuntimeError, match="unbounded"):
+            lcp.active_set_qp(np.zeros((2, 2)), np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]),
+                              np.zeros(1), np.zeros(2))
 
 
 def least_distance_flows(monkeypatch, game, kappas, solver):
     """_min_norm_equilibrium of each kappa's cold solver flow, as in
-    solve_cwe, by _nnls and by SciPy's NNLS; and the number of _nnls calls."""
+    solve_cwe, by active_set_qp and by the least-distance oracle; and the
+    number of active_set_qp calls."""
     inputs = []
     for kappa in kappas:
         h0 = solver(assemble_lcp(game, kappa)).x[: game.path_set.n_paths]
         inputs.append((path_cost_field(game, kappa)(h0), h0))
-    calls = counting(monkeypatch, routing, "_nnls")
+    calls = counting(monkeypatch, lcp, "active_set_qp")
     ours = [routing._min_norm_equilibrium(game, costs, h0) for costs, h0 in inputs]
-    monkeypatch.setattr(routing, "_nnls", lambda a, b: nnls(a, b)[0])
+    monkeypatch.setattr(lcp, "active_set_qp", lambda h_mat, g, e_mat, f, x0: (least_distance_oracle(e_mat, f), 0))
     return ours, [routing._min_norm_equilibrium(game, costs, h0) for costs, h0 in inputs], len(calls)
 
 
@@ -1458,7 +1594,7 @@ def tied_kappa(game, step_every):
 
 
 class TestLeastDistanceFlow:
-    """The least-distance program of _min_norm_equilibrium, solved by _nnls."""
+    """The least-distance program of _min_norm_equilibrium, solved by active_set_qp."""
 
     def assert_matches_scipy(self, ours, scipy_route):
         for (h, active), (h_ref, active_ref) in zip(ours, scipy_route):
@@ -1473,13 +1609,13 @@ class TestLeastDistanceFlow:
         self.assert_matches_scipy(ours, scipy_route)
 
     def test_uncongested_game_matches_scipy(self, monkeypatch, uncongested_game, sioux_game):
-        # The test's kappa-hat give one minimum-cost path per OD and so no
-        # least-distance program; the tied kappa give one. Their qp flows
-        # are interior, where SciPy's NNLS solves the program too.
+        # The test's kappa-hat give one minimum-cost path per OD, whose flow
+        # the demands fix; the tied kappa spread the demands over several.
+        # Every one of the five runs the program once.
         kappas = [sample_path_kappa(sioux_game, 500, 11, rep) for rep in range(2)]
         kappas += [tied_kappa(uncongested_game, step) for step in (0, 3, 4)]
         ours, scipy_route, calls = least_distance_flows(monkeypatch, uncongested_game, kappas, solve_lcp_qp)
-        assert calls == 3
+        assert calls == 5
         self.assert_matches_scipy(ours, scipy_route)
 
     @pytest.mark.parametrize("step_every", [0, 3, 4, 5, 7])
