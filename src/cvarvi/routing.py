@@ -72,6 +72,10 @@ _WARDROP_TOL = 1e-5
 # count as minimum-cost. On Sioux Falls tied costs agree to 1e-11 relative
 # across solvers and distinct costs differ by at least 4e-3.
 _TIE_TOL = 1e-7
+# The relative tie tolerance of an extragradient iterate's region guess: on
+# Sioux Falls the guess first certified at step 128 at 1e-3, at 256 at 1e-4,
+# at convergence at _TIE_TOL, and never at 1e-2.
+_GUESS_TIE_TOL = 1e-3
 # An equilibrium region's flow is accepted only with margins wider than the
 # thresholds above, so that a cold solve at the same kappa would find the
 # same region: its used paths and the multipliers holding its tied unused
@@ -711,11 +715,11 @@ def wardrop_gap(game: RoutingGame, kappa: np.ndarray, h: np.ndarray) -> float:
     return float(_used_gap(game.path_set, path_cost_field(game, kappa)(h), h))
 
 
-def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
-                          h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray, h0: np.ndarray,
+                          tie_tol: float = _TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm path flow among the equilibria that share h0's loads
-    on congested edges, and the mask of the minimum-cost paths it was found
-    among.
+    on congested edges, and the mask of the minimum-cost paths (those
+    within tie_tol of their OD minimum, relative) it was found among.
 
     Costs depend on those loads only, l* = Q_c h0 with Q_c the rows of Q
     where congestion_diag > 0, and all equilibria share them; the
@@ -728,7 +732,7 @@ def _min_norm_equilibrium(game: RoutingGame, costs: np.ndarray,
     """
     ps = game.path_set
     floor = _od_min_cost(ps, costs)
-    active = costs <= floor + _TIE_TOL * (1.0 + np.abs(floor))
+    active = costs <= floor + tie_tol * (1.0 + np.abs(floor))
     free = active & (game.demands[ps.od_of_path] > 0.0)
     h = np.zeros(ps.n_paths)
     if not free.any():
@@ -834,27 +838,43 @@ def _certify(game: RoutingGame, region: EquilibriumRegion,
 
 def _solve_cold(game: RoutingGame, kappa: np.ndarray, method: str,
                 regions: list[EquilibriumRegion]) -> ViSolution:
-    """One kappa that no region of the table certifies: the method runs,
-    its flow gives the minimum-cost and used paths of the minimum-norm
-    equilibrium (`_min_norm_equilibrium`), and if that region certifies
-    the kappa (`_certify`), its flow and residual are returned and the
-    region is appended to `regions`. Where the certificate fails, the
-    minimum-norm flow itself is projected and returned with its
-    `natural_residual`. Either flow is checked against the equilibrium
-    condition at _WARDROP_TOL (RuntimeError if violated)."""
+    """One kappa that no region of the table certifies: the method runs, its
+    flow gives the minimum-cost and used paths of the minimum-norm equilibrium
+    (`_min_norm_equilibrium`), and if that region certifies the kappa
+    (`_certify`), its flow and residual are returned and the region is
+    appended to `regions`. Extragradient also guesses the region from its
+    iterate at each `check` (ties at _GUESS_TIE_TOL) and stops at the first
+    guess that certifies; one that fails or raises RuntimeError goes on.
+    Where the certificate fails, the minimum-norm flow itself is projected
+    and returned with its `natural_residual`. Either flow is checked against
+    the equilibrium condition at _WARDROP_TOL (RuntimeError if violated)."""
     feasible = game.feasible_flows
     field = path_cost_field(game, kappa)
+    q = (game.free_flow_costs + kappa)[None]
+    guesses = []
+
+    def certified_region(h0, costs, tie_tol):
+        canonical, active = _min_norm_equilibrium(game, costs, h0, tie_tol)
+        region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
+        return canonical, region, _certify(game, region, q)[1]
+
+    def guess(x: np.ndarray, fx: np.ndarray) -> Optional[ViSolution]:
+        try:
+            guesses.append(certified_region(x, fx, _GUESS_TIE_TOL))
+        except RuntimeError:  # active_set_qp's iteration cap
+            return None
+        return next(iter(guesses[-1][2]), None)
+
     if method == "extragradient":
-        raw = extragradient_solve(feasible, field, game.lipschitz)
+        raw = extragradient_solve(feasible, field, game.lipschitz, guess)
         h0, iterations, converged = raw.x_star, raw.iterations, raw.converged
     else:
         solver = lcp_mod.solve_lcp_lemke if method == "lemke" else lcp_mod.solve_lcp_qp
         lcp_sol = solver(lcp_mod.assemble_lcp(game, kappa))
         h0 = lcp_sol.x[: game.path_set.n_paths]
         iterations, converged = lcp_sol.iterations, lcp_sol.feasible
-    canonical, active = _min_norm_equilibrium(game, field(h0), h0)
-    region = _equilibrium_region(game, active, canonical > _USED_FLOW_TOL)
-    certified = _certify(game, region, (game.free_flow_costs + kappa)[None])[1]
+    canonical, region, certified = (guesses[-1] if guesses and guesses[-1][2]  # the solve stopped there
+                                    else certified_region(h0, field(h0), _TIE_TOL))
     if certified:
         h = certified[0].x_star
         regions.append(region)
@@ -885,8 +905,8 @@ def solve_cwe(game: RoutingGame, kappa: np.ndarray, method: str,
     reports `iterations` 0; a miss runs the method and may append its
     region to `regions` (none is kept without a table). The natural
     residual describes the returned flow; `iterations` (extragradient
-    steps, Lemke pivots or active-set iterations) and `converged` the
-    solver run.
+    steps until the iterate's region certified or the run converged, Lemke
+    pivots or active-set iterations) and `converged` the solver run.
     """
     table = [] if regions is None else regions
     solution = solve_cwe_block(game, game.check_kappa(kappa)[None], method, table)[0]

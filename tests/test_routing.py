@@ -592,6 +592,7 @@ class TestCostModel:
         for kappa in sample_kappa_block(sioux_game, n, seed, [(0, rep) for rep in range(10)]):
             eg, lemke = (solve_cwe(sioux_game, kappa, method) for method in ("extragradient", "lemke"))
             assert eg.converged and eg.x_star.tobytes() == lemke.x_star.tobytes()
+            assert np.float64(eg.residual).tobytes() == np.float64(lemke.residual).tobytes()
 
     def test_tighter_step_takes_fewer_steps_than_the_norm_of_a(self, sioux_game):
         kappa = sample_path_kappa(sioux_game, 50, ExperimentConfig().master_seed, 0, 0)
@@ -604,13 +605,13 @@ class TestCostModel:
         game = self.fresh_game()
         original, seen = routing.extragradient_solve, []
 
-        def spy(feasible, field, lipschitz):
-            seen.append(lipschitz)
-            return original(feasible, field, lipschitz)
+        def spy(feasible, field, lipschitz, check):
+            seen.append((lipschitz, callable(check)))
+            return original(feasible, field, lipschitz, check)
 
         monkeypatch.setattr(routing, "extragradient_solve", spy)
         solve_cwe(game, sample_path_kappa(game, 200, 1), method="extragradient")
-        assert seen == [game.lipschitz]
+        assert seen == [(game.lipschitz, True)]
 
     def test_repeat_solve_skips_spectral_norm(self, monkeypatch):
         game = self.fresh_game()
@@ -1648,11 +1649,13 @@ class TestMixedCongestion:
         return sample_kappa_block(game, 50, ExperimentConfig().master_seed, [(0, rep) for rep in range(20)])
 
     def test_every_method_returns_the_same_bits(self, game, kappas):
-        # Extragradient and qp take thousands of steps here, so 4 kappa-hat.
+        # Extragradient stops at 512-2,048 of its 1,178-6,521 steps here, and
+        # qp takes 16-20 active-set iterations: all 20 kappa-hat take about 1.3 s.
         assert np.count_nonzero(game.congestion_diag == 0.0) == 18 and len(game.noise_edges) == 13
-        for kappa in kappas[:4]:
-            flows = {solve_cwe(game, kappa, method).x_star.tobytes() for method in SOLVE_METHODS}
-            assert len(flows) == 1
+        for kappa in kappas:
+            solutions = [solve_cwe(game, kappa, method) for method in SOLVE_METHODS]
+            assert len({sol.x_star.tobytes() for sol in solutions}) == 1
+            assert len({np.float64(sol.residual).tobytes() for sol in solutions}) == 1
 
     def test_one_table_serves_every_kappa(self, game, kappas):
         table = []
@@ -1666,6 +1669,73 @@ class TestMixedCongestion:
 
     def test_cold_certified_residual_is_natural_residual(self, game, kappas, monkeypatch):
         assert_cold_residual_from_certificate(monkeypatch, game, kappas[0])
+
+
+class TestExtragradientStopsAtTheFirstCertifiedRegion:
+    """A cold extragradient solve guesses the region from its iterate at
+    steps 64, 128, 256, ... and returns the first guess that certifies: the
+    bytes of a cold solve that runs to convergence, in fewer steps."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        config = ExperimentConfig()
+        game = build_configured_game(config)
+        return game, true_path_kappa(game, config.ref_samples, config.ref_seed,
+                                     cache_dir=tmp_path_factory.mktemp("ref"))
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        assert got.x_star.tobytes() == want.x_star.tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+    def test_reference_kappa_stops_at_step_128_with_lemkes_bytes(self, reference):
+        game, kappa = reference
+        eg_table, lemke_table = [], []
+        eg = solve_cwe(game, kappa, "extragradient", regions=eg_table)
+        self.assert_same_bytes(eg, solve_cwe(game, kappa, "lemke", regions=lemke_table))
+        assert eg.iterations == 128 and eg.converged
+        # The region it appends is the one a cold Lemke solve appends.
+        (got,), (want,) = eg_table, lemke_table
+        for field in dataclasses.fields(routing.EquilibriumRegion):
+            assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes()
+
+    @pytest.mark.parametrize("failure", ["never certifies", "raises"])
+    def test_a_failed_guess_lets_the_solve_run_to_the_strict_tail(self, reference, monkeypatch, failure):
+        game, kappa = reference
+        want = solve_cwe(game, kappa, "lemke")
+        solve, certify, qp = routing.extragradient_solve, routing._certify, lcp.active_set_qp
+        looping, guesses = [], []
+
+        def in_loop(*args):
+            looping.append(True)
+            try:
+                return solve(*args)
+            finally:
+                looping.pop()
+
+        def certify_nothing_in_loop(game, region, q):
+            held, solutions = certify(game, region, q)
+            if looping:
+                guesses.append(len(held))
+                return held[:0], []
+            return held, solutions
+
+        def raise_in_loop(*args):
+            if looping:
+                guesses.append(None)
+                raise RuntimeError("active-set QP passed its iteration cap")
+            return qp(*args)
+
+        monkeypatch.setattr(routing, "extragradient_solve", in_loop)
+        if failure == "never certifies":
+            monkeypatch.setattr(routing, "_certify", certify_nothing_in_loop)
+        else:
+            monkeypatch.setattr(routing.lcp_mod, "active_set_qp", raise_in_loop)
+        eg = solve_cwe(game, kappa, "extragradient")
+        self.assert_same_bytes(eg, want)
+        assert eg.iterations == 508 and eg.converged
+        # Guesses at steps 64, 128 and 256; the first certified nothing anyway.
+        assert guesses == ([0, 1, 1] if failure == "never certifies" else [None] * 3)
 
 
 class TestSolveAndCertificate:
@@ -1719,8 +1789,8 @@ class TestSolveAndCertificate:
         # region (every path used) fails its certificate.
         least_distance = routing._min_norm_equilibrium
         monkeypatch.setattr(routing, "_min_norm_equilibrium",
-                            lambda game, costs, h0: (game.feasible_flows.default_start(),
-                                                     least_distance(game, costs, h0)[1]))
+                            lambda game, costs, h0, tie_tol: (game.feasible_flows.default_start(),
+                                                              least_distance(game, costs, h0, tie_tol)[1]))
         kappa = sample_path_kappa(sioux_game, 50, 1)
         for method in SOLVE_METHODS:
             with pytest.raises(RuntimeError, match=f"^solver returned a flow violating the equilibrium "

@@ -511,6 +511,57 @@ class TestExtragradient:
             extragradient_solve(box, lambda x: x, lipschitz)
 
 
+class TestExtragradientCheck:
+    """`check(x, F(x))` runs at steps 64, 128, 256, ...; None goes on, and a
+    returned solution ends the solve with `iterations` that step."""
+
+    @staticmethod
+    def slow_problem():
+        # F(x) = 0.005 (x - 0.25) on [0, 1] at step 0.9: over 2,048 steps.
+        calls = []
+
+        def field(x):
+            calls.append(None)
+            return 0.005 * (x - 0.25)
+
+        return Box(lo=[0.0], hi=[1.0]), field, calls
+
+    def test_check_runs_at_64_and_each_doubling_and_none_changes_nothing(self):
+        box, field, calls = self.slow_problem()
+        plain = extragradient_solve(box, field, 1.0)
+        calls.clear()
+        steps = []
+
+        def check(x, fx):
+            steps.append((len(calls) - 1) // 2)  # F(x) of step k is the field's call 2k + 1
+            assert fx.tobytes() == (0.005 * (x - 0.25)).tobytes()
+            return None
+
+        sol = extragradient_solve(box, field, 1.0, check)
+        assert plain.converged and plain.iterations > 2048
+        assert steps == [64, 128, 256, 512, 1024, 2048]
+        assert sol.x_star.tobytes() == plain.x_star.tobytes()
+        assert (sol.residual, sol.iterations, sol.converged) == (plain.residual, plain.iterations, True)
+
+    def test_a_returned_solution_ends_the_solve_at_that_step(self):
+        box, field, calls = self.slow_problem()
+        found = vi.ViSolution(x_star=np.array([0.25]), residual=0.0, iterations=0, converged=True)
+        checks = []
+
+        def check(x, fx):
+            checks.append(x)
+            return found if len(checks) == 2 else None
+
+        sol = extragradient_solve(box, field, 1.0, check)
+        assert len(checks) == 2 and len(calls) == 2 * 128 + 1
+        assert sol.x_star is found.x_star and (sol.residual, sol.iterations, sol.converged) == (0.0, 128, True)
+
+    def test_a_solve_that_converges_first_never_checks(self):
+        sp = SimplexProduct(blocks=[(3, 2.0)])
+        sol = extragradient_solve(sp, lambda x: np.array([3.0, 1.0, 2.0]), 0.0, lambda x, fx: pytest.fail())
+        assert sol.converged and sol.iterations == 2
+
+
 def three_projection_extragradient(feasible, field, lipschitz):
     """Oracle: the extragradient loop with three one-point projections per
     step and the residual through np.linalg.norm."""
