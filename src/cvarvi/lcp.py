@@ -180,18 +180,21 @@ def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.nda
     entries F, [[H_FF, E_F^T], [E_F, 0]] [z; nu] = [-g_F; f], by least
     squares and steps towards z; if it is inconsistent, the top block of its
     right side's null-space part is a descent direction d with H d = 0 and
-    E d = 0, followed to the next bound. A blocking bound joins W; at z, an
-    entry whose multiplier grad + E^T nu is below -tol leaves W. Bland's
-    rule (1977) takes the smallest index of either set. tol, for the
-    multipliers and for d, is relative to the largest gradient entry; z
-    depends on its face and f alone, not on the path from x0. In exact
-    arithmetic an entry that leaves W rises at once (N&W, Theorem 16.5); one
-    that blocks its own first step rejoins W, and its multiplier, rounding
-    alone, is passed over until x moves. RuntimeError past
-    _ACTIVE_SET_MAX_ITER iterations or when unbounded below."""
+    E d = 0, followed to the next bound. The first blocking bound of the
+    smallest ratio joins W; at z, the entry whose multiplier grad + E^T nu
+    is most negative, below -tol, leaves W. While no step since the last
+    entry has moved x, the smallest such index leaves instead: a degenerate
+    stretch follows Bland's rule (1977), which cannot cycle in exact
+    arithmetic. tol, for the multipliers and for d, is relative to the
+    largest gradient entry; z depends on its face and f alone, not on the
+    path from x0. In exact arithmetic an entry that leaves W rises at once
+    (N&W, Theorem 16.5); one that blocks its own first step rejoins W, and
+    its multiplier, rounding alone, is passed over until x moves.
+    RuntimeError past _ACTIVE_SET_MAX_ITER iterations or when unbounded
+    below."""
     x = np.maximum(np.asarray(x0, dtype=float), 0.0)
     free, n_rows = x > 0.0, len(e_mat)
-    passed_over, freed = np.zeros_like(free), -1
+    passed_over, freed, moved = np.zeros_like(free), -1, True
     grad = h_mat @ x + g
     for it in range(1, _ACTIVE_SET_MAX_ITER + 1):
         tol = _ACTIVE_SET_TOL * np.abs(grad).max(initial=0.0)
@@ -219,7 +222,7 @@ def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.nda
         if step < 1.0 or not full:
             leaving = cols[falling[np.argmin(ratios)]]  # the first minimum: Bland's rule
             if step > 0.0:
-                passed_over[:] = False
+                passed_over[:], moved = False, True
             elif leaving == freed:
                 passed_over[leaving] = True  # else W and x would repeat, and the iteration cycle
             x[cols] = np.maximum(x[cols] + step * p, 0.0)
@@ -228,22 +231,24 @@ def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.nda
             continue
         z = np.maximum(sol[:k], 0.0)
         if (z != x[cols]).any():
-            passed_over[:] = False
+            passed_over[:], moved = False, True
         x[cols] = z
         grad = h_mat @ x + g
-        entering = np.flatnonzero(~free & ~passed_over & (grad + e_mat.T @ sol[k:] < -tol))
+        multipliers = grad + e_mat.T @ sol[k:]
+        entering = np.flatnonzero(~free & ~passed_over & (multipliers < -tol))
         if not len(entering):
             return x, it
-        freed = entering[0]
-        free[freed] = True
+        freed = entering[np.argmin(multipliers[entering])] if moved else entering[0]
+        free[freed], moved = True, False
     raise RuntimeError(f"active-set QP did not finish in {_ACTIVE_SET_MAX_ITER} iterations")
 
 
 def solve_lcp_qp(lcp: AffineLcp) -> LcpSolution:
     """The LCP as the convex program whose KKT system it is, solved by
-    `active_set_qp` (`iterations` counts its iterations): for M = [[A, -B^T],
-    [B, 0]] and q = (c; -d), B's rows those of M's zero trailing block, the
-    Beckmann program min 1/2 h^T A h + c^T h over B h = d, h >= 0 (Beckmann,
+    `active_set_qp`, which frees the most negative multiplier first
+    (`iterations` counts its iterations): for M = [[A, -B^T], [B, 0]] and
+    q = (c; -d), B's rows those of M's zero trailing block, the Beckmann
+    program min 1/2 h^T A h + c^T h over B h = d, h >= 0 (Beckmann,
     McGuire & Winsten 1956) from the vertex that puts each OD's demand on its
     first path; each OD's potential is its minimum cost. A symmetric M has
     no B: x >= 0, from 0. A must be PSD. ValueError unless A is symmetric and

@@ -411,8 +411,17 @@ for p in range(game.path_set.n_paths):
     cols = np.nonzero(q_unc[:, p])[0]
     if len(cols):
         kappa_hat[p] = cvar.cvar_from_values(draws[:, cols].sum(axis=1), game.alpha.alpha)[0]
-lcp.solve_lcp_lemke(lcp.assemble_lcp(game, kappa_hat), max_pivots=1000)
+problem = lcp.assemble_lcp(game, kappa_hat)
 """
+
+
+def run_grid_philox_case(solve: str) -> subprocess.CompletedProcess:
+    """GRID_PHILOX_CASE and then `solve`, lines that read its LCP as
+    `problem`, in a child process at one BLAS thread."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", GRID_PHILOX_CASE + solve, str(root / "src"), str(root / "bench")],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.xfail(reason="Lemke's lexicographic rule cycles on this degenerate LCP")
@@ -420,8 +429,16 @@ def test_lemke_solves_grid_lcp_of_philox_seed12_rep4():
     """The known Lemke cycle, kept on a fixed LCP: its basis at pivot 551
     repeats the one at pivot 545, so it runs into any budget. Not strict,
     since another CPU or BLAS may round differently."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", GRID_PHILOX_CASE, str(root / "src"), str(root / "bench")],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_grid_philox_case("lcp.solve_lcp_lemke(problem, max_pivots=1000)\n")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_qp_solves_grid_lcp_of_philox_seed12_rep4():
+    """The LCP Lemke cycles on is the KKT system of a Beckmann program,
+    which the active set solves: 85 iterations, where freeing the smallest
+    index with a negative multiplier, not the most negative, took 677."""
+    proc = run_grid_philox_case("sol = lcp.solve_lcp_qp(problem)\n"
+                                "print(sol.feasible, sol.complementarity_gap, sol.iterations)\n")
+    assert proc.returncode == 0, proc.stderr
+    feasible, gap, iterations = proc.stdout.split()
+    assert feasible == "True" and abs(float(gap)) <= 1e-8 and int(iterations) <= 150

@@ -1171,7 +1171,8 @@ class TestEquilibriumRegions:
     def test_qp_finishes_on_the_uncongested_replication_121(self):
         # With b_e = 0, A = 0 and the Beckmann program is a linear program.
         # On this key the gap-minimization route stalled after 10^6 steps;
-        # the active set finishes in a few iterations. No region certifies
+        # the active set finishes in 5 iterations, whether the most negative
+        # multiplier or the smallest index enters. No region certifies
         # the flow, so qp's and Lemke's both take the fallback.
         config = dataclasses.replace(ExperimentConfig(), b_e=0.0)
         game = build_configured_game(config)
@@ -1456,6 +1457,15 @@ def assert_kkt_point(h_mat, g, e_mat, f, x):
     assert certificate.status == 0, certificate.message
 
 
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """The default game and its reference kappa."""
+    config = ExperimentConfig()
+    game = build_configured_game(config)
+    return game, true_path_kappa(game, config.ref_samples, config.ref_seed,
+                                 cache_dir=tmp_path_factory.mktemp("ref"))
+
+
 class TestNnls:
     """Nonnegative least squares, min ||A x - b|| over x >= 0, as the
     program 1/2 x^T A^T A x - (A^T b)^T x with no equality rows, through
@@ -1549,6 +1559,43 @@ class TestActiveSetQp:
         x0 = np.array([1.0, 2.0])
         x, iterations = lcp.active_set_qp(np.zeros((2, 2)), np.zeros(2), e_mat, e_mat @ x0, x0)
         assert iterations == 1 and x == pytest.approx([1.5, 1.5], rel=1e-12)
+
+    def test_the_most_negative_multiplier_enters(self):
+        # At x0 = (0, 0, 1) entries 0 and 1 have multipliers -2 and -4.
+        # Freeing entry 1 reaches the minimum in 3 iterations; freeing the
+        # smallest index, entry 0, first took 5.
+        h_mat, g, e_mat, f = np.eye(3), np.array([-1.0, -3.0, 0.0]), np.ones((1, 3)), np.ones(1)
+        x, iterations = lcp.active_set_qp(h_mat, g, e_mat, f, np.array([0.0, 0.0, 1.0]))
+        assert iterations == 3 and x == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+        assert_kkt_point(h_mat, g, e_mat, f, x)
+
+    def test_reference_beckmann_program_takes_14_iterations(self, reference):
+        # Freeing the smallest index with a negative multiplier took 32.
+        sol = solve_lcp_qp(assemble_lcp(*reference))
+        assert sol.feasible and sol.iterations == 14
+
+    def test_beales_cycling_lp(self):
+        # Beale's (1955) LP, on which the simplex method with Dantzig's rule,
+        # the most negative reduced cost, can cycle from this degenerate start.
+        g = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        e_mat = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0], [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                          [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        x0, f = np.eye(7)[2], np.array([0.0, 0.0, 1.0])
+        x = lcp.active_set_qp(np.zeros((7, 7)), g, e_mat, f, x0)[0]
+        assert x == pytest.approx([0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], abs=1e-12)
+        assert_kkt_point(np.zeros((7, 7)), g, e_mat, f, x)
+
+    @pytest.mark.xfail(strict=True, reason="at the degenerate vertex x = 0, entry 0 blocks its own "
+                       "first step and is passed over as if its multiplier were rounding")
+    def test_fully_degenerate_start(self):
+        # From x0 = 0 with f = 0 the bounds and E's rows active at x0 are
+        # dependent, so a freed entry can be held at 0 by the others, not by
+        # rounding (N&W's Theorem 16.5 assumes independence): the search
+        # stops at x = 0, objective 0, in 6 iterations.
+        h_mat, g = np.diag([1.0, 2.0, 2.0, 1.0]), np.array([-2.0, 2.0, 0.0, 0.0])
+        e_mat = np.array([[0.0, 0.0, -2.0, 1.0], [1.0, -1.0, -2.0, -1.0]])
+        x = lcp.active_set_qp(h_mat, g, e_mat, np.zeros(2), np.zeros(4))[0]
+        assert x == pytest.approx(np.array([16.0, 0.0, 4.0, 8.0]) / 11.0, abs=1e-9)
 
     def test_iteration_cap_raises(self, monkeypatch):
         e_mat, f, x0 = random_program(np.random.default_rng(2204))
@@ -1650,7 +1697,7 @@ class TestMixedCongestion:
 
     def test_every_method_returns_the_same_bits(self, game, kappas):
         # Extragradient stops at 512-2,048 of its 1,178-6,521 steps here, and
-        # qp takes 16-20 active-set iterations: all 20 kappa-hat take about 1.3 s.
+        # qp takes 10-12 active-set iterations: all 20 kappa-hat take about 1.3 s.
         assert np.count_nonzero(game.congestion_diag == 0.0) == 18 and len(game.noise_edges) == 13
         for kappa in kappas:
             solutions = [solve_cwe(game, kappa, method) for method in SOLVE_METHODS]
@@ -1675,13 +1722,6 @@ class TestExtragradientStopsAtTheFirstCertifiedRegion:
     """A cold extragradient solve guesses the region from its iterate at
     steps 64, 128, 256, ... and returns the first guess that certifies: the
     bytes of a cold solve that runs to convergence, in fewer steps."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, tmp_path_factory):
-        config = ExperimentConfig()
-        game = build_configured_game(config)
-        return game, true_path_kappa(game, config.ref_samples, config.ref_seed,
-                                     cache_dir=tmp_path_factory.mktemp("ref"))
 
     @staticmethod
     def assert_same_bytes(got, want):
