@@ -182,19 +182,16 @@ def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.nda
     right side's null-space part is a descent direction d with H d = 0 and
     E d = 0, followed to the next bound. The first blocking bound of the
     smallest ratio joins W; at z, the entry whose multiplier grad + E^T nu
-    is most negative, below -tol, leaves W. While no step since the last
-    entry has moved x, the smallest such index leaves instead: a degenerate
-    stretch follows Bland's rule (1977), which cannot cycle in exact
-    arithmetic. tol, for the multipliers and for d, is relative to the
-    largest gradient entry; z depends on its face and f alone, not on the
-    path from x0. In exact arithmetic an entry that leaves W rises at once
-    (N&W, Theorem 16.5); one that blocks its own first step rejoins W, and
-    its multiplier, rounding alone, is passed over until x moves.
-    RuntimeError past _ACTIVE_SET_MAX_ITER iterations or when unbounded
-    below."""
+    is most negative, below -tol, leaves W (N&W 16.5). tol, for the
+    multipliers and for d, is relative to the largest gradient entry; z
+    depends on its face and f alone, not on the path from x0. In exact
+    arithmetic an entry that leaves W rises at once (N&W, Theorem 16.5); one
+    that blocks its own first step rejoins W, and its multiplier, rounding
+    alone, is passed over until x moves. RuntimeError past
+    _ACTIVE_SET_MAX_ITER iterations or when unbounded below."""
     x = np.maximum(np.asarray(x0, dtype=float), 0.0)
     free, n_rows = x > 0.0, len(e_mat)
-    passed_over, freed, moved = np.zeros_like(free), -1, True
+    passed_over, freed = np.zeros_like(free), -1
     grad = h_mat @ x + g
     for it in range(1, _ACTIVE_SET_MAX_ITER + 1):
         tol = _ACTIVE_SET_TOL * np.abs(grad).max(initial=0.0)
@@ -222,7 +219,7 @@ def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.nda
         if step < 1.0 or not full:
             leaving = cols[falling[np.argmin(ratios)]]  # the first minimum: Bland's rule
             if step > 0.0:
-                passed_over[:], moved = False, True
+                passed_over[:] = False
             elif leaving == freed:
                 passed_over[leaving] = True  # else W and x would repeat, and the iteration cycle
             x[cols] = np.maximum(x[cols] + step * p, 0.0)
@@ -231,15 +228,15 @@ def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.nda
             continue
         z = np.maximum(sol[:k], 0.0)
         if (z != x[cols]).any():
-            passed_over[:], moved = False, True
+            passed_over[:] = False
         x[cols] = z
         grad = h_mat @ x + g
         multipliers = grad + e_mat.T @ sol[k:]
         entering = np.flatnonzero(~free & ~passed_over & (multipliers < -tol))
         if not len(entering):
             return x, it
-        freed = entering[np.argmin(multipliers[entering])] if moved else entering[0]
-        free[freed], moved = True, False
+        freed = entering[np.argmin(multipliers[entering])]
+        free[freed] = True
     raise RuntimeError(f"active-set QP did not finish in {_ACTIVE_SET_MAX_ITER} iterations")
 
 
