@@ -14,9 +14,10 @@ only user of SciPy and imports SciPy's optimizer on its first call.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,50 +99,71 @@ def cvar_from_values(values: np.ndarray, alpha: float) -> tuple[float, float]:
     return float(value), t_star
 
 
-def cvar_of_row_stream(rows: Iterator[np.ndarray], shape: tuple[int, int], row_sets: Sequence[tuple[int, ...]],
-                       schedule: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], alpha: float) -> np.ndarray:
+@functools.lru_cache
+def _row_plan(row_sets: tuple[tuple[int, ...], ...]):
+    """The distinct nonempty row sets in first-seen order; each row set's
+    index into them (an empty set's is one past the end); and, per row up to
+    the last one a set names, the sets whose last row it is and the rows
+    read last there (a row no set reads, at its own arrival)."""
+    sets = tuple(dict.fromkeys(rows for rows in row_sets if rows))
+    if any(min(rows) < 0 for rows in sets):
+        raise ValueError("row sets name rows by their nonnegative index")
+    columns = np.array([sets.index(rows) if rows else len(sets) for rows in row_sets], dtype=np.intp)
+    last = [max(rows) for rows in sets]
+    use = [max([t for rows, t in zip(sets, last) if r in rows], default=r) for r in range(max(last, default=-1) + 1)]
+    steps = tuple((tuple(u for u, t in enumerate(last) if t == i), tuple(r for r, t in enumerate(use) if t == i))
+                  for i in range(len(use)))
+    return sets, columns, steps
+
+
+def cvar_of_row_stream(rows: Iterable[np.ndarray], shape: tuple[int, int], row_sets: Sequence[Sequence[int]],
+                       alpha: float) -> np.ndarray:
     """cvar_from_values' value of each row set's sum in each of R draw
-    matrices, bit for bit, without t*: an (R, U) array for U row sets, from
-    the matrices' rows, shape = (R, N) each, taken in order from `rows`.
-    schedule[i] = (due, done): when row i has arrived, the sets indexed by
-    due are reduced, then the rows in done are dropped; no other name holds
-    a row, so a dropped one is freed before the next arrives. One (R, N) sum
-    buffer is reused for one row set at a time: the set's rows are added
-    left to right (a lone row plus 0.0), one partition moves the top
-    ceil(alpha N) entries of every sum row to its end, one sort orders
-    those tails ascending, and one np.add.reduce over the (R, k) tail view
-    gives each row's pairwise tail sum with its one-row bits; the division
-    by N, the boundary term and the division by alpha run once over the due
-    sets. The rows stay unchanged; a zero value, whose sign depends on the
-    index order of tied +-0 sums, is recomputed by the sort route."""
+    matrices, bit for bit, without t*: an (R, len(row_sets)) array from the
+    matrices' rows, shape = (R, N) each, taken in order from `rows`. An
+    empty set gives +0.0; equal sets are reduced once, when their last row
+    arrives. Each row is dropped after the last set that reads it (one that
+    no set reads, on arrival) and no other name holds it, so it is freed
+    before the next arrives. A set naming a row the stream never yields is a
+    ValueError. One (R, N) buffer sums one set at a time, its rows added
+    left to right (a lone row plus 0.0); one partition moves the top
+    ceil(alpha N) entries of each sum row to its end, one sort orders those
+    tails ascending, and one np.add.reduce over the (R, k) tail view gives
+    each row's pairwise tail sum with its one-row bits. The rows stay
+    unchanged; a zero value, whose sign depends on the index order of tied
+    +-0 sums, is recomputed by the sort route."""
     n_reps, n = shape
     k, mass_before = _tail_index(n, alpha)
+    sets, columns, steps = _row_plan(tuple(map(tuple, row_sets)))
     sums = np.empty((n_reps, n))
-    values = np.empty((len(row_sets), n_reps))
+    values = np.zeros((len(sets) + 1, n_reps))  # the last row is the empty set's
+    rows = iter(rows)
     held = {}
-    for i, (due, done) in enumerate(schedule):
-        held[i] = next(rows)
-        if due:
-            tail_sums, boundary = np.empty((2, len(due), n_reps))
-            for u, tail_sum, bound in zip(due, tail_sums, boundary):
-                set_rows = row_sets[u]
-                # + 0.0 changes only a -0.0
-                np.add(held[set_rows[0]], held[set_rows[1]] if len(set_rows) > 1 else 0.0, out=sums)
-                for row in set_rows[2:]:
-                    np.add(sums, held[row], out=sums)
-                sums.partition(n - k - 1, axis=1)
-                tail = sums[:, n - k:]
-                tail.sort(axis=1)
-                np.add.reduce(tail, axis=1, out=tail_sum)
-                bound[:] = sums[:, n - k - 1]
-            due_values = (tail_sums / n + (alpha - mass_before) * boundary) / alpha
-            for v, j in zip(*np.nonzero(due_values == 0.0)):
-                total = functools.reduce(np.add, [held[row][j] for row in row_sets[due[v]]])
-                due_values[v, j] = cvar_from_values(total, alpha)[0]
-            values[list(due)] = due_values
+    for i, (due, done) in enumerate(steps):
+        try:
+            held[i] = next(rows)
+        except StopIteration:
+            raise ValueError(f"a row set names row {len(steps) - 1}; the stream yielded {i} rows") from None
+        for u in due:
+            set_rows = sets[u]
+            # + 0.0 changes only a -0.0
+            np.add(held[set_rows[0]], held[set_rows[1]] if len(set_rows) > 1 else 0.0, out=sums)
+            for row in set_rows[2:]:
+                np.add(sums, held[row], out=sums)
+            sums.partition(n - k - 1, axis=1)
+            tail = sums[:, n - k:]
+            tail.sort(axis=1)
+            value = np.add.reduce(tail, axis=1, out=values[u])
+            value /= n
+            value += (alpha - mass_before) * sums[:, n - k - 1]
+            value /= alpha
+            if np.count_nonzero(value) < n_reps:
+                for j in np.flatnonzero(value == 0.0):
+                    value[j] = cvar_from_values(functools.reduce(np.add, [held[r][j] for r in set_rows]), alpha)[0]
         for row in done:
             del held[row]
-    return values.T
+    collections.deque(rows, maxlen=0)  # rows no set reads, each dropped on arrival
+    return values[columns].T
 
 
 def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
@@ -155,8 +177,8 @@ def empirical_cvar(samples: SampleBatch, alpha: RiskLevel) -> CvarEstimate:
 
 def cvar_uniform_interval(lo: float, hi: float, alpha: RiskLevel) -> float:
     """CVaR of U(lo, hi): the mean of its upper-alpha tail."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     return hi - alpha.alpha * (hi - lo) / 2.0
 
 

@@ -39,6 +39,7 @@ _LEX_TOL = 1e-14
 _UPDATE_BLOCK_BYTES = 1 << 18
 _ACTIVE_SET_TOL = 1e-10  # relative to the largest gradient entry, or to the largest of z or d where it blocks
 _ACTIVE_SET_MAX_ITER = 10000
+_START_TOL = 1e-9  # x0 >= -tol max|x0| and, per row, |E x0 - f| <= tol (|E| |x0| + |f|)
 
 
 class LcpRayTermination(RuntimeError):
@@ -187,9 +188,16 @@ def active_set_qp(h_mat: np.ndarray, g: np.ndarray, e_mat: np.ndarray, f: np.nda
     depends on its face and f alone, not on the path from x0. In exact
     arithmetic an entry that leaves W rises at once (N&W, Theorem 16.5); one
     that blocks its own first step rejoins W, and its multiplier, rounding
-    alone, is passed over until x moves. RuntimeError past
-    _ACTIVE_SET_MAX_ITER iterations or when unbounded below."""
-    x = np.maximum(np.asarray(x0, dtype=float), 0.0)
+    alone, is passed over until x moves. ValueError unless x0 >= 0 and
+    E x0 = f hold to within _START_TOL; x0's entries below 0 are set to 0.
+    RuntimeError past _ACTIVE_SET_MAX_ITER iterations or when unbounded below."""
+    e_mat, f, x = np.asarray(e_mat, dtype=float), np.asarray(f, dtype=float), np.asarray(x0, dtype=float)
+    miss = np.abs(e_mat @ x - f)
+    if (x < -_START_TOL * np.abs(x).max(initial=0.0)).any() or not (
+            miss <= _START_TOL * (np.abs(e_mat) @ np.abs(x) + np.abs(f))).all():
+        raise ValueError(f"infeasible start: min(x0) = {x.min(initial=0.0):.3e}, "
+                         f"max |E x0 - f| = {miss.max(initial=0.0):.3e}")
+    x = np.maximum(x, 0.0)
     free, n_rows = x > 0.0, len(e_mat)
     passed_over, freed = np.zeros_like(free), -1
     grad = h_mat @ x + g

@@ -25,7 +25,6 @@ import functools
 import hashlib
 import heapq
 import math
-import operator
 import re
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -444,22 +443,6 @@ class RoutingGame:
         return tuple(tuple(np.nonzero(col)[0].tolist()) for col in q_noisy.T)
 
     @cached_property
-    def noise_row_sets(self) -> tuple[tuple[int, ...], ...]:
-        """The distinct nonempty path_noise_rows, in path order: kappa-hat
-        reduces each once, for all the paths that cross those edges."""
-        return tuple(rows for rows in dict.fromkeys(self.path_noise_rows) if rows)
-
-    @cached_property
-    def noise_schedule(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Per noise_edges row, in draw order: the noise_row_sets (by index)
-        whose last row it is, and the rows whose last use those sets are."""
-        sets = self.noise_row_sets
-        last = [max(rows) for rows in sets]
-        use = [max(t for rows, t in zip(sets, last) if r in rows) for r in range(len(self.noise_edges))]
-        return tuple((tuple(u for u, t in enumerate(last) if t == i),
-                      tuple(r for r, t in enumerate(use) if t == i)) for i in range(len(use)))
-
-    @cached_property
     def cost_matrix(self) -> np.ndarray:
         """A = Q^T R Q, the Jacobian of the path-cost map."""
         q_inc = self.path_set.edge_incidence
@@ -575,20 +558,9 @@ def replication_rng(master_seed: int, *stream_key: int) -> np.random.Generator:
 _DRAW_LAYOUT = "SFC64, noise_edges rows, edge-major, ascending pairwise tail sums"
 
 
-# Scratch of one sample_kappa_block pass in bytes: its draw matrices and the
-# reducer's one sum row per matrix. A key over it is a pass of its own.
+# Scratch of one sample_kappa_block pass in bytes: its drawn rows and the
+# reducer's one sum row per key. A key over it is a pass of its own.
 _KAPPA_BLOCK_BYTES = 1 << 21
-
-
-def _path_kappa(game: RoutingGame, values: np.ndarray) -> np.ndarray:
-    """Per-path kappa, (R, P), from the (R, U) CVaR values of R draws' sums
-    over game.noise_row_sets: each set's value is shared by the paths that
-    cross those edges; other paths get 0."""
-    kappa = np.zeros((len(values), game.path_set.n_paths))
-    column = {rows: u for u, rows in enumerate(game.noise_row_sets)}
-    noisy = [p for p, rows in enumerate(game.path_noise_rows) if rows]
-    kappa[:, noisy] = values[:, [column[game.path_noise_rows[p]] for p in noisy]]
-    return kappa
 
 
 def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
@@ -596,42 +568,39 @@ def sample_kappa_block(game: RoutingGame, n_samples: int, seed: int,
     """`sample_path_kappa` of each stream key at one N, bit for bit, as an
     (R, P) array with one row per key.
 
-    Each pass makes one `cvar_of_row_stream` call on its keys' rows. Keys
-    whose (E, N) draw matrix and the reducer's sum row fit in
-    _KAPPA_BLOCK_BYTES are stacked: their matrices fill a reused (r, E, N)
-    buffer, r at a time, are scaled to [0, hi - lo) by one multiply and go
-    in as views of its rows, every set due at the last row (holding a view
-    frees nothing). A larger key (the reference batch) is a pass of its
-    own: its rows are drawn one at a time and each scaled in place, and the
-    reducer holds a row only until its last use (game.noise_schedule; no
-    other name holds one). Each path's sum of noise_lo over its noise edges
-    is added after the reduction, as CVaR is translation-equivariant.
+    A pass takes the keys whose (E, N) draw matrices and sum rows fit in
+    _KAPPA_BLOCK_BYTES, or one key that does not (the reference batch), and
+    one `cvar_of_row_stream` call on game.path_noise_rows gives its kappa.
+    Each draw fills a fresh (r, c, N) array with the next c rows of the
+    pass's r key streams, c = E where the keys fit and 1 where not, scales
+    them to [0, hi - lo) by one multiply and hands them on as row views.
+    Each path's sum of noise_lo over its noise edges is added after the
+    reduction, as CVaR is translation-equivariant.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     keys = [tuple(key) for key in stream_keys]
-    edges, sets = game.noise_edges, game.noise_row_sets
-    kappa = np.zeros((len(keys), game.path_set.n_paths))
+    edges = game.noise_edges
     widths = (game.noise_hi - game.noise_lo)[edges]
-    per_key = 8 * n_samples * (len(edges) + 1)
-    stacked, step = per_key <= _KAPPA_BLOCK_BYTES, max(1, _KAPPA_BLOCK_BYTES // per_key)
-    schedule = game.noise_schedule
-    if stacked:
-        draws = np.empty((min(len(keys), step), len(edges), n_samples))
-        schedule = [(tuple(range(len(sets))) if i == len(edges) - 1 else (), ()) for i in range(len(edges))]
+    step = _KAPPA_BLOCK_BYTES // (8 * n_samples * (len(edges) + 1))
+    step, chunk = (step, max(1, len(edges))) if step > 0 else (1, 1)
+
+    def noise_rows(rngs):
+        for first in range(0, len(edges), chunk):
+            scale = widths[first:first + chunk, None]
+            block = np.empty((len(rngs), len(scale), n_samples))
+            for j, rng in enumerate(rngs):
+                rng.random(out=block[j])
+            block *= scale
+            for i in range(block.shape[1]):
+                yield block[:, i]
+            del block  # rows the reducer dropped are freed before the next draw
+
+    kappa = np.empty((len(keys), game.path_set.n_paths))
     for start in range(0, len(keys), step):
-        shape = (min(step, len(keys) - start), n_samples)
-        if stacked:
-            block = draws[:shape[0]]
-            for matrix, key in zip(block, keys[start:]):
-                replication_rng(seed, *key).random(out=matrix)
-            block *= widths[:, None]
-            rows = (block[:, i] for i in range(len(edges)))
-        else:
-            rng = replication_rng(seed, *keys[start])
-            rows = (operator.imul(rng.random((1, n_samples)), width) for width in widths)
-        values = cvar_of_row_stream(rows, shape, sets, schedule, game.alpha.alpha)
-        kappa[start:start + shape[0]] = _path_kappa(game, values)
+        rngs = [replication_rng(seed, *key) for key in keys[start:start + step]]
+        kappa[start:start + len(rngs)] = cvar_of_row_stream(
+            noise_rows(rngs), (len(rngs), n_samples), game.path_noise_rows, game.alpha.alpha)
     kappa += game.path_set.edge_incidence[edges].T @ game.noise_lo[edges]
     return kappa
 

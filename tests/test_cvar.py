@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import weakref
 
@@ -150,16 +151,10 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def due_at_last_row(n_rows, n_sets):
-    """A schedule that reduces every row set as the last row arrives and drops no row."""
-    return [(tuple(range(n_sets)) if i == n_rows - 1 else (), ()) for i in range(n_rows)]
-
-
 def stack_cvar(draws, row_sets, alpha):
     """cvar_of_row_stream of a stack of draw matrices (R, E, N), through views of its rows."""
     n_reps, n_rows, n = draws.shape
-    return cvar_of_row_stream((draws[:, i] for i in range(n_rows)), (n_reps, n), row_sets,
-                              due_at_last_row(n_rows, len(row_sets)), alpha)
+    return cvar_of_row_stream((draws[:, i] for i in range(n_rows)), (n_reps, n), row_sets, alpha)
 
 
 class TestEqualWeightCvar:
@@ -287,8 +282,8 @@ class TestRowStream:
 
     # (0, 1) is a prefix of (0, 1, 3); (2,) is a lone row; (1, 4) ends the stream.
     ROW_SETS = [(0, 1, 3), (2,), (0, 1), (1, 4)]
-    # Per row: the sets its arrival completes, then the rows no later set reads.
-    SCHEDULE = [((), ()), ((2,), ()), ((1,), (2,)), ((0,), (0, 3)), ((3,), (1, 4))]
+    # The reducer's plan, per row: the sets its arrival completes, then the rows no later set reads.
+    SCHEDULE = (((), ()), ((2,), ()), ((1,), (2,)), ((0,), (0, 3)), ((3,), (1, 4)))
     # Before row i arrives, the earlier rows some set still needs.
     HELD_BEFORE = [set(), {0}, {0, 1}, {0, 1}, {1}]
 
@@ -306,7 +301,8 @@ class TestRowStream:
                 yield fresh
                 del fresh
 
-        got = cvar_of_row_stream(stream(), (2, n), self.ROW_SETS, self.SCHEDULE, 0.05)
+        got = cvar_of_row_stream(stream(), (2, n), self.ROW_SETS, 0.05)
+        assert cvar._row_plan(tuple(self.ROW_SETS))[2] == self.SCHEDULE
         assert held_before == self.HELD_BEFORE
         assert all(ref() is None for ref in refs)
         assert bits(got) == bits(stack_cvar(data.transpose(1, 0, 2), self.ROW_SETS, 0.05))
@@ -314,6 +310,83 @@ class TestRowStream:
                  cvar_from_values(matrix[0] + matrix[1], 0.05)[0], cvar_from_values(matrix[1] + matrix[4], 0.05)[0]]
                 for matrix in data.transpose(1, 0, 2)]
         assert bits(got) == bits(want)
+
+
+class CountingRow(np.ndarray):
+    """A stream row that adds one to tally[index] for each ufunc call reading it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        for x in inputs:
+            if isinstance(x, CountingRow):
+                x.tally[x.index] += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, CountingRow) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestReducerContract:
+    """The reducer plans from its row sets alone, on layouts the routing game lacks."""
+
+    # Layout: (row sets, stream length, rows live before each row arrives).
+    # "repeats": an empty set, a repeated lone row, row 3 read by two sets,
+    # row 4 read by none, at the end of the stream.
+    # "unread": row 1 read by no set in the middle, (3, 0) summed from row 3.
+    LAYOUTS = {
+        "repeats": (((0, 3), (1,), (2, 3), (), (1,)), 5, [set(), {0}, {0}, {0, 2}, set()]),
+        "unread": (((3, 0), (2,), (2,), ()), 5, [set(), {0}, {0}, {0}, set()]),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_rows_freed_after_their_last_use_and_each_set_reduced_once(self, layout, n):
+        row_sets, n_rows, want_held = self.LAYOUTS[layout]
+        data = np.random.default_rng(n + 4).uniform(0.5, 4.0, (n_rows, 3, n))
+        kept = data.copy()
+        tally = [0] * n_rows
+        refs, held_before = [], []
+
+        def stream():
+            for i, row in enumerate(data):
+                held_before.append({r for r, ref in enumerate(refs) if ref() is not None})
+                fresh = row.copy().view(CountingRow)
+                fresh.tally, fresh.index = tally, i
+                refs.append(weakref.ref(fresh))
+                yield fresh
+                del fresh
+            held_before.append({r for r, ref in enumerate(refs) if ref() is not None})
+
+        got = cvar_of_row_stream(stream(), (3, n), row_sets, 0.05)
+        # The last entry: after the final row arrived, none of them is held.
+        assert held_before == want_held + [set()]
+        # Each row is read once by each distinct set that names it: a repeated set is summed once.
+        distinct = set(row_sets) - {()}
+        assert tally == [sum(r in rows for rows in distinct) for r in range(n_rows)]
+        want = np.zeros((3, len(row_sets)))
+        for u, rows in enumerate(row_sets):
+            for j, matrix in enumerate(data.transpose(1, 0, 2)):
+                if rows:
+                    want[j, u] = cvar_from_values(functools.reduce(np.add, matrix[list(rows)]), 0.05)[0]
+        assert got.shape == (3, len(row_sets))
+        assert bits(got) == bits(want)
+        empty = [u for u, rows in enumerate(row_sets) if not rows]
+        assert bits(got[:, empty]) == bytes(8 * 3 * len(empty))  # +0.0, not -0.0
+        assert data.tobytes() == kept.tobytes()
+
+    def test_a_set_naming_a_missing_row_raises(self):
+        rows = (np.ones((1, 10)) for _ in range(5))
+        with pytest.raises(ValueError, match="names row 7; the stream yielded 5 rows"):
+            cvar_of_row_stream(rows, (1, 10), ((0, 3), (1, 7)), 0.05)
+
+    def test_a_negative_row_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cvar_of_row_stream(iter([np.ones((1, 10))]), (1, 10), ((0,), (-1,)), 0.05)
+
+    def test_the_plan_is_derived_once_per_row_sets(self):
+        row_sets = ((0, 2), (1,), (0, 2))
+        data = np.random.default_rng(5).uniform(0.0, 1.0, (3, 2, 50))
+        stack_cvar(data.transpose(1, 0, 2), row_sets, 0.05)
+        hits = cvar._row_plan.cache_info().hits
+        stack_cvar(data.transpose(1, 0, 2), list(map(list, row_sets)), 0.05)
+        assert cvar._row_plan.cache_info().hits == hits + 1
 
 
 class TestLpMemory:
@@ -351,6 +424,13 @@ class TestValidation:
     def test_degenerate_uniform(self):
         with pytest.raises(ValueError):
             cvar_uniform_interval(1.0, 1.0, RiskLevel(0.5))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (np.nan, 1.0),
+                                        (0.0, np.nan)])
+    def test_uniform_needs_finite_bounds(self, lo, hi):
+        # The formula gives nan at (0, inf) and -inf at (-inf, 0).
+        with pytest.raises(ValueError, match="finite"):
+            cvar_uniform_interval(lo, hi, RiskLevel(0.5))
 
 
 class TestSampleBatchStorage:

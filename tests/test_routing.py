@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls
 
-from cvarvi import lcp, routing
+from cvarvi import cvar, lcp, routing
 from cvarvi.cvar import RiskLevel, cvar_from_values, cvar_of_row_stream, cvar_uniform_interval
 from cvarvi.harness import ExperimentConfig, build_configured_game, default_config_text, parse_config
 from cvarvi.lcp import assemble_lcp, solve_lcp_lemke, solve_lcp_qp
@@ -773,26 +773,27 @@ def sort_route_kappa(game, draws):
     return kappa
 
 
-def stack_schedule(game):
-    """The stacked source's schedule: every row set due at the last row, no row dropped."""
-    n_rows = len(game.noise_edges)
-    return [(tuple(range(len(game.noise_row_sets))) if i == n_rows - 1 else (), ()) for i in range(n_rows)]
-
-
 def stacked_kappa(game, draws):
-    """kappa of one edge-major draw matrix as the stacked source reduces it: one call on views of its rows."""
-    values = cvar_of_row_stream((row[None] for row in draws), (1, draws.shape[1]), game.noise_row_sets,
-                                stack_schedule(game), game.alpha.alpha)
-    return routing._path_kappa(game, values)[0]
+    """kappa of one edge-major draw matrix as a whole-matrix draw hands it on: one call on views of its rows."""
+    return cvar_of_row_stream((row[None] for row in draws), (1, draws.shape[1]), game.path_noise_rows,
+                              game.alpha.alpha)[0]
 
 
 def spy_on_reducer(monkeypatch):
-    """The (R, schedule) of each cvar_of_row_stream call sample_kappa_block makes from now on."""
+    """For each cvar_of_row_stream call sample_kappa_block makes from now on:
+    R, the row sets, and the shape of the draw array each row is a view of."""
     calls, original = [], routing.cvar_of_row_stream
 
-    def spy(rows, shape, row_sets, schedule, alpha):
-        calls.append((shape[0], list(schedule)))
-        return original(rows, shape, row_sets, schedule, alpha)
+    def spy(rows, shape, row_sets, alpha):
+        draws = []
+        calls.append((shape[0], row_sets, draws))
+
+        def watched():
+            for row in rows:
+                draws.append(row.base.shape)
+                yield row
+
+        return original(watched(), shape, row_sets, alpha)
 
     monkeypatch.setattr(routing, "cvar_of_row_stream", spy)
     return calls
@@ -883,7 +884,8 @@ class TestKappaBlock:
         monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 2 * self.key_bytes(sioux_game, n) + 8 * n)
         calls = spy_on_reducer(monkeypatch)
         got = sample_kappa_block(sioux_game, n, 13, keys)
-        assert calls == [(r, stack_schedule(sioux_game)) for r in (2, 2, 1)]
+        n_rows = len(sioux_game.noise_edges)
+        assert calls == [(r, sioux_game.path_noise_rows, [(r, n_rows, n)] * n_rows) for r in (2, 2, 1)]
         assert got.shape == (5, sioux_game.path_set.n_paths)
         assert got.tobytes() == want.tobytes()
         sorted_route = [sort_route_kappa(sioux_game, same_draws(sioux_game, n, 13, *key)) for key in keys]
@@ -897,7 +899,8 @@ class TestKappaBlock:
         monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 2 * self.key_bytes(sioux_game, n) - 1)
         calls = spy_on_reducer(monkeypatch)
         assert sample_kappa_block(sioux_game, n, 13, keys).tobytes() == want.tobytes()
-        assert calls == [(1, stack_schedule(sioux_game))] * 3
+        n_rows = len(sioux_game.noise_edges)
+        assert calls == [(1, sioux_game.path_noise_rows, [(1, n_rows, n)] * n_rows)] * 3
 
     def test_no_keys_and_no_noise(self, sioux_game):
         assert sample_kappa_block(sioux_game, 50, 13, []).shape == (0, sioux_game.path_set.n_paths)
@@ -912,11 +915,11 @@ class TestKappaBlock:
         # rows are held at once, and the whole matrix never is.
         n = 10**5
         assert self.key_bytes(sioux_game, n) > routing._KAPPA_BLOCK_BYTES
-        held = most = 0
-        for _, done in sioux_game.noise_schedule:
-            most = max(most, held + 1)
-            held += 1 - len(done)
-        assert (most, held) == (9, 0)
+        sets, n_rows = [rows for rows in sioux_game.path_noise_rows if rows], len(sioux_game.noise_edges)
+        last_use = [max(max(rows) for rows in sets if r in rows) for r in range(n_rows)]
+        # While row i is reduced: the rows up to i that a set at or after row i still reads.
+        most = max(sum(r <= i <= last_use[r] for r in range(n_rows)) for i in range(n_rows))
+        assert most == 9
         sample_path_kappa(sioux_game, n, 3)  # fills the per-(N, alpha) tail index cache
         tracemalloc.start()
         try:
@@ -960,9 +963,14 @@ class TestRowByRowSource:
         return sioux_game
 
     def test_schedule_reduces_each_set_at_its_last_row_and_drops_each_row_after_its_last_use(self, game):
-        sets, n_rows = game.noise_row_sets, len(game.noise_edges)
-        assert len(game.noise_schedule) == n_rows
-        for i, (due, done) in enumerate(game.noise_schedule):
+        # The reducer's plan for the game's row sets: each distinct nonempty
+        # set once, in path order, and per noise row what its arrival completes.
+        sets, columns, steps = cvar._row_plan(game.path_noise_rows)
+        n_rows = len(game.noise_edges)
+        assert sets == tuple(rows for rows in dict.fromkeys(game.path_noise_rows) if rows)
+        assert [sets[u] if u < len(sets) else () for u in columns] == list(game.path_noise_rows)
+        assert len(steps) == n_rows
+        for i, (due, done) in enumerate(steps):
             assert due == tuple(u for u, rows in enumerate(sets) if max(rows) == i)
             assert done == tuple(r for r in range(n_rows) if max(max(rows) for rows in sets if r in rows) == i)
 
@@ -971,21 +979,21 @@ class TestRowByRowSource:
         keys = [(4, rep) for rep in range(3)]
         calls = spy_on_reducer(monkeypatch)
         want = sample_kappa_block(game, n, 17, keys)
-        # At the default budget these N take the matrix source: one pass for the three keys.
-        assert calls == [(3, stack_schedule(game))]
+        # At the default budget these N take whole-matrix draws: one pass for the three keys.
+        n_rows = len(game.noise_edges)
+        assert calls == [(3, game.path_noise_rows, [(3, n_rows, n)] * n_rows)]
         calls.clear()
-        monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 8 * n * len(game.noise_edges) - 1)
+        # A byte short of one key's matrix: one row per draw.
+        monkeypatch.setattr(routing, "_KAPPA_BLOCK_BYTES", 8 * n * n_rows - 1)
         assert sample_kappa_block(game, n, 17, keys).tobytes() == want.tobytes()
-        assert calls == [(1, list(game.noise_schedule))] * 3
+        assert calls == [(1, game.path_noise_rows, [(1, 1, n)] * n_rows)] * 3
 
     @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 50, 500, 5000])
     @pytest.mark.parametrize("decimals", [0, 1])
     def test_tied_draws_bitwise(self, sioux_game, n, decimals):
         # Each row a fresh (1, N) array, as the row source draws it.
         draws = np.round(same_draws(sioux_game, n, 9, n), decimals)
-        values = cvar_of_row_stream((row[None].copy() for row in draws), (1, n), sioux_game.noise_row_sets,
-                                    sioux_game.noise_schedule, 0.05)
-        kappa = routing._path_kappa(sioux_game, values)[0]
+        kappa = cvar_of_row_stream((row[None].copy() for row in draws), (1, n), sioux_game.path_noise_rows, 0.05)[0]
         assert kappa.tobytes() == stacked_kappa(sioux_game, draws).tobytes()
         assert kappa.tobytes() == sort_route_kappa(sioux_game, draws).tobytes()
 
@@ -1605,6 +1613,19 @@ class TestActiveSetQp:
         monkeypatch.setattr(lcp, "_ACTIVE_SET_MAX_ITER", iterations - 1)
         with pytest.raises(RuntimeError, match=f"{iterations - 1} iterations"):
             lcp.active_set_qp(np.zeros((len(x0), len(x0))), g, e_mat, f, x0)
+
+    @pytest.mark.parametrize("x0, f", [([-1.0, 0.0], [1.0]), ([0.0, 0.0], [1.0]), ([1.5, -0.5], [1.0]),
+                                       ([1.0, 1e-8], [1.0]), ([1.0, np.nan], [1.0])],
+                             ids=["below 0 and off E x = f", "off E x = f", "below 0", "off by 1e-8", "nan"])
+    def test_infeasible_start_raises(self, x0, f):
+        # (-1, 0) clipped at 0 is (0, 0), which misses x0 + x1 = 1.
+        with pytest.raises(ValueError, match="infeasible start"):
+            lcp.active_set_qp(np.eye(2), np.zeros(2), [[1.0, 1.0]], f, x0)
+
+    def test_start_within_the_tolerance(self):
+        # A rounding-sized miss of x0 >= 0 or E x0 = f is accepted and clipped.
+        x, _ = lcp.active_set_qp(np.eye(2), np.zeros(2), [[1.0, 1.0]], [1.0], [1.0 + 1e-12, -1e-12])
+        assert x == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_unbounded_program_raises(self):
         # x = (t, t) is feasible for every t >= 0 and the objective is -t.
